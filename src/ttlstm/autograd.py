@@ -17,9 +17,9 @@ from .errors import DomainError, NumericError, ShapeError, StateError
 
 __all__ = [
     "Var", "Parameter", "Tape", "backward", "grad_check",
-    "add", "sub", "mul", "matmul", "reshape", "transpose", "narrow",
-    "gather_rows", "sigmoid", "tanh_act", "scale", "reduce_sum",
-    "reduce_mean", "layer_norm", "cross_entropy",
+    "add", "sub", "mul", "matmul", "linear", "reshape", "transpose", "narrow",
+    "gather_rows", "select", "stack", "sigmoid", "tanh_act", "lstm_cell",
+    "scale", "reduce_sum", "reduce_mean", "layer_norm", "cross_entropy",
 ]
 
 
@@ -59,11 +59,14 @@ class Parameter(Var):
 class Tape:
     """Operation record of a single forward pass."""
 
-    __slots__ = ("_records",)
+    __slots__ = ("_records", "_owned_grads")
 
     def __init__(self):
-        # each record: (output Var, [(input Var, pull(grad) -> grad), ...])
+        # each record: (output Var, [(input Var, pull(grad) -> grad), ...]);
+        # a pull that accumulated in place itself returns None
         self._records: list[tuple[Var, list]] = []
+        # id(Var) -> the gradient buffer an in-place adjoint allocated for it
+        self._owned_grads: dict[int, np.ndarray] = {}
 
     def record(self, out: Var, pulls: list):
         self._records.append((out, pulls))
@@ -88,7 +91,8 @@ def backward(tape: Tape, loss: Var, seed: float = 1.0):
             continue
         for var, pull in pulls:
             contrib = pull(g)
-            var.grad = contrib if var.grad is None else var.grad + contrib
+            if contrib is not None:
+                var.grad = contrib if var.grad is None else var.grad + contrib
 
 
 def _val(x) -> np.ndarray:
@@ -136,15 +140,33 @@ def mul(tape, a, b) -> Var:
     ])
 
 
-def matmul(tape, a, b) -> Var:
-    av, bv = _val(a), _val(b)
+def _check_matmul(av: np.ndarray, bv: np.ndarray):
     if av.ndim != 2 or bv.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {av.ndim}-D and {bv.ndim}-D")
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {av.shape} @ {bv.shape}")
+
+
+def matmul(tape, a, b) -> Var:
+    av, bv = _val(a), _val(b)
+    _check_matmul(av, bv)
     return _emit(tape, av @ bv, [
         (a, lambda g: g @ bv.T),
         (b, lambda g: av.T @ g),
+    ])
+
+
+def linear(tape, x, w, b) -> Var:
+    """``x @ w + b``; the same values as ``add(matmul(x, w), b)``, with the
+    bias added in place so the product is the only output array."""
+    xv, wv, bv = _val(x), _val(w), _val(b)
+    _check_matmul(xv, wv)
+    out = xv @ wv
+    out += bv
+    return _emit(tape, out, [
+        (x, lambda g: g @ wv.T),
+        (w, lambda g: xv.T @ g),
+        (b, lambda g: _unbroadcast(g, bv.shape)),
     ])
 
 
@@ -189,6 +211,79 @@ def gather_rows(tape, table, ids) -> Var:
         return z
 
     return _emit(tape, tv[ids], [(table, pull)])
+
+
+def select(tape, a, index: int) -> Var:
+    """Leading-axis slice ``a[index]``.
+
+    The adjoint accumulates in place into one gradient buffer per source,
+    allocated on the first pull of a backward pass, so slicing a
+    ``(T, ...)`` Var T times costs one full-size buffer, not one per step.
+    The buffer is only written while it is still ``a.grad``; if another
+    consumer has replaced or set the gradient, a fresh buffer takes it
+    over, so storage shared with other adjoints is never written.
+    """
+    av = _val(a)
+    index = int(index)
+    if tape is None:
+        return Var(av[index])
+    owned = tape._owned_grads
+
+    def pull(g):
+        buf = owned.get(id(a))
+        if buf is None or a.grad is not buf:
+            buf = np.zeros_like(av) if a.grad is None else np.array(a.grad)
+            owned[id(a)] = buf
+            a.grad = buf
+        buf[index] += g
+
+    return _emit(tape, av[index], [(a, pull)])
+
+
+def stack(tape, parts, axis: int = 0) -> Var:
+    """Stack equal-shape Vars along a new ``axis``."""
+    vals = [_val(p) for p in parts]
+    out = np.stack(vals, axis=axis)
+    lead = (slice(None),) * (axis % out.ndim)
+    return _emit(tape, out, [(p, lambda g, k=k: g[lead + (k,)]) for k, p in enumerate(parts)])
+
+
+def lstm_cell(tape, gates, c):
+    """Fused LSTM cell: ``(h', c')`` from pre-activations ``gates``
+    ``(batch, 4H)`` in (i, f, g, o) block order and cell state ``c``.
+
+    ``c' = sigmoid(f) c + sigmoid(i) tanh(g)`` and
+    ``h' = sigmoid(o) tanh(c')``, elementwise in that order. Records two
+    records, ``c'`` and then ``h'``, with hand-written adjoints.
+    """
+    gv, cv = _val(gates), _val(c)
+    hidden = cv.shape[-1]
+    if gv.ndim != 2 or gv.shape != (cv.shape[0], 4 * hidden):
+        raise ShapeError(f"gates {gv.shape} do not match cell state {cv.shape}")
+    blocks = [gv[:, k * hidden:(k + 1) * hidden] for k in range(4)]
+    si = 1.0 / (1.0 + np.exp(-blocks[0]))
+    sf = 1.0 / (1.0 + np.exp(-blocks[1]))
+    tg = np.tanh(blocks[2])
+    so = 1.0 / (1.0 + np.exp(-blocks[3]))
+    c_new = sf * cv + si * tg
+    tc = np.tanh(c_new)
+
+    def pull_ifg(g):
+        d = np.empty_like(gv)
+        d[:, :hidden] = g * tg * si * (1.0 - si)
+        d[:, hidden:2 * hidden] = g * cv * sf * (1.0 - sf)
+        d[:, 2 * hidden:3 * hidden] = g * si * (1.0 - tg * tg)
+        d[:, 3 * hidden:] = 0.0
+        return d
+
+    def pull_o(g):
+        d = np.zeros_like(gv)
+        d[:, 3 * hidden:] = g * tc * so * (1.0 - so)
+        return d
+
+    c_var = _emit(tape, c_new, [(gates, pull_ifg), (c, lambda g: g * sf)])
+    h_var = _emit(tape, so * tc, [(gates, pull_o), (c_var, lambda g: g * so * (1.0 - tc * tc))])
+    return h_var, c_var
 
 
 def sigmoid(tape, a) -> Var:

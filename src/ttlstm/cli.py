@@ -154,7 +154,7 @@ def cmd_train(args) -> int:
     from .distill import DistillConfig, TeacherWeights
     from .modelfile import RunRecord, append_records, save_model
     from .nn import build_model
-    from .training import TrainConfig, evaluate, train_model
+    from .training import TrainConfig, train_model
 
     cfg, cfg_hash = read_config(args.config)
     seed = int(args.seed) if args.seed is not None else int(cfg["seed"])
@@ -204,9 +204,9 @@ def cmd_train(args) -> int:
               f"valid ppl {stats.valid_ppl:.3f} lr {stats.lr:g}")
 
     try:
-        train_model(model, train_ids, valid_ids, train_cfg,
-                    teacher=teacher_weights, cov_x=cov_x, cov_h=cov_h,
-                    epoch_callback=on_epoch)
+        history = train_model(model, train_ids, valid_ids, train_cfg,
+                              teacher=teacher_weights, cov_x=cov_x, cov_h=cov_h,
+                              epoch_callback=on_epoch)
     except NumericError:
         records.append(RunRecord(
             command="train", metric="numeric_error", value=float("nan"),
@@ -225,8 +225,7 @@ def cmd_train(args) -> int:
     })
     if args.records:
         append_records(args.records, records)
-    final_nll, final_ppl = evaluate(model, valid_ids)
-    print(f"saved {args.out} (validation perplexity {final_ppl:.3f})")
+    print(f"saved {args.out} (validation perplexity {history[-1].valid_ppl:.3f})")
     return 0
 
 
@@ -429,7 +428,9 @@ def main(argv=None) -> int:
     threads = str(max(1, args.threads))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
+        # numpy loads lazily inside the commands, so assigning here takes
+        # effect and overrides a value already in the environment
+        os.environ[var] = threads
     handlers = {"train": cmd_train, "eval": cmd_eval, "bench": cmd_bench, "info": cmd_info}
     try:
         return handlers[args.command](args)

@@ -198,10 +198,6 @@ class CostReport:
     build_ops: int        # one-time factor-pair build (MPS) or reconstruction (MPO)
     matvec_ops_bound: int
 
-    @property
-    def total_ops_bound(self) -> int:
-        return self.matvec_ops_bound
-
 
 def _rank_chains(fact: ShapeFactorization, ranks, kind: str):
     if kind == "mps":

@@ -11,6 +11,16 @@ cell candidate, output. Layer normalization is applied separately to the
 ``W_x x`` and ``W_h h`` pre-activations, per gate block of length H, each
 with its own gain and bias; the cell state is not normalized. The output
 projection is a dense, untied H x V matrix.
+
+``forward_lm`` runs at sequence level: only what depends on ``h`` stays
+in the time loop. The window's embeddings are gathered once in time-major
+order, ``W_x`` and its layer norm run once over all ``T * batch`` rows,
+and the output projection runs once over the stacked hidden states. Each
+step is ``W_h h``, its layer norm, ``(ax_t + ah) + gate_bias`` and the
+fused cell ``autograd.lstm_cell``. That add order is kept on purpose:
+folding the bias into the hoisted rows first changes the rounding, and
+over a long stateful stream the evaluation NLL drifts off its recorded
+references. ``lstm_step`` runs the same step on plain arrays.
 """
 
 from __future__ import annotations
@@ -362,27 +372,20 @@ def build_model(arch: ModelArch, seed: int = 0) -> TTLstmModel:
                        ln_x, ln_h, proj_w, proj_b, seed=seed)
 
 
-def _block_norm(tape, pre: Var, ln: LayerNormParams, batch: int, hidden: int) -> Var:
-    blocks = ag.reshape(tape, pre, (batch, 4, hidden))
+def _block_norm(tape, pre: Var, ln: LayerNormParams) -> Var:
+    rows, width = pre.shape
+    blocks = ag.reshape(tape, pre, (rows, 4, width // 4))
     normed = ag.layer_norm(tape, blocks, ln.gain, ln.bias, ln.eps)
-    return ag.reshape(tape, normed, (batch, 4 * hidden))
+    return ag.reshape(tape, normed, (rows, width))
 
 
-def _cell_step(tape, model: TTLstmModel, apply_x, apply_h, x: Var, h: Var, c: Var):
-    batch = x.shape[0]
-    hidden = model.arch.hidden_dim
-    ax = _block_norm(tape, apply_x(x), model.ln_x, batch, hidden)
-    ah = _block_norm(tape, apply_h(h), model.ln_h, batch, hidden)
+def _recur(tape, model: TTLstmModel, ax: Var, apply_h, h: Var, c: Var):
+    """The part of one step that depends on ``h``. ``ax`` is the step's
+    normalized ``W_x x``; the add order ``(ax + ah) + gate_bias`` is part
+    of the numerics the recorded evaluation references pin."""
+    ah = _block_norm(tape, apply_h(h), model.ln_h)
     pre = ag.add(tape, ag.add(tape, ax, ah), model.gate_bias)
-    gi = ag.narrow(tape, pre, 1, 0, hidden)
-    gf = ag.narrow(tape, pre, 1, hidden, hidden)
-    gg = ag.narrow(tape, pre, 1, 2 * hidden, hidden)
-    go = ag.narrow(tape, pre, 1, 3 * hidden, hidden)
-    c_new = ag.add(tape,
-                   ag.mul(tape, ag.sigmoid(tape, gf), c),
-                   ag.mul(tape, ag.sigmoid(tape, gi), ag.tanh_act(tape, gg)))
-    h_new = ag.mul(tape, ag.sigmoid(tape, go), ag.tanh_act(tape, c_new))
-    return h_new, c_new
+    return ag.lstm_cell(tape, pre, c)
 
 
 def lstm_step(model: TTLstmModel, x_t: np.ndarray, h: np.ndarray, c: np.ndarray):
@@ -396,9 +399,8 @@ def lstm_step(model: TTLstmModel, x_t: np.ndarray, h: np.ndarray, c: np.ndarray)
     c2 = np.asarray(c, dtype=np.float64).reshape(x2.shape[0], -1)
     if x2.shape[1] != model.wx.in_dim or h2.shape[1] != model.hidden_dim:
         raise ShapeError(f"step shapes {x2.shape}/{h2.shape} do not match the model")
-    apply_x = model.wx.prepare(None)
-    apply_h = model.wh.prepare(None)
-    h_new, c_new = _cell_step(None, model, apply_x, apply_h, Var(x2), Var(h2), Var(c2))
+    ax = _block_norm(None, model.wx.prepare(None)(Var(x2)), model.ln_x)
+    h_new, c_new = _recur(None, model, ax, model.wh.prepare(None), Var(h2), Var(c2))
     if single:
         return h_new.value[0], c_new.value[0]
     return h_new.value, c_new.value
@@ -406,8 +408,9 @@ def lstm_step(model: TTLstmModel, x_t: np.ndarray, h: np.ndarray, c: np.ndarray)
 
 @dataclass
 class ForwardResult:
-    logits: np.ndarray                       # (batch, T, V)
-    step_logits: list[Var]
+    logits: np.ndarray                       # (batch, T, V), a view of logit_rows
+    logit_rows: Var                          # (batch * T, V), batch-major rows
+    hidden: np.ndarray                       # (batch, T, H), h after each step
     state: tuple[np.ndarray, np.ndarray]     # detached (h, c)
     tape: Tape | None
 
@@ -416,8 +419,12 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
                state: tuple[np.ndarray, np.ndarray] | None = None) -> ForwardResult:
     """Unroll the cell over a ``(batch, T)`` token window.
 
-    The initial state is zero unless a carried ``state`` is supplied; the
-    returned state is detached, so gradients never cross window boundaries.
+    Only the recurrence runs per step. The embedding gather, ``W_x`` and
+    its layer norm run once over all ``T * batch`` rows before the loop;
+    the output projection runs once over the stacked hidden states after
+    it. The initial state is zero unless a carried ``state`` is supplied;
+    the returned state is detached, so gradients never cross window
+    boundaries.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -435,25 +442,23 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
         h, c = Var(state[0]), Var(state[1])
     apply_x = model.wx.prepare(tape)
     apply_h = model.wh.prepare(tape)
-    proj_t = model.proj_w
-    step_logits: list[Var] = []
+    x = ag.gather_rows(tape, model.embed, tokens.T.reshape(-1))    # time-major rows
+    ax = _block_norm(tape, apply_x(x), model.ln_x)
+    ax = ag.reshape(tape, ax, (steps, batch, 4 * hidden))
+    hs: list[Var] = []
     for t in range(steps):
-        x = ag.gather_rows(tape, model.embed, tokens[:, t])
-        h, c = _cell_step(tape, model, apply_x, apply_h, x, h, c)
-        logits = ag.add(tape, ag.matmul(tape, h, proj_t), model.proj_b)
-        step_logits.append(logits)
-    logits = np.stack([lv.value for lv in step_logits], axis=1)
-    return ForwardResult(logits, step_logits, (h.value.copy(), c.value.copy()), tape)
+        h, c = _recur(tape, model, ag.select(tape, ax, t), apply_h, h, c)
+        hs.append(h)
+    seq = ag.stack(tape, hs, axis=1)                                # (batch, T, H)
+    rows = ag.reshape(tape, seq, (batch * steps, hidden))
+    logit_rows = ag.linear(tape, rows, model.proj_w, model.proj_b)
+    logits = logit_rows.value.reshape(batch, steps, -1)
+    return ForwardResult(logits, logit_rows, seq.value, (h.value.copy(), c.value.copy()), tape)
 
 
 def sequence_nll(tape, result: ForwardResult, targets: np.ndarray) -> Var:
     """Token-mean negative log-likelihood over all unrolled steps."""
-    targets = np.asarray(targets)
-    total = None
-    for t, logits in enumerate(result.step_logits):
-        ce = ag.cross_entropy(tape, logits, targets[:, t])
-        total = ce if total is None else ag.add(tape, total, ce)
-    return ag.scale(tape, total, 1.0 / len(result.step_logits))
+    return ag.cross_entropy(tape, result.logit_rows, np.asarray(targets).reshape(-1))
 
 
 def cross_entropy_perplexity(logits: np.ndarray, targets: np.ndarray):
@@ -468,6 +473,7 @@ def cross_entropy_perplexity(logits: np.ndarray, targets: np.ndarray):
     if not np.all(np.isfinite(flat)):
         raise NumericError("non-finite logits")
     shifted = flat - flat.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    nll = float((log_z - shifted[np.arange(flat.shape[0]), targets]).mean())
+    picked = shifted[np.arange(flat.shape[0]), targets]
+    log_z = np.log(np.exp(shifted, out=shifted).sum(axis=1))
+    nll = float((log_z - picked).mean())
     return nll, float(np.exp(nll))

@@ -187,6 +187,9 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
                 raise NumericError(f"non-finite loss in epoch {epoch}")
             ag.backward(tape, loss)
             last_norm = clip_gradients(params, cfg.clip)
+            if not math.isfinite(last_norm):
+                # nan > clip is False, so clipping alone would let it through
+                raise NumericError(f"non-finite gradient norm in epoch {epoch}")
             optimizer.step(params)
             nll_sum += ce_value * batch.targets.size
             token_sum += batch.targets.size
@@ -208,7 +211,8 @@ def collect_stack_inputs(model: TTLstmModel, ids: np.ndarray,
                          max_windows: int | None = None):
     """Gather the vectors each gate stack multiplies during a forward pass
     of ``model`` over the stream: embedded inputs (for W_x) and the hidden
-    states entering each step (for W_h)."""
+    states entering each step (for W_h). One ordinary stateful
+    ``forward_lm`` runs per window."""
     arch = model.arch
     stream = make_batches(ids, arch.batch_size, arch.unroll)
     xs: list[np.ndarray] = []
@@ -219,8 +223,10 @@ def collect_stack_inputs(model: TTLstmModel, ids: np.ndarray,
         if max_windows is not None and w >= max_windows:
             break
         xs.append(model.embed.value[batch.inputs.reshape(-1)])
-        for t in range(arch.unroll):
-            hs.append(state[0])
-            step = forward_lm(model, batch.inputs[:, t:t + 1], tape=None, state=state)
-            state = step.state
+        out = forward_lm(model, batch.inputs, tape=None, state=state)
+        # W_h multiplies the state entering each step: the carried state,
+        # then every step's output but the last; rows time-major
+        entering = np.concatenate([state[0][:, None], out.hidden[:, :-1]], axis=1)
+        hs.append(entering.transpose(1, 0, 2).reshape(-1, arch.hidden_dim))
+        state = out.state
     return np.concatenate(xs, axis=0), np.concatenate(hs, axis=0)

@@ -84,6 +84,76 @@ class TestPerOpGradients:
         self.check([logits], lambda t: ag.cross_entropy(t, logits, targets), tol=1e-6)
 
 
+    def test_linear(self):
+        rng = np.random.default_rng(14)
+        x, w, b = _param(rng, (3, 4), "x"), _param(rng, (4, 2), "w"), _param(rng, (2,), "b")
+        self.check([x, w, b], lambda t: ag.reduce_sum(t, ag.mul(t, ag.linear(t, x, w, b),
+                                                                ag.linear(t, x, w, b))))
+        two_ops = ag.add(None, ag.matmul(None, x, w), b).value
+        assert ag.linear(None, x, w, b).value.tobytes() == two_ops.tobytes()
+
+    def test_lstm_cell(self):
+        rng = np.random.default_rng(9)
+        gates, c = _param(rng, (3, 8), "gates"), _param(rng, (3, 2), "c")
+        w = rng.normal(size=(3, 2))
+
+        def build(t):
+            h_new, c_new = ag.lstm_cell(t, gates, c)
+            # both outputs reach the loss, and c' also through h'
+            return ag.reduce_sum(t, ag.add(t, ag.mul(t, h_new, w), ag.mul(t, c_new, c_new)))
+
+        self.check([gates, c], build)
+
+    def test_stack(self):
+        rng = np.random.default_rng(11)
+        a, b = _param(rng, (2, 3), "a"), _param(rng, (2, 3), "b")
+        w = rng.normal(size=(2, 3, 3))
+
+        def build(t):
+            s = ag.stack(t, [a, b, a], axis=1)
+            return ag.reduce_sum(t, ag.mul(t, s, w))
+
+        self.check([a, b], build)
+
+    def test_select(self):
+        rng = np.random.default_rng(12)
+        a = _param(rng, (4, 2, 3))
+
+        def build(t):
+            s0, s2 = ag.select(t, a, 0), ag.select(t, a, 2)
+            again = ag.select(t, a, 2)
+            return ag.reduce_sum(t, ag.mul(t, ag.add(t, s0, again), s2))
+
+        self.check([a], build)
+
+    def test_select_after_another_consumer_set_the_grad(self):
+        rng = np.random.default_rng(13)
+        a = _param(rng, (3, 4))
+        w = rng.normal(size=(3, 4))
+
+        def build(t):
+            # the reshape is recorded last, so its adjoint sets a.grad
+            # (a view of its own gradient) before the selects run
+            picked = ag.mul(t, ag.select(t, a, 1), ag.select(t, a, 2))
+            whole = ag.mul(t, ag.reshape(t, a, (3, 4)), w)
+            return ag.add(t, ag.reduce_sum(t, picked), ag.reduce_sum(t, whole))
+
+        self.check([a], build)
+
+    def test_select_never_writes_into_shared_gradient_storage(self):
+        a = Parameter(np.zeros((2, 3)), "a")
+        b = Parameter(np.zeros((2, 3)), "b")
+        t = Tape()
+        picked = ag.select(t, a, 0)
+        # recorded after the select, so its adjoint runs first and hands
+        # a and b views of one gradient array
+        both = ag.add(t, a, b)
+        loss = ag.add(t, ag.reduce_sum(t, picked), ag.reduce_sum(t, both))
+        backward(t, loss)
+        np.testing.assert_array_equal(a.grad, [[2.0] * 3, [1.0] * 3])
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+
 class TestBackwardMechanics:
     def test_backward_before_forward_raises(self):
         with pytest.raises(StateError):

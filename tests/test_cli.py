@@ -176,3 +176,17 @@ def test_same_seed_training_bitwise_identical_model_files(workdir):
                 workdir / "corpus.txt", "--out", out, "--threads", 1)
     assert out1.read_bytes() == out2.read_bytes()
     assert (workdir / "det1.ttlm.vocab").read_bytes() == (workdir / "det2.ttlm.vocab").read_bytes()
+
+
+def test_threads_flag_overrides_preset_blas_environment(workdir):
+    import os
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4")
+    script = ("import os, sys\n"
+              "from ttlstm.cli import main\n"
+              "rc = main(['info', '--config', sys.argv[1], '--threads', '2'])\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'], rc)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(workdir / "dense.cfg")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "2 2 0"

@@ -216,3 +216,68 @@ def test_sequence_nll_matches_value_level_perplexity():
         out.logits.transpose(1, 0, 2).reshape(-1, 20),
         targets.T.reshape(-1))
     assert abs(float(loss.value) - nll) < 1e-12
+
+
+@pytest.mark.parametrize("rep,rank", [("dense", 0), ("mps", 3), ("mpo", 3)])
+def test_forward_matches_lstm_step_loop_bitwise(rep, rank):
+    """The hoisted forward runs the same arithmetic as a loop of
+    ``lstm_step``, carried state included; this pins the
+    ``(ax + ah) + gate_bias`` add order the recorded references rest on."""
+    arch = ModelArch(vocab_size=30, embed_dim=16, hidden_dim=16, representation=rep,
+                     rank=rank, unroll=7, batch_size=5)
+    model = build_model(arch, seed=41)
+    rng = np.random.default_rng(42)
+    tokens = rng.integers(0, 30, size=(5, 7))
+    state = (rng.normal(size=(5, 16)), rng.normal(size=(5, 16)))
+    out = forward_lm(model, tokens, state=state)
+    h, c = state
+    hs = []
+    for t in range(7):
+        h, c = lstm_step(model, model.embed.value[tokens[:, t]], h, c)
+        hs.append(h)
+    for t in range(7):
+        assert out.hidden[:, t].tobytes() == hs[t].tobytes()
+    assert out.state[0].tobytes() == h.tobytes()
+    assert out.state[1].tobytes() == c.tobytes()
+    rows = np.stack(hs, axis=1).reshape(-1, 16)
+    want = rows @ model.proj_w.value + model.proj_b.value
+    assert out.logit_rows.value.tobytes() == want.tobytes()
+    assert out.logits.tobytes() == want.reshape(5, 7, 30).tobytes()
+
+
+def test_tape_records_grow_by_a_fixed_budget_per_step():
+    """Everything that does not depend on ``h`` runs once per window, so a
+    window records at most ``12 T + 40`` ops (MPS stacks, loss included)."""
+    model = build_model(_tiny_arch("mps", rank=3), seed=43)
+    counts = {}
+    for steps in (4, 8, 16):
+        tokens = np.zeros((2, steps), dtype=int)
+        tape = Tape()
+        sequence_nll(tape, forward_lm(model, tokens, tape), tokens)
+        counts[steps] = len(tape)
+        assert counts[steps] <= 12 * steps + 40
+    assert counts[16] - counts[8] <= 12 * 8
+    assert counts[8] - counts[4] <= 12 * 4
+
+
+def test_lstm_step_adds_bias_after_both_normalized_terms():
+    """A dense step written out in numpy, ``(ax + ah) + gate_bias`` in that
+    order, equals ``lstm_step`` bitwise; with the loop test above it pins
+    the rounding of the whole forward."""
+    model = build_model(_tiny_arch(), seed=44)
+    rng = np.random.default_rng(45)
+    x, h, c = rng.normal(size=(3, 8)), rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
+
+    def norm(pre, ln):
+        blocks = pre.reshape(3, 4, 8)
+        return ag.layer_norm(None, Var(blocks), ln.gain, ln.bias, ln.eps).value.reshape(3, 32)
+
+    ax = norm(x @ model.wx.weight.value.T, model.ln_x)
+    ah = norm(h @ model.wh.weight.value.T, model.ln_h)
+    pre = (ax + ah) + model.gate_bias.value
+    i, f, g, o = (pre[:, k * 8:(k + 1) * 8] for k in range(4))
+    c_want = (1.0 / (1.0 + np.exp(-f))) * c + (1.0 / (1.0 + np.exp(-i))) * np.tanh(g)
+    h_want = (1.0 / (1.0 + np.exp(-o))) * np.tanh(c_want)
+    h_got, c_got = lstm_step(model, x, h, c)
+    assert c_got.tobytes() == c_want.tobytes()
+    assert h_got.tobytes() == h_want.tobytes()

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from ttlstm.data import build_vocab, encode_stream, synthetic_corpus
+from ttlstm.data import build_vocab, encode_stream, make_batches, synthetic_corpus
 from ttlstm.distill import DistillConfig, TeacherWeights
 from ttlstm.errors import ConfigError, NumericError
-from ttlstm.nn import ModelArch, build_model
+from ttlstm.nn import ModelArch, build_model, lstm_step
+import ttlstm.training as training
 from ttlstm.training import TrainConfig, clip_gradients, evaluate, train_model, collect_stack_inputs
 
 
@@ -93,6 +94,22 @@ class TestTrainModel:
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             train_model(model, train_ids, valid_ids, TrainConfig(epochs=1))
 
+    def test_non_finite_gradient_norm_aborts_before_the_update(self, monkeypatch):
+        vocab, train_ids, valid_ids = _setup()
+        model = build_model(_arch(vocab), seed=2)
+        before = [p.value.copy() for p in model.parameters()]
+        real_backward = training.ag.backward
+
+        def poisoned(tape, loss):
+            real_backward(tape, loss)
+            model.proj_b.grad[0] = np.nan     # the loss itself stays finite
+
+        monkeypatch.setattr(training.ag, "backward", poisoned)
+        with pytest.raises(NumericError, match="gradient norm"):
+            train_model(model, train_ids, valid_ids, TrainConfig(epochs=1))
+        for a, p in zip(before, model.parameters()):
+            assert a.tobytes() == p.value.tobytes(), p.name
+
     def test_lambda_zero_mode_none_identical_to_plain(self):
         vocab, train_ids, valid_ids = _setup()
         teacher = TeacherWeights(np.zeros((48, 12)), np.zeros((48, 12)))
@@ -150,3 +167,24 @@ def test_collect_stack_inputs_shapes():
     assert hs.shape == (4 * 3 * 5, 12)
     # the first hidden input of the stream is the zero initial state
     np.testing.assert_array_equal(hs[0], np.zeros(12))
+
+
+@pytest.mark.parametrize("rep,rank", [("dense", 0), ("mpo", 3)])
+def test_collect_stack_inputs_matches_per_step_loop(rep, rank):
+    """One forward per window gathers bitwise the rows a step-by-step
+    stateful loop of ``lstm_step`` sees, in the same time-major order."""
+    vocab, train_ids, _ = _setup(n_tokens=1200)
+    arch = _arch(vocab, rep, rank, unroll=5, batch=3)
+    model = build_model(arch, seed=8)
+    xs, hs = collect_stack_inputs(model, train_ids, max_windows=4)
+    want_x, want_h = [], []
+    h = c = np.zeros((3, 12))
+    for w, batch in enumerate(make_batches(train_ids, 3, 5)):
+        if w == 4:
+            break
+        want_x.append(model.embed.value[batch.inputs.reshape(-1)])
+        for t in range(5):
+            want_h.append(h)
+            h, c = lstm_step(model, model.embed.value[batch.inputs[:, t]], h, c)
+    assert xs.tobytes() == np.concatenate(want_x).tobytes()
+    assert hs.tobytes() == np.concatenate(want_h).tobytes()

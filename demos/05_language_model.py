@@ -40,7 +40,7 @@ def arch(rep, rank=0):
 
 
 def fit(model, distill=DistillConfig(), teacher=None):
-    cfg = TrainConfig(optimizer="adam", lr=0.01, epochs=6, seed=1, distill=distill)
+    cfg = TrainConfig(optimizer="adam", lr=0.01, epochs=6, distill=distill)
     train_model(model, train_ids, valid_ids, cfg, teacher=teacher)
     _, ppl = evaluate(model, test_ids)
     return ppl

@@ -17,8 +17,8 @@ from .errors import DomainError, NumericError, ShapeError, StateError
 
 __all__ = [
     "Var", "Parameter", "Tape", "backward", "grad_check",
-    "add", "sub", "mul", "matmul", "linear", "reshape", "transpose", "narrow",
-    "gather_rows", "select", "stack", "sigmoid", "tanh_act", "lstm_cell",
+    "add", "sub", "mul", "matmul", "linear", "reshape", "transpose",
+    "gather_rows", "select", "stack", "lstm_cell",
     "scale", "reduce_sum", "reduce_mean", "layer_norm", "cross_entropy",
 ]
 
@@ -185,21 +185,6 @@ def transpose(tape, a, axes=None) -> Var:
     return _emit(tape, av.transpose(axes), [(a, lambda g: g.transpose(inverse))])
 
 
-def narrow(tape, a, axis: int, start: int, length: int) -> Var:
-    """Contiguous slice along one axis."""
-    av = _val(a)
-    index = [slice(None)] * av.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-
-    def pull(g):
-        z = np.zeros_like(av)
-        z[index] = g
-        return z
-
-    return _emit(tape, av[index], [(a, pull)])
-
-
 def gather_rows(tape, table, ids) -> Var:
     """Row lookup ``table[ids]``; gradients scatter-add back."""
     tv = _val(table)
@@ -284,18 +269,6 @@ def lstm_cell(tape, gates, c):
     c_var = _emit(tape, c_new, [(gates, pull_ifg), (c, lambda g: g * sf)])
     h_var = _emit(tape, so * tc, [(gates, pull_o), (c_var, lambda g: g * so * (1.0 - tc * tc))])
     return h_var, c_var
-
-
-def sigmoid(tape, a) -> Var:
-    av = _val(a)
-    out = 1.0 / (1.0 + np.exp(-av))
-    return _emit(tape, out, [(a, lambda g: g * out * (1.0 - out))])
-
-
-def tanh_act(tape, a) -> Var:
-    av = _val(a)
-    out = np.tanh(av)
-    return _emit(tape, out, [(a, lambda g: g * (1.0 - out * out))])
 
 
 def scale(tape, a, c: float) -> Var:

@@ -189,7 +189,7 @@ def cmd_train(args) -> int:
 
     train_cfg = TrainConfig(
         optimizer=cfg["optimizer"], lr=float(cfg["lr"]), epochs=int(cfg["epochs"]),
-        clip=float(cfg["clip"]), distill=distill, seed=seed)
+        clip=float(cfg["clip"]), distill=distill)
 
     records: list[RunRecord] = []
 

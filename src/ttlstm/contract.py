@@ -8,7 +8,11 @@ The MPO path has to reconstruct the dense matrix; callers may cache it
 across calls.
 
 Both paths accept an optional :class:`OpCounter` that accumulates the
-exact multiply-add count of every matrix product performed.
+exact multiply-add count of every matrix product performed. The chain
+collapses and the MPO reconstruction are not written here: they are
+``ttrain.collapse_left``/``collapse_right``/``dense_matrix``, the same code
+the model runs, and they count the matmuls they actually run. The closed
+forms in :func:`cost_model` predict those counts.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .ttrain import MpoTrain, MpsTrain, ShapeFactorization, reconstruct
+from .ttrain import (MpoTrain, MpsTrain, ShapeFactorization, check_capacity, collapse_left,
+                     collapse_right, dense_matrix)
 
 __all__ = [
     "OpCounter",
@@ -51,40 +56,6 @@ def _mm(a: np.ndarray, b: np.ndarray, counter: OpCounter | None) -> np.ndarray:
         cols = b.shape[1] if b.ndim == 2 else 1
         counter.add(a.shape[0] * a.shape[1] * cols)
     return a @ b
-
-
-def _collapse_right(cores, counter: OpCounter | None) -> np.ndarray:
-    """Right-to-left pairwise contraction of a core chain.
-
-    Returns a matrix of shape ``(left_rank_first, fused_free * right_rank_last)``
-    whose columns enumerate the free middle indices colexicographically with
-    the trailing rank index fastest. Cheap when the chain ends on rank 1
-    (the collapse then never carries more than two rank factors per step).
-    """
-    last = cores[-1]
-    acc = last.reshape(last.shape[0], last.shape[1] * last.shape[2])
-    for core in reversed(cores[:-1]):
-        r_prev, extent, r_next = core.shape
-        mat = core.reshape(r_prev * extent, r_next)
-        acc = _mm(mat, acc, counter)
-        acc = acc.reshape(r_prev, extent * acc.shape[1])
-    return acc
-
-
-def _collapse_left(cores, counter: OpCounter | None) -> np.ndarray:
-    """Left-to-right pairwise contraction; the mirror of
-    :func:`_collapse_right`, cheap when the chain starts on rank 1.
-
-    Returns ``(first_rank * fused_free, right_rank_last)`` with the free
-    indices colexicographic (first core slowest).
-    """
-    first = cores[0]
-    acc = first.reshape(first.shape[0] * first.shape[1], first.shape[2])
-    for core in cores[1:]:
-        r_prev, extent, r_next = core.shape
-        acc = _mm(acc, core.reshape(r_prev, extent * r_next), counter)
-        acc = acc.reshape(acc.shape[0] * extent, r_next)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -121,11 +92,9 @@ def build_factor_pair(mps: MpsTrain, counter: OpCounter | None = None) -> Factor
     two rank factors and the total build under
     ``R^2 [(n-1) N + (m-1) M]`` multiply-adds.
     """
-    fact = mps.fact
-    row_factor = _collapse_left(list(mps.row_cores), counter)   # (N, mid)
-    cols = _collapse_right(list(mps.col_cores), counter)        # (mid, M)
-    col_factor = np.ascontiguousarray(cols.T)
-    return FactorPair(row_factor, col_factor, mps)
+    row_factor = collapse_left(None, mps.row_cores, counter).value    # (N, mid)
+    cols = collapse_right(None, mps.col_cores, counter).value         # (mid, M)
+    return FactorPair(row_factor, np.ascontiguousarray(cols.T), mps)
 
 
 def mps_matvec(fp: FactorPair, x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
@@ -139,8 +108,8 @@ def mps_matvec(fp: FactorPair, x: np.ndarray, counter: OpCounter | None = None) 
 
 
 def _chain_madds(extents, ranks) -> int:
-    """Multiply-adds of the right-to-left collapse for a chain whose core k
-    has shape (ranks[k], extents[k], ranks[k+1])."""
+    """Closed form of the multiply-adds ``ttrain.collapse_right`` counts for
+    a chain whose core k has shape (ranks[k], extents[k], ranks[k+1])."""
     total = 0
     tail = extents[-1] * ranks[-1]
     for k in range(len(extents) - 2, -1, -1):
@@ -150,7 +119,7 @@ def _chain_madds(extents, ranks) -> int:
 
 
 def _chain_madds_left(extents, ranks) -> int:
-    """Multiply-adds of the left-to-right collapse (mirror accounting)."""
+    """Closed form for ``ttrain.collapse_left`` (mirror accounting)."""
     total = 0
     head = ranks[0] * extents[0]
     for k in range(1, len(extents)):
@@ -171,9 +140,8 @@ def mpo_matvec(mpo: MpoTrain, x: np.ndarray, cache: np.ndarray | None = None,
     if x.shape != (fact.n_cols,):
         raise ShapeError(f"expected input of length {fact.n_cols}, got shape {x.shape}")
     if cache is None:
-        if counter is not None:
-            counter.add(_chain_madds(fact.fused_dims(), mpo.ranks))
-        cache = reconstruct(mpo)
+        check_capacity(fact)
+        cache = dense_matrix(None, fact, mpo.cores, counter).value
     elif cache.shape != (fact.n_rows, fact.n_cols):
         raise ShapeError(f"cache shape {cache.shape} != {(fact.n_rows, fact.n_cols)}")
     return _mm(cache, x, counter)

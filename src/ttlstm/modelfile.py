@@ -20,6 +20,7 @@ numbers; files are append-only.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -163,6 +164,9 @@ def _arch_from_manifest(man: dict[str, str]) -> ModelArch:
         return _ints(man[key]) if key in man else None
 
     rep = man["wx_kind"]
+    if man["wh_kind"] != rep:
+        raise FormatError(f"wx_kind={rep} and wh_kind={man['wh_kind']} differ; "
+                          "a model has one representation")
     rank = 0
     if rep == "mps" and "wx_row_ranks" in man:
         rank = max(_ints(man["wx_row_ranks"]) + _ints(man["wx_col_ranks"]))
@@ -182,6 +186,17 @@ def _arch_from_manifest(man: dict[str, str]) -> ModelArch:
         wx_row_dims=dims("wx_row_dims"), wx_col_dims=dims("wx_col_dims"),
         wh_row_dims=dims("wh_row_dims"), wh_col_dims=dims("wh_col_dims"),
     )
+
+
+def _check_dense_shapes(arch: ModelArch, tensors: dict[str, np.ndarray]):
+    """The tensors outside the gate stacks must match the architecture."""
+    v, e, h = arch.vocab_size, arch.embed_dim, arch.hidden_dim
+    expected = {"embedding": (v, e), "gate_bias": (4 * h,),
+                "ln_x.gain": (4, h), "ln_x.bias": (4, h), "ln_h.gain": (4, h), "ln_h.bias": (4, h),
+                "proj.weight": (h, v), "proj.bias": (v,)}
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise FormatError(f"{name} declared {tensors[name].shape}, architecture needs {shape}")
 
 
 def _rebuild_stack(prefix: str, man: dict[str, str], tensors: dict[str, np.ndarray],
@@ -209,7 +224,10 @@ def _rebuild_stack(prefix: str, man: dict[str, str], tensors: dict[str, np.ndarr
         lin.cores = [Parameter(tensors[f"{prefix}.core{k}"], f"{prefix}.core{k}")
                      for k in range(fact.n)]
         lin.row_cores = lin.col_cores = None
-    lin.to_train()   # validates chains against the declared factorization
+    # validates the chains against the factorization and the declared ranks
+    for key, value in _stack_manifest(prefix, lin).items():
+        if man.get(key, value) != value:
+            raise FormatError(f"{key}={man[key]} disagrees with the stored cores ({value})")
     return lin
 
 
@@ -231,25 +249,32 @@ def load_model(path) -> tuple[TTLstmModel, dict[str, str]]:
     declared: list[tuple[str, tuple[int, ...]]] = []
     for item in manifest["tensors"].split(";"):
         name, _, shape_text = item.partition(":")
-        if not shape_text:
-            raise FormatError(f"malformed tensor declaration {item!r}", head_end)
-        declared.append((name, tuple(int(d) for d in shape_text.split("x"))))
+        dims = shape_text.split("x")
+        if not all(d.isascii() and d.isdigit() and int(d) > 0 for d in dims):
+            raise FormatError(f"tensor declaration {item!r} needs positive integer extents",
+                              head_end)
+        if name in (n for n, _ in declared):
+            raise FormatError(f"duplicate tensor declaration {name!r}", head_end)
+        declared.append((name, tuple(int(d) for d in dims)))
 
     tensors: dict[str, np.ndarray] = {}
     offset = man_end
     for name, shape in declared:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = 8 * count
+        nbytes = 8 * math.prod(shape)
         if offset + nbytes > len(raw):
             raise FormatError(f"truncated blob for tensor {name!r}", offset)
-        tensors[name] = np.frombuffer(raw, dtype="<f8", count=count,
+        tensors[name] = np.frombuffer(raw, dtype="<f8", count=nbytes // 8,
                                       offset=offset).reshape(shape).copy()
+        # min and max propagate NaN and reach +-inf without a temporary array
+        if not (np.isfinite(tensors[name].min()) and np.isfinite(tensors[name].max())):
+            raise FormatError(f"non-finite values in tensor {name!r}", offset)
         offset += nbytes
     if offset != len(raw):
         raise FormatError("trailing bytes after the last declared tensor", offset)
 
-    arch = _arch_from_manifest(manifest)
     try:
+        arch = _arch_from_manifest(manifest)
+        _check_dense_shapes(arch, tensors)
         wx = _rebuild_stack("wx", manifest, tensors, 4 * arch.hidden_dim, arch.embed_dim)
         wh = _rebuild_stack("wh", manifest, tensors, 4 * arch.hidden_dim, arch.hidden_dim)
         model = TTLstmModel(
@@ -265,10 +290,14 @@ def load_model(path) -> tuple[TTLstmModel, dict[str, str]]:
             Parameter(tensors["proj.bias"], "proj.bias"),
             seed=int(manifest.get("seed", 0)),
         )
+    except FormatError:
+        raise
     except KeyError as exc:
-        raise FormatError(f"manifest declares no tensor {exc.args[0]!r}", man_end) from exc
+        raise FormatError(f"missing manifest key or tensor {exc.args[0]!r}", man_end) from exc
     except ValueError as exc:
-        raise FormatError(f"inconsistent tensor declaration: {exc}", man_end) from exc
+        raise FormatError(f"inconsistent manifest: {exc}", man_end) from exc
+    if [name for name, _ in declared] != [name for name, _ in _named_tensors(model)]:
+        raise FormatError("declared tensors differ from the ones the architecture stores", head_end)
     return model, manifest
 
 

@@ -4,7 +4,10 @@ The four gate matrices acting on the input and the four acting on the
 recurrent state are stacked into two matrices ``W_x`` (4H x E) and
 ``W_h`` (4H x H). Each stack is held either dense, as an MPS train
 (applied through its factor pair, never materialized), or as an MPO train
-(reconstructed once per forward pass and cached across timesteps).
+(reconstructed once per forward pass and cached across timesteps). The
+factor pair and the dense matrix come from ``ttrain``'s one contraction
+path (``collapse_left``, ``collapse_right``, ``dense_matrix``), the same
+code ``reconstruct`` and ``contract.build_factor_pair`` run.
 
 Gate order in the stacked rows is fixed as (i, f, g, o): input, forget,
 cell candidate, output. Layer normalization is applied separately to the
@@ -38,6 +41,9 @@ from .ttrain import (
     MpsTrain,
     ShapeFactorization,
     balanced_factorization,
+    collapse_left,
+    collapse_right,
+    dense_matrix,
     new_mpo,
     new_mps,
     reconstruct,
@@ -80,66 +86,6 @@ def layer_norm(v: np.ndarray, params: LayerNormParams) -> np.ndarray:
     if v.shape[-1] != gain.shape[-1]:
         raise ShapeError(f"normalized extent {v.shape[-1]} != gain extent {gain.shape[-1]}")
     return ag.layer_norm(None, Var(v), params.gain, params.bias, params.eps).value
-
-
-def _collapse_right_op(tape: Tape | None, cores: list[Var]) -> Var:
-    """Differentiable right-to-left collapse of a core chain; returns a
-    ``(first_left_rank, fused_free * last_right_rank)`` Var. Cheap when
-    the chain ends on rank 1."""
-    last = cores[-1]
-    r_prev, extent, r_next = last.shape
-    acc = ag.reshape(tape, last, (r_prev, extent * r_next))
-    for core in reversed(cores[:-1]):
-        r_prev, extent, r_next = core.shape
-        mat = ag.reshape(tape, core, (r_prev * extent, r_next))
-        prod = ag.matmul(tape, mat, acc)
-        acc = ag.reshape(tape, prod, (r_prev, extent * prod.shape[1]))
-    return acc
-
-
-def _collapse_left_op(tape: Tape | None, cores: list[Var]) -> Var:
-    """Mirror of :func:`_collapse_right_op`: left-to-right collapse,
-    cheap when the chain starts on rank 1; returns
-    ``(first_left_rank * fused_free, last_right_rank)``."""
-    first = cores[0]
-    r_prev, extent, r_next = first.shape
-    acc = ag.reshape(tape, first, (r_prev * extent, r_next))
-    for core in cores[1:]:
-        r_prev, extent, r_next = core.shape
-        mat = ag.reshape(tape, core, (r_prev, extent * r_next))
-        prod = ag.matmul(tape, acc, mat)
-        acc = ag.reshape(tape, prod, (prod.shape[0] * extent, r_next))
-    return acc
-
-
-def _mps_factor_vars(tape, row_cores, col_cores, fact: ShapeFactorization):
-    # each chain collapses from its rank-1 boundary end, keeping the cost
-    # within the two-rank-factor budget per step
-    f_var = _collapse_left_op(tape, row_cores)      # (N, mid)
-    cols = _collapse_right_op(tape, col_cores)      # (mid, M)
-    g_var = ag.transpose(tape, cols)                # (M, mid)
-    return f_var, g_var
-
-
-def _mps_dense_var(tape, row_cores, col_cores, fact):
-    """Full-chain reconstruction (a distinct computational path from the
-    factor pair; the two are used to cross-check each other's gradients)."""
-    acc = _collapse_right_op(tape, list(row_cores) + list(col_cores))
-    return ag.reshape(tape, acc, (fact.n_rows, fact.n_cols))
-
-
-def _mpo_dense_var(tape, cores, fact: ShapeFactorization):
-    acc = _collapse_right_op(tape, cores)
-    perm = fact.col_permutation or tuple(range(fact.m))
-    pcols = fact.permuted_col_dims()
-    split = []
-    for i_dim, j_dim in zip(fact.row_dims, pcols):
-        split.extend((j_dim, i_dim))
-    tensor = ag.reshape(tape, acc, split)
-    row_axes = [2 * k + 1 for k in range(fact.n)]
-    col_axes = [2 * perm.index(j) for j in range(fact.m)]
-    tensor = ag.transpose(tape, tensor, row_axes + col_axes)
-    return ag.reshape(tape, tensor, (fact.n_rows, fact.n_cols))
 
 
 class TTLinear:
@@ -219,9 +165,8 @@ class TTLinear:
         """Differentiable dense matrix; gradients flow to the cores."""
         if self.kind == "dense":
             return self.weight
-        if self.kind == "mps":
-            return _mps_dense_var(tape, self.row_cores, self.col_cores, self.fact)
-        return _mpo_dense_var(tape, self.cores, self.fact)
+        cores = self.row_cores + self.col_cores if self.kind == "mps" else self.cores
+        return dense_matrix(tape, self.fact, cores)
 
     def prepare(self, tape):
         """One-time per-forward-pass setup; returns ``apply(x) -> Var`` for
@@ -233,7 +178,10 @@ class TTLinear:
         """
         bias = self.bias
         if self.kind == "mps":
-            f_var, g_var = _mps_factor_vars(tape, self.row_cores, self.col_cores, self.fact)
+            # each chain collapses from its rank-1 end: rows left to right,
+            # columns right to left; G stays a transposed view
+            f_var = collapse_left(tape, self.row_cores)                        # (N, mid)
+            g_var = ag.transpose(tape, collapse_right(tape, self.col_cores))   # (M, mid)
             f_t = ag.transpose(tape, f_var)
 
             def apply(x: Var) -> Var:
@@ -270,12 +218,14 @@ class ModelArch:
     wh_col_dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if min(self.vocab_size, self.embed_dim, self.hidden_dim) < 1:
-            raise ConfigError("vocab, embedding and hidden sizes must be positive")
+        if min(self.vocab_size, self.embed_dim, self.hidden_dim, self.unroll, self.batch_size) < 1:
+            raise ConfigError("vocab, embedding, hidden, unroll and batch sizes must be positive")
         if self.representation not in ("dense", "mps", "mpo"):
             raise ConfigError(f"unknown representation {self.representation!r}")
         if self.representation != "dense" and self.rank < 1:
             raise ConfigError("tensor-train stacks need rank >= 1")
+        if self.init not in InitScheme.KINDS:
+            raise ConfigError(f"unknown init kind {self.init!r}")
 
     def _fact(self, rows_override, cols_override, out_dim, in_dim) -> ShapeFactorization:
         rows = rows_override or balanced_factorization(out_dim, self.n_factors)

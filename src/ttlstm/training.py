@@ -2,8 +2,9 @@
 
 Training walks the contiguous batch windows in order (no shuffling) with
 truncated backpropagation: the recurrent state carries across windows
-within an epoch but is detached between them, so runs are bitwise
-reproducible for a fixed seed on a single thread.
+within an epoch but is detached between them. Training draws no random
+numbers, so a run is bitwise reproducible on a single thread from the
+model's own build seed.
 
 The default optimizer is plain SGD with global gradient-norm clipping and
 a learning rate that halves whenever validation perplexity stops
@@ -35,7 +36,6 @@ class TrainConfig:
     clip: float = 5.0
     lr_decay: float = 0.5           # applied when validation stalls (sgd only)
     distill: DistillConfig = field(default_factory=DistillConfig)
-    seed: int = 0
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8

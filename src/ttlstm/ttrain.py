@@ -10,6 +10,14 @@ middle extent ``I_k * J_k``, pairing ``(i_k, j_k)`` as the fused index
 ``i_k + (j_k - 1) I_k``.
 
 Trains are immutable value objects; construction takes an explicit seed.
+
+This module also holds the package's one contraction path:
+:func:`collapse_left`, :func:`collapse_right` and :func:`dense_matrix`
+(the right collapse plus, for MPO, the unfuse of the fused indices). They
+are written on :mod:`autograd` ops, so ``tape=None`` computes plain values
+and a tape records gradients to the cores. ``reconstruct``, the factor-pair
+build and ``mpo_matvec`` in :mod:`contract`, and ``TTLinear.prepare`` and
+``dense_var`` in :mod:`nn` all call them.
 """
 
 from __future__ import annotations
@@ -19,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autograd as ag
+from .autograd import Var
 from .errors import CapacityError, DomainError, RankError, ShapeError
-from .tensor import chain_mode31
 
 __all__ = [
     "MATERIALIZATION_CAP",
@@ -354,21 +363,79 @@ def storage_count(train: MpsTrain | MpoTrain) -> int:
     return int(sum(c.size for c in train.cores))
 
 
-def _unfuse_mpo(flat: np.ndarray, fact: ShapeFactorization) -> np.ndarray:
-    """Turn the fused-index chain result into the N x M matrix."""
-    perm = fact.col_permutation or tuple(range(fact.m))
-    pcols = fact.permuted_col_dims()
+def _matmul(tape, a: Var, b: Var, counter) -> Var:
+    if counter is not None:
+        counter.add(a.shape[0] * a.shape[1] * b.shape[1])
+    return ag.matmul(tape, a, b)
+
+
+def collapse_left(tape, cores, counter=None) -> Var:
+    """Left-to-right pairwise contraction of a core chain, cheap when the
+    chain starts on rank 1.
+
+    Returns ``(first_rank * fused_free, last_rank)`` with the free indices
+    colexicographic (first core slowest). ``cores`` may be arrays or Vars;
+    with ``tape=None`` this computes plain values. ``counter`` (anything
+    with ``add(int)``) receives the multiply-adds of every matmul run.
+    """
+    first = cores[0]
+    r_prev, extent, r_next = first.shape
+    acc = ag.reshape(tape, first, (r_prev * extent, r_next))
+    for core in cores[1:]:
+        r_prev, extent, r_next = core.shape
+        mat = ag.reshape(tape, core, (r_prev, extent * r_next))
+        prod = _matmul(tape, acc, mat, counter)
+        acc = ag.reshape(tape, prod, (prod.shape[0] * extent, r_next))
+    return acc
+
+
+def collapse_right(tape, cores, counter=None) -> Var:
+    """Right-to-left mirror of :func:`collapse_left`, cheap when the chain
+    ends on rank 1.
+
+    Returns ``(first_rank, fused_free * last_rank)`` whose columns
+    enumerate the free indices colexicographically with the trailing rank
+    index fastest.
+    """
+    last = cores[-1]
+    r_prev, extent, r_next = last.shape
+    acc = ag.reshape(tape, last, (r_prev, extent * r_next))
+    for core in reversed(cores[:-1]):
+        r_prev, extent, r_next = core.shape
+        mat = ag.reshape(tape, core, (r_prev * extent, r_next))
+        prod = _matmul(tape, mat, acc, counter)
+        acc = ag.reshape(tape, prod, (r_prev, extent * prod.shape[1]))
+    return acc
+
+
+def dense_matrix(tape, fact: ShapeFactorization, cores, counter=None) -> Var:
+    """The ``N x M`` matrix of a whole core chain, through :func:`collapse_right`.
+
+    ``cores`` is either the full MPS chain (row cores, then column cores),
+    whose free indices already read as (rows, columns), or an MPO chain,
+    whose fused axes are split and reordered here.
+    """
+    acc = collapse_right(tape, cores, counter)
+    if len(cores) == fact.n + fact.m:
+        return ag.reshape(tape, acc, (fact.n_rows, fact.n_cols))
     # Fused index i_k + (j_k - 1) I_k means j varies slower than i, so each
     # fused axis splits as (J_perm[k], I_k) in row-major order.
-    split_shape = []
-    for i_dim, j_dim in zip(fact.row_dims, pcols):
-        split_shape.extend((j_dim, i_dim))
-    tensor = flat.reshape(split_shape)
+    perm = fact.col_permutation or tuple(range(fact.m))
+    split = []
+    for i_dim, j_dim in zip(fact.row_dims, fact.permuted_col_dims()):
+        split.extend((j_dim, i_dim))
+    tensor = ag.reshape(tape, acc, split)
+    # Column axis 2k holds original factor perm[k]; emit original order.
     row_axes = [2 * k + 1 for k in range(fact.n)]
-    # Column axis 2k currently holds original factor perm[k]; emit original order.
-    col_axes = [2 * int(np.argwhere(np.array(perm) == j)[0, 0]) for j in range(fact.m)]
-    tensor = tensor.transpose(row_axes + col_axes)
-    return tensor.reshape(fact.n_rows, fact.n_cols)
+    col_axes = [2 * perm.index(j) for j in range(fact.m)]
+    tensor = ag.transpose(tape, tensor, row_axes + col_axes)
+    return ag.reshape(tape, tensor, (fact.n_rows, fact.n_cols))
+
+
+def check_capacity(fact: ShapeFactorization, max_entries: int = MATERIALIZATION_CAP):
+    """Raise :class:`CapacityError` when ``N * M`` exceeds ``max_entries``."""
+    if fact.n_rows * fact.n_cols > max_entries:
+        raise CapacityError(f"{fact.n_rows} x {fact.n_cols} exceeds cap of {max_entries} entries")
 
 
 def reconstruct(train: MpsTrain | MpoTrain, max_entries: int = MATERIALIZATION_CAP) -> np.ndarray:
@@ -376,15 +443,9 @@ def reconstruct(train: MpsTrain | MpoTrain, max_entries: int = MATERIALIZATION_C
 
     Raises :class:`CapacityError` when ``N * M`` exceeds ``max_entries``.
     """
-    fact = train.fact
-    total = fact.n_rows * fact.n_cols
-    if total > max_entries:
-        raise CapacityError(f"{fact.n_rows} x {fact.n_cols} exceeds cap of {max_entries} entries")
-    if isinstance(train, MpsTrain):
-        acc = chain_mode31(list(train.cores()))
-        return acc.reshape(fact.n_rows, fact.n_cols)
-    acc = chain_mode31(list(train.cores))
-    return _unfuse_mpo(acc.reshape(-1), fact)
+    check_capacity(train.fact, max_entries)
+    cores = train.cores() if isinstance(train, MpsTrain) else train.cores
+    return dense_matrix(None, train.fact, cores).value
 
 
 def _divisors(value: int) -> list[int]:

@@ -159,6 +159,17 @@ def test_corrupted_model_exits_3(workdir, teacher):
     assert "format error" in proc.stderr
 
 
+def test_non_integer_declared_dimension_exits_3(workdir, teacher, tmp_path):
+    # the first digit of the embedding rows becomes "a"; the manifest length is unchanged
+    raw = bytearray(teacher.read_bytes())
+    raw[raw.index(b"embedding:") + len(b"embedding:")] = ord("a")
+    corrupt = tmp_path / "corrupt.ttlm"
+    corrupt.write_bytes(bytes(raw))
+    (tmp_path / "corrupt.ttlm.vocab").write_bytes((workdir / "teacher.ttlm.vocab").read_bytes())
+    proc = run_cli("eval", "--model", corrupt, "--corpus", workdir / "test.txt", expect=3)
+    assert "format error" in proc.stderr and "embedding" in proc.stderr
+
+
 def test_vocab_mismatch_exits_2(workdir, teacher, tmp_path):
     clone = tmp_path / "clone.ttlm"
     clone.write_bytes(teacher.read_bytes())

@@ -196,6 +196,15 @@ class TestCostModel:
             build_factor_pair(mps, counter)
             report = cost_model(mps.fact, (mps.row_ranks, mps.col_ranks), "mps")
             assert report.build_ops == counter.madds
+        mpos = [random_mpo(rng) for _ in range(20)]
+        mpos.append(new_mpo(ShapeFactorization((2, 3, 4), (3, 2, 2)), (1, 3, 2, 1), seed=56))
+        assert any(mpo.fact.n == 3 for mpo in mpos)
+        for mpo in mpos:
+            x = rng.normal(size=mpo.fact.n_cols)
+            built, cached = OpCounter(), OpCounter()
+            mpo_matvec(mpo, x, counter=built)
+            mpo_matvec(mpo, x, cache=reconstruct(mpo), counter=cached)
+            assert built.madds - cached.madds == cost_model(mpo.fact, mpo.ranks, "mpo").build_ops
 
     def test_matvec_ops_match_counter(self):
         fact = ShapeFactorization((4, 4), (2, 4))

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttlstm.errors import FormatError
 from ttlstm.modelfile import (
@@ -13,7 +15,7 @@ from ttlstm.modelfile import (
     read_records,
     save_model,
 )
-from ttlstm.nn import ModelArch, build_model
+from ttlstm.nn import ModelArch, TTLinear, build_model
 
 
 def _arch(rep="mps", rank=3):
@@ -99,6 +101,105 @@ def test_dim_blob_inconsistency_rejected(tmp_path):
     path.write_bytes(bytes(raw[:head]) + blob + bytes(raw[head + man_len:]))
     with pytest.raises(FormatError):
         load_model(path)
+
+
+def _edit_file(path, edit_manifest, blobs_suffix=b""):
+    """Rewrite a model file's manifest through ``edit_manifest`` (fixing the
+    length header) and append ``blobs_suffix`` after the tensor blobs."""
+    raw = path.read_bytes()
+    head = len(MAGIC) + 8
+    (man_len,) = struct.unpack("<Q", raw[len(MAGIC): head])
+    manifest = edit_manifest(raw[head: head + man_len].decode()).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(manifest)) + manifest
+                     + raw[head + man_len:] + blobs_suffix)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("embedding:17x8", "embedding:-17x8", "positive integer extents"),
+    ("embedding:17x8", "embedding:17xeight", "positive integer extents"),
+    ("embedding:17x8", "embedding:17x", "positive integer extents"),
+    ("embedding:17x8", "embedding:0x8", "positive integer extents"),
+    ("vocab_size=17", "vocab_size=19", "embedding declared (17, 8)"),
+    ("wh_row_ranks=1,3,3", "wh_row_ranks=1,3,9", "wh_row_ranks"),
+    ("init_kind=gaussian", "init_kind=gaussion", "init kind"),
+    ("unroll=4", "unroll=0", "must be positive"),
+    ("batch_size=2", "batch_size=0", "must be positive"),
+])
+def test_inconsistent_manifest_rejected(tmp_path, old, new, message):
+    path = tmp_path / "m.ttlm"
+    save_model(build_model(_arch(), seed=1), path)
+    _edit_file(path, lambda text: text.replace(old, new))
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    assert message in str(err.value)
+
+
+def test_duplicate_tensor_declaration_rejected(tmp_path):
+    path = tmp_path / "m.ttlm"
+    save_model(build_model(_arch(), seed=1), path)
+    _edit_file(path, lambda text: text.replace(";proj.bias:17", ";proj.bias:17;proj.bias:17"),
+               np.ones(17).tobytes())
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    assert "duplicate tensor declaration 'proj.bias'" in str(err.value)
+
+
+def test_undeclared_extra_tensor_rejected(tmp_path):
+    path = tmp_path / "m.ttlm"
+    save_model(build_model(_arch(), seed=1), path)
+    _edit_file(path, lambda text: text.replace(";proj.bias:17", ";proj.bias:17;spare:2"),
+               np.ones(2).tobytes())
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_rejected(tmp_path, value):
+    path = tmp_path / "m.ttlm"
+    save_model(build_model(_arch(), seed=1), path)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = np.array([value], dtype="<f8").tobytes()    # last entry of proj.bias
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    assert "proj.bias" in str(err.value)
+
+
+def test_mixed_stack_kinds_rejected(tmp_path):
+    model = build_model(_arch("mps"), seed=1)
+    model.wh = TTLinear.dense(np.zeros((32, 8)), name="wh")
+    path = tmp_path / "m.ttlm"
+    save_model(model, path)
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    assert "wh_kind=dense" in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def valid_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m.ttlm"
+    arch = ModelArch(vocab_size=5, embed_dim=4, hidden_dim=4, representation="mpo",
+                     n_factors=2, rank=2, unroll=3, batch_size=2)
+    save_model(build_model(arch, seed=3), path, vocab_sha256="ab")
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_truncated_or_byte_changed_file_loads_or_raises_format_error(valid_file, data):
+    path, raw = valid_file
+    if data.draw(st.booleans(), label="truncate"):
+        changed = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+        byte = data.draw(st.integers(0, 255), label="byte")
+        changed = raw[:pos] + bytes([byte]) + raw[pos + 1:]
+    mutated = path.with_name("mutated.ttlm")
+    mutated.write_bytes(changed)
+    try:
+        load_model(mutated)
+    except FormatError:
+        pass
 
 
 class TestRunRecords:

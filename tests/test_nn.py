@@ -15,7 +15,8 @@ from ttlstm.nn import (
     lstm_step,
     sequence_nll,
 )
-from ttlstm.ttrain import reconstruct
+from ttlstm.contract import build_factor_pair
+from ttlstm.ttrain import ShapeFactorization, new_mpo, new_mps, reconstruct
 
 
 def _ln_params(d):
@@ -281,3 +282,41 @@ def test_lstm_step_adds_bias_after_both_normalized_terms():
     h_got, c_got = lstm_step(model, x, h, c)
     assert c_got.tobytes() == c_want.tobytes()
     assert h_got.tobytes() == h_want.tobytes()
+
+
+class TestOneContractionPath:
+    """``reconstruct``, ``build_factor_pair`` and the model's stacks share one
+    collapse and one unfuse, so their values agree bitwise."""
+
+    def test_reconstruct_is_dense_var_bitwise_mps(self):
+        fact = ShapeFactorization((3, 4), (2, 5))
+        train = new_mps(fact, (1, 3, 4), (4, 2, 1), seed=21)
+        dense = TTLinear.from_mps(train, name="w").dense_var(None).value
+        assert reconstruct(train).tobytes() == dense.tobytes()
+
+    def test_reconstruct_is_dense_var_bitwise_permuted_three_core_mpo(self):
+        fact = ShapeFactorization((2, 3, 2), (3, 2, 4), col_permutation=(2, 0, 1))
+        train = new_mpo(fact, (1, 3, 4, 1), seed=22)
+        dense = TTLinear.from_mpo(train, name="w").dense_var(None).value
+        assert reconstruct(train).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("rows,cols,row_ranks,col_ranks", [
+        ((3, 4), (2, 5), (1, 3, 4), (4, 2, 1)),
+        ((2, 3, 2), (3, 2, 2), (1, 2, 3, 3), (3, 4, 2, 1)),
+    ])
+    def test_factor_pair_is_what_prepare_applies(self, monkeypatch, rows, cols, row_ranks, col_ranks):
+        train = new_mps(ShapeFactorization(rows, cols), row_ranks, col_ranks, seed=23)
+        pair = build_factor_pair(train)
+        apply = TTLinear.from_mps(train, name="w").prepare(None)
+        operands = []
+        real_matmul = ag.matmul
+
+        def spy(tape, a, b):
+            operands.append(b.value)
+            return real_matmul(tape, a, b)
+
+        monkeypatch.setattr(ag, "matmul", spy)
+        apply(Var(np.ones((2, train.fact.n_cols))))     # x @ G, then (x G) @ F^T
+        g, f_t = operands
+        assert g.tobytes() == pair.col_factor.tobytes()
+        assert f_t.T.tobytes() == pair.row_factor.tobytes()

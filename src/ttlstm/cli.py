@@ -1,6 +1,7 @@
 """Command-line surface: ``ttlstm train|eval|bench|info``.
 
-Exit codes: 0 success, 2 configuration error, 3 file-format error,
+Exit codes: 0 success, 2 configuration error (also an argument outside its
+domain, such as a corpus too short for one window), 3 file-format error,
 4 numeric failure. All commands accept ``--threads`` (default 1); the
 thread count is exported to the BLAS layer before numpy loads, which is
 why the heavy imports below live inside the command handlers.
@@ -23,7 +24,7 @@ import os
 import sys
 import time
 
-from .errors import ConfigError, FormatError, NumericError
+from .errors import ConfigError, DomainError, FormatError, NumericError
 
 _CONFIG_DEFAULTS: dict[str, str] = {
     "vocab_size": "10000",
@@ -434,7 +435,7 @@ def main(argv=None) -> int:
     handlers = {"train": cmd_train, "eval": cmd_eval, "bench": cmd_bench, "info": cmd_info}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FormatError as exc:

@@ -8,11 +8,13 @@ The MPO path has to reconstruct the dense matrix; callers may cache it
 across calls.
 
 Both paths accept an optional :class:`OpCounter` that accumulates the
-exact multiply-add count of every matrix product performed. The chain
-collapses and the MPO reconstruction are not written here: they are
-``ttrain.collapse_left``/``collapse_right``/``dense_matrix``, the same code
-the model runs, and they count the matmuls they actually run. The closed
-forms in :func:`cost_model` predict those counts.
+exact multiply-add count of every matrix product performed. The
+contractions are not written here: the factor pair is
+``ttrain.factor_pair`` and the MPO reconstruction (collapse plus unfuse)
+is ``ttrain.dense_matrix``, the same code the model runs, and they count
+the matmuls they actually run. An MPS chain is only ever contracted as
+its factor pair; its dense matrix ``F G^T`` costs ``build_ops`` plus
+``N r M``. The closed forms in :func:`cost_model` predict those counts.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .ttrain import (MpoTrain, MpsTrain, ShapeFactorization, check_capacity, collapse_left,
-                     collapse_right, dense_matrix)
+from .ttrain import (MpoTrain, MpsTrain, ShapeFactorization, check_capacity, dense_matrix,
+                     factor_pair)
 
 __all__ = [
     "OpCounter",
@@ -92,9 +94,8 @@ def build_factor_pair(mps: MpsTrain, counter: OpCounter | None = None) -> Factor
     two rank factors and the total build under
     ``R^2 [(n-1) N + (m-1) M]`` multiply-adds.
     """
-    row_factor = collapse_left(None, mps.row_cores, counter).value    # (N, mid)
-    cols = collapse_right(None, mps.col_cores, counter).value         # (mid, M)
-    return FactorPair(row_factor, np.ascontiguousarray(cols.T), mps)
+    f, g_t = factor_pair(None, mps.row_cores, mps.col_cores, counter)
+    return FactorPair(f.value, np.ascontiguousarray(g_t.value.T), mps)
 
 
 def mps_matvec(fp: FactorPair, x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:

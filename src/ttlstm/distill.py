@@ -30,7 +30,6 @@ __all__ = [
     "DistillConfig",
     "TeacherWeights",
     "accumulate_covariance",
-    "covariance_factor",
     "kd_penalty",
     "total_loss",
 ]
@@ -96,15 +95,6 @@ def accumulate_covariance(vectors) -> DataCovariance:
     matrix = centered.T @ centered
     matrix = (matrix + matrix.T) / 2.0      # enforce exact symmetry
     return DataCovariance(matrix, rows.shape[0], mean)
-
-
-def covariance_factor(cov: DataCovariance, floor: float = 0.0) -> np.ndarray:
-    """A factor C with ``S = C C^T`` (eigendecomposition, negative
-    eigenvalues clipped). Lets large penalties evaluate as
-    ``||(W* - W) C||_F^2`` without forming the full quadratic form."""
-    eigvals, eigvecs = np.linalg.eigh(cov.matrix)
-    eigvals = np.clip(eigvals, floor, None)
-    return eigvecs * np.sqrt(eigvals)
 
 
 def kd_penalty(tape, teacher_w: np.ndarray, student_w: Var, lam: float,

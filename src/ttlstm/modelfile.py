@@ -72,25 +72,6 @@ def _stack_manifest(prefix: str, lin: TTLinear) -> dict[str, str]:
     return out
 
 
-def _named_tensors(model: TTLstmModel) -> list[tuple[str, np.ndarray]]:
-    tensors: list[tuple[str, np.ndarray]] = [("embedding", model.embed.value)]
-    for prefix, lin in (("wx", model.wx), ("wh", model.wh)):
-        if lin.kind == "dense":
-            tensors.append((f"{prefix}.weight", lin.weight.value))
-        elif lin.kind == "mps":
-            tensors.extend((f"{prefix}.row{k}", c.value) for k, c in enumerate(lin.row_cores))
-            tensors.extend((f"{prefix}.col{k}", c.value) for k, c in enumerate(lin.col_cores))
-        else:
-            tensors.extend((f"{prefix}.core{k}", c.value) for k, c in enumerate(lin.cores))
-    tensors.extend([
-        ("gate_bias", model.gate_bias.value),
-        ("ln_x.gain", model.ln_x.gain.value), ("ln_x.bias", model.ln_x.bias.value),
-        ("ln_h.gain", model.ln_h.gain.value), ("ln_h.bias", model.ln_h.bias.value),
-        ("proj.weight", model.proj_w.value), ("proj.bias", model.proj_b.value),
-    ])
-    return tensors
-
-
 def save_model(model: TTLstmModel, path, vocab_sha256: str = "",
                train_meta: dict | None = None):
     """Write the model file; bitwise reproducible for identical parameters."""
@@ -113,7 +94,7 @@ def save_model(model: TTLstmModel, path, vocab_sha256: str = "",
         if key not in _SCALAR_KEYS:
             raise FormatError(f"train_meta key {key!r} is not a manifest key")
         manifest[key] = str(value)
-    tensors = _named_tensors(model)
+    tensors = [(p.name, p.value) for p in model.parameters()]
     manifest["tensors"] = ";".join(
         f"{name}:{'x'.join(str(d) for d in arr.shape)}" for name, arr in tensors)
     text = "".join(f"{k}={v}\n" for k, v in sorted(manifest.items()))
@@ -296,7 +277,7 @@ def load_model(path) -> tuple[TTLstmModel, dict[str, str]]:
         raise FormatError(f"missing manifest key or tensor {exc.args[0]!r}", man_end) from exc
     except ValueError as exc:
         raise FormatError(f"inconsistent manifest: {exc}", man_end) from exc
-    if [name for name, _ in declared] != [name for name, _ in _named_tensors(model)]:
+    if [name for name, _ in declared] != [p.name for p in model.parameters()]:
         raise FormatError("declared tensors differ from the ones the architecture stores", head_end)
     return model, manifest
 

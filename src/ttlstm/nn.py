@@ -6,8 +6,10 @@ recurrent state are stacked into two matrices ``W_x`` (4H x E) and
 (applied through its factor pair, never materialized), or as an MPO train
 (reconstructed once per forward pass and cached across timesteps). The
 factor pair and the dense matrix come from ``ttrain``'s one contraction
-path (``collapse_left``, ``collapse_right``, ``dense_matrix``), the same
-code ``reconstruct`` and ``contract.build_factor_pair`` run.
+path, the same code ``reconstruct`` and ``contract.build_factor_pair``
+run: an MPS chain contracts only as its factor pair ``[F, G^T]``
+(``factor_pair``), so its dense matrix for the distillation penalty is
+``F G^T``; an MPO chain collapses and unfuses (``dense_matrix``).
 
 Gate order in the stacked rows is fixed as (i, f, g, o): input, forget,
 cell candidate, output. Layer normalization is applied separately to the
@@ -28,6 +30,7 @@ references. ``lstm_step`` runs the same step on plain arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +44,8 @@ from .ttrain import (
     MpsTrain,
     ShapeFactorization,
     balanced_factorization,
-    collapse_left,
-    collapse_right,
     dense_matrix,
+    factor_pair,
     new_mpo,
     new_mps,
     reconstruct,
@@ -89,13 +91,12 @@ def layer_norm(v: np.ndarray, params: LayerNormParams) -> np.ndarray:
 
 
 class TTLinear:
-    """A linear map ``x -> W x (+ bias)`` whose matrix is dense, MPS or MPO."""
+    """A linear map ``x -> W x`` whose matrix is dense, MPS or MPO."""
 
     def __init__(self, kind: str, out_dim: int, in_dim: int, *, name: str,
                  weight: Parameter | None = None,
                  fact: ShapeFactorization | None = None,
-                 row_cores=None, col_cores=None, cores=None,
-                 bias: Parameter | None = None):
+                 row_cores=None, col_cores=None, cores=None):
         if kind not in ("dense", "mps", "mpo"):
             raise ConfigError(f"unknown representation {kind!r}")
         self.kind = kind
@@ -107,17 +108,15 @@ class TTLinear:
         self.row_cores = list(row_cores) if row_cores else None
         self.col_cores = list(col_cores) if col_cores else None
         self.cores = list(cores) if cores else None
-        self.bias = bias
         if fact is not None and (fact.n_rows, fact.n_cols) != (out_dim, in_dim):
             raise ShapeError(
                 f"factorization {fact.n_rows}x{fact.n_cols} != map {out_dim}x{in_dim}")
 
     @classmethod
-    def dense(cls, weight: np.ndarray, *, name: str, bias: np.ndarray | None = None):
+    def dense(cls, weight: np.ndarray, *, name: str):
         w = np.asarray(weight, dtype=np.float64)
-        b = None if bias is None else Parameter(bias, f"{name}.bias")
         return cls("dense", w.shape[0], w.shape[1], name=name,
-                   weight=Parameter(w, f"{name}.weight"), bias=b)
+                   weight=Parameter(w, f"{name}.weight"))
 
     @classmethod
     def from_mps(cls, train: MpsTrain, *, name: str):
@@ -135,14 +134,10 @@ class TTLinear:
 
     def parameters(self) -> list[Parameter]:
         if self.kind == "dense":
-            params = [self.weight]
-        elif self.kind == "mps":
-            params = list(self.row_cores) + list(self.col_cores)
-        else:
-            params = list(self.cores)
-        if self.bias is not None:
-            params.append(self.bias)
-        return params
+            return [self.weight]
+        if self.kind == "mps":
+            return list(self.row_cores) + list(self.col_cores)
+        return list(self.cores)
 
     def param_count(self) -> int:
         return int(sum(p.value.size for p in self.parameters()))
@@ -162,7 +157,8 @@ class TTLinear:
         return reconstruct(self.to_train())
 
     def dense_var(self, tape) -> Var:
-        """Differentiable dense matrix; gradients flow to the cores."""
+        """Differentiable dense matrix; gradients flow to the cores. For
+        MPS this is ``F @ G^T`` from the factor pair."""
         if self.kind == "dense":
             return self.weight
         cores = self.row_cores + self.col_cores if self.kind == "mps" else self.cores
@@ -172,29 +168,22 @@ class TTLinear:
         """One-time per-forward-pass setup; returns ``apply(x) -> Var`` for
         batch-first inputs of shape ``(batch, in_dim)``.
 
-        MPS stacks contract to their factor pair here and every later call
-        costs ``mid_rank * (batch in + batch out)`` multiply-adds. MPO and
-        dense stacks transpose/materialize the matrix once and reuse it.
+        The stack's factors are ``[F, G^T]`` for MPS and ``[W]`` for dense
+        and MPO (reconstructed here once). ``apply`` multiplies ``x`` by
+        their transposes, last factor first, so an MPS call is
+        ``(x G) F^T`` and costs ``mid_rank * (batch in + batch out)``
+        multiply-adds.
         """
-        bias = self.bias
         if self.kind == "mps":
-            # each chain collapses from its rank-1 end: rows left to right,
-            # columns right to left; G stays a transposed view
-            f_var = collapse_left(tape, self.row_cores)                        # (N, mid)
-            g_var = ag.transpose(tape, collapse_right(tape, self.col_cores))   # (M, mid)
-            f_t = ag.transpose(tape, f_var)
-
-            def apply(x: Var) -> Var:
-                out = ag.matmul(tape, ag.matmul(tape, x, g_var), f_t)
-                return out if bias is None else ag.add(tape, out, bias)
-
-            return apply
-        w = self.weight if self.kind == "dense" else self.dense_var(tape)
-        w_t = ag.transpose(tape, w)
+            factors = factor_pair(tape, self.row_cores, self.col_cores)
+        else:
+            factors = [self.dense_var(tape)]
+        transposed = [ag.transpose(tape, f) for f in reversed(factors)]
 
         def apply(x: Var) -> Var:
-            out = ag.matmul(tape, x, w_t)
-            return out if bias is None else ag.add(tape, out, bias)
+            for t in transposed:
+                x = ag.matmul(tape, x, t)
+            return x
 
         return apply
 
@@ -226,6 +215,12 @@ class ModelArch:
             raise ConfigError("tensor-train stacks need rank >= 1")
         if self.init not in InitScheme.KINDS:
             raise ConfigError(f"unknown init kind {self.init!r}")
+        four_h = 4 * self.hidden_dim
+        for key, extent in (("wx_row_dims", four_h), ("wx_col_dims", self.embed_dim),
+                            ("wh_row_dims", four_h), ("wh_col_dims", self.hidden_dim)):
+            dims = getattr(self, key)
+            if dims and (min(dims) < 1 or math.prod(dims) != extent):
+                raise ConfigError(f"{key}={dims} must be positive and multiply to {extent}")
 
     def _fact(self, rows_override, cols_override, out_dim, in_dim) -> ShapeFactorization:
         rows = rows_override or balanced_factorization(out_dim, self.n_factors)

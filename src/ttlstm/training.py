@@ -25,7 +25,8 @@ from .distill import DistillConfig, TeacherWeights, kd_penalty, total_loss
 from .errors import ConfigError, NumericError
 from .nn import TTLstmModel, cross_entropy_perplexity, forward_lm, sequence_nll
 
-__all__ = ["TrainConfig", "EpochStats", "train_model", "evaluate", "collect_stack_inputs"]
+__all__ = ["TrainConfig", "EpochStats", "train_model", "evaluate", "collect_stack_inputs",
+           "clip_gradients"]
 
 
 @dataclass

@@ -11,12 +11,16 @@ middle extent ``I_k * J_k``, pairing ``(i_k, j_k)`` as the fused index
 
 Trains are immutable value objects; construction takes an explicit seed.
 
-This module also holds the package's one contraction path:
-:func:`collapse_left`, :func:`collapse_right` and :func:`dense_matrix`
-(the right collapse plus, for MPO, the unfuse of the fused indices). They
-are written on :mod:`autograd` ops, so ``tape=None`` computes plain values
-and a tape records gradients to the cores. ``reconstruct``, the factor-pair
-build and ``mpo_matvec`` in :mod:`contract`, and ``TTLinear.prepare`` and
+This module also holds the package's one contraction path, written on
+:mod:`autograd` ops, so ``tape=None`` computes plain values and a tape
+records gradients to the cores. An MPS chain contracts only as its factor
+pair (:func:`factor_pair`): the row chain collapses left to right into
+``F`` (``N x r``), the column chain right to left into ``G^T``
+(``r x M``), and its dense matrix is ``F G^T``, which costs the pair's
+``build_ops`` plus ``N r M`` multiply-adds. An MPO chain collapses right
+to left as a whole and then unfuses its paired indices
+(:func:`dense_matrix`). ``reconstruct``, ``build_factor_pair`` and
+``mpo_matvec`` in :mod:`contract`, and ``TTLinear.prepare`` and
 ``dense_var`` in :mod:`nn` all call them.
 """
 
@@ -44,6 +48,11 @@ __all__ = [
     "new_mps",
     "new_mpo",
     "storage_count",
+    "collapse_left",
+    "collapse_right",
+    "factor_pair",
+    "dense_matrix",
+    "check_capacity",
     "reconstruct",
     "balanced_factorization",
 ]
@@ -408,16 +417,28 @@ def collapse_right(tape, cores, counter=None) -> Var:
     return acc
 
 
+def factor_pair(tape, row_cores, col_cores, counter=None) -> list[Var]:
+    """``[F, G^T]`` of an MPS chain, with ``W = F G^T``.
+
+    Each chain collapses from its rank-1 end: the rows left to right into
+    ``F`` of shape ``(N, r)``, the columns right to left into ``G^T`` of
+    shape ``(r, M)``, where ``r`` is the shared middle rank.
+    """
+    return [collapse_left(tape, row_cores, counter), collapse_right(tape, col_cores, counter)]
+
+
 def dense_matrix(tape, fact: ShapeFactorization, cores, counter=None) -> Var:
-    """The ``N x M`` matrix of a whole core chain, through :func:`collapse_right`.
+    """The ``N x M`` matrix of a whole core chain.
 
     ``cores`` is either the full MPS chain (row cores, then column cores),
-    whose free indices already read as (rows, columns), or an MPO chain,
-    whose fused axes are split and reordered here.
+    whose matrix is ``F @ G^T`` from :func:`factor_pair`, or an MPO chain,
+    which collapses right to left and whose fused axes are split and
+    reordered here.
     """
-    acc = collapse_right(tape, cores, counter)
     if len(cores) == fact.n + fact.m:
-        return ag.reshape(tape, acc, (fact.n_rows, fact.n_cols))
+        f, g_t = factor_pair(tape, cores[:fact.n], cores[fact.n:], counter)
+        return _matmul(tape, f, g_t, counter)
+    acc = collapse_right(tape, cores, counter)
     # Fused index i_k + (j_k - 1) I_k means j varies slower than i, so each
     # fused axis splits as (J_perm[k], I_k) in row-major order.
     perm = fact.col_permutation or tuple(range(fact.m))

@@ -201,3 +201,40 @@ def test_threads_flag_overrides_preset_blas_environment(workdir):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "2 2 0"
+
+
+@pytest.mark.parametrize("command", ["eval", "train", "bench", "info"])
+def test_corpus_shorter_than_one_window_exits_2(workdir, teacher, tmp_path, command):
+    short = tmp_path / "short.txt"
+    short.write_text("the cat sat on the mat and the dog ran\n", encoding="utf-8")
+    argv = {
+        "eval": ["eval", "--model", teacher, "--corpus", short],
+        "train": ["train", "--config", workdir / "dense.cfg", "--corpus", short,
+                  "--out", tmp_path / "short.ttlm"],
+        "bench": ["bench", "--model", teacher, "--corpus", short, "--runs", 2, "--discard", 1],
+        "info": ["info", "--model", teacher, "--corpus", short,
+                 "--covariance-out", tmp_path / "cov.npz"],
+    }[command]
+    proc = run_cli(*argv, expect=2)
+    assert proc.stderr.startswith("config error:")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def test_train_on_empty_corpus_exits_2(workdir, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    proc = run_cli("train", "--config", workdir / "dense.cfg", "--corpus", empty,
+                   "--out", tmp_path / "empty.ttlm", expect=2)
+    assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["info", "train"])
+def test_factor_dims_that_miss_the_stack_exit_2(workdir, tmp_path, command):
+    cfg = tmp_path / "bad_dims.cfg"
+    cfg.write_text("vocab_size=100\nembed_dim=8\nhidden_dim=8\nunroll=8\nbatch_size=4\n"
+                   "representation=mps\nfactors=2\nrank=2\nwx_row_dims=3,3\n")
+    argv = ["--config", cfg]
+    if command == "train":
+        argv += ["--corpus", workdir / "corpus.txt", "--out", tmp_path / "bad.ttlm"]
+    proc = run_cli(command, *argv, expect=2)
+    assert "wx_row_dims" in proc.stderr and "Traceback" not in proc.stderr

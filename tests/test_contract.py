@@ -17,6 +17,7 @@ from ttlstm.ttrain import (
     InitScheme,
     MpsTrain,
     ShapeFactorization,
+    dense_matrix,
     new_mpo,
     new_mps,
     reconstruct,
@@ -205,6 +206,23 @@ class TestCostModel:
             mpo_matvec(mpo, x, counter=built)
             mpo_matvec(mpo, x, cache=reconstruct(mpo), counter=cached)
             assert built.madds - cached.madds == cost_model(mpo.fact, mpo.ranks, "mpo").build_ops
+
+    @pytest.mark.parametrize("rows,cols,row_ranks,col_ranks", [
+        ((3, 4), (5, 2), (1, 3, 4), (4, 2, 1)),
+        ((2, 3, 2), (3, 2, 4), (1, 2, 5, 3), (3, 4, 2, 1)),
+        ((50, 52), (25, 26), (1, 109, 109), (109, 109, 1)),
+    ])
+    def test_mps_dense_matrix_counts_factor_pair_plus_product(self, rows, cols,
+                                                              row_ranks, col_ranks):
+        fact = ShapeFactorization(rows, cols)
+        train = new_mps(fact, row_ranks, col_ranks, seed=57)
+        counter = OpCounter()
+        dense_matrix(None, fact, train.cores(), counter)
+        report = cost_model(fact, (row_ranks, col_ranks), "mps")
+        want = report.build_ops + fact.n_rows * train.mid_rank * fact.n_cols
+        assert counter.madds == want
+        if rows == (50, 52):
+            assert want == 222_823_250
 
     def test_matvec_ops_match_counter(self):
         fact = ShapeFactorization((4, 4), (2, 4))

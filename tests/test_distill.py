@@ -8,7 +8,6 @@ from ttlstm.distill import (
     DataCovariance,
     DistillConfig,
     accumulate_covariance,
-    covariance_factor,
     kd_penalty,
     total_loss,
 )
@@ -44,12 +43,6 @@ class TestAccumulateCovariance:
         cov = accumulate_covariance(rng.normal(size=(30, 4)))
         lo, hi = cov.eigen_extremes()
         assert lo <= hi
-
-    def test_factor_reproduces_matrix(self):
-        rng = np.random.default_rng(2)
-        cov = accumulate_covariance(rng.normal(size=(25, 5)))
-        c = covariance_factor(cov)
-        np.testing.assert_allclose(c @ c.T, cov.matrix, rtol=1e-10, atol=1e-10)
 
 
 def _scalar(tape, teacher, student_w, lam, cov=None):

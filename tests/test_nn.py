@@ -3,7 +3,7 @@ import pytest
 
 import ttlstm.autograd as ag
 from ttlstm.autograd import Parameter, Tape, Var, backward, grad_check
-from ttlstm.errors import NumericError, ShapeError, VocabError
+from ttlstm.errors import ConfigError, NumericError, ShapeError, VocabError
 from ttlstm.nn import (
     LayerNormParams,
     ModelArch,
@@ -320,3 +320,18 @@ class TestOneContractionPath:
         g, f_t = operands
         assert g.tobytes() == pair.col_factor.tobytes()
         assert f_t.T.tobytes() == pair.row_factor.tobytes()
+
+
+@pytest.mark.parametrize("dims", [
+    dict(wx_row_dims=(3, 3)),          # 9 rows for a 4H = 32 stack
+    dict(wh_row_dims=(4, 4)),
+    dict(wx_col_dims=(2, 3)),          # E = 8
+    dict(wh_col_dims=(3, 3)),          # H = 8
+    dict(wx_row_dims=(-4, -8)),
+])
+def test_model_arch_rejects_factor_dims_that_miss_the_stack(dims):
+    with pytest.raises(ConfigError):
+        ModelArch(vocab_size=20, embed_dim=8, hidden_dim=8, representation="mps", rank=2,
+                  **dims)
+    ModelArch(vocab_size=20, embed_dim=8, hidden_dim=8, representation="mps", rank=2,
+              wx_row_dims=(4, 8), wx_col_dims=(2, 4), wh_row_dims=(8, 4), wh_col_dims=(4, 2))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -75,8 +76,25 @@ def read_config(path) -> tuple[dict[str, str], str]:
     return values, config_hash
 
 
-def _dims(text: str):
-    return tuple(int(v) for v in text.split(",") if v) or None
+def _number(cfg: dict[str, str], key: str, kind=int):
+    """``cfg[key]`` parsed as ``kind`` (int or float); a ``ConfigError``
+    naming the key if it is not a finite number of that kind."""
+    try:
+        value = kind(cfg[key])
+    except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"config key {key!r} must be {what}, got {cfg[key]!r}")
+    return value
+
+
+def _dims(cfg: dict[str, str], key: str):
+    try:
+        return tuple(int(v) for v in cfg[key].split(",") if v) or None
+    except ValueError:
+        raise ConfigError(f"config key {key!r} must be comma-separated integers, "
+                          f"got {cfg[key]!r}") from None
 
 
 def _build_arch(cfg: dict[str, str], vocab_size: int):
@@ -84,27 +102,24 @@ def _build_arch(cfg: dict[str, str], vocab_size: int):
     from .nn import ModelArch
     from .ttrain import ShapeFactorization, balanced_factorization
 
-    try:
-        embed_dim = int(cfg["embed_dim"])
-        hidden_dim = int(cfg["hidden_dim"])
-    except ValueError as exc:
-        raise ConfigError("embed_dim and hidden_dim are required integers") from exc
+    embed_dim = _number(cfg, "embed_dim")
+    hidden_dim = _number(cfg, "hidden_dim")
     rep = cfg["representation"]
-    factors = int(cfg["factors"])
-    rank = int(cfg["rank"])
+    factors = _number(cfg, "factors")
+    rank = _number(cfg, "rank")
     if rep != "dense" and rank < 1:
-        target = float(cfg["target_rate"])
+        target = _number(cfg, "target_rate", float)
         if target <= 1.0:
             raise ConfigError("tensor-train stacks need rank >= 1 or target_rate > 1")
-        rows = _dims(cfg["wx_row_dims"]) or balanced_factorization(4 * hidden_dim, factors)
-        cols = _dims(cfg["wx_col_dims"]) or balanced_factorization(embed_dim, factors)
+        rows = _dims(cfg, "wx_row_dims") or balanced_factorization(4 * hidden_dim, factors)
+        cols = _dims(cfg, "wx_col_dims") or balanced_factorization(embed_dim, factors)
         rank = pick_rank(target, ShapeFactorization(rows, cols), rep)
     return ModelArch(
         vocab_size=vocab_size, embed_dim=embed_dim, hidden_dim=hidden_dim,
         representation=rep, n_factors=factors, rank=rank, init=cfg["init"],
-        unroll=int(cfg["unroll"]), batch_size=int(cfg["batch_size"]),
-        wx_row_dims=_dims(cfg["wx_row_dims"]), wx_col_dims=_dims(cfg["wx_col_dims"]),
-        wh_row_dims=_dims(cfg["wh_row_dims"]), wh_col_dims=_dims(cfg["wh_col_dims"]),
+        unroll=_number(cfg, "unroll"), batch_size=_number(cfg, "batch_size"),
+        wx_row_dims=_dims(cfg, "wx_row_dims"), wx_col_dims=_dims(cfg, "wx_col_dims"),
+        wh_row_dims=_dims(cfg, "wh_row_dims"), wh_col_dims=_dims(cfg, "wh_col_dims"),
     )
 
 
@@ -158,7 +173,7 @@ def cmd_train(args) -> int:
     from .training import TrainConfig, train_model
 
     cfg, cfg_hash = read_config(args.config)
-    seed = int(args.seed) if args.seed is not None else int(cfg["seed"])
+    seed = int(args.seed) if args.seed is not None else _number(cfg, "seed")
     text = _read_corpus(args.corpus)
 
     teacher = None
@@ -167,17 +182,17 @@ def cmd_train(args) -> int:
         teacher, vocab, _ = _load_model_and_vocab(args.teacher)
         teacher_weights = TeacherWeights.from_model(teacher, source=str(args.teacher))
     else:
-        vocab = build_vocab(text, int(cfg["vocab_size"]))
+        vocab = build_vocab(text, _number(cfg, "vocab_size"))
 
     ids = encode_stream(text, vocab)
-    train_ids, valid_ids = _split_ids(ids, float(cfg["valid_fraction"]))
+    train_ids, valid_ids = _split_ids(ids, _number(cfg, "valid_fraction", float))
     arch = _build_arch(cfg, vocab.size)
     if teacher is not None:
         if (arch.embed_dim, arch.hidden_dim) != (teacher.arch.embed_dim, teacher.arch.hidden_dim):
             raise ConfigError("teacher and student embed/hidden dimensions differ")
     model = build_model(arch, seed=seed)
 
-    distill = DistillConfig(cfg["distill"], float(cfg["lambda"]))
+    distill = DistillConfig(cfg["distill"], _number(cfg, "lambda", float))
     cov_x = cov_h = None
     if distill.mode == "kda" and distill.active:
         if not args.covariance:
@@ -187,10 +202,15 @@ def cmd_train(args) -> int:
                 cov_x, cov_h = npz["cov_x"], npz["cov_h"]
         except (OSError, KeyError, ValueError) as exc:
             raise FormatError(f"bad covariance file {args.covariance}: {exc}") from exc
+        for name, cov in (("cov_x", cov_x), ("cov_h", cov_h)):
+            if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.dtype.kind not in "iuf" \
+               or not np.all(np.isfinite(cov)):
+                raise FormatError(f"bad covariance file {args.covariance}: {name} must be a "
+                                  f"finite square matrix, got shape {cov.shape}")
 
     train_cfg = TrainConfig(
-        optimizer=cfg["optimizer"], lr=float(cfg["lr"]), epochs=int(cfg["epochs"]),
-        clip=float(cfg["clip"]), distill=distill)
+        optimizer=cfg["optimizer"], lr=_number(cfg, "lr", float),
+        epochs=_number(cfg, "epochs"), clip=_number(cfg, "clip", float), distill=distill)
 
     records: list[RunRecord] = []
 
@@ -301,7 +321,7 @@ def _info_rows(args):
                  "wh": (model.wh, arch.wh_fact() if rep != "dense" else None)}
     elif args.config:
         cfg, _ = read_config(args.config)
-        arch = _build_arch(cfg, int(cfg["vocab_size"]))
+        arch = _build_arch(cfg, _number(cfg, "vocab_size"))
         rep, rank = arch.representation, arch.rank
         facts = {"wx": (None, arch.wx_fact() if rep != "dense" else None),
                  "wh": (None, arch.wh_fact() if rep != "dense" else None)}

@@ -12,6 +12,25 @@ teacher's trained stack W*:
 The covariance for W_x is accumulated over the embedded input vectors and
 the one for W_h over teacher-produced hidden states, in a preliminary
 teacher pass over the training stream.
+
+Factored penalty. An MPS student keeps its stack as the factor pair
+``W = F G^T`` (``F`` is ``N x r``, ``G^T`` is ``r x M``), and expanding
+the trace gives
+
+    lambda * (c - 2 sum F o (A G) + sum (F^T F) o (G^T S G))
+
+with ``A = W* S`` and ``c = Trace[W* S W*^T]``, where ``o`` is the
+elementwise product. ``A`` and ``c`` depend only on the teacher and the
+covariance, so :class:`KdTarget` computes them once per training run;
+for ``kdw`` (``S = I``) they are ``W*`` and ``||W*||_F^2``. Each window
+then costs ``N M r + r N r + r M^2 + r M r`` multiply-adds and builds no
+``N x M`` array, where the dense :func:`kd_penalty` on ``F G^T`` pays
+``N r M`` for the product and ``N M^2`` more for ``kda``: at
+``(50,52) x (25,26)`` rank 109 that is 268.9M against 1,282.7M per stack.
+:func:`factored_kd_penalty` computes it. Precision: the three terms
+nearly cancel as ``W -> W*``, so its absolute rounding error is about
+``eps * c`` rather than ``eps`` times the penalty; far from the teacher
+the two forms agree to rounding.
 """
 
 from __future__ import annotations
@@ -28,8 +47,10 @@ __all__ = [
     "LAMBDA_GRID",
     "DataCovariance",
     "DistillConfig",
+    "KdTarget",
     "TeacherWeights",
     "accumulate_covariance",
+    "factored_kd_penalty",
     "kd_penalty",
     "total_loss",
 ]
@@ -97,6 +118,10 @@ def accumulate_covariance(vectors) -> DataCovariance:
     return DataCovariance(matrix, rows.shape[0], mean)
 
 
+def _matrix(cov: DataCovariance | np.ndarray) -> np.ndarray:
+    return cov.matrix if isinstance(cov, DataCovariance) else np.asarray(cov, dtype=np.float64)
+
+
 def kd_penalty(tape, teacher_w: np.ndarray, student_w: Var, lam: float,
                cov: DataCovariance | np.ndarray | None = None) -> Var:
     """Differentiable distillation penalty on one stack.
@@ -112,11 +137,54 @@ def kd_penalty(tape, teacher_w: np.ndarray, student_w: Var, lam: float,
     if cov is None:
         quad = ag.mul(tape, diff, diff)
     else:
-        s = cov.matrix if isinstance(cov, DataCovariance) else np.asarray(cov, dtype=np.float64)
+        s = _matrix(cov)
         if s.shape != (teacher_w.shape[1], teacher_w.shape[1]):
             raise ShapeError(f"covariance {s.shape} does not match stack columns")
         quad = ag.mul(tape, diff, ag.matmul(tape, diff, s))
     return ag.scale(tape, ag.reduce_sum(tape, quad), float(lam))
+
+
+@dataclass(frozen=True)
+class KdTarget:
+    """What the factored penalty of one stack needs from the teacher:
+    ``a = W* S`` (``N x M``), ``c = Trace[W* S W*^T]`` and ``s`` (``None``
+    for the identity). Built once per training run by :meth:`build`."""
+
+    a: np.ndarray
+    c: float
+    s: np.ndarray | None
+
+    @classmethod
+    def build(cls, teacher_w: np.ndarray,
+              cov: DataCovariance | np.ndarray | None = None) -> "KdTarget":
+        w_star = np.asarray(teacher_w, dtype=np.float64)
+        if cov is None:
+            return cls(w_star, float(np.vdot(w_star, w_star)), None)
+        s = _matrix(cov)
+        if s.shape != (w_star.shape[1], w_star.shape[1]):
+            raise ShapeError(f"covariance {s.shape} does not match stack columns")
+        # Trace[D S D^T] sees only the symmetric part of S, and the
+        # expansion's cross term needs it; symmetric S is kept bitwise
+        s = (s + s.T) / 2.0
+        a = w_star @ s
+        return cls(a, float(np.vdot(a, w_star)), s)
+
+
+def factored_kd_penalty(tape, target: KdTarget, f: Var, g_t: Var, lam: float) -> Var:
+    """:func:`kd_penalty` of the stack ``W = F G^T`` from its factor pair
+    ``[F, G^T]`` (``ttrain.factor_pair``), without forming ``W``.
+
+    Equal to ``kd_penalty(tape, W*, F G^T, lam, S)`` up to rounding;
+    gradients flow into ``f`` and ``g_t``.
+    """
+    if (f.shape[0], g_t.shape[1]) != target.a.shape or f.shape[1] != g_t.shape[0]:
+        raise ShapeError(f"factor pair {f.shape}, {g_t.shape} vs target {target.a.shape}")
+    g = ag.transpose(tape, g_t)
+    cross = ag.reduce_sum(tape, ag.mul(tape, f, ag.matmul(tape, target.a, g)))
+    s_g = g if target.s is None else ag.matmul(tape, target.s, g)
+    gram = ag.mul(tape, ag.matmul(tape, ag.transpose(tape, f), f), ag.matmul(tape, g_t, s_g))
+    quad = ag.sub(tape, ag.reduce_sum(tape, gram), ag.scale(tape, cross, 2.0))
+    return ag.scale(tape, ag.add(tape, quad, target.c), float(lam))
 
 
 def total_loss(tape, ce: Var, penalty: Var | None) -> Var:

@@ -8,8 +8,9 @@ recurrent state are stacked into two matrices ``W_x`` (4H x E) and
 factor pair and the dense matrix come from ``ttrain``'s one contraction
 path, the same code ``reconstruct`` and ``contract.build_factor_pair``
 run: an MPS chain contracts only as its factor pair ``[F, G^T]``
-(``factor_pair``), so its dense matrix for the distillation penalty is
-``F G^T``; an MPO chain collapses and unfuses (``dense_matrix``).
+(``factor_pair``), so its dense matrix is ``F G^T`` (training's
+distillation penalty uses the pair itself, see :mod:`distill`); an MPO
+chain collapses and unfuses (``dense_matrix``).
 
 Gate order in the stacked rows is fixed as (i, f, g, o): input, forget,
 cell candidate, output. Layer normalization is applied separately to the

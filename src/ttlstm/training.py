@@ -20,10 +20,12 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tape
-from .data import BatchStream, make_batches
-from .distill import DistillConfig, TeacherWeights, kd_penalty, total_loss
+from .data import make_batches
+from .distill import (DataCovariance, DistillConfig, KdTarget, TeacherWeights,
+                      factored_kd_penalty, kd_penalty, total_loss)
 from .errors import ConfigError, NumericError
-from .nn import TTLstmModel, cross_entropy_perplexity, forward_lm, sequence_nll
+from .nn import TTLinear, TTLstmModel, cross_entropy_perplexity, forward_lm, sequence_nll
+from .ttrain import factor_pair
 
 __all__ = ["TrainConfig", "EpochStats", "train_model", "evaluate", "collect_stack_inputs",
            "clip_gradients"]
@@ -88,7 +90,7 @@ def clip_gradients(params, clip: float) -> float:
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+            total += float(np.vdot(p.grad, p.grad))
     norm = math.sqrt(total)
     if norm > clip:
         factor = clip / norm
@@ -131,18 +133,25 @@ def evaluate(model: TTLstmModel, ids: np.ndarray,
     return nll, float(np.exp(nll))
 
 
-def _window_loss(model, tape, batch, distill: DistillConfig,
-                 teacher: TeacherWeights | None, cov_x, cov_h, state):
+def _stack_penalty(stack: TTLinear, teacher_w: np.ndarray, cov, lam: float):
+    """``tape -> penalty Var`` for one gate stack. An MPS stack pays the
+    factored penalty on its factor pair, from a :class:`KdTarget` built
+    here once per call; dense and MPO stacks pay ``kd_penalty`` on their
+    dense matrix."""
+    if stack.kind == "mps":
+        target = KdTarget.build(teacher_w, cov)
+        return lambda tape: factored_kd_penalty(
+            tape, target, *factor_pair(tape, stack.row_cores, stack.col_cores), lam)
+    return lambda tape: kd_penalty(tape, teacher_w, stack.dense_var(tape), lam, cov)
+
+
+def _window_loss(model, tape, batch, penalties, state):
     out = forward_lm(model, batch.inputs, tape, state=state)
     ce = sequence_nll(tape, out, batch.targets)
     penalty = None
-    if distill.active:
-        assert teacher is not None
-        sx = cov_x if distill.mode == "kda" else None
-        sh = cov_h if distill.mode == "kda" else None
-        pen_x = kd_penalty(tape, teacher.wx, model.wx.dense_var(tape), distill.lam, sx)
-        pen_h = kd_penalty(tape, teacher.wh, model.wh.dense_var(tape), distill.lam, sh)
-        penalty = ag.add(tape, pen_x, pen_h)
+    if penalties:
+        pen_x, pen_h = penalties
+        penalty = ag.add(tape, pen_x(tape), pen_h(tape))
     return total_loss(tape, ce, penalty), float(ce.value), out.state
 
 
@@ -153,17 +162,32 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
 
     ``teacher`` enables the distillation penalty configured in
     ``cfg.distill``; ``cov_x``/``cov_h`` supply the activation covariances
-    for ``kda`` mode. Aborts with :class:`NumericError` if the loss stops
+    for ``kda`` mode, ``E x E`` and ``H x H`` (else :class:`ConfigError`).
+    An MPS stack pays the factored penalty, dense and MPO stacks
+    ``kd_penalty`` on their dense matrix (see :mod:`distill`). Aborts with :class:`NumericError` if the loss stops
     being finite (after reporting the failing epoch via ``epoch_callback``).
     """
-    if cfg.distill.active and teacher is None:
+    distill = cfg.distill
+    if distill.active and teacher is None:
         raise ConfigError("distillation requires a teacher")
-    if cfg.distill.mode == "kda" and cfg.distill.active and (cov_x is None or cov_h is None):
-        raise ConfigError("kda distillation requires both covariances")
+    kda = distill.mode == "kda" and distill.active
+    if kda:
+        for name, cov, stack in (("cov_x", cov_x, model.wx), ("cov_h", cov_h, model.wh)):
+            if cov is None:
+                raise ConfigError("kda distillation requires both covariances")
+            shape = np.shape(cov.matrix if isinstance(cov, DataCovariance) else cov)
+            if shape != (stack.in_dim, stack.in_dim):
+                raise ConfigError(f"{name} has shape {shape}, the student needs "
+                                  f"{stack.in_dim} x {stack.in_dim}")
     if teacher is not None:
         if teacher.wx.shape != (model.wx.out_dim, model.wx.in_dim) or \
            teacher.wh.shape != (model.wh.out_dim, model.wh.in_dim):
             raise ConfigError("teacher stacks do not match the student architecture")
+    penalties = None
+    if distill.active:
+        sx, sh = (cov_x, cov_h) if kda else (None, None)
+        penalties = (_stack_penalty(model.wx, teacher.wx, sx, distill.lam),
+                     _stack_penalty(model.wh, teacher.wh, sh, distill.lam))
     arch = model.arch
     stream = make_batches(train_ids, arch.batch_size, arch.unroll)
     optimizer = _Sgd(cfg) if cfg.optimizer == "sgd" else _Adam(cfg)
@@ -178,8 +202,7 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
         for batch in stream:
             model.zero_grads()
             tape = Tape()
-            loss, ce_value, state = _window_loss(
-                model, tape, batch, cfg.distill, teacher, cov_x, cov_h, state)
+            loss, ce_value, state = _window_loss(model, tape, batch, penalties, state)
             if not np.isfinite(loss.value):
                 stats = EpochStats(epoch, math.inf, math.inf, math.inf, math.inf,
                                    optimizer.lr, last_norm)

@@ -14,23 +14,21 @@ import pytest
 
 import ttlstm.autograd as ag
 from conftest import random_mpo, random_mps
-from ttlstm.autograd import Parameter, Tape, Var, backward, grad_check
+from ttlstm.autograd import Parameter, Var, grad_check
 from ttlstm.contract import (
     OpCounter,
     build_factor_pair,
-    compression_rate,
     cost_model,
     mpo_matvec,
     mps_matvec,
     pick_rank,
 )
-from ttlstm.data import build_vocab, encode_stream, make_batches, synthetic_corpus
+from ttlstm.data import build_vocab, encode_stream, synthetic_corpus
 from ttlstm.distill import DistillConfig, TeacherWeights, accumulate_covariance, kd_penalty
 from ttlstm.errors import FormatError
 from ttlstm.modelfile import load_model, read_records, save_model
 from ttlstm.nn import (
     ModelArch,
-    TTLinear,
     build_model,
     forward_lm,
     sequence_nll,

@@ -238,3 +238,30 @@ def test_factor_dims_that_miss_the_stack_exit_2(workdir, tmp_path, command):
         argv += ["--corpus", workdir / "corpus.txt", "--out", tmp_path / "bad.ttlm"]
     proc = run_cli(command, *argv, expect=2)
     assert "wx_row_dims" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,key,value", [("info", "factors", "two"),
+                                               ("train", "lr", "fast"),
+                                               ("train", "wx_row_dims", "8,x")])
+def test_non_numeric_config_value_exits_2(workdir, tmp_path, command, key, value):
+    cfg = tmp_path / "words.cfg"
+    cfg.write_text((workdir / "mps.cfg").read_text() + f"{key}={value}\n")
+    argv = ["--config", cfg]
+    if command == "train":
+        argv += ["--corpus", workdir / "corpus.txt", "--out", tmp_path / "words.ttlm"]
+    proc = run_cli(command, *argv, expect=2)
+    assert proc.stderr.startswith("config error:") and repr(key) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("cov_x,expect", [(np.eye(5), 2),            # another architecture's
+                                          (np.full((12, 12), np.nan), 3),
+                                          (np.ones((12, 6)), 3)])
+def test_bad_covariance_file_exits_before_training(workdir, teacher, tmp_path, cov_x, expect):
+    cov = tmp_path / "bad_cov.npz"
+    np.savez(cov, cov_x=cov_x, cov_h=np.eye(12) if expect == 3 else np.eye(5))
+    proc = run_cli("train", "--config", workdir / "kda.cfg", "--corpus", workdir / "corpus.txt",
+                   "--teacher", teacher, "--covariance", cov, "--out", tmp_path / "s.ttlm",
+                   expect=expect)
+    assert "cov_x" in proc.stderr and "Traceback" not in proc.stderr
+    assert "epoch" not in proc.stdout

@@ -14,7 +14,6 @@ from ttlstm.contract import (
 )
 from ttlstm.errors import DomainError, ShapeError
 from ttlstm.ttrain import (
-    InitScheme,
     MpsTrain,
     ShapeFactorization,
     dense_matrix,

@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 import ttlstm.autograd as ag
-from ttlstm.autograd import Tape, Var, backward
+from ttlstm.autograd import Tape, Var, backward, grad_check
 from ttlstm.distill import (
     LAMBDA_GRID,
-    DataCovariance,
     DistillConfig,
+    KdTarget,
     accumulate_covariance,
+    factored_kd_penalty,
     kd_penalty,
     total_loss,
 )
 from ttlstm.errors import ConfigError, DomainError, NumericError, ShapeError
 from ttlstm.nn import TTLinear
-from ttlstm.ttrain import ShapeFactorization, new_mps, reconstruct
+from ttlstm.ttrain import ShapeFactorization, factor_pair, new_mps
 
 
 class TestAccumulateCovariance:
@@ -120,8 +121,6 @@ class TestKdPenalty:
         def build(t):
             return kd_penalty(t, w_star, lin.dense_var(t), 0.31)
 
-        from ttlstm.autograd import grad_check
-
         assert grad_check(lin.parameters(), build) < 1e-5
 
     def test_shape_mismatch(self):
@@ -129,6 +128,101 @@ class TestKdPenalty:
             kd_penalty(None, np.zeros((2, 2)), Var(np.zeros((3, 2))), 1.0)
         with pytest.raises(ShapeError):
             kd_penalty(None, np.zeros((2, 2)), Var(np.zeros((2, 2))), 1.0, np.zeros((3, 3)))
+
+
+def _c07_data():
+    """The teacher and covariance of acceptance criterion 7 (6 x 5 stack)."""
+    rng = np.random.default_rng(13)
+    w_star = rng.normal(size=(6, 5))
+    rng.normal(size=(6, 5))         # c07's dense student, drawn to keep the stream
+    return w_star, accumulate_covariance(rng.normal(size=(40, 5)))
+
+
+def _n3_data():
+    rng = np.random.default_rng(14)
+    return rng.normal(size=(12, 6)), accumulate_covariance(rng.normal(size=(30, 6)))
+
+
+# (row dims, col dims, row ranks, col ranks, teacher and covariance); uneven ranks
+FACTORED_CASES = {
+    "n=m=2, c07 data": ((2, 3), (5, 1), (1, 3, 2), (2, 4, 1), _c07_data),
+    "n=m=3": ((2, 3, 2), (3, 1, 2), (1, 2, 4, 3), (3, 2, 3, 1), _n3_data),
+}
+
+
+def _mps_student(case, seed=21):
+    rows, cols, row_ranks, col_ranks, data = FACTORED_CASES[case]
+    fact = ShapeFactorization(rows, cols)
+    lin = TTLinear.from_mps(new_mps(fact, row_ranks, col_ranks, seed=seed), name="w")
+    w_star, cov = data()
+    return lin, w_star, cov
+
+
+def _factored(tape, lin, target, lam):
+    return factored_kd_penalty(tape, target, *factor_pair(tape, lin.row_cores, lin.col_cores), lam)
+
+
+def _value_and_grads(lin, build):
+    tape = Tape()
+    pen = build(tape)
+    for p in lin.parameters():
+        p.grad = None
+    backward(tape, pen)
+    return float(pen.value), [p.grad.copy() for p in lin.parameters()]
+
+
+class TestFactoredKdPenalty:
+    @pytest.mark.parametrize("case", FACTORED_CASES)
+    @pytest.mark.parametrize("mode", ["kdw", "kda"])
+    def test_matches_dense_penalty_value_and_core_gradients(self, case, mode):
+        lin, w_star, cov = _mps_student(case)
+        s = cov if mode == "kda" else None
+        lam = 0.73
+        target = KdTarget.build(w_star, s)
+        want, want_grads = _value_and_grads(
+            lin, lambda t: kd_penalty(t, w_star, lin.dense_var(t), lam, s))
+        got, got_grads = _value_and_grads(lin, lambda t: _factored(t, lin, target, lam))
+        assert abs(got - want) <= 1e-10 * abs(want)
+        for p, g, w in zip(lin.parameters(), got_grads, want_grads):
+            assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w)), p.name
+
+    def test_kdw_target_is_the_teacher_and_its_squared_norm(self):
+        w_star, _ = _c07_data()
+        target = KdTarget.build(w_star)
+        assert target.s is None
+        np.testing.assert_array_equal(target.a, w_star)
+        assert target.c == pytest.approx(np.sum(w_star ** 2), rel=1e-14)
+
+    def test_asymmetric_weight_matches_dense_penalty(self):
+        # the trace sees only the symmetric part of S; so does the target
+        lin, w_star, _ = _mps_student("n=m=2, c07 data")
+        s = np.random.default_rng(15).normal(size=(5, 5))
+        want = float(kd_penalty(None, w_star, lin.dense_var(None), 1.0, s).value)
+        got = float(_factored(None, lin, KdTarget.build(w_star, s), 1.0).value)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("mode", ["kdw", "kda"])
+    def test_lambda_zero_gives_zero_value_and_gradients(self, mode):
+        lin, w_star, cov = _mps_student("n=m=3")
+        target = KdTarget.build(w_star, cov if mode == "kda" else None)
+        value, grads = _value_and_grads(lin, lambda t: _factored(t, lin, target, 0.0))
+        assert value == 0.0
+        for g in grads:
+            np.testing.assert_array_equal(g, 0.0)
+
+    @pytest.mark.parametrize("case", FACTORED_CASES)
+    @pytest.mark.parametrize("mode", ["kdw", "kda"])
+    def test_grad_check_on_cores(self, case, mode):
+        lin, w_star, cov = _mps_student(case)
+        target = KdTarget.build(w_star, cov if mode == "kda" else None)
+        assert grad_check(lin.parameters(), lambda t: _factored(t, lin, target, 0.31)) < 1e-5
+
+    def test_shape_mismatch(self):
+        lin, w_star, _ = _mps_student("n=m=2, c07 data")
+        with pytest.raises(ShapeError):
+            KdTarget.build(w_star, np.eye(6))
+        with pytest.raises(ShapeError):
+            _factored(None, lin, KdTarget.build(w_star.T), 1.0)
 
 
 class TestTotalLoss:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ttlstm.autograd as ag
-from ttlstm.autograd import Parameter, Tape, Var, backward, grad_check
+from ttlstm.autograd import Parameter, Tape, Var, grad_check
 from ttlstm.errors import ConfigError, NumericError, ShapeError, VocabError
 from ttlstm.nn import (
     LayerNormParams,

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import ttlstm.autograd as ag
+from ttlstm.autograd import Parameter, Tape
 from ttlstm.data import build_vocab, encode_stream, make_batches, synthetic_corpus
-from ttlstm.distill import DistillConfig, TeacherWeights
+from ttlstm.distill import (DistillConfig, TeacherWeights, accumulate_covariance, kd_penalty,
+                            total_loss)
 from ttlstm.errors import ConfigError, NumericError
-from ttlstm.nn import ModelArch, build_model, lstm_step
+from ttlstm.nn import ModelArch, TTLinear, build_model, forward_lm, lstm_step, sequence_nll
 import ttlstm.training as training
 from ttlstm.training import TrainConfig, clip_gradients, evaluate, train_model, collect_stack_inputs
 
@@ -142,13 +145,21 @@ class TestOptimizerMechanics:
                 np.testing.assert_array_equal(a, b.value)
 
     def test_clip_rescales_to_bound(self):
-        from ttlstm.autograd import Parameter
-
         p = Parameter(np.zeros(4), "p")
         p.grad = np.full(4, 10.0)
         norm = clip_gradients([p], 5.0)
         assert norm == pytest.approx(20.0)
         assert np.linalg.norm(p.grad) == pytest.approx(5.0)
+
+    def test_clip_norm_is_the_global_two_norm(self):
+        rng = np.random.default_rng(3)
+        params = [Parameter(np.zeros(shape), f"p{k}")
+                  for k, shape in enumerate([(7, 5), (13,), (3, 4, 2)])]
+        for p in params:
+            p.grad = rng.normal(size=p.value.shape) * 1e3
+        params[1].grad = params[1].grad[::-1]       # a non-contiguous view
+        want = np.sqrt(sum(np.sum(p.grad ** 2) for p in params))
+        assert abs(clip_gradients(params, 1e12) - want) <= 1e-12 * want
 
     def test_lr_halves_on_validation_stall(self):
         vocab, train_ids, valid_ids = _setup(n_tokens=1500)
@@ -188,3 +199,93 @@ def test_collect_stack_inputs_matches_per_step_loop(rep, rank):
             h, c = lstm_step(model, model.embed.value[batch.inputs[:, t]], h, c)
     assert xs.tobytes() == np.concatenate(want_x).tobytes()
     assert hs.tobytes() == np.concatenate(want_h).tobytes()
+
+
+def _kd_setup(rep, rank, mode, n_windows=2):
+    """A student, a dense teacher, its covariances and a stream of exactly
+    ``n_windows`` training windows."""
+    vocab, train_ids, valid_ids = _setup()
+    teacher_model = build_model(_arch(vocab), seed=5)
+    teacher = TeacherWeights.from_model(teacher_model)
+    xs, hs = collect_stack_inputs(teacher_model, train_ids, max_windows=3)
+    cov_x, cov_h = accumulate_covariance(xs).matrix, accumulate_covariance(hs).matrix
+    student = build_model(_arch(vocab, rep, rank), seed=9)
+    ids = train_ids[:4 * (n_windows * 8 + 1)]
+    cfg = TrainConfig(lr=0.5, epochs=1, clip=0.5, distill=DistillConfig(mode, 0.05))
+    return student, ids, valid_ids, cfg, teacher, cov_x, cov_h
+
+
+def _dense_penalty_replay(model, ids, cfg, teacher, cov_x, cov_h):
+    """``train_model``'s SGD windows with ``kd_penalty`` on each stack's
+    ``dense_var``, the penalty every stack kind paid before the factored
+    form."""
+    params = model.parameters()
+    sx, sh = (cov_x, cov_h) if cfg.distill.mode == "kda" else (None, None)
+    state = None
+    for batch in make_batches(ids, model.arch.batch_size, model.arch.unroll):
+        model.zero_grads()
+        tape = Tape()
+        out = forward_lm(model, batch.inputs, tape, state=state)
+        ce = sequence_nll(tape, out, batch.targets)
+        lam = cfg.distill.lam
+        penalty = ag.add(tape, kd_penalty(tape, teacher.wx, model.wx.dense_var(tape), lam, sx),
+                         kd_penalty(tape, teacher.wh, model.wh.dense_var(tape), lam, sh))
+        ag.backward(tape, total_loss(tape, ce, penalty))
+        clip_gradients(params, cfg.clip)
+        for p in params:
+            p.value -= cfg.lr * p.grad
+        state = out.state
+    return [p.value for p in params]
+
+
+class TestPenaltyDispatch:
+    @pytest.mark.parametrize("mode", ["kdw", "kda"])
+    def test_mps_student_never_builds_its_dense_matrix(self, monkeypatch, mode):
+        student, ids, valid_ids, cfg, teacher, cov_x, cov_h = _kd_setup("mps", 3, mode, 3)
+        real_dense_var, real_build = TTLinear.dense_var, training.KdTarget.build
+        builds = []
+
+        def guarded(self, tape):
+            if self.kind == "mps":
+                raise AssertionError("dense_var called on an MPS stack")
+            return real_dense_var(self, tape)
+
+        def counted(teacher_w, cov=None):
+            builds.append(cov)
+            return real_build(teacher_w, cov)
+
+        monkeypatch.setattr(TTLinear, "dense_var", guarded)
+        monkeypatch.setattr(training.KdTarget, "build", counted)
+        cfg.epochs = 2
+        train_model(student, ids, valid_ids, cfg, teacher=teacher, cov_x=cov_x, cov_h=cov_h)
+        # W* S and Tr[W* S W*^T] once per stack per call, not per window or epoch
+        assert len(builds) == 2
+        assert (builds[0] is None) == (mode == "kdw")
+
+    @staticmethod
+    def _trained_and_replayed(rep, rank, mode):
+        student, ids, valid_ids, cfg, teacher, cov_x, cov_h = _kd_setup(rep, rank, mode)
+        initial = [p.value.copy() for p in student.parameters()]
+        train_model(student, ids, valid_ids, cfg, teacher=teacher, cov_x=cov_x, cov_h=cov_h)
+        trained = [p.value.copy() for p in student.parameters()]
+        for p, v in zip(student.parameters(), initial):
+            p.value[...] = v
+        return trained, _dense_penalty_replay(student, ids, cfg, teacher, cov_x, cov_h)
+
+    @pytest.mark.parametrize("rep,rank", [("dense", 0), ("mpo", 3)])
+    def test_dense_and_mpo_students_keep_the_dense_penalty_bitwise(self, rep, rank):
+        for got, want in zip(*self._trained_and_replayed(rep, rank, "kda")):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", ["kdw", "kda"])
+    def test_mps_student_trains_like_the_dense_penalty(self, mode):
+        for got, want in zip(*self._trained_and_replayed("mps", 3, mode)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("cov_x_dim,cov_h_dim", [(5, 12), (12, 5), (12, 0)])
+    def test_kda_covariance_of_another_shape_rejected(self, cov_x_dim, cov_h_dim):
+        student, ids, valid_ids, cfg, teacher, _, _ = _kd_setup("mps", 3, "kda")
+        cov_x = np.eye(cov_x_dim)
+        cov_h = np.eye(cov_h_dim) if cov_h_dim else np.ones(12)
+        with pytest.raises(ConfigError, match="cov_x" if cov_x_dim != 12 else "cov_h"):
+            train_model(student, ids, valid_ids, cfg, teacher=teacher, cov_x=cov_x, cov_h=cov_h)

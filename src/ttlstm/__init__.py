@@ -2,7 +2,6 @@
 
 Submodules:
 
-  tensor     index conventions and the core-chaining product
   ttrain     MPS/MPO construction, initialization, storage, reconstruction
   contract   factor-pair inference kernels, cost models, rank planning
   autograd   tape-based reverse-mode differentiation
@@ -21,8 +20,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("tensor", "ttrain", "contract", "autograd", "nn", "distill",
-               "data", "modelfile", "training", "cli", "errors")
+_SUBMODULES = ("ttrain", "contract", "autograd", "nn", "distill", "data",
+               "modelfile", "training", "cli", "errors")
 
 __all__ = list(_SUBMODULES)
 

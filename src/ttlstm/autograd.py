@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError, StateError
+from .errors import DomainError, NumericError, ShapeError, StateError, VocabError
 
 __all__ = [
     "Var", "Parameter", "Tape", "backward", "grad_check",
     "add", "sub", "mul", "matmul", "linear", "reshape", "transpose",
     "gather_rows", "select", "stack", "lstm_cell",
-    "scale", "reduce_sum", "reduce_mean", "layer_norm", "cross_entropy",
+    "scale", "reduce_sum", "layer_norm", "cross_entropy",
 ]
 
 
@@ -40,9 +40,6 @@ class Var:
     @property
     def size(self):
         return self.value.size
-
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.value)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -282,12 +279,6 @@ def reduce_sum(tape, a) -> Var:
     return _emit(tape, av.sum(), [(a, lambda g: np.full_like(av, float(g)))])
 
 
-def reduce_mean(tape, a) -> Var:
-    av = _val(a)
-    inv = 1.0 / av.size
-    return _emit(tape, av.mean(), [(a, lambda g: np.full_like(av, float(g) * inv))])
-
-
 def layer_norm(tape, x, gain, bias, eps: float = 1e-5) -> Var:
     """Standardize over the last axis (population variance), then apply
     ``gain * xhat + bias``. ``gain``/``bias`` must broadcast against ``x``."""
@@ -313,23 +304,32 @@ def layer_norm(tape, x, gain, bias, eps: float = 1e-5) -> Var:
 
 def cross_entropy(tape, logits, targets) -> Var:
     """Token-mean negative log-likelihood of integer ``targets`` under a
-    softmax over the last axis of 2-D ``logits``."""
+    softmax over the last axis of 2-D ``logits``: the package's one
+    softmax-NLL. Only the row maxima and log-normalizers outlive the
+    forward; the adjoint recomputes the softmax from them."""
     lv = _val(logits)
     targets = np.asarray(targets).reshape(-1)
     if lv.ndim != 2 or targets.shape[0] != lv.shape[0]:
         raise ShapeError(f"logits {lv.shape} incompatible with {targets.shape[0]} targets")
+    if targets.min() < 0 or targets.max() >= lv.shape[1]:
+        raise VocabError(f"target ids must lie in [0, {lv.shape[1]}), "
+                         f"got range [{targets.min()}, {targets.max()}]")
     if not np.all(np.isfinite(lv)):
         raise NumericError("non-finite logits")
-    shifted = lv - lv.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_z
     rows = np.arange(lv.shape[0])
-    nll = -log_p[rows, targets].mean()
+    row_max = lv.max(axis=1, keepdims=True)
+    shifted = lv - row_max
+    picked = shifted[rows, targets]
+    log_z = np.log(np.exp(shifted, out=shifted).sum(axis=1, keepdims=True))
+    nll = (log_z[:, 0] - picked).mean()
 
     def pull(g):
-        grad = np.exp(log_p)
+        grad = lv - row_max
+        grad -= log_z
+        np.exp(grad, out=grad)
         grad[rows, targets] -= 1.0
-        return grad * (float(g) / lv.shape[0])
+        grad *= float(g) / lv.shape[0]
+        return grad
 
     return _emit(tape, np.float64(nll), [(logits, pull)])
 

@@ -151,7 +151,33 @@ def _load_model_and_vocab(path):
     expected = manifest.get("vocab_sha256", "")
     if expected and _vocab_sha(vocab_file) != expected:
         raise ConfigError(f"vocab file {vocab_file} does not match the model manifest")
-    return model, load_vocab(vocab_file), manifest
+    vocab = load_vocab(vocab_file)
+    if vocab.size != model.vocab_size:
+        raise ConfigError(f"vocab file {vocab_file} has {vocab.size} tokens, "
+                          f"the model has {model.vocab_size}")
+    return model, vocab, manifest
+
+
+def _load_covariance(path, embed_dim: int, hidden_dim: int):
+    """``(cov_x, cov_h)`` from a ``--covariance`` file: each must be a
+    finite real square matrix (else :class:`FormatError`), ``E x E`` and
+    ``H x H`` respectively (else :class:`ConfigError`)."""
+    import numpy as np
+
+    try:
+        with np.load(path) as npz:
+            covs = npz["cov_x"], npz["cov_h"]
+    except (OSError, KeyError, ValueError) as exc:
+        raise FormatError(f"bad covariance file {path}: {exc}") from exc
+    for name, cov, dim in zip(("cov_x", "cov_h"), covs, (embed_dim, hidden_dim)):
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.dtype.kind not in "iuf" \
+           or not np.all(np.isfinite(cov)):
+            raise FormatError(f"bad covariance file {path}: {name} must be a "
+                              f"finite square matrix, got shape {cov.shape}")
+        if cov.shape[0] != dim:
+            raise ConfigError(f"{name} in {path} is {cov.shape[0]} x {cov.shape[0]}, "
+                              f"the model needs {dim} x {dim}")
+    return covs
 
 
 def _split_ids(ids, valid_fraction: float):
@@ -164,8 +190,6 @@ def _split_ids(ids, valid_fraction: float):
 
 
 def cmd_train(args) -> int:
-    import numpy as np
-
     from .data import build_vocab, encode_stream, save_vocab
     from .distill import DistillConfig, TeacherWeights
     from .modelfile import RunRecord, append_records, save_model
@@ -197,16 +221,7 @@ def cmd_train(args) -> int:
     if distill.mode == "kda" and distill.active:
         if not args.covariance:
             raise ConfigError("distill=kda needs --covariance from 'ttlstm info --covariance-out'")
-        try:
-            with np.load(args.covariance) as npz:
-                cov_x, cov_h = npz["cov_x"], npz["cov_h"]
-        except (OSError, KeyError, ValueError) as exc:
-            raise FormatError(f"bad covariance file {args.covariance}: {exc}") from exc
-        for name, cov in (("cov_x", cov_x), ("cov_h", cov_h)):
-            if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.dtype.kind not in "iuf" \
-               or not np.all(np.isfinite(cov)):
-                raise FormatError(f"bad covariance file {args.covariance}: {name} must be a "
-                                  f"finite square matrix, got shape {cov.shape}")
+        cov_x, cov_h = _load_covariance(args.covariance, arch.embed_dim, arch.hidden_dim)
 
     train_cfg = TrainConfig(
         optimizer=cfg["optimizer"], lr=_number(cfg, "lr", float),
@@ -309,7 +324,6 @@ def _info_rows(args):
     import numpy as np
 
     from .contract import cost_model, efficiency_gain
-    from .distill import DataCovariance
 
     rows = []
     if args.model:
@@ -330,14 +344,10 @@ def _info_rows(args):
 
     eig = {}
     if args.covariance:
-        try:
-            with np.load(args.covariance) as npz:
-                for stack in ("wx", "wh"):
-                    cov = DataCovariance(npz[f"cov_{'x' if stack == 'wx' else 'h'}"], 0,
-                                         np.zeros(1))
-                    eig[stack] = cov.eigen_extremes()
-        except (OSError, KeyError, ValueError) as exc:
-            raise FormatError(f"bad covariance file {args.covariance}: {exc}") from exc
+        covs = _load_covariance(args.covariance, arch.embed_dim, arch.hidden_dim)
+        for stack, cov in zip(("wx", "wh"), covs):
+            eigs = np.linalg.eigvalsh(cov)
+            eig[stack] = float(eigs[0]), float(eigs[-1])
 
     h, e = arch.hidden_dim, arch.embed_dim
     full = {"wx": 4 * h * e, "wh": 4 * h * h}

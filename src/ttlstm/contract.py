@@ -20,7 +20,7 @@ its factor pair; its dense matrix ``F G^T`` costs ``build_ops`` plus
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class FactorPair:
 
     row_factor: np.ndarray  # (N, mid_rank)
     col_factor: np.ndarray  # (M, mid_rank)
-    source: MpsTrain = field(repr=False)
 
     @property
     def mid_rank(self) -> int:
@@ -85,7 +84,7 @@ def build_factor_pair(mps: MpsTrain, counter: OpCounter | None = None) -> Factor
     """Collapse the row chain and the column chain of an MPS train.
 
     ``row_factor[i, h]`` contracts all row cores at the row multi-index of
-    ``i`` (1-based colexicographic) leaving the middle rank ``h`` free;
+    ``i`` (colexicographic order) leaving the middle rank ``h`` free;
     ``col_factor`` does the same for the columns. The product
     ``row_factor @ col_factor.T`` equals the reconstructed matrix.
 
@@ -95,7 +94,7 @@ def build_factor_pair(mps: MpsTrain, counter: OpCounter | None = None) -> Factor
     ``R^2 [(n-1) N + (m-1) M]`` multiply-adds.
     """
     f, g_t = factor_pair(None, mps.row_cores, mps.col_cores, counter)
-    return FactorPair(f.value, np.ascontiguousarray(g_t.value.T), mps)
+    return FactorPair(f.value, np.ascontiguousarray(g_t.value.T))
 
 
 def mps_matvec(fp: FactorPair, x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:

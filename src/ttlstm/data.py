@@ -90,16 +90,21 @@ def save_vocab(vocab: Vocab, path):
 
 
 def load_vocab(path) -> Vocab:
-    tokens: list[str] = []
+    """Read a ``save_vocab`` file; every token must appear once."""
+    ids: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 2 or parts[1] != str(lineno):
                 raise FormatError(f"bad vocab line {lineno + 1}: {line!r}")
-            tokens.append(parts[0])
+            if parts[0] in ids:
+                raise FormatError(f"bad vocab line {lineno + 1}: token {parts[0]!r} "
+                                  f"already has id {ids[parts[0]]}")
+            ids[parts[0]] = lineno
+    tokens = tuple(ids)
     if len(tokens) < 2 or tokens[0] != UNK_TOKEN or tokens[1] != EOS_TOKEN:
         raise FormatError("vocab file must start with the reserved markers")
-    return Vocab(tuple(tokens))
+    return Vocab(tokens)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,9 @@ fused cell ``autograd.lstm_cell``. That add order is kept on purpose:
 folding the bias into the hoisted rows first changes the rounding, and
 over a long stateful stream the evaluation NLL drifts off its recorded
 references. ``lstm_step`` runs the same step on plain arrays.
+
+There is one softmax, ``autograd.cross_entropy``: ``sequence_nll`` and
+``cross_entropy_perplexity`` both call it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter, Tape, Var
-from .errors import ConfigError, NumericError, ShapeError, VocabError
+from .errors import ConfigError, ShapeError, VocabError
 from .ttrain import (
     InitScheme,
     MpoTrain,
@@ -62,7 +65,6 @@ __all__ = [
     "TTLstmModel",
     "ForwardResult",
     "build_model",
-    "layer_norm",
     "lstm_step",
     "forward_lm",
     "sequence_nll",
@@ -80,15 +82,6 @@ class LayerNormParams:
     gain: Var
     bias: Var
     eps: float = LN_EPS
-
-
-def layer_norm(v: np.ndarray, params: LayerNormParams) -> np.ndarray:
-    """Standardize ``v`` over its last axis and apply gain/bias."""
-    v = np.asarray(v, dtype=np.float64)
-    gain, bias = params.gain.value, params.bias.value
-    if v.shape[-1] != gain.shape[-1]:
-        raise ShapeError(f"normalized extent {v.shape[-1]} != gain extent {gain.shape[-1]}")
-    return ag.layer_norm(None, Var(v), params.gain, params.bias, params.eps).value
 
 
 class TTLinear:
@@ -408,18 +401,8 @@ def sequence_nll(tape, result: ForwardResult, targets: np.ndarray) -> Var:
 
 
 def cross_entropy_perplexity(logits: np.ndarray, targets: np.ndarray):
-    """Token-mean NLL under a softmax over the last axis, and its exp."""
+    """Token-mean NLL under a softmax over the last axis, and its exp;
+    ``autograd.cross_entropy`` on the logits flattened to rows."""
     logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets).reshape(-1)
-    flat = logits.reshape(-1, logits.shape[-1])
-    if flat.shape[0] != targets.shape[0]:
-        raise ShapeError(f"{flat.shape[0]} logit rows for {targets.shape[0]} targets")
-    if targets.min() < 0 or targets.max() >= flat.shape[1]:
-        raise VocabError("target ids outside the logit extent")
-    if not np.all(np.isfinite(flat)):
-        raise NumericError("non-finite logits")
-    shifted = flat - flat.max(axis=1, keepdims=True)
-    picked = shifted[np.arange(flat.shape[0]), targets]
-    log_z = np.log(np.exp(shifted, out=shifted).sum(axis=1))
-    nll = float((log_z - picked).mean())
+    nll = float(ag.cross_entropy(None, logits.reshape(-1, logits.shape[-1]), targets).value)
     return nll, float(np.exp(nll))

@@ -9,6 +9,8 @@ model's own build seed.
 The default optimizer is plain SGD with global gradient-norm clipping and
 a learning rate that halves whenever validation perplexity stops
 improving; Adam is available as an option.
+
+Training and evaluation score windows with the same ``nn.sequence_nll``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .data import make_batches
 from .distill import (DataCovariance, DistillConfig, KdTarget, TeacherWeights,
                       factored_kd_penalty, kd_penalty, total_loss)
 from .errors import ConfigError, NumericError
-from .nn import TTLinear, TTLstmModel, cross_entropy_perplexity, forward_lm, sequence_nll
+from .nn import TTLinear, TTLstmModel, forward_lm, sequence_nll
 from .ttrain import factor_pair
 
 __all__ = ["TrainConfig", "EpochStats", "train_model", "evaluate", "collect_stack_inputs",
@@ -126,7 +128,7 @@ def evaluate(model: TTLstmModel, ids: np.ndarray,
     for batch in stream:
         out = forward_lm(model, batch.inputs, tape=None, state=state)
         state = out.state
-        nll, _ = cross_entropy_perplexity(out.logits, batch.targets)
+        nll = float(sequence_nll(None, out, batch.targets).value)
         total_nll += nll * batch.targets.size
         total_tokens += batch.targets.size
     nll = total_nll / total_tokens

@@ -176,7 +176,7 @@ def test_c05_gradient_checks():
     checks = [
         ([a, b], lambda t: ag.reduce_sum(t, ag.mul(t, ag.add(t, a, b), ag.sub(t, a, b)))),
         ([a, mt], lambda t: ag.reduce_sum(t, ag.mul(t, ag.matmul(t, a, mt), ag.matmul(t, a, mt)))),
-        ([a], lambda t: ag.reduce_mean(t, ag.select(t, ag.transpose(t, ag.reshape(t, a, (2, 6))), 1))),
+        ([a], lambda t: ag.scale(t, ag.reduce_sum(t, ag.select(t, ag.transpose(t, ag.reshape(t, a, (2, 6))), 1)), 0.5)),
         ([a, cell], lambda t: ag.reduce_sum(t, ag.mul(t, *ag.lstm_cell(t, ag.scale(t, a, 0.7), cell)))),
         ([a, gain, bias], lambda t: ag.reduce_sum(t, ag.mul(t, ag.layer_norm(t, a, gain, bias), ag.layer_norm(t, a, gain, bias)))),
         ([table], lambda t: ag.reduce_sum(t, ag.mul(t, ag.gather_rows(t, table, np.array([0, 2, 2, 5])),

@@ -3,7 +3,7 @@ import pytest
 
 import ttlstm.autograd as ag
 from ttlstm.autograd import Parameter, Tape, Var, backward, grad_check
-from ttlstm.errors import DomainError, ShapeError, StateError
+from ttlstm.errors import DomainError, ShapeError, StateError, VocabError
 from ttlstm.nn import TTLinear
 from ttlstm.ttrain import MpsTrain, ShapeFactorization, new_mps
 
@@ -73,6 +73,30 @@ class TestPerOpGradients:
         logits = _param(rng, (6, 5))
         targets = np.array([0, 1, 4, 2, 2, 3])
         self.check([logits], lambda t: ag.cross_entropy(t, logits, targets), tol=1e-6)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_cross_entropy_rejects_out_of_range_targets(self, bad):
+        logits = np.array([[0.5, -1.0, 2.0], [1.5, 0.0, -0.5]])
+        with pytest.raises(VocabError):
+            ag.cross_entropy(None, logits, np.array([0, bad]))
+
+    @pytest.mark.parametrize("rows,vocab,spread", [(1, 1, 1.0), (7, 11, 0.1), (40, 300, 50.0)])
+    def test_cross_entropy_matches_reference_bitwise(self, rows, vocab, spread):
+        rng = np.random.default_rng(rows)
+        logits = Parameter(rng.normal(scale=spread, size=(rows, vocab)), "logits")
+        targets = rng.integers(0, vocab, size=rows)
+        seed = 2.5
+        t = Tape()
+        loss = ag.cross_entropy(t, logits, targets)
+        backward(t, loss, seed=seed)
+        # reference in this operation order: log-softmax, then its exp
+        lv, picked = logits.value, np.arange(rows)
+        shifted = lv - lv.max(axis=1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        grad = np.exp(log_p)
+        grad[picked, targets] -= 1.0
+        assert float(loss.value) == float(-log_p[picked, targets].mean())
+        np.testing.assert_array_equal(logits.grad, grad * (seed / rows))
 
 
     def test_linear(self):

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from ttlstm.data import synthetic_corpus
-from ttlstm.modelfile import read_records
+from ttlstm.data import build_vocab, save_vocab, synthetic_corpus
+from ttlstm.modelfile import read_records, save_model
+from ttlstm.nn import ModelArch, build_model
 
 
 def run_cli(*argv, expect=0):
@@ -180,6 +181,18 @@ def test_vocab_mismatch_exits_2(workdir, teacher, tmp_path):
     assert "does not match" in proc.stderr
 
 
+def test_vocab_size_that_misfits_the_model_exits_2(workdir, tmp_path):
+    # no vocab hash in the manifest, so only the size can catch the mismatch
+    model = tmp_path / "small.ttlm"
+    save_model(build_model(ModelArch(vocab_size=20, embed_dim=4, hidden_dim=4,
+                                     unroll=8, batch_size=4)), model)
+    vocab = build_vocab((workdir / "corpus.txt").read_text(encoding="utf-8"), 40)
+    assert vocab.size == 40
+    save_vocab(vocab, tmp_path / "small.ttlm.vocab")
+    proc = run_cli("eval", "--model", model, "--corpus", workdir / "test.txt", expect=2)
+    assert "40 tokens" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_same_seed_training_bitwise_identical_model_files(workdir):
     out1, out2 = workdir / "det1.ttlm", workdir / "det2.ttlm"
     for out in (out1, out2):
@@ -265,3 +278,17 @@ def test_bad_covariance_file_exits_before_training(workdir, teacher, tmp_path, c
                    expect=expect)
     assert "cov_x" in proc.stderr and "Traceback" not in proc.stderr
     assert "epoch" not in proc.stdout
+
+
+@pytest.mark.parametrize("arrays,expect,named", [
+    ({"cov_x": np.eye(5), "cov_h": np.eye(12)}, 2, "cov_x"),     # another architecture's
+    ({"cov_x": np.full((12, 12), np.nan), "cov_h": np.eye(12)}, 3, "cov_x"),
+    ({"cov_x": np.eye(12), "cov_h": np.ones((12, 6))}, 3, "cov_h"),
+    ({"cov_x": np.eye(12)}, 3, "cov_h"),
+])
+def test_info_rejects_a_bad_covariance_file(workdir, tmp_path, arrays, expect, named):
+    cov = tmp_path / "bad_cov.npz"
+    np.savez(cov, **arrays)
+    proc = run_cli("info", "--config", workdir / "mps.cfg", "--covariance", cov, expect=expect)
+    assert named in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -91,6 +91,12 @@ class TestVocabFile:
         with pytest.raises(FormatError):
             load_vocab(p)
 
+    def test_duplicate_token_rejected(self, tmp_path):
+        p = tmp_path / "dup.tsv"
+        p.write_text(f"{UNK_TOKEN}\t0\n{EOS_TOKEN}\t1\nfoo\t2\nfoo\t3\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 4: token 'foo' already has id 2"):
+            load_vocab(p)
+
 
 class TestMakeBatches:
     def test_hand_layout(self):

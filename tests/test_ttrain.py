@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_reconstruct_mpo, brute_reconstruct_mps, random_mpo, random_mps
+from conftest import brute_reconstruct_mpo, brute_reconstruct_mps
 from ttlstm.errors import CapacityError, DomainError, RankError, ShapeError
 from ttlstm.ttrain import (
     InitScheme,
@@ -22,6 +24,14 @@ from ttlstm.ttrain import (
     uniform_mpo_ranks,
     uniform_mps_ranks,
 )
+
+
+_SEED = st.integers(0, 2**31 - 1)
+
+
+def _extents(count):
+    """``count`` factor dims or inner ranks, each 1 to 3."""
+    return st.lists(st.integers(1, 3), min_size=count, max_size=count).map(tuple)
 
 
 class TestConstruction:
@@ -150,16 +160,31 @@ class TestReconstruct:
         np.testing.assert_allclose(reconstruct(train), brute_reconstruct_mpo(train),
                                    rtol=1e-12, atol=1e-12)
 
-    def test_randomized_grid_against_brute_force(self):
-        rng = np.random.default_rng(100)
-        for _ in range(10):
-            mps = random_mps(rng, max_factor=3, max_parts=2, max_rank=3)
-            np.testing.assert_allclose(reconstruct(mps), brute_reconstruct_mps(mps),
-                                       rtol=1e-11, atol=1e-11)
-        for _ in range(10):
-            mpo = random_mpo(rng, max_factor=3, max_parts=2, max_rank=3)
-            np.testing.assert_allclose(reconstruct(mpo), brute_reconstruct_mpo(mpo),
-                                       rtol=1e-11, atol=1e-11)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_mps_reconstruct_matches_brute_force(self, data):
+        rows = data.draw(_extents(data.draw(st.integers(1, 3))), label="row_dims")
+        cols = data.draw(_extents(data.draw(st.integers(1, 3))), label="col_dims")
+        row_ranks = (1,) + data.draw(_extents(len(rows)), label="row_ranks")
+        col_ranks = (row_ranks[-1],) + data.draw(_extents(len(cols) - 1), label="col_ranks") + (1,)
+        train = new_mps(ShapeFactorization(rows, cols), row_ranks, col_ranks,
+                        seed=data.draw(_SEED, label="seed"))
+        np.testing.assert_allclose(reconstruct(train), brute_reconstruct_mps(train),
+                                   rtol=1e-11, atol=1e-11)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mpo_reconstruct_matches_brute_force(self, data):
+        # two or more cores, so there is a column permutation to draw
+        n = data.draw(st.integers(2, 3), label="cores")
+        rows = data.draw(_extents(n), label="row_dims")
+        cols = data.draw(_extents(n), label="col_dims")
+        perm = data.draw(st.permutations(range(n)).map(tuple), label="col_permutation")
+        ranks = (1,) + data.draw(_extents(n - 1), label="ranks") + (1,)
+        train = new_mpo(ShapeFactorization(rows, cols, col_permutation=perm), ranks,
+                        seed=data.draw(_SEED, label="seed"))
+        np.testing.assert_allclose(reconstruct(train), brute_reconstruct_mpo(train),
+                                   rtol=1e-11, atol=1e-11)
 
     def test_linearity_in_each_core(self):
         fact = ShapeFactorization((3, 2), (2, 3))

@@ -25,7 +25,7 @@ print(f"matrix: {fact.n_rows} x {fact.n_cols} = {fact.n_rows * fact.n_cols:,} en
 
 print("\n-- MPS with every inner rank 20 --")
 mps = new_mps(fact, *uniform_mps_ranks(fact, 20), InitScheme(), seed=0)
-for k, core in enumerate(mps.cores()):
+for k, core in enumerate(mps.cores):
     side = "row" if k < fact.n else "col"
     print(f"  core {k} ({side}): shape {core.shape}, {core.size:,} entries")
 print(f"  stored parameters: {storage_count(mps):,}")
@@ -43,7 +43,7 @@ small = ShapeFactorization((3, 4), (2, 5))
 train = new_mps(small, (1, 4, 3), (3, 2, 1), InitScheme(), seed=7)
 w = reconstruct(train)
 print(f"  reconstructed dense shape: {w.shape}")
-doubled = [c * 2.0 for c in train.cores()]
+doubled = [c * 2.0 for c in train.cores]
 from ttlstm.ttrain import MpsTrain
 
 scaled = MpsTrain(small, tuple(doubled[:2]), tuple(doubled[2:]))

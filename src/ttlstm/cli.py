@@ -291,8 +291,8 @@ def cmd_bench(args) -> int:
     from .nn import forward_lm
 
     runs, discard = int(args.runs), int(args.discard)
-    if runs <= discard:
-        raise ConfigError(f"runs ({runs}) must exceed discard ({discard})")
+    if not 0 <= discard < runs:
+        raise ConfigError(f"need 0 <= discard < runs, got discard {discard} and runs {runs}")
     model, vocab, _ = _load_model_and_vocab(args.model)
     ids = encode_stream(_read_corpus(args.corpus), vocab)
     arch = model.arch
@@ -327,20 +327,13 @@ def _info_rows(args):
 
     rows = []
     if args.model:
-        model, _, manifest = _load_model_and_vocab(args.model)
-        arch = model.arch
-        rank = arch.rank
-        rep = arch.representation
-        facts = {"wx": (model.wx, arch.wx_fact() if rep != "dense" else None),
-                 "wh": (model.wh, arch.wh_fact() if rep != "dense" else None)}
+        arch = _load_model_and_vocab(args.model)[0].arch
     elif args.config:
         cfg, _ = read_config(args.config)
         arch = _build_arch(cfg, _number(cfg, "vocab_size"))
-        rep, rank = arch.representation, arch.rank
-        facts = {"wx": (None, arch.wx_fact() if rep != "dense" else None),
-                 "wh": (None, arch.wh_fact() if rep != "dense" else None)}
     else:
         raise ConfigError("info needs --model or --config")
+    rep, rank = arch.representation, arch.rank
 
     eig = {}
     if args.covariance:
@@ -351,7 +344,7 @@ def _info_rows(args):
 
     h, e = arch.hidden_dim, arch.embed_dim
     full = {"wx": 4 * h * e, "wh": 4 * h * h}
-    for stack, (lin, fact) in facts.items():
+    for stack, fact in (("wx", arch.wx_fact()), ("wh", arch.wh_fact())):
         lo, hi = eig.get(stack, ("", ""))
         if rep == "dense":
             rows.append({"matrix": stack, "kind": "dense", "n_factors": 1, "rank": 0,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .ttrain import (MpoTrain, MpsTrain, ShapeFactorization, check_capacity, dense_matrix,
-                     factor_pair)
+                     factor_pair, uniform_mpo_ranks, uniform_mps_ranks)
 
 __all__ = [
     "OpCounter",
@@ -118,16 +118,6 @@ def _chain_madds(extents, ranks) -> int:
     return total
 
 
-def _chain_madds_left(extents, ranks) -> int:
-    """Closed form for ``ttrain.collapse_left`` (mirror accounting)."""
-    total = 0
-    head = ranks[0] * extents[0]
-    for k in range(1, len(extents)):
-        total += head * ranks[k] * extents[k] * ranks[k + 1]
-        head *= extents[k]
-    return total
-
-
 def mpo_matvec(mpo: MpoTrain, x: np.ndarray, cache: np.ndarray | None = None,
                counter: OpCounter | None = None) -> np.ndarray:
     """``y = W @ x`` by reconstructing the dense matrix first.
@@ -167,24 +157,13 @@ class CostReport:
     matvec_ops_bound: int
 
 
-def _rank_chains(fact: ShapeFactorization, ranks, kind: str):
-    if kind == "mps":
-        if isinstance(ranks, int):
-            row = (1,) + (ranks,) * fact.n
-            col = (ranks,) * fact.m + (1,)
-        else:
-            row, col = (tuple(int(r) for r in ranks[0]), tuple(int(r) for r in ranks[1]))
-        return row, col
-    if isinstance(ranks, int):
-        return (1,) + (ranks,) * (fact.n - 1) + (1,)
-    return tuple(int(r) for r in ranks)
-
-
 def cost_model(fact: ShapeFactorization, ranks, kind: str) -> CostReport:
     """Storage and operation accounting for a factorization and rank choice.
 
-    ``ranks`` may be a single uniform inner rank or explicit chains (a
-    ``(row_chain, col_chain)`` pair for MPS, one chain for MPO).
+    ``ranks`` may be a single uniform inner rank (``uniform_mps_ranks``/
+    ``uniform_mpo_ranks``, so below 1 it raises :class:`RankError`) or
+    explicit chains (a ``(row_chain, col_chain)`` pair for MPS, one chain
+    for MPO).
     """
     if kind not in ("mps", "mpo"):
         raise DomainError(f"kind must be 'mps' or 'mpo', got {kind!r}")
@@ -192,17 +171,18 @@ def cost_model(fact: ShapeFactorization, ranks, kind: str) -> CostReport:
     big_n, big_m = fact.n_rows, fact.n_cols
     max_i, max_j = max(fact.row_dims), max(fact.col_dims)
     if kind == "mps":
-        row, col = _rank_chains(fact, ranks, kind)
+        row, col = uniform_mps_ranks(fact, ranks) if isinstance(ranks, int) else map(tuple, ranks)
         r = max(row + col)
         storage = sum(row[k] * row[k + 1] * fact.row_dims[k] for k in range(n))
         storage += sum(col[k] * col[k + 1] * fact.col_dims[k] for k in range(m))
         storage_bound = r * (max_i + max_j) + r * r * ((n - 1) * max_i + (m - 1) * max_j)
         mid = row[-1]
         matvec_ops = mid * (big_n + big_m)
-        build_ops = _chain_madds_left(fact.row_dims, row) + _chain_madds(fact.col_dims, col)
+        # collapse_left on the rows counts what collapse_right does on the mirrored chain
+        build_ops = _chain_madds(fact.row_dims[::-1], row[::-1]) + _chain_madds(fact.col_dims, col)
         ops_bound = r * (big_n + big_m) + r * r * ((n - 1) * big_n + (m - 1) * big_m)
     else:
-        chain = _rank_chains(fact, ranks, kind)
+        chain = uniform_mpo_ranks(fact, ranks) if isinstance(ranks, int) else tuple(ranks)
         fused = fact.fused_dims()
         r = max(chain)
         storage = sum(chain[k] * chain[k + 1] * fused[k] for k in range(n))

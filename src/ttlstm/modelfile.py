@@ -30,6 +30,7 @@ import numpy as np
 from .errors import FormatError
 from .nn import GATE_ORDER, LayerNormParams, ModelArch, TTLinear, TTLstmModel
 from .autograd import Parameter
+from .ttrain import MpoTrain, MpsTrain, ShapeFactorization
 
 __all__ = ["MAGIC", "save_model", "load_model", "RunRecord",
            "RUN_RECORD_FIELDS", "append_records", "read_records"]
@@ -182,30 +183,24 @@ def _check_dense_shapes(arch: ModelArch, tensors: dict[str, np.ndarray]):
 
 def _rebuild_stack(prefix: str, man: dict[str, str], tensors: dict[str, np.ndarray],
                    out_dim: int, in_dim: int) -> TTLinear:
-    from .ttrain import ShapeFactorization
-
+    """The stack from the tensors declared under ``{prefix}.``, in order;
+    ``load_model`` checks their names against the ones ``TTLinear`` gives."""
     kind = man[f"{prefix}_kind"]
+    arrays = [arr for name, arr in tensors.items() if name.startswith(f"{prefix}.")]
     if kind == "dense":
-        weight = tensors[f"{prefix}.weight"]
-        if weight.shape != (out_dim, in_dim):
-            raise FormatError(
-                f"{prefix}.weight declared {weight.shape}, architecture needs {(out_dim, in_dim)}")
-        return TTLinear.dense(weight, name=prefix)
+        if len(arrays) != 1 or arrays[0].shape != (out_dim, in_dim):
+            raise FormatError(f"{prefix} declares {[a.shape for a in arrays]}, "
+                              f"architecture needs one {(out_dim, in_dim)} weight")
+        return TTLinear.dense(arrays[0], name=prefix)
     perm = _ints(man[f"{prefix}_col_perm"]) if f"{prefix}_col_perm" in man else None
     fact = ShapeFactorization(_ints(man[f"{prefix}_row_dims"]),
                               _ints(man[f"{prefix}_col_dims"]), perm)
-    lin = TTLinear(kind, out_dim, in_dim, name=prefix, fact=fact,
-                   row_cores=[], col_cores=[], cores=[])
     if kind == "mps":
-        n, m = fact.n, fact.m
-        lin.row_cores = [Parameter(tensors[f"{prefix}.row{k}"], f"{prefix}.row{k}") for k in range(n)]
-        lin.col_cores = [Parameter(tensors[f"{prefix}.col{k}"], f"{prefix}.col{k}") for k in range(m)]
-        lin.cores = None
+        train = MpsTrain(fact, arrays[:fact.n], arrays[fact.n:])
     else:
-        lin.cores = [Parameter(tensors[f"{prefix}.core{k}"], f"{prefix}.core{k}")
-                     for k in range(fact.n)]
-        lin.row_cores = lin.col_cores = None
-    # validates the chains against the factorization and the declared ranks
+        train = MpoTrain(fact, arrays)
+    lin = TTLinear.from_train(train, name=prefix)
+    # validates the chains against the declared ranks
     for key, value in _stack_manifest(prefix, lin).items():
         if man.get(key, value) != value:
             raise FormatError(f"{key}={man[key]} disagrees with the stored cores ({value})")

@@ -2,15 +2,16 @@
 
 The four gate matrices acting on the input and the four acting on the
 recurrent state are stacked into two matrices ``W_x`` (4H x E) and
-``W_h`` (4H x H). Each stack is held either dense, as an MPS train
-(applied through its factor pair, never materialized), or as an MPO train
-(reconstructed once per forward pass and cached across timesteps). The
-factor pair and the dense matrix come from ``ttrain``'s one contraction
-path, the same code ``reconstruct`` and ``contract.build_factor_pair``
-run: an MPS chain contracts only as its factor pair ``[F, G^T]``
-(``factor_pair``), so its dense matrix is ``F G^T`` (training's
-distillation penalty uses the pair itself, see :mod:`distill`); an MPO
-chain collapses and unfuses (``dense_matrix``).
+``W_h`` (4H x H). Each stack is a :class:`TTLinear`: a kind (dense, MPS
+or MPO), a factorization and one ordered parameter list, named only by
+its two constructors. An MPS stack is applied through its factor pair and
+never materialized; an MPO stack is reconstructed once per forward pass
+and cached across timesteps. ``TTLinear.factors`` returns the factors
+from ``ttrain``'s one contraction path, the same code ``reconstruct`` and
+``contract.build_factor_pair`` run: an MPS chain contracts only as its
+factor pair ``[F, G^T]`` (``factor_pair``), so its dense matrix is
+``F G^T`` (training's distillation penalty uses the pair itself, see
+:mod:`distill`); an MPO chain collapses and unfuses (``dense_matrix``).
 
 Gate order in the stacked rows is fixed as (i, f, g, o): input, forget,
 cell candidate, output. Layer normalization is applied separately to the
@@ -35,7 +36,7 @@ There is one softmax, ``autograd.cross_entropy``: ``sequence_nll`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,94 +86,81 @@ class LayerNormParams:
 
 
 class TTLinear:
-    """A linear map ``x -> W x`` whose matrix is dense, MPS or MPO."""
+    """A linear map ``x -> W x``: a kind, a factorization (``None`` for
+    dense) and one ordered parameter list, ``[weight]`` for dense, the row
+    cores then the column cores for MPS, the cores for MPO."""
 
-    def __init__(self, kind: str, out_dim: int, in_dim: int, *, name: str,
-                 weight: Parameter | None = None,
-                 fact: ShapeFactorization | None = None,
-                 row_cores=None, col_cores=None, cores=None):
+    def __init__(self, kind: str, params, fact: ShapeFactorization | None = None):
         if kind not in ("dense", "mps", "mpo"):
             raise ConfigError(f"unknown representation {kind!r}")
         self.kind = kind
-        self.out_dim = out_dim
-        self.in_dim = in_dim
-        self.name = name
-        self.weight = weight
+        self.params = list(params)
         self.fact = fact
-        self.row_cores = list(row_cores) if row_cores else None
-        self.col_cores = list(col_cores) if col_cores else None
-        self.cores = list(cores) if cores else None
-        if fact is not None and (fact.n_rows, fact.n_cols) != (out_dim, in_dim):
-            raise ShapeError(
-                f"factorization {fact.n_rows}x{fact.n_cols} != map {out_dim}x{in_dim}")
+        if kind == "dense":
+            self.out_dim, self.in_dim = self.params[0].shape
+        else:
+            self.out_dim, self.in_dim = fact.n_rows, fact.n_cols
 
     @classmethod
     def dense(cls, weight: np.ndarray, *, name: str):
-        w = np.asarray(weight, dtype=np.float64)
-        return cls("dense", w.shape[0], w.shape[1], name=name,
-                   weight=Parameter(w, f"{name}.weight"))
+        return cls("dense", [Parameter(np.asarray(weight, dtype=np.float64), f"{name}.weight")])
 
     @classmethod
-    def from_mps(cls, train: MpsTrain, *, name: str):
+    def from_train(cls, train: MpsTrain | MpoTrain, *, name: str):
+        """The stack over ``train``'s core arrays, taken without copying:
+        the stack owns them from then on and training updates them in place."""
         fact = train.fact
-        row = [Parameter(c.copy(), f"{name}.row{k}") for k, c in enumerate(train.row_cores)]
-        col = [Parameter(c.copy(), f"{name}.col{k}") for k, c in enumerate(train.col_cores)]
-        return cls("mps", fact.n_rows, fact.n_cols, name=name, fact=fact,
-                   row_cores=row, col_cores=col)
-
-    @classmethod
-    def from_mpo(cls, train: MpoTrain, *, name: str):
-        fact = train.fact
-        cores = [Parameter(c.copy(), f"{name}.core{k}") for k, c in enumerate(train.cores)]
-        return cls("mpo", fact.n_rows, fact.n_cols, name=name, fact=fact, cores=cores)
+        if isinstance(train, MpsTrain):
+            kind = "mps"
+            names = ([f"{name}.row{k}" for k in range(fact.n)]
+                     + [f"{name}.col{k}" for k in range(fact.m)])
+        else:
+            kind, names = "mpo", [f"{name}.core{k}" for k in range(fact.n)]
+        return cls(kind, [Parameter(c, n) for c, n in zip(train.cores, names)], fact)
 
     def parameters(self) -> list[Parameter]:
-        if self.kind == "dense":
-            return [self.weight]
-        if self.kind == "mps":
-            return list(self.row_cores) + list(self.col_cores)
-        return list(self.cores)
-
-    def param_count(self) -> int:
-        return int(sum(p.value.size for p in self.parameters()))
+        return list(self.params)
 
     def to_train(self) -> MpsTrain | MpoTrain:
+        values = [p.value for p in self.params]
         if self.kind == "mps":
-            return MpsTrain(self.fact, tuple(c.value for c in self.row_cores),
-                            tuple(c.value for c in self.col_cores))
+            return MpsTrain(self.fact, values[:self.fact.n], values[self.fact.n:])
         if self.kind == "mpo":
-            return MpoTrain(self.fact, tuple(c.value for c in self.cores))
+            return MpoTrain(self.fact, values)
         raise ConfigError("dense maps have no train")
 
     def reconstruct_matrix(self) -> np.ndarray:
         """Dense matrix values (no gradients)."""
         if self.kind == "dense":
-            return self.weight.value.copy()
+            return self.params[0].value.copy()
         return reconstruct(self.to_train())
+
+    def factors(self, tape) -> list[Var]:
+        """``[F, G^T]`` for MPS (``ttrain.factor_pair``), ``[W]`` for MPO
+        (``ttrain.dense_matrix``) and dense; gradients flow to ``params``."""
+        if self.kind == "dense":
+            return [self.params[0]]
+        if self.kind == "mps":
+            return factor_pair(tape, self.params[:self.fact.n], self.params[self.fact.n:])
+        return [dense_matrix(tape, self.fact, self.params)]
 
     def dense_var(self, tape) -> Var:
         """Differentiable dense matrix; gradients flow to the cores. For
         MPS this is ``F @ G^T`` from the factor pair."""
         if self.kind == "dense":
-            return self.weight
-        cores = self.row_cores + self.col_cores if self.kind == "mps" else self.cores
-        return dense_matrix(tape, self.fact, cores)
+            return self.params[0]
+        return dense_matrix(tape, self.fact, self.params)
 
     def prepare(self, tape):
         """One-time per-forward-pass setup; returns ``apply(x) -> Var`` for
         batch-first inputs of shape ``(batch, in_dim)``.
 
-        The stack's factors are ``[F, G^T]`` for MPS and ``[W]`` for dense
-        and MPO (reconstructed here once). ``apply`` multiplies ``x`` by
-        their transposes, last factor first, so an MPS call is
-        ``(x G) F^T`` and costs ``mid_rank * (batch in + batch out)``
-        multiply-adds.
+        ``apply`` multiplies ``x`` by the transposes of :meth:`factors`,
+        last factor first, so an MPS call is ``(x G) F^T`` and costs
+        ``mid_rank * (batch in + batch out)`` multiply-adds, and an MPO
+        matrix is reconstructed here once.
         """
-        if self.kind == "mps":
-            factors = factor_pair(tape, self.row_cores, self.col_cores)
-        else:
-            factors = [self.dense_var(tape)]
-        transposed = [ag.transpose(tape, f) for f in reversed(factors)]
+        transposed = [ag.transpose(tape, f) for f in reversed(self.factors(tape))]
 
         def apply(x: Var) -> Var:
             for t in transposed:
@@ -242,7 +230,6 @@ class TTLstmModel:
     proj_w: Parameter
     proj_b: Parameter
     seed: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def vocab_size(self) -> int:
@@ -261,15 +248,10 @@ class TTLstmModel:
         for p in self.parameters():
             p.grad = None
 
-    def gate_param_count(self) -> int:
-        return self.wx.param_count() + self.wh.param_count()
-
-    def full_gate_param_count(self) -> int:
-        h, e = self.arch.hidden_dim, self.arch.embed_dim
-        return 4 * h * e + 4 * h * h
-
     def gate_compression_rate(self) -> float:
-        return self.full_gate_param_count() / self.gate_param_count()
+        """Dense parameter count of the two gate stacks over the stored one."""
+        h, e = self.arch.hidden_dim, self.arch.embed_dim
+        return (4 * h * e + 4 * h * h) / sum(p.value.size for p in self.wx.params + self.wh.params)
 
 
 def _stack_linear(arch: ModelArch, fact: ShapeFactorization, name: str,
@@ -282,9 +264,9 @@ def _stack_linear(arch: ModelArch, fact: ShapeFactorization, name: str,
     scheme = InitScheme(arch.init)
     if arch.representation == "mps":
         train = new_mps(fact, *uniform_mps_ranks(fact, arch.rank), scheme, seed)
-        return TTLinear.from_mps(train, name=name)
-    train = new_mpo(fact, uniform_mpo_ranks(fact, arch.rank), scheme, seed)
-    return TTLinear.from_mpo(train, name=name)
+    else:
+        train = new_mpo(fact, uniform_mpo_ranks(fact, arch.rank), scheme, seed)
+    return TTLinear.from_train(train, name=name)
 
 
 def build_model(arch: ModelArch, seed: int = 0) -> TTLstmModel:

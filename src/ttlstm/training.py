@@ -27,7 +27,6 @@ from .distill import (DataCovariance, DistillConfig, KdTarget, TeacherWeights,
                       factored_kd_penalty, kd_penalty, total_loss)
 from .errors import ConfigError, NumericError
 from .nn import TTLinear, TTLstmModel, forward_lm, sequence_nll
-from .ttrain import factor_pair
 
 __all__ = ["TrainConfig", "EpochStats", "train_model", "evaluate", "collect_stack_inputs",
            "clip_gradients"]
@@ -39,11 +38,7 @@ class TrainConfig:
     lr: float = 1.0
     epochs: int = 1
     clip: float = 5.0
-    lr_decay: float = 0.5           # applied when validation stalls (sgd only)
     distill: DistillConfig = field(default_factory=DistillConfig)
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.optimizer not in ("sgd", "adam"):
@@ -65,7 +60,7 @@ class _Sgd:
 class _Adam:
     def __init__(self, cfg: TrainConfig):
         self.lr = cfg.lr
-        self.b1, self.b2, self.eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+        self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
         self.m: dict[int, np.ndarray] = {}
         self.v: dict[int, np.ndarray] = {}
@@ -115,13 +110,11 @@ class EpochStats:
     grad_norm: float
 
 
-def evaluate(model: TTLstmModel, ids: np.ndarray,
-             batch_size: int | None = None, unroll: int | None = None):
-    """Token-mean NLL and perplexity over the stream, stateful across
-    windows. Remainder tokens beyond the lane layout are dropped."""
-    batch_size = batch_size or model.arch.batch_size
-    unroll = unroll or model.arch.unroll
-    stream = make_batches(ids, batch_size, unroll)
+def evaluate(model: TTLstmModel, ids: np.ndarray):
+    """Token-mean NLL and perplexity over the stream in the model's own
+    batch and unroll, stateful across windows. Remainder tokens beyond the
+    lane layout are dropped."""
+    stream = make_batches(ids, model.arch.batch_size, model.arch.unroll)
     state = None
     total_nll = 0.0
     total_tokens = 0
@@ -142,8 +135,7 @@ def _stack_penalty(stack: TTLinear, teacher_w: np.ndarray, cov, lam: float):
     dense matrix."""
     if stack.kind == "mps":
         target = KdTarget.build(teacher_w, cov)
-        return lambda tape: factored_kd_penalty(
-            tape, target, *factor_pair(tape, stack.row_cores, stack.col_cores), lam)
+        return lambda tape: factored_kd_penalty(tape, target, *stack.factors(tape), lam)
     return lambda tape: kd_penalty(tape, teacher_w, stack.dense_var(tape), lam, cov)
 
 
@@ -228,7 +220,7 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
             epoch_callback(stats)
         if cfg.optimizer == "sgd":
             if valid_ppl >= best_valid:
-                optimizer.lr *= cfg.lr_decay
+                optimizer.lr *= 0.5
         best_valid = min(best_valid, valid_ppl)
     return history
 

@@ -20,7 +20,7 @@ pair (:func:`factor_pair`): the row chain collapses left to right into
 ``build_ops`` plus ``N r M`` multiply-adds. An MPO chain collapses right
 to left as a whole and then unfuses its paired indices
 (:func:`dense_matrix`). ``reconstruct``, ``build_factor_pair`` and
-``mpo_matvec`` in :mod:`contract`, and ``TTLinear.prepare`` and
+``mpo_matvec`` in :mod:`contract`, and ``TTLinear.factors`` and
 ``dense_var`` in :mod:`nn` all call them.
 """
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -194,7 +195,9 @@ class MpsTrain:
     def mid_rank(self) -> int:
         return self.row_cores[-1].shape[2]
 
+    @property
     def cores(self) -> tuple[np.ndarray, ...]:
+        """The whole chain: the row cores, then the column cores."""
         return self.row_cores + self.col_cores
 
 
@@ -233,43 +236,12 @@ def uniform_mpo_ranks(fact: ShapeFactorization, rank: int) -> tuple[int, ...]:
     return (1,) + (rank,) * (fact.n - 1) + (1,)
 
 
-# Rational approximation for the inverse standard normal CDF (Acklam's
-# coefficients) refined by one Halley step against erfc, giving absolute
-# error below 1e-12 across (1e-10, 1 - 1e-10).
-_ICDF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-           1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ICDF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-           6.680131188771972e+01, -1.328068155288572e+01)
-_ICDF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-           -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ICDF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-           3.754408661907416e+00)
-
-
 def inverse_normal_cdf(p: float) -> float:
     """Quantile function of the standard normal distribution."""
     p = float(p)
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {p}")
-    a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # Halley refinement: e = Phi(x) - p
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+    return NormalDist().inv_cdf(p)
 
 
 def init_params(scheme: InitScheme, fan_in: int, total_cores: int, ranks) -> float:
@@ -321,14 +293,9 @@ def new_mps(fact: ShapeFactorization, row_ranks, col_ranks,
             f"need {fact.n + 1} row ranks and {fact.m + 1} col ranks, "
             f"got {len(row_ranks)} and {len(col_ranks)}"
         )
-    if row_ranks[0] != 1:
-        raise RankError("leading row rank must be 1")
-    if col_ranks[-1] != 1:
-        raise RankError("trailing col rank must be 1")
+    # the chain below holds the middle rank once, as r_n; this makes init_params' check cover s_0
     if row_ranks[-1] != col_ranks[0]:
         raise RankError("row chain must end on the col chain's starting rank")
-    if any(r < 1 for r in row_ranks + col_ranks):
-        raise RankError("ranks must be positive")
     chain = row_ranks + col_ranks[1:]
     scale = init_params(init, fact.n_cols, fact.n + fact.m, chain)
     rng = np.random.default_rng(seed)
@@ -346,18 +313,12 @@ def new_mps(fact: ShapeFactorization, row_ranks, col_ranks,
 def new_mpo(fact: ShapeFactorization, ranks,
             init: InitScheme = InitScheme(), seed: int = 0) -> MpoTrain:
     """Allocate an MPO train (requires ``n == m``); deterministic per seed."""
-    if fact.n != fact.m:
-        raise ShapeError(f"MPO needs n == m, got {fact.n} and {fact.m}")
+    fused = fact.fused_dims()
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != fact.n + 1:
         raise RankError(f"need {fact.n + 1} ranks, got {len(ranks)}")
-    if ranks[0] != 1 or ranks[-1] != 1:
-        raise RankError("MPO boundary ranks must both be 1")
-    if any(r < 1 for r in ranks):
-        raise RankError("ranks must be positive")
     scale = init_params(init, fact.n_cols, fact.n, ranks)
     rng = np.random.default_rng(seed)
-    fused = fact.fused_dims()
     cores = [
         _draw(rng, init, scale, (ranks[k], fused[k], ranks[k + 1]))
         for k in range(fact.n)
@@ -367,8 +328,6 @@ def new_mpo(fact: ShapeFactorization, ranks,
 
 def storage_count(train: MpsTrain | MpoTrain) -> int:
     """Total number of stored parameters: the sum of all core sizes."""
-    if isinstance(train, MpsTrain):
-        return int(sum(c.size for c in train.cores()))
     return int(sum(c.size for c in train.cores))
 
 
@@ -465,8 +424,7 @@ def reconstruct(train: MpsTrain | MpoTrain, max_entries: int = MATERIALIZATION_C
     Raises :class:`CapacityError` when ``N * M`` exceeds ``max_entries``.
     """
     check_capacity(train.fact, max_entries)
-    cores = train.cores() if isinstance(train, MpsTrain) else train.cores
-    return dense_matrix(None, train.fact, cores).value
+    return dense_matrix(None, train.fact, train.cores).value
 
 
 def _divisors(value: int) -> list[int]:

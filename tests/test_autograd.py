@@ -235,7 +235,7 @@ class TestTrainGradients:
             (np.ones((1, 2, 1)), np.ones((1, 2, 1))),
             (np.ones((1, 2, 1)), np.ones((1, 2, 1))),
         )
-        lin = TTLinear.from_mps(train, name="w")
+        lin = TTLinear.from_train(train, name="w")
         x = np.ones((1, 4))
 
         def build(t):
@@ -255,7 +255,7 @@ class TestTrainGradients:
         # loss = 0.5 ||W x||^2  =>  dloss/dx = W^T (W x)
         fact = ShapeFactorization((2, 2), (2, 2))
         train = new_mps(fact, (1, 2, 2), (2, 2, 1), seed=6)
-        lin = TTLinear.from_mps(train, name="w")
+        lin = TTLinear.from_train(train, name="w")
         rng = np.random.default_rng(9)
         xp = Parameter(rng.normal(size=(1, 4)), "x")
 
@@ -276,7 +276,7 @@ class TestTrainGradients:
     def test_mps_core_grad_checks(self):
         fact = ShapeFactorization((4, 4), (4, 4))
         train = new_mps(fact, (1, 3, 3), (3, 3, 1), seed=10)
-        lin = TTLinear.from_mps(train, name="w")
+        lin = TTLinear.from_train(train, name="w")
         x = np.random.default_rng(11).normal(size=(2, 16))
 
         def build(t):
@@ -290,7 +290,7 @@ class TestTrainGradients:
         # the full-chain reconstruction.
         fact = ShapeFactorization((3, 2), (2, 3))
         train = new_mps(fact, (1, 3, 2), (2, 2, 1), seed=13)
-        lin = TTLinear.from_mps(train, name="w")
+        lin = TTLinear.from_train(train, name="w")
         x = np.random.default_rng(14).normal(size=(2, 6))
 
         def run(path):
@@ -314,7 +314,7 @@ class TestTrainGradients:
 
         fact = ShapeFactorization((2, 3), (3, 2))
         train = new_mpo(fact, (1, 3, 1), seed=15)
-        lin = TTLinear.from_mpo(train, name="w")
+        lin = TTLinear.from_train(train, name="w")
         x = np.random.default_rng(16).normal(size=(2, 6))
 
         def build(t):

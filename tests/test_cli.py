@@ -100,6 +100,15 @@ def test_bench_rejects_runs_not_exceeding_discard(workdir, teacher):
     assert "config error" in proc.stderr
 
 
+@pytest.mark.parametrize("runs, discard", [(3, -1), (0, -2)])
+def test_bench_rejects_negative_discard(workdir, teacher, runs, discard):
+    # a negative discard used to slice from the end: "over 1 runs", or a
+    # nan mean "over 0 runs"
+    proc = run_cli("bench", "--model", teacher, "--corpus", workdir / "test.txt",
+                   "--runs", runs, "--discard", discard, expect=2)
+    assert "config error" in proc.stderr and "discard" in proc.stderr
+
+
 def test_info_from_config_emits_cost_csv(workdir):
     proc = run_cli("info", "--config", workdir / "mps.cfg")
     lines = proc.stdout.strip().splitlines()

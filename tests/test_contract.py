@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_mpo, random_mps
 from ttlstm.contract import (
@@ -12,7 +14,7 @@ from ttlstm.contract import (
     mps_matvec,
     pick_rank,
 )
-from ttlstm.errors import DomainError, ShapeError
+from ttlstm.errors import DomainError, RankError, ShapeError
 from ttlstm.ttrain import (
     MpsTrain,
     ShapeFactorization,
@@ -27,6 +29,25 @@ from ttlstm.ttrain import (
 
 STACK650_FACT = ShapeFactorization((50, 52), (25, 26))
 STACK650_PARAMS = 2600 * 650
+
+
+@st.composite
+def _trains(draw, kind):
+    """A random MPS or MPO train with uneven inner ranks; an MPO also draws
+    a column permutation."""
+    def extents(count):
+        return draw(st.lists(st.integers(1, 4), min_size=count, max_size=count).map(tuple))
+
+    seed = draw(st.integers(0, 2**31 - 1), label="seed")
+    if kind == "mps":
+        rows, cols = extents(draw(st.integers(1, 3))), extents(draw(st.integers(1, 3)))
+        row_ranks = (1,) + extents(len(rows))
+        col_ranks = (row_ranks[-1],) + extents(len(cols) - 1) + (1,)
+        return new_mps(ShapeFactorization(rows, cols), row_ranks, col_ranks, seed=seed)
+    n = draw(st.integers(1, 3))
+    perm = draw(st.permutations(range(n)).map(tuple), label="col_permutation")
+    fact = ShapeFactorization(extents(n), extents(n), col_permutation=perm)
+    return new_mpo(fact, (1,) + extents(n - 1) + (1,), seed=seed)
 
 
 class TestFactorPair:
@@ -216,7 +237,7 @@ class TestCostModel:
         fact = ShapeFactorization(rows, cols)
         train = new_mps(fact, row_ranks, col_ranks, seed=57)
         counter = OpCounter()
-        dense_matrix(None, fact, train.cores(), counter)
+        dense_matrix(None, fact, train.cores, counter)
         report = cost_model(fact, (row_ranks, col_ranks), "mps")
         want = report.build_ops + fact.n_rows * train.mid_rank * fact.n_cols
         assert counter.madds == want
@@ -247,6 +268,45 @@ class TestCostModel:
             chains = (tuple(row), (row[3],) + tuple(base_col[1:]))
             bumped = cost_model(fact, chains, "mps").storage
             assert bumped > base
+
+
+class TestRandomChains:
+    """Kernels and closed forms on random chains, against ``reconstruct``
+    and the ``ttrain`` contractions' own counts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(train=_trains("mps"), seed=st.integers(0, 2**31 - 1))
+    def test_mps_matvec_equals_reconstruct(self, train, seed):
+        x = np.random.default_rng(seed).normal(size=train.fact.n_cols)
+        np.testing.assert_allclose(mps_matvec(build_factor_pair(train), x),
+                                   reconstruct(train) @ x, rtol=1e-11, atol=1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(train=_trains("mpo"), seed=st.integers(0, 2**31 - 1))
+    def test_mpo_matvec_equals_reconstruct(self, train, seed):
+        x = np.random.default_rng(seed).normal(size=train.fact.n_cols)
+        np.testing.assert_allclose(mpo_matvec(train, x), reconstruct(train) @ x,
+                                   rtol=1e-11, atol=1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(train=st.one_of(_trains("mps"), _trains("mpo")))
+    def test_storage_and_build_ops_equal_cost_model(self, train):
+        # the MPS build collapses its rows left to right, so this also checks
+        # the mirrored closed form
+        counter = OpCounter()
+        if isinstance(train, MpsTrain):
+            build_factor_pair(train, counter)
+            report = cost_model(train.fact, (train.row_ranks, train.col_ranks), "mps")
+        else:
+            dense_matrix(None, train.fact, train.cores, counter)
+            report = cost_model(train.fact, train.ranks, "mpo")
+        assert storage_count(train) == report.storage
+        assert counter.madds == report.build_ops
+
+    @pytest.mark.parametrize("kind", ["mps", "mpo"])
+    def test_rank_zero_raises(self, kind):
+        with pytest.raises(RankError):
+            cost_model(STACK650_FACT, 0, kind)
 
 
 class TestPickRank:

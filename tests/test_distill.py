@@ -14,7 +14,7 @@ from ttlstm.distill import (
 )
 from ttlstm.errors import ConfigError, DomainError, NumericError, ShapeError
 from ttlstm.nn import TTLinear
-from ttlstm.ttrain import ShapeFactorization, factor_pair, new_mps
+from ttlstm.ttrain import ShapeFactorization, new_mps
 
 
 class TestAccumulateCovariance:
@@ -104,7 +104,7 @@ class TestKdPenalty:
 
     def test_lambda_zero_kills_value_and_gradients(self):
         fact = ShapeFactorization((2, 2), (2, 2))
-        lin = TTLinear.from_mps(new_mps(fact, (1, 2, 2), (2, 2, 1), seed=6), name="w")
+        lin = TTLinear.from_train(new_mps(fact, (1, 2, 2), (2, 2, 1), seed=6), name="w")
         w_star = np.random.default_rng(7).normal(size=(4, 4))
         tape = Tape()
         pen = kd_penalty(tape, w_star, lin.dense_var(tape), 0.0)
@@ -115,7 +115,7 @@ class TestKdPenalty:
 
     def test_gradients_flow_to_student_cores(self):
         fact = ShapeFactorization((2, 2), (2, 2))
-        lin = TTLinear.from_mps(new_mps(fact, (1, 2, 2), (2, 2, 1), seed=8), name="w")
+        lin = TTLinear.from_train(new_mps(fact, (1, 2, 2), (2, 2, 1), seed=8), name="w")
         w_star = np.random.default_rng(9).normal(size=(4, 4))
 
         def build(t):
@@ -153,13 +153,13 @@ FACTORED_CASES = {
 def _mps_student(case, seed=21):
     rows, cols, row_ranks, col_ranks, data = FACTORED_CASES[case]
     fact = ShapeFactorization(rows, cols)
-    lin = TTLinear.from_mps(new_mps(fact, row_ranks, col_ranks, seed=seed), name="w")
+    lin = TTLinear.from_train(new_mps(fact, row_ranks, col_ranks, seed=seed), name="w")
     w_star, cov = data()
     return lin, w_star, cov
 
 
 def _factored(tape, lin, target, lam):
-    return factored_kd_penalty(tape, target, *factor_pair(tape, lin.row_cores, lin.col_cores), lam)
+    return factored_kd_penalty(tape, target, *lin.factors(tape), lam)
 
 
 def _value_and_grads(lin, build):

@@ -39,6 +39,24 @@ def test_round_trip_bitwise(tmp_path, rep, rank):
         assert a.value.tobytes() == b.value.tobytes()
 
 
+_LN_AND_PROJ = "gate_bias:32;ln_x.gain:4x8;ln_x.bias:4x8;ln_h.gain:4x8;ln_h.bias:4x8;" \
+    "proj.weight:8x17;proj.bias:17"
+
+
+@pytest.mark.parametrize("rep,stacks", [
+    ("dense", "wx.weight:32x8;wh.weight:32x8"),
+    ("mps", "wx.row0:1x4x3;wx.row1:3x8x3;wx.col0:3x2x3;wx.col1:3x4x1;"
+            "wh.row0:1x4x3;wh.row1:3x8x3;wh.col0:3x2x3;wh.col1:3x4x1"),
+    ("mpo", "wx.core0:1x8x3;wx.core1:3x32x1;wh.core0:1x8x3;wh.core1:3x32x1"),
+])
+def test_tensor_declaration_is_pinned(tmp_path, rep, stacks):
+    # the file format: every tensor's name, shape and place in the blob order
+    path = tmp_path / "m.ttlm"
+    save_model(build_model(_arch(rep, 3 if rep != "dense" else 0), seed=1), path)
+    _, manifest = load_model(path)
+    assert manifest["tensors"] == f"embedding:17x8;{stacks};{_LN_AND_PROJ}"
+
+
 def test_save_is_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.ttlm", tmp_path / "b.ttlm"
     save_model(build_model(_arch(), seed=9), p1, vocab_sha256="x")

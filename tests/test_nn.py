@@ -58,8 +58,8 @@ def _tiny_arch(rep="dense", rank=0, v=20, e=8, h=8, factors=2):
 class TestLstmStep:
     def _zero_model(self):
         model = build_model(_tiny_arch(), seed=0)
-        model.wx.weight.value[:] = 0.0
-        model.wh.weight.value[:] = 0.0
+        model.wx.params[0].value[:] = 0.0
+        model.wh.params[0].value[:] = 0.0
         model.gate_bias.value[:] = 0.0
         return model
 
@@ -268,8 +268,8 @@ def test_lstm_step_adds_bias_after_both_normalized_terms():
         blocks = pre.reshape(3, 4, 8)
         return ag.layer_norm(None, Var(blocks), ln.gain, ln.bias, ln.eps).value.reshape(3, 32)
 
-    ax = norm(x @ model.wx.weight.value.T, model.ln_x)
-    ah = norm(h @ model.wh.weight.value.T, model.ln_h)
+    ax = norm(x @ model.wx.params[0].value.T, model.ln_x)
+    ah = norm(h @ model.wh.params[0].value.T, model.ln_h)
     pre = (ax + ah) + model.gate_bias.value
     i, f, g, o = (pre[:, k * 8:(k + 1) * 8] for k in range(4))
     c_want = (1.0 / (1.0 + np.exp(-f))) * c + (1.0 / (1.0 + np.exp(-i))) * np.tanh(g)
@@ -286,13 +286,13 @@ class TestOneContractionPath:
     def test_reconstruct_is_dense_var_bitwise_mps(self):
         fact = ShapeFactorization((3, 4), (2, 5))
         train = new_mps(fact, (1, 3, 4), (4, 2, 1), seed=21)
-        dense = TTLinear.from_mps(train, name="w").dense_var(None).value
+        dense = TTLinear.from_train(train, name="w").dense_var(None).value
         assert reconstruct(train).tobytes() == dense.tobytes()
 
     def test_reconstruct_is_dense_var_bitwise_permuted_three_core_mpo(self):
         fact = ShapeFactorization((2, 3, 2), (3, 2, 4), col_permutation=(2, 0, 1))
         train = new_mpo(fact, (1, 3, 4, 1), seed=22)
-        dense = TTLinear.from_mpo(train, name="w").dense_var(None).value
+        dense = TTLinear.from_train(train, name="w").dense_var(None).value
         assert reconstruct(train).tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("rows,cols,row_ranks,col_ranks", [
@@ -302,7 +302,7 @@ class TestOneContractionPath:
     def test_factor_pair_is_what_prepare_applies(self, monkeypatch, rows, cols, row_ranks, col_ranks):
         train = new_mps(ShapeFactorization(rows, cols), row_ranks, col_ranks, seed=23)
         pair = build_factor_pair(train)
-        apply = TTLinear.from_mps(train, name="w").prepare(None)
+        apply = TTLinear.from_train(train, name="w").prepare(None)
         operands = []
         real_matmul = ag.matmul
 

@@ -1,9 +1,12 @@
 """Minimal tape-based reverse-mode differentiation over numpy arrays.
 
 A :class:`Tape` records every operation of one forward pass; ``backward``
-walks the records once, in reverse order, accumulating vector-Jacobian
-products into ``Var.grad``. Every op also works with ``tape=None``, which
-computes values without recording (the inference path).
+pops the records, last first, accumulating vector-Jacobian products into
+``Var.grad`` and dropping each record once its pulls have run, so forward
+arrays and intermediate gradients are freed as it goes and the tape is
+consumed. Every op also works with ``tape=None``, which computes values
+without recording (the inference path). ``lstm_scan`` records a whole
+LSTM recurrence as one record.
 
 A tape is single-owner: do not share one across concurrent forward passes.
 Independent tapes may run in parallel.
@@ -18,7 +21,7 @@ from .errors import DomainError, NumericError, ShapeError, StateError, VocabErro
 __all__ = [
     "Var", "Parameter", "Tape", "backward", "grad_check",
     "add", "sub", "mul", "matmul", "linear", "reshape", "transpose",
-    "gather_rows", "select", "stack", "lstm_cell",
+    "gather_rows", "lstm_scan",
     "scale", "reduce_sum", "layer_norm", "cross_entropy",
 ]
 
@@ -56,14 +59,11 @@ class Parameter(Var):
 class Tape:
     """Operation record of a single forward pass."""
 
-    __slots__ = ("_records", "_owned_grads")
+    __slots__ = ("_records",)
 
     def __init__(self):
-        # each record: (output Var, [(input Var, pull(grad) -> grad), ...]);
-        # a pull that accumulated in place itself returns None
+        # each record: (output Var, [(input Var, pull(grad) -> grad), ...])
         self._records: list[tuple[Var, list]] = []
-        # id(Var) -> the gradient buffer an in-place adjoint allocated for it
-        self._owned_grads: dict[int, np.ndarray] = {}
 
     def record(self, out: Var, pulls: list):
         self._records.append((out, pulls))
@@ -75,21 +75,25 @@ class Tape:
 def backward(tape: Tape, loss: Var, seed: float = 1.0):
     """Populate grads of everything ``loss`` depends on through ``tape``.
 
-    Visits each record exactly once, in reverse record order.
+    Pops each record exactly once, last first, and drops it once its pulls
+    have run, so the tape is empty afterwards; a second call raises
+    :class:`StateError`.
     """
     if tape is None or len(tape) == 0:
-        raise StateError("backward called before any recorded forward")
+        raise StateError("backward on an empty tape: nothing was recorded, "
+                         "or a backward already consumed it")
     if loss.value.size != 1:
         raise ShapeError("backward seeds a scalar loss")
     loss.grad = np.full_like(loss.value, float(seed))
-    for out, pulls in reversed(tape._records):
+    records = tape._records
+    while records:
+        out, pulls = records.pop()
         g = out.grad
         if g is None:
             continue
         for var, pull in pulls:
             contrib = pull(g)
-            if contrib is not None:
-                var.grad = contrib if var.grad is None else var.grad + contrib
+            var.grad = contrib if var.grad is None else var.grad + contrib
 
 
 def _val(x) -> np.ndarray:
@@ -195,79 +199,6 @@ def gather_rows(tape, table, ids) -> Var:
     return _emit(tape, tv[ids], [(table, pull)])
 
 
-def select(tape, a, index: int) -> Var:
-    """Leading-axis slice ``a[index]``.
-
-    The adjoint accumulates in place into one gradient buffer per source,
-    allocated on the first pull of a backward pass, so slicing a
-    ``(T, ...)`` Var T times costs one full-size buffer, not one per step.
-    The buffer is only written while it is still ``a.grad``; if another
-    consumer has replaced or set the gradient, a fresh buffer takes it
-    over, so storage shared with other adjoints is never written.
-    """
-    av = _val(a)
-    index = int(index)
-    if tape is None:
-        return Var(av[index])
-    owned = tape._owned_grads
-
-    def pull(g):
-        buf = owned.get(id(a))
-        if buf is None or a.grad is not buf:
-            buf = np.zeros_like(av) if a.grad is None else np.array(a.grad)
-            owned[id(a)] = buf
-            a.grad = buf
-        buf[index] += g
-
-    return _emit(tape, av[index], [(a, pull)])
-
-
-def stack(tape, parts, axis: int = 0) -> Var:
-    """Stack equal-shape Vars along a new ``axis``."""
-    vals = [_val(p) for p in parts]
-    out = np.stack(vals, axis=axis)
-    lead = (slice(None),) * (axis % out.ndim)
-    return _emit(tape, out, [(p, lambda g, k=k: g[lead + (k,)]) for k, p in enumerate(parts)])
-
-
-def lstm_cell(tape, gates, c):
-    """Fused LSTM cell: ``(h', c')`` from pre-activations ``gates``
-    ``(batch, 4H)`` in (i, f, g, o) block order and cell state ``c``.
-
-    ``c' = sigmoid(f) c + sigmoid(i) tanh(g)`` and
-    ``h' = sigmoid(o) tanh(c')``, elementwise in that order. Records two
-    records, ``c'`` and then ``h'``, with hand-written adjoints.
-    """
-    gv, cv = _val(gates), _val(c)
-    hidden = cv.shape[-1]
-    if gv.ndim != 2 or gv.shape != (cv.shape[0], 4 * hidden):
-        raise ShapeError(f"gates {gv.shape} do not match cell state {cv.shape}")
-    blocks = [gv[:, k * hidden:(k + 1) * hidden] for k in range(4)]
-    si = 1.0 / (1.0 + np.exp(-blocks[0]))
-    sf = 1.0 / (1.0 + np.exp(-blocks[1]))
-    tg = np.tanh(blocks[2])
-    so = 1.0 / (1.0 + np.exp(-blocks[3]))
-    c_new = sf * cv + si * tg
-    tc = np.tanh(c_new)
-
-    def pull_ifg(g):
-        d = np.empty_like(gv)
-        d[:, :hidden] = g * tg * si * (1.0 - si)
-        d[:, hidden:2 * hidden] = g * cv * sf * (1.0 - sf)
-        d[:, 2 * hidden:3 * hidden] = g * si * (1.0 - tg * tg)
-        d[:, 3 * hidden:] = 0.0
-        return d
-
-    def pull_o(g):
-        d = np.zeros_like(gv)
-        d[:, 3 * hidden:] = g * tc * so * (1.0 - so)
-        return d
-
-    c_var = _emit(tape, c_new, [(gates, pull_ifg), (c, lambda g: g * sf)])
-    h_var = _emit(tape, so * tc, [(gates, pull_o), (c_var, lambda g: g * so * (1.0 - tc * tc))])
-    return h_var, c_var
-
-
 def scale(tape, a, c: float) -> Var:
     av = _val(a)
     c = float(c)
@@ -279,27 +210,115 @@ def reduce_sum(tape, a) -> Var:
     return _emit(tape, av.sum(), [(a, lambda g: np.full_like(av, float(g)))])
 
 
+def _standardize(xv: np.ndarray, eps: float):
+    """``(xhat, inv_sd)`` of ``xv`` over its last axis (population variance)."""
+    centered = xv - xv.mean(axis=-1, keepdims=True)
+    inv_sd = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    return centered * inv_sd, inv_sd
+
+
+def _standardize_adjoint(gg: np.ndarray, xhat: np.ndarray, inv_sd: np.ndarray) -> np.ndarray:
+    """Input gradient of :func:`_standardize` given the gradient ``gg`` of ``xhat``."""
+    return (gg - gg.mean(axis=-1, keepdims=True)
+            - xhat * (gg * xhat).mean(axis=-1, keepdims=True)) * inv_sd
+
+
 def layer_norm(tape, x, gain, bias, eps: float = 1e-5) -> Var:
     """Standardize over the last axis (population variance), then apply
     ``gain * xhat + bias``. ``gain``/``bias`` must broadcast against ``x``."""
     xv, gv, bv = _val(x), _val(gain), _val(bias)
-    mu = xv.mean(axis=-1, keepdims=True)
-    centered = xv - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_sd = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_sd
-    out = gv * xhat + bv
-
-    def pull_x(g):
-        gg = g * gv
-        return (gg - gg.mean(axis=-1, keepdims=True)
-                - xhat * (gg * xhat).mean(axis=-1, keepdims=True)) * inv_sd
-
-    return _emit(tape, out, [
-        (x, pull_x),
+    xhat, inv_sd = _standardize(xv, eps)
+    return _emit(tape, gv * xhat + bv, [
+        (x, lambda g: _standardize_adjoint(g * gv, xhat, inv_sd)),
         (gain, lambda g: _unbroadcast(g * xhat, gv.shape)),
         (bias, lambda g: _unbroadcast(g, bv.shape)),
     ])
+
+
+def lstm_scan(tape, ax, weights, gain, bias, gate_bias, h0, c0, eps: float = 1e-5):
+    """A layer-normalized LSTM recurrence over a window, as one record.
+
+    ``ax`` is the ``(T, batch, 4H)`` normalized input term. Step ``t``
+    forms ``ah = LN(h w_0 w_1 ...)`` per gate block of length H (``gain``,
+    ``bias``), then ``pre = (ax_t + ah) + gate_bias``, and on its (i, f,
+    g, o) blocks ``c' = sigmoid(f) c + sigmoid(i) tanh(g)``, ``h' =
+    sigmoid(o) tanh(c')``. Returns the ``(T, batch, H)`` hidden states as
+    a Var and the last cell state as a plain array. The adjoint runs only
+    the input-gradient chain step by step (cell, layer-norm input adjoint,
+    ``d w^T`` per weight); each weight gradient is then one ``(T batch,
+    d_in)^T @ (T batch, d_out)`` product, and ``gain``, ``bias`` and
+    ``gate_bias`` one reduction each.
+    """
+    axv, gv, bv, gbv = _val(ax), _val(gain), _val(bias), _val(gate_bias)
+    ws, h, c = [_val(w) for w in weights], _val(h0), _val(c0)
+    steps, batch, width = axv.shape
+    hidden = width // 4
+    if width % 4 or h.shape != (batch, hidden) or c.shape != h.shape:
+        raise ShapeError(f"state {h.shape}/{c.shape} does not match gates {axv.shape}")
+    keep = tape is not None
+    blocks = (batch, 4, hidden)
+    hs = np.empty((steps, batch, hidden))
+    xhats = np.empty((steps,) + blocks) if keep else None
+    ins, saved = [[] for _ in ws], []          # per weight: the rows it multiplied
+    for t in range(steps):
+        a = h
+        for k, w in enumerate(ws):
+            if keep:
+                ins[k].append(a)
+            a = a @ w
+        xhat, inv_sd = _standardize(a.reshape(blocks), eps)
+        pre = (axv[t] + (gv * xhat + bv).reshape(batch, width)) + gbv
+        si = 1.0 / (1.0 + np.exp(-pre[:, :hidden]))
+        sf = 1.0 / (1.0 + np.exp(-pre[:, hidden:2 * hidden]))
+        tg = np.tanh(pre[:, 2 * hidden:3 * hidden])
+        so = 1.0 / (1.0 + np.exp(-pre[:, 3 * hidden:]))
+        c_prev, c = c, sf * c + si * tg
+        tc = np.tanh(c)
+        hs[t] = so * tc
+        h = hs[t]
+        if keep:
+            xhats[t] = xhat
+            saved.append((si, sf, tg, so, tc, c_prev, inv_sd))
+
+    def adjoint(g):
+        d_pre = np.empty_like(axv)
+        d_outs = [np.empty((steps, batch, w.shape[1])) for w in ws]
+        dh, dc = np.zeros((batch, hidden)), np.zeros((batch, hidden))
+        for t in reversed(range(steps)):
+            si, sf, tg, so, tc, c_prev, inv_sd = saved.pop()
+            gh = g[t] + dh
+            dc = dc + gh * so * (1.0 - tc * tc)
+            d = d_pre[t]
+            d[:, :hidden] = dc * tg * si * (1.0 - si)
+            d[:, hidden:2 * hidden] = dc * c_prev * sf * (1.0 - sf)
+            d[:, 2 * hidden:3 * hidden] = dc * si * (1.0 - tg * tg)
+            d[:, 3 * hidden:] = gh * tc * so * (1.0 - so)
+            dc = dc * sf
+            dh = _standardize_adjoint(d.reshape(blocks) * gv, xhats[t], inv_sd)
+            dh = dh.reshape(batch, width)
+            for k in reversed(range(len(ws))):
+                d_outs[k][t] = dh
+                dh = dh @ ws[k].T
+        d_norm = d_pre.reshape(xhats.shape)
+        grads = {"ax": d_pre, "gain": _unbroadcast(d_norm * xhats, gv.shape),
+                 "bias": _unbroadcast(d_norm, bv.shape),
+                 "gate_bias": _unbroadcast(d_pre, gbv.shape), "h0": dh, "c0": dc}
+        for k in range(len(ws)):    # (T batch, d_in)^T @ (T batch, d_out)
+            grads[k] = np.tensordot(np.stack(ins[k]), d_outs[k], ([0, 1], [0, 1]))
+        return grads
+
+    grads = {}
+    def pull(key):
+        def run(g):
+            if not grads:
+                grads.update(adjoint(g))
+            return grads.pop(key)
+        return run
+
+    out = _emit(tape, hs, [(ax, pull("ax")), (gain, pull("gain")), (bias, pull("bias")),
+                           (gate_bias, pull("gate_bias")), (h0, pull("h0")), (c0, pull("c0"))]
+                + [(w, pull(k)) for k, w in enumerate(weights)])
+    return out, c
 
 
 def cross_entropy(tape, logits, targets) -> Var:

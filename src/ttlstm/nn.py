@@ -22,12 +22,14 @@ projection is a dense, untied H x V matrix.
 ``forward_lm`` runs at sequence level: only what depends on ``h`` stays
 in the time loop. The window's embeddings are gathered once in time-major
 order, ``W_x`` and its layer norm run once over all ``T * batch`` rows,
-and the output projection runs once over the stacked hidden states. Each
-step is ``W_h h``, its layer norm, ``(ax_t + ah) + gate_bias`` and the
-fused cell ``autograd.lstm_cell``. That add order is kept on purpose:
-folding the bias into the hoisted rows first changes the rounding, and
-over a long stateful stream the evaluation NLL drifts off its recorded
-references. ``lstm_step`` runs the same step on plain arrays.
+and the output projection runs once over the stacked hidden states. The
+recurrence is one ``autograd.lstm_scan`` record: each step is ``W_h h``
+(``h`` times :meth:`TTLinear.transposed_factors`), its layer norm,
+``(ax_t + ah) + gate_bias`` and the cell. That add order is kept on
+purpose: folding the bias into the hoisted rows first changes the
+rounding, and over a long stateful stream the evaluation NLL drifts off
+its recorded references. ``lstm_step`` is the same scan with ``T = 1`` on
+plain arrays.
 
 There is one softmax, ``autograd.cross_entropy``: ``sequence_nll`` and
 ``cross_entropy_perplexity`` both call it.
@@ -151,16 +153,22 @@ class TTLinear:
             return self.params[0]
         return dense_matrix(tape, self.fact, self.params)
 
+    def transposed_factors(self, tape) -> list[Var]:
+        """The transposes of :meth:`factors`, last factor first: what a
+        batch-first ``x`` is multiplied by, ``[G, F^T]`` for MPS and
+        ``[W^T]`` for dense and MPO."""
+        return [ag.transpose(tape, f) for f in reversed(self.factors(tape))]
+
     def prepare(self, tape):
         """One-time per-forward-pass setup; returns ``apply(x) -> Var`` for
         batch-first inputs of shape ``(batch, in_dim)``.
 
-        ``apply`` multiplies ``x`` by the transposes of :meth:`factors`,
-        last factor first, so an MPS call is ``(x G) F^T`` and costs
-        ``mid_rank * (batch in + batch out)`` multiply-adds, and an MPO
-        matrix is reconstructed here once.
+        ``apply`` multiplies ``x`` by :meth:`transposed_factors` in order,
+        so an MPS call is ``(x G) F^T`` and costs ``mid_rank * (batch in +
+        batch out)`` multiply-adds, and an MPO matrix is reconstructed here
+        once.
         """
-        transposed = [ag.transpose(tape, f) for f in reversed(self.factors(tape))]
+        transposed = self.transposed_factors(tape)
 
         def apply(x: Var) -> Var:
             for t in transposed:
@@ -300,15 +308,6 @@ def _block_norm(tape, pre: Var, ln: LayerNormParams) -> Var:
     return ag.reshape(tape, normed, (rows, width))
 
 
-def _recur(tape, model: TTLstmModel, ax: Var, apply_h, h: Var, c: Var):
-    """The part of one step that depends on ``h``. ``ax`` is the step's
-    normalized ``W_x x``; the add order ``(ax + ah) + gate_bias`` is part
-    of the numerics the recorded evaluation references pin."""
-    ah = _block_norm(tape, apply_h(h), model.ln_h)
-    pre = ag.add(tape, ag.add(tape, ax, ah), model.gate_bias)
-    return ag.lstm_cell(tape, pre, c)
-
-
 def lstm_step(model: TTLstmModel, x_t: np.ndarray, h: np.ndarray, c: np.ndarray):
     """One recurrence step on plain arrays (no recording). Accepts single
     vectors or batch-first matrices; returns ``(h', c')`` with matching
@@ -321,10 +320,12 @@ def lstm_step(model: TTLstmModel, x_t: np.ndarray, h: np.ndarray, c: np.ndarray)
     if x2.shape[1] != model.wx.in_dim or h2.shape[1] != model.hidden_dim:
         raise ShapeError(f"step shapes {x2.shape}/{h2.shape} do not match the model")
     ax = _block_norm(None, model.wx.prepare(None)(Var(x2)), model.ln_x)
-    h_new, c_new = _recur(None, model, ax, model.wh.prepare(None), Var(h2), Var(c2))
+    ln = model.ln_h
+    hs, c_new = ag.lstm_scan(None, ax.value[None], model.wh.transposed_factors(None), ln.gain,
+                             ln.bias, model.gate_bias, h2, c2, ln.eps)
     if single:
-        return h_new.value[0], c_new.value[0]
-    return h_new.value, c_new.value
+        return hs.value[0, 0], c_new[0]
+    return hs.value[0], c_new
 
 
 @dataclass
@@ -357,24 +358,20 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
     batch, steps = tokens.shape
     hidden = model.arch.hidden_dim
     if state is None:
-        h = Var(np.zeros((batch, hidden)))
-        c = Var(np.zeros((batch, hidden)))
-    else:
-        h, c = Var(state[0]), Var(state[1])
+        state = (np.zeros((batch, hidden)), np.zeros((batch, hidden)))
     apply_x = model.wx.prepare(tape)
-    apply_h = model.wh.prepare(tape)
     x = ag.gather_rows(tape, model.embed, tokens.T.reshape(-1))    # time-major rows
     ax = _block_norm(tape, apply_x(x), model.ln_x)
     ax = ag.reshape(tape, ax, (steps, batch, 4 * hidden))
-    hs: list[Var] = []
-    for t in range(steps):
-        h, c = _recur(tape, model, ag.select(tape, ax, t), apply_h, h, c)
-        hs.append(h)
-    seq = ag.stack(tape, hs, axis=1)                                # (batch, T, H)
+    ln = model.ln_h
+    hs, c = ag.lstm_scan(tape, ax, model.wh.transposed_factors(tape), ln.gain, ln.bias,
+                         model.gate_bias, *state, ln.eps)           # (T, batch, H)
+    seq = ag.transpose(tape, hs, (1, 0, 2))                         # (batch, T, H)
     rows = ag.reshape(tape, seq, (batch * steps, hidden))
     logit_rows = ag.linear(tape, rows, model.proj_w, model.proj_b)
     logits = logit_rows.value.reshape(batch, steps, -1)
-    return ForwardResult(logits, logit_rows, seq.value, (h.value.copy(), c.value.copy()), tape)
+    return ForwardResult(logits, logit_rows, rows.value.reshape(batch, steps, hidden),
+                         (hs.value[-1].copy(), c.copy()), tape)
 
 
 def sequence_nll(tape, result: ForwardResult, targets: np.ndarray) -> Var:

@@ -172,12 +172,17 @@ def test_c05_gradient_checks():
     bias = Parameter(rng.normal(size=(4,)), "bb")
     table = Parameter(rng.normal(size=(6, 3)), "table")
     logits = Parameter(rng.normal(size=(5, 7)), "logits")
-    cell = Parameter(rng.normal(size=(3, 1)), "c")
+    rows = Parameter(rng.normal(size=(12, 4)), "rows")      # ax of a (T=2, B=2, H=3) scan
+    w_h = Parameter(rng.normal(size=(3, 12)), "w_h")
+    ln_gain = Parameter(rng.normal(1.0, 0.1, size=(4, 3)), "ln_g")
+    gate_b = Parameter(rng.normal(size=(12,)), "gate_b")
+    h0, c0 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
     checks = [
         ([a, b], lambda t: ag.reduce_sum(t, ag.mul(t, ag.add(t, a, b), ag.sub(t, a, b)))),
         ([a, mt], lambda t: ag.reduce_sum(t, ag.mul(t, ag.matmul(t, a, mt), ag.matmul(t, a, mt)))),
-        ([a], lambda t: ag.scale(t, ag.reduce_sum(t, ag.select(t, ag.transpose(t, ag.reshape(t, a, (2, 6))), 1)), 0.5)),
-        ([a, cell], lambda t: ag.reduce_sum(t, ag.mul(t, *ag.lstm_cell(t, ag.scale(t, a, 0.7), cell)))),
+        ([rows, w_h, ln_gain, gate_b], lambda t: ag.scale(t, ag.reduce_sum(t, ag.lstm_scan(
+            t, ag.reshape(t, ag.transpose(t, rows), (2, 2, 12)), [w_h], ln_gain, np.zeros((4, 3)),
+            gate_b, h0, c0)[0]), 0.5)),
         ([a, gain, bias], lambda t: ag.reduce_sum(t, ag.mul(t, ag.layer_norm(t, a, gain, bias), ag.layer_norm(t, a, gain, bias)))),
         ([table], lambda t: ag.reduce_sum(t, ag.mul(t, ag.gather_rows(t, table, np.array([0, 2, 2, 5])),
                                                     ag.gather_rows(t, table, np.array([0, 2, 2, 5]))))),

@@ -33,15 +33,15 @@ class TestPerOpGradients:
         a, b = _param(rng, (3, 4)), _param(rng, (4, 2))
         self.check([a, b], lambda t: ag.reduce_sum(t, ag.mul(t, ag.matmul(t, a, b), ag.matmul(t, a, b))))
 
-    def test_reshape_transpose_select(self):
+    def test_reshape_transpose(self):
         rng = np.random.default_rng(3)
         a = _param(rng, (2, 3, 4))
+        w = rng.normal(size=(4, 6))
 
         def build(t):
             r = ag.reshape(t, a, (6, 4))
             tr = ag.transpose(t, r)
-            sl = ag.select(t, tr, 1)
-            return ag.reduce_sum(t, ag.mul(t, sl, sl))
+            return ag.reduce_sum(t, ag.mul(t, ag.mul(t, tr, tr), w))
 
         self.check([a], build)
 
@@ -107,69 +107,64 @@ class TestPerOpGradients:
         two_ops = ag.add(None, ag.matmul(None, x, w), b).value
         assert ag.linear(None, x, w, b).value.tobytes() == two_ops.tobytes()
 
-    def test_lstm_cell(self):
-        rng = np.random.default_rng(9)
-        gates, c = _param(rng, (3, 8), "gates"), _param(rng, (3, 2), "c")
-        w = rng.normal(size=(3, 2))
+
+class TestLstmScan:
+    """``lstm_scan``'s hand-written adjoint against central differences."""
+
+    @pytest.mark.parametrize("widths", [[12], [2, 12]], ids=["one-weight", "two-weights"])
+    def test_grad_check_with_carried_state(self, widths):
+        steps, batch, hidden = 3, 2, 3
+        rng = np.random.default_rng(len(widths))
+        ax = _param(rng, (steps, batch, 4 * hidden), "ax")
+        dims = [hidden] + widths
+        weights = [_param(rng, (dims[k], dims[k + 1]), f"w{k}") for k in range(len(widths))]
+        gain = Parameter(rng.normal(1.0, 0.2, size=(4, hidden)), "gain")
+        bias = Parameter(rng.normal(0.0, 0.2, size=(4, hidden)), "bias")
+        gate_bias = _param(rng, (4 * hidden,), "gate_bias")
+        h0, c0 = _param(rng, (batch, hidden), "h0"), _param(rng, (batch, hidden), "c0")
+        w = rng.normal(size=(steps, batch, hidden))
+        params = [ax, *weights, gain, bias, gate_bias, h0, c0]
 
         def build(t):
-            h_new, c_new = ag.lstm_cell(t, gates, c)
-            # both outputs reach the loss, and c' also through h'
-            return ag.reduce_sum(t, ag.add(t, ag.mul(t, h_new, w), ag.mul(t, c_new, c_new)))
+            hs, _ = ag.lstm_scan(t, ax, weights, gain, bias, gate_bias, h0, c0)
+            return ag.reduce_sum(t, ag.mul(t, hs, w))
 
-        self.check([gates, c], build)
-
-    def test_stack(self):
-        rng = np.random.default_rng(11)
-        a, b = _param(rng, (2, 3), "a"), _param(rng, (2, 3), "b")
-        w = rng.normal(size=(2, 3, 3))
-
-        def build(t):
-            s = ag.stack(t, [a, b, a], axis=1)
-            return ag.reduce_sum(t, ag.mul(t, s, w))
-
-        self.check([a, b], build)
-
-    def test_select(self):
-        rng = np.random.default_rng(12)
-        a = _param(rng, (4, 2, 3))
-
-        def build(t):
-            s0, s2 = ag.select(t, a, 0), ag.select(t, a, 2)
-            again = ag.select(t, a, 2)
-            return ag.reduce_sum(t, ag.mul(t, ag.add(t, s0, again), s2))
-
-        self.check([a], build)
-
-    def test_select_after_another_consumer_set_the_grad(self):
-        rng = np.random.default_rng(13)
-        a = _param(rng, (3, 4))
-        w = rng.normal(size=(3, 4))
-
-        def build(t):
-            # the reshape is recorded last, so its adjoint sets a.grad
-            # (a view of its own gradient) before the selects run
-            picked = ag.mul(t, ag.select(t, a, 1), ag.select(t, a, 2))
-            whole = ag.mul(t, ag.reshape(t, a, (3, 4)), w)
-            return ag.add(t, ag.reduce_sum(t, picked), ag.reduce_sum(t, whole))
-
-        self.check([a], build)
-
-    def test_select_never_writes_into_shared_gradient_storage(self):
-        a = Parameter(np.zeros((2, 3)), "a")
-        b = Parameter(np.zeros((2, 3)), "b")
+        assert grad_check(params, build) < 1e-5
         t = Tape()
-        picked = ag.select(t, a, 0)
-        # recorded after the select, so its adjoint runs first and hands
-        # a and b views of one gradient array
-        both = ag.add(t, a, b)
-        loss = ag.add(t, ag.reduce_sum(t, picked), ag.reduce_sum(t, both))
-        backward(t, loss)
-        np.testing.assert_array_equal(a.grad, [[2.0] * 3, [1.0] * 3])
-        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+        for p in params:
+            p.grad = None
+        backward(t, build(t))
+        assert all(p.grad is not None and np.any(p.grad) for p in params)
+
+    def test_one_record_and_a_plain_last_cell_state(self):
+        rng = np.random.default_rng(5)
+        ax = _param(rng, (4, 2, 8), "ax")
+        weight = _param(rng, (2, 8), "w")
+        gain, bias = Parameter(np.ones((4, 2)), "gain"), Parameter(np.zeros((4, 2)), "bias")
+        t = Tape()
+        hs, c = ag.lstm_scan(t, ax, [weight], gain, bias, np.zeros(8),
+                             np.zeros((2, 2)), np.zeros((2, 2)))
+        assert len(t) == 1 and hs.shape == (4, 2, 2)
+        assert isinstance(c, np.ndarray) and c.shape == (2, 2)
+
+    def test_state_must_match_the_gates(self):
+        with pytest.raises(ShapeError):
+            ag.lstm_scan(None, np.zeros((3, 2, 8)), [np.zeros((2, 8))], np.ones((4, 2)),
+                         np.zeros((4, 2)), np.zeros(8), np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestBackwardMechanics:
+    def test_backward_consumes_its_tape(self):
+        a = Parameter(np.array([2.0, 3.0]), "a")
+        t = Tape()
+        loss = ag.reduce_sum(t, ag.mul(t, a, a))
+        assert len(t) == 2
+        backward(t, loss)
+        assert len(t) == 0
+        np.testing.assert_array_equal(a.grad, [4.0, 6.0])
+        with pytest.raises(StateError, match="empty.*consumed"):
+            backward(t, loss)
+
     def test_backward_before_forward_raises(self):
         with pytest.raises(StateError):
             backward(Tape(), Var(np.float64(0.0)))

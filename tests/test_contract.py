@@ -308,6 +308,48 @@ class TestRandomChains:
         with pytest.raises(RankError):
             cost_model(STACK650_FACT, 0, kind)
 
+    @pytest.mark.parametrize("kind,chains", [
+        ("mps", ((1, 3), (3, 3, 1))),
+        ("mps", ((1, 3, 3), (3, 3, 3, 1))),
+        ("mpo", (1, 3, 0, 1)),
+        ("mpo", (1, 1)),
+    ])
+    def test_chain_of_wrong_length_raises(self, kind, chains):
+        with pytest.raises(RankError, match="lengths"):
+            cost_model(ShapeFactorization((3, 4), (2, 5)), chains, kind)
+
+    @pytest.mark.parametrize("kind,chains", [
+        ("mps", ((2, 3, 3), (3, 3, 1))),
+        ("mps", ((1, 3, 3), (3, 3, 2))),
+        ("mpo", (2, 3, 1)),
+        ("mpo", (1, 3, 3)),
+    ])
+    def test_boundary_rank_other_than_one_raises(self, kind, chains):
+        with pytest.raises(RankError, match="boundary"):
+            cost_model(ShapeFactorization((3, 4), (2, 5)), chains, kind)
+
+    def test_row_chain_end_must_meet_column_chain_start(self):
+        with pytest.raises(RankError, match="column chain"):
+            cost_model(ShapeFactorization((3, 4), (2, 5)), ((1, 3, 2), (5, 3, 1)), "mps")
+
+    @pytest.mark.parametrize("kind,chains", [
+        ("mps", ((1, 0, 2), (2, 3, 1))),
+        ("mps", ((1, 3, 2), (2, -1, 1))),
+        ("mpo", (1, 0, 1)),
+    ])
+    def test_rank_below_one_in_a_chain_raises(self, kind, chains):
+        with pytest.raises(RankError, match=">= 1"):
+            cost_model(ShapeFactorization((3, 4), (2, 5)), chains, kind)
+
+    @pytest.mark.parametrize("kind", ["mps", "mpo"])
+    def test_numpy_integer_ranks_are_accepted(self, kind):
+        fact = ShapeFactorization((3, 4), (2, 5))
+        want = cost_model(fact, 3, kind)
+        assert cost_model(fact, np.int64(3), kind) == want
+        chains = uniform_mps_ranks(fact, 3) if kind == "mps" else (uniform_mpo_ranks(fact, 3),)
+        as_numpy = [np.array(c, dtype=np.int64) for c in chains]
+        assert cost_model(fact, as_numpy if kind == "mps" else as_numpy[0], kind) == want
+
 
 class TestPickRank:
     def test_mpo_two_factor_closed_form(self):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ttlstm.autograd as ag
-from ttlstm.autograd import Parameter, Tape, Var, grad_check
+from ttlstm.autograd import Parameter, Tape, Var, backward, grad_check
 from ttlstm.errors import ConfigError, NumericError, VocabError
 from ttlstm.nn import (
     ModelArch,
@@ -242,18 +244,55 @@ def test_forward_matches_lstm_step_loop_bitwise(rep, rank):
 
 
 def test_tape_records_grow_by_a_fixed_budget_per_step():
-    """Everything that does not depend on ``h`` runs once per window, so a
-    window records at most ``12 T + 40`` ops (MPS stacks, loss included)."""
+    """The recurrence is one ``lstm_scan`` record and everything else runs
+    once per window, so the per-step budget is zero: a window's record
+    count does not depend on ``T`` (MPS stacks, loss included)."""
     model = build_model(_tiny_arch("mps", rank=3), seed=43)
-    counts = {}
-    for steps in (4, 8, 16):
+    counts = set()
+    for steps in (1, 4, 8, 16):
         tokens = np.zeros((2, steps), dtype=int)
         tape = Tape()
         sequence_nll(tape, forward_lm(model, tokens, tape), tokens)
-        counts[steps] = len(tape)
-        assert counts[steps] <= 12 * steps + 40
-    assert counts[16] - counts[8] <= 12 * 8
-    assert counts[8] - counts[4] <= 12 * 4
+        counts.add(len(tape))
+    assert len(counts) == 1 and counts.pop() <= 40
+
+
+@pytest.mark.parametrize("rep,rank", [("dense", 0), ("mps", 3), ("mpo", 3)])
+def test_backward_frees_the_window_it_consumes(rep, rank):
+    """On a desk-size window (E = H = 64, V = 500, batch 20 x unroll 35)
+    ``backward`` releases the tape as it goes: traced memory afterwards is
+    at most what the forward left, and the peak stays within 1.5x of it."""
+    arch = ModelArch(vocab_size=500, embed_dim=64, hidden_dim=64, representation=rep,
+                     rank=rank, unroll=35, batch_size=20)
+    model = build_model(arch, seed=46)
+    tokens = np.random.default_rng(47).integers(0, 500, size=(20, 36))
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        loss = sequence_nll(tape, forward_lm(model, tokens[:, :-1], tape), tokens[:, 1:])
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(tape, loss)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 0
+    assert after <= before
+    assert peak <= 1.5 * before
+
+
+def _step_in_numpy(model, wx_x, wh_h, c):
+    """One step written out in numpy from the raw products ``W_x x`` and
+    ``W_h h`` of a batch of 3 at H = 8, ``(ax + ah) + gate_bias`` in that
+    order; returns ``(h', c')``."""
+    def norm(pre, ln):
+        blocks = pre.reshape(3, 4, 8)
+        return ag.layer_norm(None, Var(blocks), ln.gain, ln.bias, ln.eps).value.reshape(3, 32)
+
+    pre = (norm(wx_x, model.ln_x) + norm(wh_h, model.ln_h)) + model.gate_bias.value
+    i, f, g, o = (pre[:, k * 8:(k + 1) * 8] for k in range(4))
+    c_new = (1.0 / (1.0 + np.exp(-f))) * c + (1.0 / (1.0 + np.exp(-i))) * np.tanh(g)
+    return (1.0 / (1.0 + np.exp(-o))) * np.tanh(c_new), c_new
 
 
 def test_lstm_step_adds_bias_after_both_normalized_terms():
@@ -263,17 +302,27 @@ def test_lstm_step_adds_bias_after_both_normalized_terms():
     model = build_model(_tiny_arch(), seed=44)
     rng = np.random.default_rng(45)
     x, h, c = rng.normal(size=(3, 8)), rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
+    h_want, c_want = _step_in_numpy(model, x @ model.wx.params[0].value.T,
+                                    h @ model.wh.params[0].value.T, c)
+    h_got, c_got = lstm_step(model, x, h, c)
+    assert c_got.tobytes() == c_want.tobytes()
+    assert h_got.tobytes() == h_want.tobytes()
 
-    def norm(pre, ln):
-        blocks = pre.reshape(3, 4, 8)
-        return ag.layer_norm(None, Var(blocks), ln.gain, ln.bias, ln.eps).value.reshape(3, 32)
 
-    ax = norm(x @ model.wx.params[0].value.T, model.ln_x)
-    ah = norm(h @ model.wh.params[0].value.T, model.ln_h)
-    pre = (ax + ah) + model.gate_bias.value
-    i, f, g, o = (pre[:, k * 8:(k + 1) * 8] for k in range(4))
-    c_want = (1.0 / (1.0 + np.exp(-f))) * c + (1.0 / (1.0 + np.exp(-i))) * np.tanh(g)
-    h_want = (1.0 / (1.0 + np.exp(-o))) * np.tanh(c_want)
+@pytest.mark.parametrize("rep,rank", [("dense", 0), ("mps", 3), ("mpo", 3)])
+def test_scan_recurrent_product_is_prepare_apply(rep, rank):
+    """``lstm_step`` (the scan with T = 1) equals the step written out in
+    numpy on ``TTLinear.prepare(None)``'s apply, bitwise: the scan
+    multiplies ``h`` by exactly the factors ``apply`` does."""
+    model = build_model(_tiny_arch(rep, rank=rank), seed=48)
+    rng = np.random.default_rng(49)
+    x, h, c = rng.normal(size=(3, 8)), rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
+    wh_h = model.wh.prepare(None)(Var(h)).value
+    a = h
+    for w in model.wh.transposed_factors(None):
+        a = a @ w.value
+    assert a.tobytes() == wh_h.tobytes()
+    h_want, c_want = _step_in_numpy(model, model.wx.prepare(None)(Var(x)).value, wh_h, c)
     h_got, c_got = lstm_step(model, x, h, c)
     assert c_got.tobytes() == c_want.tobytes()
     assert h_got.tobytes() == h_want.tobytes()

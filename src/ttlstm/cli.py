@@ -100,27 +100,24 @@ def _dims(cfg: dict[str, str], key: str):
 def _build_arch(cfg: dict[str, str], vocab_size: int):
     from .contract import pick_rank
     from .nn import ModelArch
-    from .ttrain import ShapeFactorization, balanced_factorization
 
-    embed_dim = _number(cfg, "embed_dim")
-    hidden_dim = _number(cfg, "hidden_dim")
     rep = cfg["representation"]
-    factors = _number(cfg, "factors")
+    fields = dict(
+        vocab_size=vocab_size, embed_dim=_number(cfg, "embed_dim"),
+        hidden_dim=_number(cfg, "hidden_dim"), representation=rep,
+        n_factors=_number(cfg, "factors"), init=cfg["init"],
+        unroll=_number(cfg, "unroll"), batch_size=_number(cfg, "batch_size"),
+        wx_row_dims=_dims(cfg, "wx_row_dims"), wx_col_dims=_dims(cfg, "wx_col_dims"),
+        wh_row_dims=_dims(cfg, "wh_row_dims"), wh_col_dims=_dims(cfg, "wh_col_dims"),
+    )
     rank = _number(cfg, "rank")
     if rep != "dense" and rank < 1:
         target = _number(cfg, "target_rate", float)
         if target <= 1.0:
             raise ConfigError("tensor-train stacks need rank >= 1 or target_rate > 1")
-        rows = _dims(cfg, "wx_row_dims") or balanced_factorization(4 * hidden_dim, factors)
-        cols = _dims(cfg, "wx_col_dims") or balanced_factorization(embed_dim, factors)
-        rank = pick_rank(target, ShapeFactorization(rows, cols), rep)
-    return ModelArch(
-        vocab_size=vocab_size, embed_dim=embed_dim, hidden_dim=hidden_dim,
-        representation=rep, n_factors=factors, rank=rank, init=cfg["init"],
-        unroll=_number(cfg, "unroll"), batch_size=_number(cfg, "batch_size"),
-        wx_row_dims=_dims(cfg, "wx_row_dims"), wx_col_dims=_dims(cfg, "wx_col_dims"),
-        wh_row_dims=_dims(cfg, "wh_row_dims"), wh_col_dims=_dims(cfg, "wh_col_dims"),
-    )
+        # the factorization does not depend on the rank, so any rank >= 1 plans it
+        rank = pick_rank(target, ModelArch(**fields, rank=1).wx_fact(), rep)
+    return ModelArch(**fields, rank=rank)
 
 
 def _read_corpus(path) -> str:
@@ -246,8 +243,8 @@ def cmd_train(args) -> int:
     except NumericError:
         records.append(RunRecord(
             command="train", metric="numeric_error", value=float("nan"),
-            config_hash=cfg_hash, representation=arch.representation,
-            rank=arch.rank, lam=distill.lam))
+            config_hash=cfg_hash, representation=arch.representation, rank=arch.rank,
+            compression_rate=model.gate_compression_rate(), lam=distill.lam))
         if args.records:
             append_records(args.records, records)
         raise

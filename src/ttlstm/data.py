@@ -170,25 +170,24 @@ def _word_list(count: int, rng: np.random.Generator) -> list[str]:
     return words
 
 
-def synthetic_corpus(n_tokens: int, vocab_size: int = 500, seed: int = 0,
-                     branching: int = 5) -> str:
+def synthetic_corpus(n_tokens: int, vocab_size: int = 500, seed: int = 0) -> str:
     """Deterministic pseudo-language corpus for demos and tests.
 
     Sentences follow a sparse first-order Markov chain: every word has
-    ``branching`` possible successors with skewed probabilities, so there
+    five possible successors with skewed probabilities, so there
     is real sequential structure for a model to learn while the unigram
     distribution stays broad. Generated from scratch, so the text is free
     of any third-party content.
     """
-    if n_tokens < 1 or vocab_size < 2:
-        raise DomainError("need at least one token and two word types")
+    if n_tokens < 1 or vocab_size < 5:
+        raise DomainError("need at least one token and five word types")
     rng = np.random.default_rng(seed)
     words = _word_list(vocab_size, rng)
     successors = np.array([
-        rng.choice(vocab_size, size=branching, replace=False)
+        rng.choice(vocab_size, size=5, replace=False)
         for _ in range(vocab_size)
     ])
-    weights = np.array([0.45, 0.25, 0.15, 0.10, 0.05][:branching], dtype=np.float64)
+    weights = np.array([0.45, 0.25, 0.15, 0.10, 0.05])
     weights /= weights.sum()
     # Zipf-ish start-word distribution
     start_p = 1.0 / np.arange(1, vocab_size + 1, dtype=np.float64)
@@ -201,7 +200,7 @@ def synthetic_corpus(n_tokens: int, vocab_size: int = 500, seed: int = 0,
         w = int(rng.choice(vocab_size, p=start_p))
         sentence = [words[w]]
         for _ in range(length - 1):
-            w = int(successors[w][rng.choice(branching, p=weights)])
+            w = int(successors[w][rng.choice(5, p=weights)])
             sentence.append(words[w])
         lines.append(" ".join(sentence))
         produced += length + 1     # mirrors the end-of-sentence id added on encode

@@ -44,7 +44,7 @@ _SCALAR_KEYS = {
     "init_kind", "optimizer", "lr", "epochs", "clip", "distill_mode",
     "distill_lambda",
 }
-_STACK_KEYS = {"kind", "row_dims", "col_dims", "row_ranks", "col_ranks", "ranks", "col_perm"}
+_STACK_KEYS = {"kind", "row_dims", "col_dims", "row_ranks", "col_ranks", "ranks"}
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -62,8 +62,6 @@ def _stack_manifest(prefix: str, lin: TTLinear) -> dict[str, str]:
     fact = lin.fact
     out[f"{prefix}_row_dims"] = _render(fact.row_dims)
     out[f"{prefix}_col_dims"] = _render(fact.col_dims)
-    if fact.col_permutation is not None:
-        out[f"{prefix}_col_perm"] = _render(fact.col_permutation)
     train = lin.to_train()
     if lin.kind == "mps":
         out[f"{prefix}_row_ranks"] = _render(train.row_ranks)
@@ -192,9 +190,7 @@ def _rebuild_stack(prefix: str, man: dict[str, str], tensors: dict[str, np.ndarr
             raise FormatError(f"{prefix} declares {[a.shape for a in arrays]}, "
                               f"architecture needs one {(out_dim, in_dim)} weight")
         return TTLinear.dense(arrays[0], name=prefix)
-    perm = _ints(man[f"{prefix}_col_perm"]) if f"{prefix}_col_perm" in man else None
-    fact = ShapeFactorization(_ints(man[f"{prefix}_row_dims"]),
-                              _ints(man[f"{prefix}_col_dims"]), perm)
+    fact = ShapeFactorization(_ints(man[f"{prefix}_row_dims"]), _ints(man[f"{prefix}_col_dims"]))
     if kind == "mps":
         train = MpsTrain(fact, arrays[:fact.n], arrays[fact.n:])
     else:

@@ -16,8 +16,9 @@ factor pair ``[F, G^T]`` (``factor_pair``), so its dense matrix is
 Gate order in the stacked rows is fixed as (i, f, g, o): input, forget,
 cell candidate, output. Layer normalization is applied separately to the
 ``W_x x`` and ``W_h h`` pre-activations, per gate block of length H, each
-with its own gain and bias; the cell state is not normalized. The output
-projection is a dense, untied H x V matrix.
+with its own gain and bias and the fixed variance floor ``LN_EPS``; the
+cell state is not normalized. The output projection is a dense, untied
+H x V matrix.
 
 ``forward_lm`` runs at sequence level: only what depends on ``h`` stays
 in the time loop. The window's embeddings are gathered once in time-major
@@ -80,11 +81,11 @@ LN_EPS = 1e-5
 
 @dataclass
 class LayerNormParams:
-    """Learned gain and bias for per-block standardization."""
+    """Learned gain and bias for per-block standardization; the variance
+    floor is ``LN_EPS``."""
 
     gain: Var
     bias: Var
-    eps: float = LN_EPS
 
 
 class TTLinear:
@@ -304,7 +305,7 @@ def build_model(arch: ModelArch, seed: int = 0) -> TTLstmModel:
 def _block_norm(tape, pre: Var, ln: LayerNormParams) -> Var:
     rows, width = pre.shape
     blocks = ag.reshape(tape, pre, (rows, 4, width // 4))
-    normed = ag.layer_norm(tape, blocks, ln.gain, ln.bias, ln.eps)
+    normed = ag.layer_norm(tape, blocks, ln.gain, ln.bias, LN_EPS)
     return ag.reshape(tape, normed, (rows, width))
 
 
@@ -322,7 +323,7 @@ def lstm_step(model: TTLstmModel, x_t: np.ndarray, h: np.ndarray, c: np.ndarray)
     ax = _block_norm(None, model.wx.prepare(None)(Var(x2)), model.ln_x)
     ln = model.ln_h
     hs, c_new = ag.lstm_scan(None, ax.value[None], model.wh.transposed_factors(None), ln.gain,
-                             ln.bias, model.gate_bias, h2, c2, ln.eps)
+                             ln.bias, model.gate_bias, h2, c2, LN_EPS)
     if single:
         return hs.value[0, 0], c_new[0]
     return hs.value[0], c_new
@@ -334,7 +335,6 @@ class ForwardResult:
     logit_rows: Var                          # (batch * T, V), batch-major rows
     hidden: np.ndarray                       # (batch, T, H), h after each step
     state: tuple[np.ndarray, np.ndarray]     # detached (h, c)
-    tape: Tape | None
 
 
 def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
@@ -365,13 +365,13 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
     ax = ag.reshape(tape, ax, (steps, batch, 4 * hidden))
     ln = model.ln_h
     hs, c = ag.lstm_scan(tape, ax, model.wh.transposed_factors(tape), ln.gain, ln.bias,
-                         model.gate_bias, *state, ln.eps)           # (T, batch, H)
+                         model.gate_bias, *state, LN_EPS)           # (T, batch, H)
     seq = ag.transpose(tape, hs, (1, 0, 2))                         # (batch, T, H)
     rows = ag.reshape(tape, seq, (batch * steps, hidden))
     logit_rows = ag.linear(tape, rows, model.proj_w, model.proj_b)
     logits = logit_rows.value.reshape(batch, steps, -1)
     return ForwardResult(logits, logit_rows, rows.value.reshape(batch, steps, hidden),
-                         (hs.value[-1].copy(), c.copy()), tape)
+                         (hs.value[-1].copy(), c.copy()))
 
 
 def sequence_nll(tape, result: ForwardResult, targets: np.ndarray) -> Var:

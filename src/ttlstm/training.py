@@ -158,8 +158,12 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
     ``cfg.distill``; ``cov_x``/``cov_h`` supply the activation covariances
     for ``kda`` mode, ``E x E`` and ``H x H`` (else :class:`ConfigError`).
     An MPS stack pays the factored penalty, dense and MPO stacks
-    ``kd_penalty`` on their dense matrix (see :mod:`distill`). Aborts with :class:`NumericError` if the loss stops
-    being finite (after reporting the failing epoch via ``epoch_callback``).
+    ``kd_penalty`` on their dense matrix (see :mod:`distill`).
+    ``epoch_callback`` receives the :class:`EpochStats` of each completed
+    epoch. A stream of either split shorter than one window raises
+    :class:`DomainError` before any window runs. A non-finite loss or
+    gradient norm raises :class:`NumericError` in the window where it
+    appears, and the failing epoch is never reported.
     """
     distill = cfg.distill
     if distill.active and teacher is None:
@@ -184,6 +188,7 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
                      _stack_penalty(model.wh, teacher.wh, sh, distill.lam))
     arch = model.arch
     stream = make_batches(train_ids, arch.batch_size, arch.unroll)
+    make_batches(valid_ids, arch.batch_size, arch.unroll)     # fail before training, not after
     optimizer = _Sgd(cfg) if cfg.optimizer == "sgd" else _Adam(cfg)
     params = model.parameters()
     history: list[EpochStats] = []
@@ -198,10 +203,6 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
             tape = Tape()
             loss, ce_value, state = _window_loss(model, tape, batch, penalties, state)
             if not np.isfinite(loss.value):
-                stats = EpochStats(epoch, math.inf, math.inf, math.inf, math.inf,
-                                   optimizer.lr, last_norm)
-                if epoch_callback:
-                    epoch_callback(stats)
                 raise NumericError(f"non-finite loss in epoch {epoch}")
             ag.backward(tape, loss)
             last_norm = clip_gradients(params, cfg.clip)

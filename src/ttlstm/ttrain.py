@@ -5,9 +5,9 @@ An ``N x M`` matrix is embedded into a tensor by factorizing
 row cores ``A_k`` of shape ``(r_{k-1}, I_k, r_k)`` and column cores
 ``B_k`` of shape ``(s_{k-1}, J_k, s_k)`` with boundary ranks
 ``r_0 = s_m = 1`` and a shared middle rank ``r_n = s_0``. The MPO train
-(requires ``n == m``) fuses each row/column factor pair into a single
-middle extent ``I_k * J_k``, pairing ``(i_k, j_k)`` as the fused index
-``i_k + (j_k - 1) I_k``.
+(requires ``n == m``) fuses row factor k with column factor k into a
+single middle extent ``I_k * J_k``, pairing ``(i_k, j_k)`` as the fused
+index ``i_k + (j_k - 1) I_k``.
 
 Trains are immutable value objects; construction takes an explicit seed.
 
@@ -27,7 +27,7 @@ to left as a whole and then unfuses its paired indices
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -65,24 +65,16 @@ MATERIALIZATION_CAP = 1 << 26
 
 @dataclass(frozen=True)
 class ShapeFactorization:
-    """Dimension factorizations embedding an ``N x M`` matrix into a tensor.
-
-    ``col_permutation`` (0-based, optional) reorders the column factors
-    when fusing for MPO, so fused extents become ``I_k * J_perm[k]``.
-    """
+    """Dimension factorizations embedding an ``N x M`` matrix into a tensor."""
 
     row_dims: tuple[int, ...]
     col_dims: tuple[int, ...]
-    col_permutation: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not self.row_dims or not self.col_dims:
             raise ShapeError("factorizations need at least one factor per side")
         if any(d < 1 for d in self.row_dims + self.col_dims):
             raise ShapeError("all factors must be >= 1")
-        if self.col_permutation is not None:
-            if sorted(self.col_permutation) != list(range(len(self.col_dims))):
-                raise ShapeError("col_permutation must permute 0..m-1")
         object.__setattr__(self, "row_dims", tuple(int(d) for d in self.row_dims))
         object.__setattr__(self, "col_dims", tuple(int(d) for d in self.col_dims))
 
@@ -102,15 +94,11 @@ class ShapeFactorization:
     def n_cols(self) -> int:
         return math.prod(self.col_dims)
 
-    def permuted_col_dims(self) -> tuple[int, ...]:
-        perm = self.col_permutation or tuple(range(self.m))
-        return tuple(self.col_dims[p] for p in perm)
-
     def fused_dims(self) -> tuple[int, ...]:
-        """Middle extents ``I_k * J_perm[k]`` of the MPO cores."""
+        """Middle extents ``I_k * J_k`` of the MPO cores."""
         if self.n != self.m:
             raise ShapeError(f"MPO fusing needs n == m, got {self.n} and {self.m}")
-        return tuple(i * j for i, j in zip(self.row_dims, self.permuted_col_dims()))
+        return tuple(i * j for i, j in zip(self.row_dims, self.col_dims))
 
 
 @dataclass(frozen=True)
@@ -206,7 +194,7 @@ class MpoTrain:
     """Single core chain with fused row/column middle extents."""
 
     fact: ShapeFactorization
-    cores: tuple[np.ndarray, ...] = field(default=())
+    cores: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "cores", tuple(self.cores))
@@ -399,31 +387,29 @@ def dense_matrix(tape, fact: ShapeFactorization, cores, counter=None) -> Var:
         return _matmul(tape, f, g_t, counter)
     acc = collapse_right(tape, cores, counter)
     # Fused index i_k + (j_k - 1) I_k means j varies slower than i, so each
-    # fused axis splits as (J_perm[k], I_k) in row-major order.
-    perm = fact.col_permutation or tuple(range(fact.m))
+    # fused axis splits as (J_k, I_k) in row-major order.
     split = []
-    for i_dim, j_dim in zip(fact.row_dims, fact.permuted_col_dims()):
+    for i_dim, j_dim in zip(fact.row_dims, fact.col_dims):
         split.extend((j_dim, i_dim))
     tensor = ag.reshape(tape, acc, split)
-    # Column axis 2k holds original factor perm[k]; emit original order.
-    row_axes = [2 * k + 1 for k in range(fact.n)]
-    col_axes = [2 * perm.index(j) for j in range(fact.m)]
-    tensor = ag.transpose(tape, tensor, row_axes + col_axes)
+    rows_then_cols = [2 * k + 1 for k in range(fact.n)] + [2 * k for k in range(fact.m)]
+    tensor = ag.transpose(tape, tensor, rows_then_cols)
     return ag.reshape(tape, tensor, (fact.n_rows, fact.n_cols))
 
 
-def check_capacity(fact: ShapeFactorization, max_entries: int = MATERIALIZATION_CAP):
-    """Raise :class:`CapacityError` when ``N * M`` exceeds ``max_entries``."""
-    if fact.n_rows * fact.n_cols > max_entries:
-        raise CapacityError(f"{fact.n_rows} x {fact.n_cols} exceeds cap of {max_entries} entries")
+def check_capacity(fact: ShapeFactorization):
+    """Raise :class:`CapacityError` when ``N * M`` exceeds ``MATERIALIZATION_CAP``."""
+    if fact.n_rows * fact.n_cols > MATERIALIZATION_CAP:
+        raise CapacityError(f"{fact.n_rows} x {fact.n_cols} exceeds cap of "
+                            f"{MATERIALIZATION_CAP} entries")
 
 
-def reconstruct(train: MpsTrain | MpoTrain, max_entries: int = MATERIALIZATION_CAP) -> np.ndarray:
+def reconstruct(train: MpsTrain | MpoTrain) -> np.ndarray:
     """Materialize the dense ``N x M`` matrix the train represents.
 
-    Raises :class:`CapacityError` when ``N * M`` exceeds ``max_entries``.
+    Raises :class:`CapacityError` when ``N * M`` exceeds ``MATERIALIZATION_CAP``.
     """
-    check_capacity(train.fact, max_entries)
+    check_capacity(train.fact)
     return dense_matrix(None, train.fact, train.cores).value
 
 

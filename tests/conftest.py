@@ -47,14 +47,12 @@ def brute_reconstruct_mps(train: MpsTrain) -> np.ndarray:
 
 def brute_reconstruct_mpo(train: MpoTrain) -> np.ndarray:
     fact = train.fact
-    perm = fact.col_permutation or tuple(range(fact.m))
-    pcols = fact.permuted_col_dims()
     rank_extents = [c.shape[2] for c in train.cores[:-1]]
     out = np.zeros((fact.n_rows, fact.n_cols))
     for i, row_mi in enumerate(colex_enumerate(fact.row_dims)):
         for j, col_mi in enumerate(colex_enumerate(fact.col_dims)):
-            # fused 0-based middle index of core k: j_perm[k] * I_k + i_k
-            fused = [col_mi[perm[k]] * fact.row_dims[k] + row_mi[k] for k in range(fact.n)]
+            # fused 0-based middle index of core k: j_k * I_k + i_k
+            fused = [col_mi[k] * fact.row_dims[k] + row_mi[k] for k in range(fact.n)]
             total = 0.0
             for path in itertools.product(*(range(r) for r in rank_extents)):
                 bonds = (0,) + path + (0,)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from ttlstm.contract import pick_rank
 from ttlstm.data import build_vocab, save_vocab, synthetic_corpus
 from ttlstm.modelfile import read_records, save_model
 from ttlstm.nn import ModelArch, build_model
@@ -150,6 +151,35 @@ def test_info_reproduces_gate_stack_costs(workdir):
     assert int(wx["storage"]) == 32_320
     assert abs(float(wx["compression_rate"]) - 52.2896) < 1e-3
     assert abs(float(wx["efficiency_gain"]) - 15.0) < 1e-9
+
+
+@pytest.mark.parametrize("dims", [{}, {"wx_row_dims": (4, 16), "wx_col_dims": (2, 8)}])
+def test_info_plans_target_rate_rank_on_the_model_factorization(tmp_path, dims):
+    arch = ModelArch(vocab_size=100, embed_dim=16, hidden_dim=16, representation="mps",
+                     rank=1, **dims)
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("vocab_size=100\nembed_dim=16\nhidden_dim=16\nrepresentation=mps\n"
+                   "target_rate=1.8\n"
+                   + "".join(f"{key}={','.join(map(str, v))}\n" for key, v in dims.items()))
+    proc = run_cli("info", "--config", cfg)
+    lines = proc.stdout.strip().splitlines()
+    ranks = {dict(zip(lines[0].split(","), line.split(",")))["rank"] for line in lines[1:]}
+    assert ranks == {str(pick_rank(1.8, arch.wx_fact(), "mps"))}
+
+
+def test_numeric_error_record_reports_the_model_compression_rate(workdir, tmp_path):
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text("vocab_size=100\nembed_dim=12\nhidden_dim=12\nunroll=8\nbatch_size=4\n"
+                   "representation=mps\nfactors=2\nrank=2\nlr=1e300\nclip=1e300\nseed=3\n")
+    records = tmp_path / "records.csv"
+    proc = run_cli("train", "--config", cfg, "--corpus", workdir / "corpus.txt",
+                   "--out", tmp_path / "blowup.ttlm", "--records", records, expect=4)
+    assert "numeric error" in proc.stderr
+    (row,) = [r for r in read_records(records) if r["metric"] == "numeric_error"]
+    rate = build_model(ModelArch(vocab_size=100, embed_dim=12, hidden_dim=12,
+                                 representation="mps", rank=2)).gate_compression_rate()
+    assert rate > 1.0
+    assert float(row["compression_rate"]) == rate
 
 
 def test_unknown_config_key_exits_2(workdir):

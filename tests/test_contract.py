@@ -33,8 +33,7 @@ STACK650_PARAMS = 2600 * 650
 
 @st.composite
 def _trains(draw, kind):
-    """A random MPS or MPO train with uneven inner ranks; an MPO also draws
-    a column permutation."""
+    """A random MPS or MPO train with uneven inner ranks."""
     def extents(count):
         return draw(st.lists(st.integers(1, 4), min_size=count, max_size=count).map(tuple))
 
@@ -45,9 +44,7 @@ def _trains(draw, kind):
         col_ranks = (row_ranks[-1],) + extents(len(cols) - 1) + (1,)
         return new_mps(ShapeFactorization(rows, cols), row_ranks, col_ranks, seed=seed)
     n = draw(st.integers(1, 3))
-    perm = draw(st.permutations(range(n)).map(tuple), label="col_permutation")
-    fact = ShapeFactorization(extents(n), extents(n), col_permutation=perm)
-    return new_mpo(fact, (1,) + extents(n - 1) + (1,), seed=seed)
+    return new_mpo(ShapeFactorization(extents(n), extents(n)), (1,) + extents(n - 1) + (1,), seed=seed)
 
 
 class TestFactorPair:

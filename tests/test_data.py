@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,21 @@ class TestSyntheticCorpus:
     def test_deterministic(self):
         assert synthetic_corpus(500, 40, seed=1) == synthetic_corpus(500, 40, seed=1)
         assert synthetic_corpus(500, 40, seed=1) != synthetic_corpus(500, 40, seed=2)
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "cd19b29cfe043a2d1c933078abb79b21fb57142ac1f867b1ac5c4b49d61975cc"),
+        (97, "c495f848d691005684c23db9ed9f9db98f5dab7af3ab458712e37522a9ffaaa8"),
+    ])
+    def test_benchmark_corpus_bytes_are_pinned(self, seed, digest):
+        # the benchmark's input generator: its recorded NLLs rest on these bytes
+        text = synthetic_corpus(5000, vocab_size=500, seed=seed)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("n_tokens,vocab_size", [(0, 40), (100, 4)])
+    def test_too_few_tokens_or_word_types_raise_domain_error(self, n_tokens, vocab_size):
+        # every word draws five distinct successors
+        with pytest.raises(DomainError):
+            synthetic_corpus(n_tokens, vocab_size)
 
     def test_token_budget_roughly_met(self):
         text = synthetic_corpus(5000, 100, seed=0)

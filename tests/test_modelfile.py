@@ -92,17 +92,21 @@ def test_trailing_bytes_rejected(tmp_path):
 
 
 def test_unknown_manifest_key_rejected(tmp_path):
-    path = tmp_path / "m.ttlm"
-    save_model(build_model(_arch(), seed=1), path)
-    raw = bytearray(path.read_bytes())
-    (man_len,) = struct.unpack("<Q", raw[len(MAGIC): len(MAGIC) + 8])
-    head = len(MAGIC) + 8
-    manifest = raw[head: head + man_len] + b"mystery_key=1\n"
-    raw[len(MAGIC): len(MAGIC) + 8] = struct.pack("<Q", len(manifest))
-    path.write_bytes(bytes(raw[:head]) + bytes(manifest) + bytes(raw[head + man_len:]))
-    with pytest.raises(FormatError) as err:
-        load_model(path)
-    assert "mystery_key" in str(err.value)
+    # wx_col_perm: an MPO pairs row factor k with column factor k, so a
+    # column permutation is no stack key
+    saved = tmp_path / "m.ttlm"
+    save_model(build_model(_arch(), seed=1), saved)
+    for line in (b"mystery_key=1\n", b"wx_col_perm=1,0\n"):
+        raw = bytearray(saved.read_bytes())
+        (man_len,) = struct.unpack("<Q", raw[len(MAGIC): len(MAGIC) + 8])
+        head = len(MAGIC) + 8
+        manifest = raw[head: head + man_len] + line
+        raw[len(MAGIC): len(MAGIC) + 8] = struct.pack("<Q", len(manifest))
+        path = tmp_path / "edited.ttlm"
+        path.write_bytes(bytes(raw[:head]) + bytes(manifest) + bytes(raw[head + man_len:]))
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert line.split(b"=")[0].decode() in str(err.value)
 
 
 def test_dim_blob_inconsistency_rejected(tmp_path):

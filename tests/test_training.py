@@ -6,7 +6,7 @@ from ttlstm.autograd import Parameter, Tape
 from ttlstm.data import build_vocab, encode_stream, make_batches, synthetic_corpus
 from ttlstm.distill import (DistillConfig, TeacherWeights, accumulate_covariance, kd_penalty,
                             total_loss)
-from ttlstm.errors import ConfigError, NumericError
+from ttlstm.errors import ConfigError, DomainError, NumericError
 from ttlstm.nn import ModelArch, TTLinear, build_model, forward_lm, lstm_step, sequence_nll
 import ttlstm.training as training
 from ttlstm.training import TrainConfig, clip_gradients, evaluate, train_model, collect_stack_inputs
@@ -94,8 +94,20 @@ class TestTrainModel:
         vocab, train_ids, valid_ids = _setup()
         model = build_model(_arch(vocab), seed=2)
         model.embed.value[:] = np.inf
+        reported = []
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            train_model(model, train_ids, valid_ids, TrainConfig(epochs=1))
+            train_model(model, train_ids, valid_ids, TrainConfig(epochs=1),
+                        epoch_callback=reported.append)
+        assert reported == []       # the callback sees completed epochs only
+
+    def test_validation_split_shorter_than_one_window_fails_before_training(self):
+        vocab, train_ids, valid_ids = _setup()
+        model = build_model(_arch(vocab, unroll=10, batch=8), seed=2)
+        before = [p.value.copy() for p in model.parameters()]
+        with pytest.raises(DomainError):
+            train_model(model, train_ids, valid_ids[:50], TrainConfig(epochs=1))
+        for a, p in zip(before, model.parameters()):
+            assert a.tobytes() == p.value.tobytes(), p.name
 
     def test_non_finite_gradient_norm_aborts_before_the_update(self, monkeypatch):
         vocab, train_ids, valid_ids = _setup()

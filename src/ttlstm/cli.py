@@ -54,13 +54,13 @@ _CONFIG_DEFAULTS: dict[str, str] = {
 
 
 def read_config(path) -> tuple[dict[str, str], str]:
-    """Parse a ``key=value`` config file; unknown keys are rejected."""
+    """Parse a ``key=value`` config file; unknown or repeated keys are rejected."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    values = dict(_CONFIG_DEFAULTS)
+    values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -70,7 +70,10 @@ def read_config(path) -> tuple[dict[str, str], str]:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _CONFIG_DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: repeated config key {key!r}")
         values[key] = value
+    values = {**_CONFIG_DEFAULTS, **values}
     config_hash = hashlib.sha256(
         "".join(f"{k}={values[k]}\n" for k in sorted(values)).encode()).hexdigest()[:12]
     return values, config_hash
@@ -178,9 +181,8 @@ def _load_covariance(path, embed_dim: int, hidden_dim: int):
 
 
 def _split_ids(ids, valid_fraction: float):
-    import numpy as np
-
-    ids = np.asarray(ids)
+    if not 0.0 < valid_fraction < 1.0:
+        raise ConfigError(f"config key 'valid_fraction' must lie in (0, 1), got {valid_fraction}")
     cut = int(round(ids.size * (1.0 - valid_fraction)))
     cut = max(1, min(ids.size - 1, cut))
     return ids[:cut], ids[cut:]
@@ -194,7 +196,10 @@ def cmd_train(args) -> int:
     from .training import TrainConfig, train_model
 
     cfg, cfg_hash = read_config(args.config)
-    seed = int(args.seed) if args.seed is not None else _number(cfg, "seed")
+    seed, seed_from = ((args.seed, "--seed") if args.seed is not None
+                       else (_number(cfg, "seed"), "config key 'seed'"))
+    if seed < 0:
+        raise ConfigError(f"{seed_from} must be >= 0, got {seed}")
     text = _read_corpus(args.corpus)
 
     teacher = None

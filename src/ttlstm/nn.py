@@ -21,16 +21,16 @@ cell state is not normalized. The output projection is a dense, untied
 H x V matrix.
 
 ``forward_lm`` runs at sequence level: only what depends on ``h`` stays
-in the time loop. The window's embeddings are gathered once in time-major
-order, ``W_x`` and its layer norm run once over all ``T * batch`` rows,
-and the output projection runs once over the stacked hidden states. The
-recurrence is one ``autograd.lstm_scan`` record: each step is ``W_h h``
-(``h`` times :meth:`TTLinear.transposed_factors`), its layer norm,
-``(ax_t + ah) + gate_bias`` and the cell. That add order is kept on
-purpose: folding the bias into the hoisted rows first changes the
-rounding, and over a long stateful stream the evaluation NLL drifts off
-its recorded references. ``lstm_step`` is the same scan with ``T = 1`` on
-plain arrays.
+in the time loop. It builds each stack's factor list once and returns
+both, for training's distillation penalty to read. The window's
+embeddings are gathered once in time-major order, ``W_x`` and its layer
+norm run once over all ``T * batch`` rows, and the output projection
+runs once over the stacked hidden states. The recurrence is one
+``autograd.lstm_scan`` record: each step is ``W_h h`` (``h`` times the
+transposed factors), its layer norm, ``(ax_t + ah) + gate_bias`` and the
+cell. That add order is kept on purpose: folding the bias into the
+hoisted rows first changes the rounding, and over a long stateful stream
+the evaluation NLL drifts off its recorded references.
 
 There is one softmax, ``autograd.cross_entropy``: ``sequence_nll`` and
 ``cross_entropy_perplexity`` both call it.
@@ -69,7 +69,6 @@ __all__ = [
     "TTLstmModel",
     "ForwardResult",
     "build_model",
-    "lstm_step",
     "forward_lm",
     "sequence_nll",
     "cross_entropy_perplexity",
@@ -149,27 +148,21 @@ class TTLinear:
 
     def dense_var(self, tape) -> Var:
         """Differentiable dense matrix; gradients flow to the cores. For
-        MPS this is ``F @ G^T`` from the factor pair."""
+        MPS this is ``F @ G^T`` from the factor pair. Only ``perfbench`` calls it."""
         if self.kind == "dense":
             return self.params[0]
         return dense_matrix(tape, self.fact, self.params)
-
-    def transposed_factors(self, tape) -> list[Var]:
-        """The transposes of :meth:`factors`, last factor first: what a
-        batch-first ``x`` is multiplied by, ``[G, F^T]`` for MPS and
-        ``[W^T]`` for dense and MPO."""
-        return [ag.transpose(tape, f) for f in reversed(self.factors(tape))]
 
     def prepare(self, tape):
         """One-time per-forward-pass setup; returns ``apply(x) -> Var`` for
         batch-first inputs of shape ``(batch, in_dim)``.
 
-        ``apply`` multiplies ``x`` by :meth:`transposed_factors` in order,
-        so an MPS call is ``(x G) F^T`` and costs ``mid_rank * (batch in +
-        batch out)`` multiply-adds, and an MPO matrix is reconstructed here
-        once.
+        ``apply`` multiplies ``x`` by the transposed factors as ``forward_lm``
+        does, so an MPS call is ``(x G) F^T`` and costs ``mid_rank * (batch in
+        + batch out)`` multiply-adds, and an MPO matrix is reconstructed here
+        once. Only ``perfbench`` calls it, to time the stacks.
         """
-        transposed = self.transposed_factors(tape)
+        transposed = _transposed(tape, self.factors(tape))
 
         def apply(x: Var) -> Var:
             for t in transposed:
@@ -177,6 +170,13 @@ class TTLinear:
             return x
 
         return apply
+
+
+def _transposed(tape, factors: list[Var]) -> list[Var]:
+    """The transposes of a :meth:`TTLinear.factors` list, last factor
+    first: what a batch-first ``x`` is multiplied by, ``[G, F^T]`` for MPS
+    and ``[W^T]`` for dense and MPO."""
+    return [ag.transpose(tape, f) for f in reversed(factors)]
 
 
 @dataclass(frozen=True)
@@ -309,44 +309,24 @@ def _block_norm(tape, pre: Var, ln: LayerNormParams) -> Var:
     return ag.reshape(tape, normed, (rows, width))
 
 
-def lstm_step(model: TTLstmModel, x_t: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """One recurrence step on plain arrays (no recording). Accepts single
-    vectors or batch-first matrices; returns ``(h', c')`` with matching
-    dimensionality."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    single = x_t.ndim == 1
-    x2 = x_t[None, :] if single else x_t
-    h2 = np.asarray(h, dtype=np.float64).reshape(x2.shape[0], -1)
-    c2 = np.asarray(c, dtype=np.float64).reshape(x2.shape[0], -1)
-    if x2.shape[1] != model.wx.in_dim or h2.shape[1] != model.hidden_dim:
-        raise ShapeError(f"step shapes {x2.shape}/{h2.shape} do not match the model")
-    ax = _block_norm(None, model.wx.prepare(None)(Var(x2)), model.ln_x)
-    ln = model.ln_h
-    hs, c_new = ag.lstm_scan(None, ax.value[None], model.wh.transposed_factors(None), ln.gain,
-                             ln.bias, model.gate_bias, h2, c2, LN_EPS)
-    if single:
-        return hs.value[0, 0], c_new[0]
-    return hs.value[0], c_new
-
-
 @dataclass
 class ForwardResult:
     logits: np.ndarray                       # (batch, T, V), a view of logit_rows
     logit_rows: Var                          # (batch * T, V), batch-major rows
     hidden: np.ndarray                       # (batch, T, H), h after each step
     state: tuple[np.ndarray, np.ndarray]     # detached (h, c)
+    factors: tuple[list[Var], list[Var]]     # W_x's and W_h's TTLinear.factors
 
 
 def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
                state: tuple[np.ndarray, np.ndarray] | None = None) -> ForwardResult:
     """Unroll the cell over a ``(batch, T)`` token window.
 
-    Only the recurrence runs per step. The embedding gather, ``W_x`` and
-    its layer norm run once over all ``T * batch`` rows before the loop;
-    the output projection runs once over the stacked hidden states after
-    it. The initial state is zero unless a carried ``state`` is supplied;
-    the returned state is detached, so gradients never cross window
-    boundaries.
+    Only the recurrence runs per step. Each stack's factors, the embedding
+    gather, ``W_x`` and its layer norm run once before the loop, the
+    output projection once after it. The initial state is zero unless a
+    carried ``state`` is supplied; the returned state is detached, so
+    gradients never cross window boundaries.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -359,29 +339,39 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
     hidden = model.arch.hidden_dim
     if state is None:
         state = (np.zeros((batch, hidden)), np.zeros((batch, hidden)))
-    apply_x = model.wx.prepare(tape)
-    x = ag.gather_rows(tape, model.embed, tokens.T.reshape(-1))    # time-major rows
-    ax = _block_norm(tape, apply_x(x), model.ln_x)
+    wx, wh = model.wx.factors(tape), model.wh.factors(tape)
+    ax = ag.gather_rows(tape, model.embed, tokens.T.reshape(-1))   # time-major rows
+    for t in _transposed(tape, wx):
+        ax = ag.matmul(tape, ax, t)
+    ax = _block_norm(tape, ax, model.ln_x)
     ax = ag.reshape(tape, ax, (steps, batch, 4 * hidden))
     ln = model.ln_h
-    hs, c = ag.lstm_scan(tape, ax, model.wh.transposed_factors(tape), ln.gain, ln.bias,
+    hs, c = ag.lstm_scan(tape, ax, _transposed(tape, wh), ln.gain, ln.bias,
                          model.gate_bias, *state, LN_EPS)           # (T, batch, H)
     seq = ag.transpose(tape, hs, (1, 0, 2))                         # (batch, T, H)
     rows = ag.reshape(tape, seq, (batch * steps, hidden))
     logit_rows = ag.linear(tape, rows, model.proj_w, model.proj_b)
     logits = logit_rows.value.reshape(batch, steps, -1)
     return ForwardResult(logits, logit_rows, rows.value.reshape(batch, steps, hidden),
-                         (hs.value[-1].copy(), c.copy()))
+                         (hs.value[-1].copy(), c.copy()), (wx, wh))
 
 
 def sequence_nll(tape, result: ForwardResult, targets: np.ndarray) -> Var:
-    """Token-mean negative log-likelihood over all unrolled steps."""
-    return ag.cross_entropy(tape, result.logit_rows, np.asarray(targets).reshape(-1))
+    """Token-mean negative log-likelihood over all unrolled steps; ``targets``
+    must be ``(batch, T)`` like the window (else :class:`ShapeError`)."""
+    targets = np.asarray(targets)
+    if targets.shape != result.logits.shape[:2]:
+        raise ShapeError(f"targets {targets.shape} for a {result.logits.shape[:2]} window")
+    return ag.cross_entropy(tape, result.logit_rows, targets.reshape(-1))
 
 
 def cross_entropy_perplexity(logits: np.ndarray, targets: np.ndarray):
     """Token-mean NLL under a softmax over the last axis, and its exp;
-    ``autograd.cross_entropy`` on the logits flattened to rows."""
-    logits = np.asarray(logits, dtype=np.float64)
+    ``autograd.cross_entropy`` on the logits flattened to rows; ``targets``
+    must be ``logits.shape[:-1]`` (else :class:`ShapeError`). Only
+    ``perfbench`` calls it."""
+    logits, targets = np.asarray(logits, dtype=np.float64), np.asarray(targets)
+    if targets.shape != logits.shape[:-1]:
+        raise ShapeError(f"targets {targets.shape} for logits {logits.shape}")
     nll = float(ag.cross_entropy(None, logits.reshape(-1, logits.shape[-1]), targets).value)
     return nll, float(np.exp(nll))

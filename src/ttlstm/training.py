@@ -129,14 +129,14 @@ def evaluate(model: TTLstmModel, ids: np.ndarray):
 
 
 def _stack_penalty(stack: TTLinear, teacher_w: np.ndarray, cov, lam: float):
-    """``tape -> penalty Var`` for one gate stack. An MPS stack pays the
-    factored penalty on its factor pair, from a :class:`KdTarget` built
-    here once per call; dense and MPO stacks pay ``kd_penalty`` on their
-    dense matrix."""
+    """``(tape, factors) -> penalty Var`` for one gate stack, on the factor
+    list ``forward_lm`` built for the window: the factored penalty on an MPS
+    pair ``[F, G^T]`` from a :class:`KdTarget` built here once per call,
+    ``kd_penalty`` on a dense or MPO stack's one factor ``[W]``."""
     if stack.kind == "mps":
         target = KdTarget.build(teacher_w, cov)
-        return lambda tape: factored_kd_penalty(tape, target, *stack.factors(tape), lam)
-    return lambda tape: kd_penalty(tape, teacher_w, stack.dense_var(tape), lam, cov)
+        return lambda tape, factors: factored_kd_penalty(tape, target, *factors, lam)
+    return lambda tape, factors: kd_penalty(tape, teacher_w, factors[0], lam, cov)
 
 
 def _window_loss(model, tape, batch, penalties, state):
@@ -144,8 +144,7 @@ def _window_loss(model, tape, batch, penalties, state):
     ce = sequence_nll(tape, out, batch.targets)
     penalty = None
     if penalties:
-        pen_x, pen_h = penalties
-        penalty = ag.add(tape, pen_x(tape), pen_h(tape))
+        penalty = ag.add(tape, *(pen(tape, f) for pen, f in zip(penalties, out.factors)))
     return total_loss(tape, ce, penalty), float(ce.value), out.state
 
 
@@ -157,8 +156,8 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
     ``teacher`` enables the distillation penalty configured in
     ``cfg.distill``; ``cov_x``/``cov_h`` supply the activation covariances
     for ``kda`` mode, ``E x E`` and ``H x H`` (else :class:`ConfigError`).
-    An MPS stack pays the factored penalty, dense and MPO stacks
-    ``kd_penalty`` on their dense matrix (see :mod:`distill`).
+    The penalty reads the window's factors from ``forward_lm``: the factored
+    form on an MPS pair, ``kd_penalty`` on a dense or MPO ``[W]`` (:mod:`distill`).
     ``epoch_callback`` receives the :class:`EpochStats` of each completed
     epoch. A stream of either split shorter than one window raises
     :class:`DomainError` before any window runs. A non-finite loss or

@@ -21,7 +21,7 @@ pair (:func:`factor_pair`): the row chain collapses left to right into
 to left as a whole and then unfuses its paired indices
 (:func:`dense_matrix`). ``reconstruct``, ``build_factor_pair`` and
 ``mpo_matvec`` in :mod:`contract`, and ``TTLinear.factors`` and
-``dense_var`` in :mod:`nn` all call them.
+``dense_var`` in :mod:`nn` all call them; a window calls them once per stack.
 """
 
 from __future__ import annotations

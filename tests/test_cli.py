@@ -190,6 +190,37 @@ def test_unknown_config_key_exits_2(workdir):
     assert "unknown config key" in proc.stderr
 
 
+def test_repeated_config_key_exits_2(workdir, tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text((workdir / "dense.cfg").read_text() + "epochs=3\n")
+    proc = run_cli("train", "--config", cfg, "--corpus", workdir / "corpus.txt",
+                   "--out", tmp_path / "twice.ttlm", expect=2)
+    line = len((workdir / "dense.cfg").read_text().splitlines()) + 1
+    assert f"twice.cfg:{line}: repeated config key 'epochs'" in proc.stderr
+    assert "epoch 1" not in proc.stdout
+
+
+@pytest.mark.parametrize("seed_from", ["config", "flag"])
+def test_negative_seed_exits_2(workdir, tmp_path, seed_from):
+    if seed_from == "config":
+        argv, named = ["--config", _config_with(workdir, tmp_path, "seed", -1, "dense.cfg")], \
+            "'seed'"
+    else:
+        argv, named = ["--config", workdir / "dense.cfg", "--seed", -3], "--seed"
+    proc = run_cli("train", *argv, "--corpus", workdir / "corpus.txt",
+                   "--out", tmp_path / "seed.ttlm", expect=2)
+    assert proc.stderr.startswith("config error:") and named in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.1"])
+def test_valid_fraction_outside_the_unit_interval_exits_2(workdir, tmp_path, fraction):
+    cfg = _config_with(workdir, tmp_path, "valid_fraction", fraction, "dense.cfg")
+    proc = run_cli("train", "--config", cfg, "--corpus", workdir / "corpus.txt",
+                   "--out", tmp_path / "split.ttlm", expect=2)
+    assert "'valid_fraction'" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_corrupted_model_exits_3(workdir, teacher):
     corrupt = workdir / "corrupt.ttlm"
     raw = teacher.read_bytes()
@@ -292,12 +323,20 @@ def test_factor_dims_that_miss_the_stack_exit_2(workdir, tmp_path, command):
     assert "wx_row_dims" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def _config_with(workdir, tmp_path, key, value, base="mps.cfg"):
+    """A copy of ``base`` whose ``key`` line reads ``key=value``."""
+    lines = [line for line in (workdir / base).read_text().splitlines()
+             if not line.startswith(f"{key}=")]
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text("\n".join(lines + [f"{key}={value}"]) + "\n")
+    return cfg
+
+
 @pytest.mark.parametrize("command,key,value", [("info", "factors", "two"),
                                                ("train", "lr", "fast"),
                                                ("train", "wx_row_dims", "8,x")])
 def test_non_numeric_config_value_exits_2(workdir, tmp_path, command, key, value):
-    cfg = tmp_path / "words.cfg"
-    cfg.write_text((workdir / "mps.cfg").read_text() + f"{key}={value}\n")
+    cfg = _config_with(workdir, tmp_path, key, value)
     argv = ["--config", cfg]
     if command == "train":
         argv += ["--corpus", workdir / "corpus.txt", "--out", tmp_path / "words.ttlm"]

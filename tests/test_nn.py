@@ -5,7 +5,7 @@ import pytest
 
 import ttlstm.autograd as ag
 from ttlstm.autograd import Parameter, Tape, Var, backward, grad_check
-from ttlstm.errors import ConfigError, NumericError, VocabError
+from ttlstm.errors import ConfigError, NumericError, ShapeError, VocabError
 from ttlstm.nn import (
     LN_EPS,
     ModelArch,
@@ -13,7 +13,6 @@ from ttlstm.nn import (
     build_model,
     cross_entropy_perplexity,
     forward_lm,
-    lstm_step,
     sequence_nll,
 )
 from ttlstm.contract import build_factor_pair
@@ -58,6 +57,14 @@ def _tiny_arch(rep="dense", rank=0, v=20, e=8, h=8, factors=2):
                      unroll=4, batch_size=2)
 
 
+def _step(model, x, h, c):
+    """One recurrence step on batch-first arrays: ``forward_lm`` with
+    ``T = 1`` and the carried state ``(h, c)``, lane b reading token b
+    whose embedding row is set to ``x[b]``."""
+    model.embed.value[:len(x)] = x
+    return forward_lm(model, np.arange(len(x))[:, None], state=(h, c))
+
+
 class TestLstmStep:
     def _zero_model(self):
         model = build_model(_tiny_arch(), seed=0)
@@ -68,22 +75,22 @@ class TestLstmStep:
 
     def test_all_zero_weights_zero_cell(self):
         model = self._zero_model()
-        h, c = lstm_step(model, np.zeros(8), np.zeros(8), np.zeros(8))
+        h, c = _step(model, np.zeros((1, 8)), np.zeros((1, 8)), np.zeros((1, 8))).state
         np.testing.assert_allclose(h, 0.0, atol=1e-15)
         np.testing.assert_allclose(c, 0.0, atol=1e-15)
 
     def test_zero_weights_nonzero_cell_closed_form(self):
         model = self._zero_model()
-        c0 = np.linspace(-1.0, 1.0, 8)
-        h, c = lstm_step(model, np.zeros(8), np.zeros(8), c0)
+        c0 = np.linspace(-1.0, 1.0, 8)[None]
+        h, c = _step(model, np.zeros((1, 8)), np.zeros((1, 8)), c0).state
         np.testing.assert_allclose(c, 0.5 * c0, atol=1e-12)
         np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * c0), atol=1e-12)
 
     def test_cell_magnitude_bound(self):
         rng = np.random.default_rng(5)
         model = build_model(_tiny_arch(), seed=3)
-        c0 = rng.normal(scale=2.0, size=8)
-        _, c = lstm_step(model, rng.normal(size=8), rng.normal(size=8), c0)
+        c0 = rng.normal(scale=2.0, size=(1, 8))
+        _, c = _step(model, rng.normal(size=(1, 8)), rng.normal(size=(1, 8)), c0).state
         assert np.all(np.abs(c) <= np.abs(c0) + 1.0 + 1e-12)
 
     def test_dense_vs_mps_same_matrix(self):
@@ -94,9 +101,9 @@ class TestLstmStep:
         for name in ("embed", "gate_bias", "proj_w", "proj_b"):
             getattr(dense_model, name).value[:] = getattr(mps_model, name).value
         rng = np.random.default_rng(8)
-        x, h, c = rng.normal(size=8), rng.normal(size=8), rng.normal(size=8)
-        hd, cd = lstm_step(dense_model, x, h, c)
-        hm, cm = lstm_step(mps_model, x, h, c)
+        x, h, c = rng.normal(size=(1, 8)), rng.normal(size=(1, 8)), rng.normal(size=(1, 8))
+        hd, cd = _step(dense_model, x, h, c).state
+        hm, cm = _step(mps_model, x, h, c).state
         np.testing.assert_allclose(hd, hm, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(cd, cm, rtol=1e-10, atol=1e-12)
 
@@ -189,6 +196,13 @@ class TestCrossEntropyPerplexity:
         with pytest.raises(NumericError):
             cross_entropy_perplexity(logits, np.array([0, 1]))
 
+    def test_targets_of_another_shape_rejected(self):
+        logits = np.zeros((2, 5, 3))
+        targets = np.arange(10).reshape(2, 5) % 3
+        for wrong in (targets.T, targets.reshape(-1)):
+            with pytest.raises(ShapeError):
+                cross_entropy_perplexity(logits, wrong)
+
 
 def test_one_step_lm_grad_check_mps_gates():
     arch = _tiny_arch("mps", rank=2, v=12, e=6, h=6)
@@ -217,10 +231,21 @@ def test_sequence_nll_matches_value_level_perplexity():
     assert abs(float(loss.value) - nll) < 1e-12
 
 
+def test_sequence_nll_rejects_targets_of_another_shape():
+    """A ``(T, batch)`` array has as many entries as the ``(batch, T)``
+    window and used to pair tokens with the wrong logit rows silently."""
+    model = build_model(_tiny_arch(), seed=33)
+    tokens = np.random.default_rng(34).integers(0, 20, size=(2, 5))
+    out = forward_lm(model, tokens)
+    for wrong in (tokens.T, tokens.reshape(-1)):
+        with pytest.raises(ShapeError):
+            sequence_nll(None, out, wrong)
+
+
 @pytest.mark.parametrize("rep,rank", [("dense", 0), ("mps", 3), ("mpo", 3)])
 def test_forward_matches_lstm_step_loop_bitwise(rep, rank):
-    """The hoisted forward runs the same arithmetic as a loop of
-    ``lstm_step``, carried state included; this pins the
+    """The hoisted forward runs the same arithmetic as a loop of one-step
+    forwards (``T = 1``), carried state included; this pins the
     ``(ax + ah) + gate_bias`` add order the recorded references rest on."""
     arch = ModelArch(vocab_size=30, embed_dim=16, hidden_dim=16, representation=rep,
                      rank=rank, unroll=7, batch_size=5)
@@ -232,7 +257,7 @@ def test_forward_matches_lstm_step_loop_bitwise(rep, rank):
     h, c = state
     hs = []
     for t in range(7):
-        h, c = lstm_step(model, model.embed.value[tokens[:, t]], h, c)
+        h, c = forward_lm(model, tokens[:, t:t + 1], state=(h, c)).state
         hs.append(h)
     for t in range(7):
         assert out.hidden[:, t].tobytes() == hs[t].tobytes()
@@ -298,33 +323,35 @@ def _step_in_numpy(model, wx_x, wh_h, c):
 
 def test_lstm_step_adds_bias_after_both_normalized_terms():
     """A dense step written out in numpy, ``(ax + ah) + gate_bias`` in that
-    order, equals ``lstm_step`` bitwise; with the loop test above it pins
-    the rounding of the whole forward."""
+    order, equals a one-step ``forward_lm`` bitwise; with the loop test
+    above it pins the rounding of the whole forward."""
     model = build_model(_tiny_arch(), seed=44)
     rng = np.random.default_rng(45)
     x, h, c = rng.normal(size=(3, 8)), rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
     h_want, c_want = _step_in_numpy(model, x @ model.wx.params[0].value.T,
                                     h @ model.wh.params[0].value.T, c)
-    h_got, c_got = lstm_step(model, x, h, c)
+    h_got, c_got = _step(model, x, h, c).state
     assert c_got.tobytes() == c_want.tobytes()
     assert h_got.tobytes() == h_want.tobytes()
 
 
 @pytest.mark.parametrize("rep,rank", [("dense", 0), ("mps", 3), ("mpo", 3)])
 def test_scan_recurrent_product_is_prepare_apply(rep, rank):
-    """``lstm_step`` (the scan with T = 1) equals the step written out in
-    numpy on ``TTLinear.prepare(None)``'s apply, bitwise: the scan
-    multiplies ``h`` by exactly the factors ``apply`` does."""
+    """A one-step ``forward_lm`` equals the step written out in numpy on
+    ``TTLinear.prepare(None)``'s apply, bitwise: the scan multiplies ``h``
+    by exactly the factors ``apply`` does, the transposes of the W_h list
+    the forward returns."""
     model = build_model(_tiny_arch(rep, rank=rank), seed=48)
     rng = np.random.default_rng(49)
     x, h, c = rng.normal(size=(3, 8)), rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
+    out = _step(model, x, h, c)
     wh_h = model.wh.prepare(None)(Var(h)).value
     a = h
-    for w in model.wh.transposed_factors(None):
-        a = a @ w.value
+    for f in reversed(out.factors[1]):
+        a = a @ f.value.T
     assert a.tobytes() == wh_h.tobytes()
     h_want, c_want = _step_in_numpy(model, model.wx.prepare(None)(Var(x)).value, wh_h, c)
-    h_got, c_got = lstm_step(model, x, h, c)
+    h_got, c_got = out.state
     assert c_got.tobytes() == c_want.tobytes()
     assert h_got.tobytes() == h_want.tobytes()
 

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import ttlstm.autograd as ag
-from ttlstm.autograd import Parameter, Tape
+from ttlstm.autograd import Parameter, Tape, grad_check
 from ttlstm.data import build_vocab, encode_stream, make_batches, synthetic_corpus
 from ttlstm.distill import (DistillConfig, TeacherWeights, accumulate_covariance, kd_penalty,
                             total_loss)
 from ttlstm.errors import ConfigError, DomainError, NumericError
-from ttlstm.nn import ModelArch, TTLinear, build_model, forward_lm, lstm_step, sequence_nll
+import ttlstm.nn as nn
+from ttlstm.nn import ModelArch, TTLinear, build_model, forward_lm, sequence_nll
 import ttlstm.training as training
 from ttlstm.training import TrainConfig, clip_gradients, evaluate, train_model, collect_stack_inputs
 
@@ -195,7 +196,8 @@ def test_collect_stack_inputs_shapes():
 @pytest.mark.parametrize("rep,rank", [("dense", 0), ("mpo", 3)])
 def test_collect_stack_inputs_matches_per_step_loop(rep, rank):
     """One forward per window gathers bitwise the rows a step-by-step
-    stateful loop of ``lstm_step`` sees, in the same time-major order."""
+    stateful loop of one-step forwards (``T = 1``) sees, in the same
+    time-major order."""
     vocab, train_ids, _ = _setup(n_tokens=1200)
     arch = _arch(vocab, rep, rank, unroll=5, batch=3)
     model = build_model(arch, seed=8)
@@ -208,7 +210,7 @@ def test_collect_stack_inputs_matches_per_step_loop(rep, rank):
         want_x.append(model.embed.value[batch.inputs.reshape(-1)])
         for t in range(5):
             want_h.append(h)
-            h, c = lstm_step(model, model.embed.value[batch.inputs[:, t]], h, c)
+            h, c = forward_lm(model, batch.inputs[:, t:t + 1], state=(h, c)).state
     assert xs.tobytes() == np.concatenate(want_x).tobytes()
     assert hs.tobytes() == np.concatenate(want_h).tobytes()
 
@@ -229,8 +231,9 @@ def _kd_setup(rep, rank, mode, n_windows=2):
 
 def _dense_penalty_replay(model, ids, cfg, teacher, cov_x, cov_h):
     """``train_model``'s SGD windows with ``kd_penalty`` on each stack's
-    ``dense_var``, the penalty every stack kind paid before the factored
-    form."""
+    dense matrix, taken from the window's factor list (``W``, or ``F G^T``
+    for an MPS pair): the penalty dense and MPO stacks pay, and the one
+    every stack kind paid before the factored form."""
     params = model.parameters()
     sx, sh = (cov_x, cov_h) if cfg.distill.mode == "kda" else (None, None)
     state = None
@@ -240,8 +243,9 @@ def _dense_penalty_replay(model, ids, cfg, teacher, cov_x, cov_h):
         out = forward_lm(model, batch.inputs, tape, state=state)
         ce = sequence_nll(tape, out, batch.targets)
         lam = cfg.distill.lam
-        penalty = ag.add(tape, kd_penalty(tape, teacher.wx, model.wx.dense_var(tape), lam, sx),
-                         kd_penalty(tape, teacher.wh, model.wh.dense_var(tape), lam, sh))
+        wx, wh = (fs[0] if len(fs) == 1 else ag.matmul(tape, *fs) for fs in out.factors)
+        penalty = ag.add(tape, kd_penalty(tape, teacher.wx, wx, lam, sx),
+                         kd_penalty(tape, teacher.wh, wh, lam, sh))
         ag.backward(tape, total_loss(tape, ce, penalty))
         clip_gradients(params, cfg.clip)
         for p in params:
@@ -250,7 +254,53 @@ def _dense_penalty_replay(model, ids, cfg, teacher, cov_x, cov_h):
     return [p.value for p in params]
 
 
+def _window_penalties(model, teacher, cov_x, cov_h, distill):
+    """The per-stack penalties ``train_model`` builds for ``distill``."""
+    sx, sh = (cov_x, cov_h) if distill.mode == "kda" else (None, None)
+    return (training._stack_penalty(model.wx, teacher.wx, sx, distill.lam),
+            training._stack_penalty(model.wh, teacher.wh, sh, distill.lam))
+
+
 class TestPenaltyDispatch:
+    @pytest.mark.parametrize("rep,builds", [("mps", {"factor_pair": 2, "dense_matrix": 0}),
+                                            ("mpo", {"factor_pair": 0, "dense_matrix": 2})])
+    def test_a_kda_window_builds_each_stack_once(self, monkeypatch, rep, builds):
+        """The forward pass and the penalty share one factor list per stack:
+        one ``factor_pair`` per MPS stack, one ``dense_matrix`` per MPO
+        stack, for a whole CE + kda window."""
+        student, ids, _, cfg, teacher, cov_x, cov_h = _kd_setup(rep, 3, "kda", 1)
+        penalties = _window_penalties(student, teacher, cov_x, cov_h, cfg.distill)
+        calls = {name: 0 for name in builds}
+        for name in builds:
+            def spy(*args, _real=getattr(nn, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(nn, name, spy)
+        batch = next(iter(make_batches(ids, 4, 8)))
+        training._window_loss(student, Tape(), batch, penalties, None)
+        assert calls == builds
+
+    @pytest.mark.parametrize("rep", ["mps", "mpo"])
+    def test_window_loss_with_kda_penalty_passes_grad_check(self, rep):
+        """Finite differences over a whole ``_window_loss``, CE plus the kda
+        penalty on both stacks, from a carried state: each stack's factors
+        feed the forward pass and the penalty."""
+        arch = ModelArch(vocab_size=10, embed_dim=4, hidden_dim=4, representation=rep,
+                         rank=2, unroll=3, batch_size=2)
+        model = build_model(arch, seed=11)
+        rng = np.random.default_rng(12)
+        batch = next(iter(make_batches(rng.integers(0, 10, size=12), 2, 3)))
+        state = (rng.normal(size=(2, 4)), rng.normal(size=(2, 4)))
+        teacher = TeacherWeights(rng.normal(scale=0.5, size=(16, 4)),
+                                 rng.normal(scale=0.5, size=(16, 4)))
+        cov = accumulate_covariance(rng.normal(size=(30, 4))).matrix
+        penalties = _window_penalties(model, teacher, cov, cov, DistillConfig("kda", 0.05))
+
+        def build(tape):
+            return training._window_loss(model, tape, batch, penalties, state)[0]
+
+        assert grad_check(model.parameters(), build) < 1e-4
+
     @pytest.mark.parametrize("mode", ["kdw", "kda"])
     def test_mps_student_never_builds_its_dense_matrix(self, monkeypatch, mode):
         student, ids, valid_ids, cfg, teacher, cov_x, cov_h = _kd_setup("mps", 3, mode, 3)

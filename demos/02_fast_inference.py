@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """The factor-pair fast path: W @ x without ever forming W.
 
-Collapsing the row cores gives a tall (N, r) matrix and the column cores
-a (M, r) matrix with r the shared middle rank; then
-W @ x == row_factor @ (col_factor.T @ x) in r*(N+M) multiply-adds.
+Collapsing the row cores gives a tall (N, r) matrix F and the column
+cores a wide (r, M) matrix G^T, with r the shared middle rank; then
+W @ x == F @ (G^T @ x) in r*(N+M) multiply-adds.
 An MPO has its row and column indices intertwined, so it must
 reconstruct the dense matrix before multiplying.
 """
@@ -37,7 +37,7 @@ print(f"  max |fast - dense| = {np.max(np.abs(y_fast - y_dense)):.2e}")
 print("\n-- exact operation counts --")
 counter = OpCounter()
 mps_matvec(fp, x, counter)
-r = fp.mid_rank
+r = fp[0].shape[1]
 n, m = fact.n_rows, fact.n_cols
 print(f"  matvec multiply-adds: {counter.madds:,} (= r(N+M) = {r * (n + m):,})")
 print(f"  dense matvec would need {n * m:,}")

@@ -54,7 +54,7 @@ _CONFIG_DEFAULTS: dict[str, str] = {
 
 
 def read_config(path) -> tuple[dict[str, str], str]:
-    """Parse a ``key=value`` config file; unknown or repeated keys are rejected."""
+    """Parse ``key=value`` lines (``#`` starts a comment); unknown or repeated keys are rejected."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -62,8 +62,8 @@ def read_config(path) -> tuple[dict[str, str], str]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
@@ -148,7 +148,7 @@ def _load_model_and_vocab(path):
     vocab_file = _vocab_path(path)
     if not os.path.exists(vocab_file):
         raise ConfigError(f"vocab file {vocab_file} not found next to the model")
-    expected = manifest.get("vocab_sha256", "")
+    expected = manifest["vocab_sha256"]
     if expected and _vocab_sha(vocab_file) != expected:
         raise ConfigError(f"vocab file {vocab_file} does not match the model manifest")
     vocab = load_vocab(vocab_file)

@@ -1,20 +1,20 @@
 """Fast inference kernels and exact cost accounting for tensor trains.
 
-The MPS fast path precomputes a factor pair ``(row_factor, col_factor)``
-of shapes ``(N, r)`` and ``(M, r)`` where ``r`` is the shared middle rank,
-so that ``W = row_factor @ col_factor.T`` and a matrix-vector product
-costs ``r * (N + M)`` multiply-adds without ever materializing ``W``.
-The MPO path has to reconstruct the dense matrix; callers may cache it
-across calls.
+The MPS fast path precomputes the factor pair ``[F, G^T]`` of shapes
+``(N, r)`` and ``(r, M)``, where ``r`` is the shared middle rank, so that
+``W = F G^T`` and a matrix-vector product costs ``r * (N + M)``
+multiply-adds without ever materializing ``W``. The MPO path has to
+reconstruct the dense matrix; callers may cache it across calls.
 
 Both paths accept an optional :class:`OpCounter` that accumulates the
-exact multiply-add count of every matrix product performed. The
-contractions are not written here: the factor pair is
-``ttrain.factor_pair`` and the MPO reconstruction (collapse plus unfuse)
-is ``ttrain.dense_matrix``, the same code the model runs, and they count
-the matmuls they actually run. An MPS chain is only ever contracted as
-its factor pair; its dense matrix ``F G^T`` costs ``build_ops`` plus
-``N r M``. The closed forms in :func:`cost_model` predict those counts.
+exact multiply-add count of every matrix product performed. No
+contraction and no product is written here: the factor pair is
+``ttrain.factor_pair``, the MPO reconstruction (collapse plus unfuse) is
+``ttrain.dense_matrix`` and a matvec is a one-row ``ttrain.apply``, the
+same code the model runs, and they count the matmuls they actually run.
+An MPS chain is only ever contracted as its factor pair; its dense matrix
+``F G^T`` costs ``build_ops`` plus ``N r M``. The closed forms in
+:func:`cost_model` predict those counts.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RankError, ShapeError
-from .ttrain import (MpoTrain, MpsTrain, ShapeFactorization, check_capacity, dense_matrix,
-                     factor_pair, uniform_mpo_ranks, uniform_mps_ranks)
+from .ttrain import (MpoTrain, MpsTrain, ShapeFactorization, apply, check_capacity,
+                     dense_matrix, factor_pair, uniform_mpo_ranks, uniform_mps_ranks)
 
 __all__ = [
     "OpCounter",
-    "FactorPair",
     "CostReport",
     "build_factor_pair",
     "mps_matvec",
@@ -54,58 +53,25 @@ class OpCounter:
         self.madds += int(count)
 
 
-def _mm(a: np.ndarray, b: np.ndarray, counter: OpCounter | None) -> np.ndarray:
-    if counter is not None:
-        cols = b.shape[1] if b.ndim == 2 else 1
-        counter.add(a.shape[0] * a.shape[1] * cols)
-    return a @ b
+def build_factor_pair(mps: MpsTrain, counter: OpCounter | None = None) -> list[np.ndarray]:
+    """``[F, G^T]`` of an MPS train as arrays, so ``F @ G^T`` is its matrix.
 
-
-@dataclass(frozen=True)
-class FactorPair:
-    """Precomputed row/column chain contractions of one MPS train."""
-
-    row_factor: np.ndarray  # (N, mid_rank)
-    col_factor: np.ndarray  # (M, mid_rank)
-
-    @property
-    def mid_rank(self) -> int:
-        return self.row_factor.shape[1]
-
-    @property
-    def n_rows(self) -> int:
-        return self.row_factor.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.col_factor.shape[0]
-
-
-def build_factor_pair(mps: MpsTrain, counter: OpCounter | None = None) -> FactorPair:
-    """Collapse the row chain and the column chain of an MPS train.
-
-    ``row_factor[i, h]`` contracts all row cores at the row multi-index of
-    ``i`` (colexicographic order) leaving the middle rank ``h`` free;
-    ``col_factor`` does the same for the columns. The product
-    ``row_factor @ col_factor.T`` equals the reconstructed matrix.
-
-    Each chain is collapsed pairwise starting from its rank-1 boundary
-    (rows left to right, columns right to left), which keeps every step at
-    two rank factors and the total build under
-    ``R^2 [(n-1) N + (m-1) M]`` multiply-adds.
+    ``ttrain.factor_pair`` collapses each chain pairwise from its rank-1
+    boundary (rows left to right, columns right to left), which keeps every
+    step at two rank factors and the build under ``R^2 [(n-1) N + (m-1) M]``
+    multiply-adds.
     """
-    f, g_t = factor_pair(None, mps.row_cores, mps.col_cores, counter)
-    return FactorPair(f.value, np.ascontiguousarray(g_t.value.T))
+    return [v.value for v in factor_pair(None, mps.row_cores, mps.col_cores, counter)]
 
 
-def mps_matvec(fp: FactorPair, x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """``y = W @ x`` through the factor pair, in ``mid_rank * (N + M)``
-    multiply-adds; the dense matrix is never formed."""
+def mps_matvec(pair: list, x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
+    """``y = W @ x`` through the factor pair ``[F, G^T]``, in
+    ``r * (N + M)`` multiply-adds; the dense matrix is never formed."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (fp.n_cols,):
-        raise ShapeError(f"expected input of length {fp.n_cols}, got shape {x.shape}")
-    t = _mm(fp.col_factor.T, x, counter)
-    return _mm(fp.row_factor, t, counter)
+    n_cols = pair[1].shape[1]
+    if x.shape != (n_cols,):
+        raise ShapeError(f"expected input of length {n_cols}, got shape {x.shape}")
+    return apply(None, x[None], pair, counter).value[0]
 
 
 def _chain_madds(extents, ranks) -> int:
@@ -135,7 +101,7 @@ def mpo_matvec(mpo: MpoTrain, x: np.ndarray, cache: np.ndarray | None = None,
         cache = dense_matrix(None, fact, mpo.cores, counter).value
     elif cache.shape != (fact.n_rows, fact.n_cols):
         raise ShapeError(f"cache shape {cache.shape} != {(fact.n_rows, fact.n_cols)}")
-    return _mm(cache, x, counter)
+    return apply(None, x[None], [cache], counter).value[0]
 
 
 @dataclass(frozen=True)

@@ -128,8 +128,9 @@ def _parse_manifest(blob: bytes, base_offset: int) -> dict[str, str]:
         if prefix in ("wx", "wh") and rest in _STACK_KEYS:
             continue
         raise FormatError(f"unknown manifest key {key!r}", base_offset)
-    for required in ("format_version", "vocab_size", "embed_dim", "hidden_dim",
-                     "gate_order", "tensors", "wx_kind", "wh_kind"):
+    for required in ("format_version", "vocab_size", "embed_dim", "hidden_dim", "unroll",
+                     "batch_size", "gate_order", "init_kind", "seed", "vocab_sha256",
+                     "tensors", "wx_kind", "wh_kind"):
         if required not in manifest:
             raise FormatError(f"missing manifest key {required!r}", base_offset)
     if manifest["format_version"] != str(FORMAT_VERSION):
@@ -147,22 +148,21 @@ def _arch_from_manifest(man: dict[str, str]) -> ModelArch:
     if man["wh_kind"] != rep:
         raise FormatError(f"wx_kind={rep} and wh_kind={man['wh_kind']} differ; "
                           "a model has one representation")
-    rank = 0
-    if rep == "mps" and "wx_row_ranks" in man:
-        rank = max(_ints(man["wx_row_ranks"]) + _ints(man["wx_col_ranks"]))
-    elif rep == "mpo" and "wx_ranks" in man:
-        rank = max(_ints(man["wx_ranks"]))
-    n_factors = len(_ints(man["wx_row_dims"])) if "wx_row_dims" in man else 2
+    rank, n_factors = 0, 2
+    if rep != "dense":
+        chains = ("wx_row_ranks", "wx_col_ranks") if rep == "mps" else ("wx_ranks",)
+        rank = max(r for key in chains for r in _ints(man[key]))
+        n_factors = len(_ints(man["wx_row_dims"]))
     return ModelArch(
         vocab_size=int(man["vocab_size"]),
         embed_dim=int(man["embed_dim"]),
         hidden_dim=int(man["hidden_dim"]),
         representation=rep,
         n_factors=n_factors,
-        rank=max(rank, 0 if rep == "dense" else 1),
-        init=man.get("init_kind", "gaussian-variance-matched"),
-        unroll=int(man.get("unroll", 35)),
-        batch_size=int(man.get("batch_size", 20)),
+        rank=rank,
+        init=man["init_kind"],
+        unroll=int(man["unroll"]),
+        batch_size=int(man["batch_size"]),
         wx_row_dims=dims("wx_row_dims"), wx_col_dims=dims("wx_col_dims"),
         wh_row_dims=dims("wh_row_dims"), wh_col_dims=dims("wh_col_dims"),
     )
@@ -198,7 +198,7 @@ def _rebuild_stack(prefix: str, man: dict[str, str], tensors: dict[str, np.ndarr
     lin = TTLinear.from_train(train, name=prefix)
     # validates the chains against the declared ranks
     for key, value in _stack_manifest(prefix, lin).items():
-        if man.get(key, value) != value:
+        if man[key] != value:
             raise FormatError(f"{key}={man[key]} disagrees with the stored cores ({value})")
     return lin
 
@@ -260,7 +260,7 @@ def load_model(path) -> tuple[TTLstmModel, dict[str, str]]:
                             Parameter(tensors["ln_h.bias"], "ln_h.bias")),
             Parameter(tensors["proj.weight"], "proj.weight"),
             Parameter(tensors["proj.bias"], "proj.bias"),
-            seed=int(manifest.get("seed", 0)),
+            seed=int(manifest["seed"]),
         )
     except FormatError:
         raise

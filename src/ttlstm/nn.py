@@ -12,6 +12,7 @@ from ``ttrain``'s one contraction path, the same code ``reconstruct`` and
 factor pair ``[F, G^T]`` (``factor_pair``), so its dense matrix is
 ``F G^T`` (training's distillation penalty uses the pair itself, see
 :mod:`distill`); an MPO chain collapses and unfuses (``dense_matrix``).
+A stack's product ``x W^T`` is ``ttrain.apply`` over that list.
 
 Gate order in the stacked rows is fixed as (i, f, g, o): input, forget,
 cell candidate, output. Layer normalization is applied separately to the
@@ -26,11 +27,12 @@ both, for training's distillation penalty to read. The window's
 embeddings are gathered once in time-major order, ``W_x`` and its layer
 norm run once over all ``T * batch`` rows, and the output projection
 runs once over the stacked hidden states. The recurrence is one
-``autograd.lstm_scan`` record: each step is ``W_h h`` (``h`` times the
-transposed factors), its layer norm, ``(ax_t + ah) + gate_bias`` and the
-cell. That add order is kept on purpose: folding the bias into the
-hoisted rows first changes the rounding, and over a long stateful stream
-the evaluation NLL drifts off its recorded references.
+``autograd.lstm_scan`` record: each step is ``W_h h`` (``h`` times
+``ttrain.transposed`` of the W_h list), its layer norm,
+``(ax_t + ah) + gate_bias`` and the cell. That add order is kept on
+purpose: folding the bias into the hoisted rows first changes the
+rounding, and over a long stateful stream the evaluation NLL drifts off
+its recorded references.
 
 There is one softmax, ``autograd.cross_entropy``: ``sequence_nll`` and
 ``cross_entropy_perplexity`` both call it.
@@ -51,12 +53,14 @@ from .ttrain import (
     MpoTrain,
     MpsTrain,
     ShapeFactorization,
+    apply,
     balanced_factorization,
     dense_matrix,
     factor_pair,
     new_mpo,
     new_mps,
     reconstruct,
+    transposed,
     uniform_mpo_ranks,
     uniform_mps_ranks,
 )
@@ -154,29 +158,12 @@ class TTLinear:
         return dense_matrix(tape, self.fact, self.params)
 
     def prepare(self, tape):
-        """One-time per-forward-pass setup; returns ``apply(x) -> Var`` for
-        batch-first inputs of shape ``(batch, in_dim)``.
-
-        ``apply`` multiplies ``x`` by the transposed factors as ``forward_lm``
-        does, so an MPS call is ``(x G) F^T`` and costs ``mid_rank * (batch in
-        + batch out)`` multiply-adds, and an MPO matrix is reconstructed here
-        once. Only ``perfbench`` calls it, to time the stacks.
-        """
-        transposed = _transposed(tape, self.factors(tape))
-
-        def apply(x: Var) -> Var:
-            for t in transposed:
-                x = ag.matmul(tape, x, t)
-            return x
-
-        return apply
-
-
-def _transposed(tape, factors: list[Var]) -> list[Var]:
-    """The transposes of a :meth:`TTLinear.factors` list, last factor
-    first: what a batch-first ``x`` is multiplied by, ``[G, F^T]`` for MPS
-    and ``[W^T]`` for dense and MPO."""
-    return [ag.transpose(tape, f) for f in reversed(factors)]
+        """Builds :meth:`factors` once (an MPO matrix is reconstructed here)
+        and returns ``x -> ttrain.apply(tape, x, factors)`` for batch-first
+        ``x``, the product ``forward_lm`` runs. Only ``perfbench`` calls it,
+        to time the stacks."""
+        factors = self.factors(tape)
+        return lambda x: apply(tape, x, factors)
 
 
 @dataclass(frozen=True)
@@ -341,12 +328,11 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
         state = (np.zeros((batch, hidden)), np.zeros((batch, hidden)))
     wx, wh = model.wx.factors(tape), model.wh.factors(tape)
     ax = ag.gather_rows(tape, model.embed, tokens.T.reshape(-1))   # time-major rows
-    for t in _transposed(tape, wx):
-        ax = ag.matmul(tape, ax, t)
+    ax = apply(tape, ax, wx)
     ax = _block_norm(tape, ax, model.ln_x)
     ax = ag.reshape(tape, ax, (steps, batch, 4 * hidden))
     ln = model.ln_h
-    hs, c = ag.lstm_scan(tape, ax, _transposed(tape, wh), ln.gain, ln.bias,
+    hs, c = ag.lstm_scan(tape, ax, transposed(tape, wh), ln.gain, ln.bias,
                          model.gate_bias, *state, LN_EPS)           # (T, batch, H)
     seq = ag.transpose(tape, hs, (1, 0, 2))                         # (batch, T, H)
     rows = ag.reshape(tape, seq, (batch * steps, hidden))

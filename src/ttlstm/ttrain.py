@@ -22,6 +22,9 @@ to left as a whole and then unfuses its paired indices
 (:func:`dense_matrix`). ``reconstruct``, ``build_factor_pair`` and
 ``mpo_matvec`` in :mod:`contract`, and ``TTLinear.factors`` and
 ``dense_var`` in :mod:`nn` all call them; a window calls them once per stack.
+A stack's product ``x W^T`` is :func:`apply`, which ``forward_lm``'s
+``W_x``, ``TTLinear.prepare``, ``mps_matvec`` and ``mpo_matvec`` all run;
+``lstm_scan`` multiplies by the same :func:`transposed` factors.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ __all__ = [
     "collapse_right",
     "factor_pair",
     "dense_matrix",
+    "transposed",
+    "apply",
     "check_capacity",
     "reconstruct",
     "balanced_factorization",
@@ -395,6 +400,23 @@ def dense_matrix(tape, fact: ShapeFactorization, cores, counter=None) -> Var:
     rows_then_cols = [2 * k + 1 for k in range(fact.n)] + [2 * k for k in range(fact.m)]
     tensor = ag.transpose(tape, tensor, rows_then_cols)
     return ag.reshape(tape, tensor, (fact.n_rows, fact.n_cols))
+
+
+def transposed(tape, factors) -> list[Var]:
+    """The transposes of a factor list, last factor first: what a
+    batch-first ``x`` is multiplied by, ``[G, F^T]`` for a pair ``[F, G^T]``
+    and ``[W^T]`` for ``[W]``."""
+    return [ag.transpose(tape, f) for f in reversed(factors)]
+
+
+def apply(tape, x, factors, counter=None) -> Var:
+    """``x W^T`` for batch-first rows ``x``, with ``W`` the product of
+    ``factors`` (``[F, G^T]`` or ``[W]``), through the :func:`transposed`
+    factors: ``rows * r * (M + N)`` multiply-adds for a pair, ``rows * N * M``
+    for a matrix, counted into ``counter`` as in :func:`factor_pair`."""
+    for t in transposed(tape, factors):
+        x = _matmul(tape, x, t, counter)
+    return x
 
 
 def check_capacity(fact: ShapeFactorization):

@@ -1,14 +1,19 @@
 """End-to-end tests of the ``ttlstm`` command line via subprocesses."""
 
+import re
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ttlstm.contract import pick_rank
 from ttlstm.data import build_vocab, save_vocab, synthetic_corpus
-from ttlstm.modelfile import read_records, save_model
+from ttlstm.cli import read_config
+from ttlstm.errors import FormatError
+from ttlstm.modelfile import MAGIC, load_model, read_records, save_model
 from ttlstm.nn import ModelArch, build_model
 
 
@@ -119,6 +124,17 @@ def test_info_from_config_emits_cost_csv(workdir):
     assert wx["kind"] == "mps"
     assert int(wx["storage"]) > 0
     assert float(wx["compression_rate"]) > 1.0
+
+
+def test_readme_config_example_parses_with_its_comments(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block, = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.S | re.M)
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    values, _ = read_config(cfg)
+    assert (values["representation"], values["rank"], values["distill"]) == ("mps", "19", "none")
+    proc = run_cli("info", "--config", cfg)
+    assert proc.stdout.startswith("matrix,kind,")
 
 
 def test_info_dense_rate_is_one(workdir):
@@ -370,3 +386,36 @@ def test_info_rejects_a_bad_covariance_file(workdir, tmp_path, arrays, expect, n
     proc = run_cli("info", "--config", workdir / "mps.cfg", "--covariance", cov, expect=expect)
     assert named in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+_ALWAYS_WRITTEN = ["format_version", "vocab_size", "embed_dim", "hidden_dim", "unroll",
+                   "batch_size", "gate_order", "init_kind", "seed", "vocab_sha256", "tensors",
+                   "wx_kind", "wh_kind"]
+_STACK_KEYS = {"mps": ["row_dims", "col_dims", "row_ranks", "col_ranks"],
+               "mpo": ["row_dims", "col_dims", "ranks"]}
+
+
+@pytest.mark.parametrize("rep,key", [("mps", key) for key in _ALWAYS_WRITTEN] + [
+    (rep, f"{prefix}_{key}") for rep, keys in _STACK_KEYS.items()
+    for prefix in ("wx", "wh") for key in keys])
+def test_model_file_missing_a_written_key_exits_3(workdir, tmp_path, rep, key):
+    """Every key ``save_model`` writes is required: without it the file
+    raises ``FormatError`` and ``ttlstm eval`` exits 3."""
+    arch = ModelArch(vocab_size=40, embed_dim=12, hidden_dim=12, representation=rep,
+                     rank=4, unroll=8, batch_size=4)
+    path = tmp_path / "m.ttlm"
+    save_model(build_model(arch, seed=1), path)
+    raw = path.read_bytes()
+    head = len(MAGIC) + 8
+    (man_len,) = struct.unpack("<Q", raw[len(MAGIC): head])
+    lines = raw[head: head + man_len].decode().splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith(f"{key}=")).encode()
+    assert len(kept) < man_len
+    path.write_bytes(MAGIC + struct.pack("<Q", len(kept)) + kept + raw[head + man_len:])
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    assert repr(key) in str(err.value)
+    save_vocab(build_vocab((workdir / "corpus.txt").read_text(encoding="utf-8"), 40),
+               tmp_path / "m.ttlm.vocab")
+    proc = run_cli("eval", "--model", path, "--corpus", workdir / "test.txt", expect=3)
+    assert "format error" in proc.stderr and "Traceback" not in proc.stderr

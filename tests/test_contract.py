@@ -55,26 +55,26 @@ class TestFactorPair:
             (np.ones((1, 2, 1)), np.ones((1, 2, 1))),
             (np.ones((1, 2, 1)), np.ones((1, 2, 1))),
         )
-        fp = build_factor_pair(train)
-        np.testing.assert_array_equal(fp.row_factor, np.ones((4, 1)))
-        np.testing.assert_array_equal(fp.col_factor, np.ones((4, 1)))
+        f, g_t = build_factor_pair(train)
+        np.testing.assert_array_equal(f, np.ones((4, 1)))
+        np.testing.assert_array_equal(g_t, np.ones((1, 4)))
 
     def test_six_core_product_matches_reconstruct(self):
         fact = ShapeFactorization((3, 3, 3), (3, 3, 3))
         train = new_mps(fact, (1, 3, 2, 4), (4, 2, 3, 1), seed=8)
-        fp = build_factor_pair(train)
+        f, g_t = build_factor_pair(train)
         dense = reconstruct(train)
-        approx = fp.row_factor @ fp.col_factor.T
+        approx = f @ g_t
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(approx - dense)) <= 1e-10 * max(scale, 1.0)
 
     def test_factor_shapes(self):
         fact = ShapeFactorization((2, 4), (2, 2))
         train = new_mps(fact, (1, 2, 3), (3, 2, 1), seed=1)
-        fp = build_factor_pair(train)
-        assert fp.row_factor.shape == (8, 3)
-        assert fp.row_factor.size == 24
-        assert fp.col_factor.shape == (4, 3)
+        f, g_t = build_factor_pair(train)
+        assert f.shape == (8, 3)
+        assert f.size == 24
+        assert g_t.shape == (3, 4)
 
 
 class TestMpsMatvec:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ttlstm.autograd as ag
+import ttlstm.nn as nn
 from ttlstm.autograd import Parameter, Tape, Var, backward, grad_check
 from ttlstm.errors import ConfigError, NumericError, ShapeError, VocabError
 from ttlstm.nn import (
@@ -15,8 +16,8 @@ from ttlstm.nn import (
     forward_lm,
     sequence_nll,
 )
-from ttlstm.contract import build_factor_pair
-from ttlstm.ttrain import ShapeFactorization, new_mpo, new_mps, reconstruct
+from ttlstm.contract import OpCounter, build_factor_pair, cost_model
+from ttlstm.ttrain import ShapeFactorization, apply, new_mpo, new_mps, reconstruct
 
 
 def _ln(v, d, eps=1e-5):
@@ -356,6 +357,31 @@ def test_scan_recurrent_product_is_prepare_apply(rep, rank):
     assert h_got.tobytes() == h_want.tobytes()
 
 
+@pytest.mark.parametrize("rep", ["mps", "mpo"])
+def test_apply_counts_rows_times_matvec_ops_and_is_forward_wx(monkeypatch, rep):
+    """``ttrain.apply`` over ``TTLinear.factors(None)`` counts exactly
+    ``rows x cost_model(...).matvec_ops``, and its rows are bitwise the
+    ``W_x`` rows ``forward_lm`` layer-normalizes."""
+    model = build_model(_tiny_arch(rep, rank=3), seed=50)
+    tokens = np.random.default_rng(51).integers(0, 20, size=(2, 4))
+    normalized = []
+    real_block_norm = nn._block_norm
+
+    def spy(tape, pre, ln):
+        normalized.append(pre.value)
+        return real_block_norm(tape, pre, ln)
+
+    monkeypatch.setattr(nn, "_block_norm", spy)
+    forward_lm(model, tokens)
+    x = model.embed.value[tokens.T.reshape(-1)]
+    counter = OpCounter()
+    rows = apply(None, x, model.wx.factors(None), counter).value
+    train = model.wx.to_train()
+    ranks = (train.row_ranks, train.col_ranks) if rep == "mps" else train.ranks
+    assert counter.madds == len(x) * cost_model(train.fact, ranks, rep).matvec_ops
+    assert rows.tobytes() == normalized[0].tobytes()
+
+
 class TestOneContractionPath:
     """``reconstruct``, ``build_factor_pair`` and the model's stacks share one
     collapse and one unfuse, so their values agree bitwise."""
@@ -390,8 +416,8 @@ class TestOneContractionPath:
         monkeypatch.setattr(ag, "matmul", spy)
         apply(Var(np.ones((2, train.fact.n_cols))))     # x @ G, then (x G) @ F^T
         g, f_t = operands
-        assert g.tobytes() == pair.col_factor.tobytes()
-        assert f_t.T.tobytes() == pair.row_factor.tobytes()
+        assert g.tobytes() == pair[1].T.tobytes()
+        assert f_t.T.tobytes() == pair[0].tobytes()
 
 
 @pytest.mark.parametrize("dims", [

@@ -73,13 +73,14 @@ def build_vocab(text: str, max_size: int) -> Vocab:
 
 def encode_stream(text: str, vocab: Vocab) -> np.ndarray:
     """One id per token with an end-of-sentence id after each non-empty line."""
+    get, eos = vocab._token_to_id.get, vocab.eos_id
     ids: list[int] = []
     for line in text.splitlines():
         tokens = line.split()
         if not tokens:
             continue
-        ids.extend(vocab.encode_token(t) for t in tokens)
-        ids.append(vocab.eos_id)
+        ids += [get(t, 0) for t in tokens]
+        ids.append(eos)
     return np.asarray(ids, dtype=np.int64)
 
 
@@ -178,6 +179,14 @@ def synthetic_corpus(n_tokens: int, vocab_size: int = 500, seed: int = 0) -> str
     is real sequential structure for a model to learn while the unigram
     distribution stays broad. Generated from scratch, so the text is free
     of any third-party content.
+
+    The draw order is a compatibility contract, pinned by the corpus
+    digests in the tests and by the benchmark's recorded NLLs: after the
+    word list and the successor table, each sentence draws one integer
+    (its length) and then ``length`` doubles. The first double picks the
+    start word and each later one a successor branch, through the
+    inverse CDF that ``Generator.choice(p=...)`` uses, so the text is the
+    one a per-token ``choice`` loop would write.
     """
     if n_tokens < 1 or vocab_size < 5:
         raise DomainError("need at least one token and five word types")
@@ -186,21 +195,25 @@ def synthetic_corpus(n_tokens: int, vocab_size: int = 500, seed: int = 0) -> str
     successors = np.array([
         rng.choice(vocab_size, size=5, replace=False)
         for _ in range(vocab_size)
-    ])
+    ]).tolist()
     weights = np.array([0.45, 0.25, 0.15, 0.10, 0.05])
     weights /= weights.sum()
     # Zipf-ish start-word distribution
     start_p = 1.0 / np.arange(1, vocab_size + 1, dtype=np.float64)
     start_p /= start_p.sum()
+    start_cdf, branch_cdf = start_p.cumsum(), weights.cumsum()
+    start_cdf /= start_cdf[-1]
+    branch_cdf /= branch_cdf[-1]
 
     lines: list[str] = []
     produced = 0
     while produced < n_tokens:
         length = int(rng.integers(8, 21))
-        w = int(rng.choice(vocab_size, p=start_p))
+        draws = rng.random(length)
+        w = int(start_cdf.searchsorted(draws[0], side="right"))
         sentence = [words[w]]
-        for _ in range(length - 1):
-            w = int(successors[w][rng.choice(5, p=weights)])
+        for branch in branch_cdf.searchsorted(draws[1:], side="right").tolist():
+            w = successors[w][branch]
             sentence.append(words[w])
         lines.append(" ".join(sentence))
         produced += length + 1     # mirrors the end-of-sentence id added on encode

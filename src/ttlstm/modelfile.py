@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -103,7 +104,7 @@ def save_model(model: TTLstmModel, path, vocab_sha256: str = "",
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for _, arr in tensors:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def _parse_manifest(blob: bytes, base_offset: int) -> dict[str, str]:
@@ -182,66 +183,79 @@ def _check_dense_shapes(arch: ModelArch, tensors: dict[str, np.ndarray]):
 def _rebuild_stack(prefix: str, man: dict[str, str], tensors: dict[str, np.ndarray],
                    out_dim: int, in_dim: int) -> TTLinear:
     """The stack from the tensors declared under ``{prefix}.``, in order;
-    ``load_model`` checks their names against the ones ``TTLinear`` gives."""
+    ``load_model`` checks their names against the ones ``TTLinear`` gives.
+    The stack's manifest keys must be exactly the ones its kind writes."""
     kind = man[f"{prefix}_kind"]
     arrays = [arr for name, arr in tensors.items() if name.startswith(f"{prefix}.")]
     if kind == "dense":
         if len(arrays) != 1 or arrays[0].shape != (out_dim, in_dim):
             raise FormatError(f"{prefix} declares {[a.shape for a in arrays]}, "
                               f"architecture needs one {(out_dim, in_dim)} weight")
-        return TTLinear.dense(arrays[0], name=prefix)
-    fact = ShapeFactorization(_ints(man[f"{prefix}_row_dims"]), _ints(man[f"{prefix}_col_dims"]))
-    if kind == "mps":
-        train = MpsTrain(fact, arrays[:fact.n], arrays[fact.n:])
+        lin = TTLinear.dense(arrays[0], name=prefix)
     else:
-        train = MpoTrain(fact, arrays)
-    lin = TTLinear.from_train(train, name=prefix)
+        fact = ShapeFactorization(_ints(man[f"{prefix}_row_dims"]),
+                                  _ints(man[f"{prefix}_col_dims"]))
+        if kind == "mps":
+            train = MpsTrain(fact, arrays[:fact.n], arrays[fact.n:])
+        else:
+            train = MpoTrain(fact, arrays)
+        lin = TTLinear.from_train(train, name=prefix)
+    written = _stack_manifest(prefix, lin)
+    for key in man:
+        if key.startswith(f"{prefix}_") and key not in written:
+            raise FormatError(f"{kind} stacks do not write {key}")
     # validates the chains against the declared ranks
-    for key, value in _stack_manifest(prefix, lin).items():
+    for key, value in written.items():
         if man[key] != value:
             raise FormatError(f"{key}={man[key]} disagrees with the stored cores ({value})")
     return lin
 
 
 def load_model(path) -> tuple[TTLstmModel, dict[str, str]]:
-    """Read a model file back; inverse of :func:`save_model` (bitwise)."""
+    """Read a model file back; inverse of :func:`save_model` (bitwise).
+
+    Each tensor is read straight into its own array, so a load holds
+    about one copy of the file at its peak."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise FormatError("bad magic; not a model file", 0)
-    head_end = len(MAGIC) + 8
-    if len(raw) < head_end:
-        raise FormatError("truncated header", len(raw))
-    (man_len,) = struct.unpack("<Q", raw[len(MAGIC): head_end])
-    man_end = head_end + man_len
-    if len(raw) < man_end:
-        raise FormatError("truncated manifest", len(raw))
-    manifest = _parse_manifest(raw[head_end:man_end], head_end)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(MAGIC) + 8)
+        if head[: len(MAGIC)] != MAGIC:
+            raise FormatError("bad magic; not a model file", 0)
+        head_end = len(MAGIC) + 8
+        if size < head_end:
+            raise FormatError("truncated header", size)
+        (man_len,) = struct.unpack("<Q", head[len(MAGIC):])
+        man_end = head_end + man_len
+        if size < man_end:
+            raise FormatError("truncated manifest", size)
+        manifest = _parse_manifest(fh.read(man_len), head_end)
 
-    declared: list[tuple[str, tuple[int, ...]]] = []
-    for item in manifest["tensors"].split(";"):
-        name, _, shape_text = item.partition(":")
-        dims = shape_text.split("x")
-        if not all(d.isascii() and d.isdigit() and int(d) > 0 for d in dims):
-            raise FormatError(f"tensor declaration {item!r} needs positive integer extents",
-                              head_end)
-        if name in (n for n, _ in declared):
-            raise FormatError(f"duplicate tensor declaration {name!r}", head_end)
-        declared.append((name, tuple(int(d) for d in dims)))
+        declared: list[tuple[str, tuple[int, ...]]] = []
+        for item in manifest["tensors"].split(";"):
+            name, _, shape_text = item.partition(":")
+            dims = shape_text.split("x")
+            if not all(d.isascii() and d.isdigit() and int(d) > 0 for d in dims):
+                raise FormatError(f"tensor declaration {item!r} needs positive integer extents",
+                                  head_end)
+            if name in (n for n, _ in declared):
+                raise FormatError(f"duplicate tensor declaration {name!r}", head_end)
+            declared.append((name, tuple(int(d) for d in dims)))
 
-    tensors: dict[str, np.ndarray] = {}
-    offset = man_end
-    for name, shape in declared:
-        nbytes = 8 * math.prod(shape)
-        if offset + nbytes > len(raw):
-            raise FormatError(f"truncated blob for tensor {name!r}", offset)
-        tensors[name] = np.frombuffer(raw, dtype="<f8", count=nbytes // 8,
-                                      offset=offset).reshape(shape).copy()
-        # min and max propagate NaN and reach +-inf without a temporary array
-        if not (np.isfinite(tensors[name].min()) and np.isfinite(tensors[name].max())):
-            raise FormatError(f"non-finite values in tensor {name!r}", offset)
-        offset += nbytes
-    if offset != len(raw):
+        tensors: dict[str, np.ndarray] = {}
+        offset = man_end
+        for name, shape in declared:
+            nbytes = 8 * math.prod(shape)
+            if offset + nbytes > size:
+                raise FormatError(f"truncated blob for tensor {name!r}", offset)
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr.data.cast("B")) != nbytes:
+                raise FormatError(f"truncated blob for tensor {name!r}", offset)
+            # min and max propagate NaN and reach +-inf without a temporary array
+            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+                raise FormatError(f"non-finite values in tensor {name!r}", offset)
+            tensors[name] = arr
+            offset += nbytes
+    if offset != size:
         raise FormatError("trailing bytes after the last declared tensor", offset)
 
     try:
@@ -310,8 +324,6 @@ class RunRecord:
 
 def append_records(path, records: list[RunRecord]):
     """Append rows, writing the header only when the file starts empty."""
-    import os
-
     need_header = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RUN_RECORD_FIELDS)

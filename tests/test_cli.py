@@ -419,3 +419,27 @@ def test_model_file_missing_a_written_key_exits_3(workdir, tmp_path, rep, key):
                tmp_path / "m.ttlm.vocab")
     proc = run_cli("eval", "--model", path, "--corpus", workdir / "test.txt", expect=3)
     assert "format error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("rep,line", [("mpo", "wx_row_ranks=1,99,1"), ("dense", "wh_ranks=1,7,1"),
+                                      ("mps", "wx_ranks=1,4,1")])
+def test_model_file_with_a_stack_key_its_kind_never_writes_exits_3(workdir, tmp_path, rep, line):
+    """A stack's keys are exactly the ones ``save_model`` writes for its
+    kind: an extra one raises ``FormatError`` and ``ttlstm eval`` exits 3."""
+    arch = ModelArch(vocab_size=40, embed_dim=12, hidden_dim=12, representation=rep,
+                     rank=0 if rep == "dense" else 4, unroll=8, batch_size=4)
+    path = tmp_path / "m.ttlm"
+    save_model(build_model(arch, seed=1), path)
+    raw = path.read_bytes()
+    head = len(MAGIC) + 8
+    (man_len,) = struct.unpack("<Q", raw[len(MAGIC): head])
+    manifest = raw[head: head + man_len] + f"{line}\n".encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(manifest)) + manifest + raw[head + man_len:])
+    key = line.split("=")[0]
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    assert key in str(err.value)
+    save_vocab(build_vocab((workdir / "corpus.txt").read_text(encoding="utf-8"), 40),
+               tmp_path / "m.ttlm.vocab")
+    proc = run_cli("eval", "--model", path, "--corpus", workdir / "test.txt", expect=3)
+    assert key in proc.stderr and "Traceback" not in proc.stderr

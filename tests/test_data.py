@@ -2,10 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttlstm.data import (
     EOS_TOKEN,
     UNK_TOKEN,
+    _word_list,
     build_vocab,
     encode_stream,
     load_vocab,
@@ -147,14 +150,28 @@ class TestSyntheticCorpus:
         assert synthetic_corpus(500, 40, seed=1) == synthetic_corpus(500, 40, seed=1)
         assert synthetic_corpus(500, 40, seed=1) != synthetic_corpus(500, 40, seed=2)
 
-    @pytest.mark.parametrize("seed,digest", [
-        (0, "cd19b29cfe043a2d1c933078abb79b21fb57142ac1f867b1ac5c4b49d61975cc"),
-        (97, "c495f848d691005684c23db9ed9f9db98f5dab7af3ab458712e37522a9ffaaa8"),
+    @pytest.mark.parametrize("n_tokens,vocab_size,seed,digest", [
+        (5000, 500, 0, "cd19b29cfe043a2d1c933078abb79b21fb57142ac1f867b1ac5c4b49d61975cc"),
+        (5000, 500, 97, "c495f848d691005684c23db9ed9f9db98f5dab7af3ab458712e37522a9ffaaa8"),
+        # the three benchmark workloads: eval-desk-mpo, eval-paper-mps, train-paper-kda
+        (70020, 500, 97, "475fc132c4b973043be0df866b5ead18b964f35dcf1153d249752ea8e9d08e41"),
+        (4220, 10000, 97, "422fba8de32410566526e649fc23cc79dde44bdc88edcab58966a3de22e71988"),
+        (3540, 2000, 97, "52e7de99135c4ebf065c3f536603d824f5dab859966eca7ffdc6fadce1a01482"),
     ])
-    def test_benchmark_corpus_bytes_are_pinned(self, seed, digest):
+    def test_benchmark_corpus_bytes_are_pinned(self, n_tokens, vocab_size, seed, digest):
         # the benchmark's input generator: its recorded NLLs rest on these bytes
-        text = synthetic_corpus(5000, vocab_size=500, seed=seed)
+        text = synthetic_corpus(n_tokens, vocab_size=vocab_size, seed=seed)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    @settings(deadline=None)
+    @given(n_tokens=st.integers(1, 3000), vocab_size=st.integers(5, 300),
+           seed=st.integers(0, 2**31))
+    def test_matches_the_per_token_choice_loop(self, n_tokens, vocab_size, seed):
+        assert synthetic_corpus(n_tokens, vocab_size, seed) == \
+            _choice_loop_corpus(n_tokens, vocab_size, seed)
+
+    def test_matches_the_per_token_choice_loop_at_paper_vocabulary(self):
+        assert synthetic_corpus(2000, 10000, 5) == _choice_loop_corpus(2000, 10000, 5)
 
     @pytest.mark.parametrize("n_tokens,vocab_size", [(0, 40), (100, 4)])
     def test_too_few_tokens_or_word_types_raise_domain_error(self, n_tokens, vocab_size):
@@ -177,3 +194,28 @@ class TestSyntheticCorpus:
             followers.setdefault(a, set()).add(b)
         avg = np.mean([len(s) for s in followers.values()])
         assert avg < 15
+
+
+def _choice_loop_corpus(n_tokens: int, vocab_size: int, seed: int) -> str:
+    """The generator as a per-token ``Generator.choice`` loop: the reference
+    whose random stream and text ``synthetic_corpus`` must reproduce."""
+    rng = np.random.default_rng(seed)
+    words = _word_list(vocab_size, rng)
+    successors = np.array([rng.choice(vocab_size, size=5, replace=False)
+                           for _ in range(vocab_size)])
+    weights = np.array([0.45, 0.25, 0.15, 0.10, 0.05])
+    weights /= weights.sum()
+    start_p = 1.0 / np.arange(1, vocab_size + 1, dtype=np.float64)
+    start_p /= start_p.sum()
+    lines = []
+    produced = 0
+    while produced < n_tokens:
+        length = int(rng.integers(8, 21))
+        w = int(rng.choice(vocab_size, p=start_p))
+        sentence = [words[w]]
+        for _ in range(length - 1):
+            w = int(successors[w][rng.choice(5, p=weights)])
+            sentence.append(words[w])
+        lines.append(" ".join(sentence))
+        produced += length + 1
+    return "\n".join(lines) + "\n"

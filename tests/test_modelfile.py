@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,47 @@ def test_mixed_stack_kinds_rejected(tmp_path):
     with pytest.raises(FormatError) as err:
         load_model(path)
     assert "wh_kind=dense" in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def wide_vocab_model():
+    # V = 3000, E = H = 64: the embedding and the projection dominate a 3.1 MB file
+    arch = ModelArch(vocab_size=3000, embed_dim=64, hidden_dim=64, representation="mps",
+                     rank=8, unroll=4, batch_size=2)
+    return build_model(arch, seed=2)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_peak_memory_is_about_one_copy_of_the_file(tmp_path, wide_vocab_model):
+    path = tmp_path / "m.ttlm"
+    save_model(wide_vocab_model, path)
+    size = path.stat().st_size
+    assert size > 3_000_000
+    peak = _traced_peak(lambda: load_model(path))
+    assert peak <= 1.25 * size, f"load peak {peak} B for a {size} B file"
+
+
+def test_save_copies_no_tensor(tmp_path, wide_vocab_model):
+    largest = max(p.value.nbytes for p in wide_vocab_model.parameters())
+    peak = _traced_peak(lambda: save_model(wide_vocab_model, tmp_path / "m.ttlm"))
+    assert peak < largest / 2, f"save peak {peak} B, largest tensor {largest} B"
+
+
+def test_loaded_parameters_own_writeable_contiguous_memory(tmp_path, wide_vocab_model):
+    path = tmp_path / "m.ttlm"
+    save_model(wide_vocab_model, path)
+    loaded, _ = load_model(path)
+    for p in loaded.parameters():
+        flags = p.value.flags
+        assert flags.owndata and flags.writeable and flags.c_contiguous, p.name
 
 
 @pytest.fixture(scope="module")

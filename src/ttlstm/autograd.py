@@ -8,6 +8,16 @@ consumed. Every op also works with ``tape=None``, which computes values
 without recording (the inference path). ``lstm_scan`` records a whole
 LSTM recurrence as one record.
 
+The elementwise kernels keep their working set in cache. ``layer_norm``
+and ``cross_entropy`` (forward and adjoint) walk axis 0 in blocks of at
+most ``ROW_BLOCK_BYTES`` (256 KiB) and write into one preallocated output
+plus one block of scratch; their reductions run along the last axis, row
+by row, so blocking leaves every value bitwise unchanged. Sums along axis
+0 (the ``gain`` and ``bias`` gradients) stay unblocked, since blocking
+them would reorder the additions. ``lstm_scan`` allocates its gate,
+cell and normalization buffers once per window (one step's worth without
+a tape) and runs each step's arithmetic in place in them.
+
 A tape is single-owner: do not share one across concurrent forward passes.
 Independent tapes may run in parallel.
 """
@@ -210,29 +220,113 @@ def reduce_sum(tape, a) -> Var:
     return _emit(tape, av.sum(), [(a, lambda g: np.full_like(av, float(g)))])
 
 
-def _standardize(xv: np.ndarray, eps: float):
-    """``(xhat, inv_sd)`` of ``xv`` over its last axis (population variance)."""
-    centered = xv - xv.mean(axis=-1, keepdims=True)
-    inv_sd = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    return centered * inv_sd, inv_sd
+ROW_BLOCK_BYTES = 1 << 18
 
 
-def _standardize_adjoint(gg: np.ndarray, xhat: np.ndarray, inv_sd: np.ndarray) -> np.ndarray:
-    """Input gradient of :func:`_standardize` given the gradient ``gg`` of ``xhat``."""
-    return (gg - gg.mean(axis=-1, keepdims=True)
-            - xhat * (gg * xhat).mean(axis=-1, keepdims=True)) * inv_sd
+def _row_blocks(shape: tuple[int, ...]) -> list[slice]:
+    """Slices that split axis 0 of an array of ``shape`` into blocks of at
+    most ``ROW_BLOCK_BYTES`` (one row at least), the last one ragged. A 1-D
+    array is one block: its only axis is the one reductions run over."""
+    n = shape[0]
+    if len(shape) < 2:
+        return [slice(0, n)]
+    step = max(1, ROW_BLOCK_BYTES // max(1, 8 * int(np.prod(shape[1:]))))
+    return [slice(r, min(r + step, n)) for r in range(0, max(n, 1), step)]
+
+
+def _rows(a: np.ndarray, ndim: int, block: slice) -> np.ndarray:
+    """``a``'s part that broadcasts against rows ``block`` of an ``ndim``-D array."""
+    return a[block] if a.ndim == ndim and a.shape[0] != 1 else a
+
+
+def _standardize(xv: np.ndarray, eps: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Write ``xhat`` of ``xv`` over its last axis (population variance) into
+    ``out`` and return ``inv_sd``; ``scratch``, shaped like ``out``, holds
+    the squares."""
+    np.subtract(xv, xv.mean(axis=-1, keepdims=True), out=out)
+    inv_sd = 1.0 / np.sqrt(np.multiply(out, out, out=scratch).mean(axis=-1, keepdims=True) + eps)
+    out *= inv_sd
+    return inv_sd
+
+
+def _standardize_adjoint(gg: np.ndarray, xhat: np.ndarray, inv_sd: np.ndarray,
+                         scratch: np.ndarray) -> np.ndarray:
+    """Input gradient of :func:`_standardize` given the gradient ``gg`` of
+    ``xhat``, computed in place in ``gg``: ``(gg - mean(gg) - xhat *
+    mean(gg xhat)) * inv_sd``."""
+    mean_g = gg.mean(axis=-1, keepdims=True)
+    mean_gx = np.multiply(gg, xhat, out=scratch).mean(axis=-1, keepdims=True)
+    gg -= mean_g
+    gg -= np.multiply(xhat, mean_gx, out=scratch)
+    gg *= inv_sd
+    return gg
 
 
 def layer_norm(tape, x, gain, bias, eps: float = 1e-5) -> Var:
     """Standardize over the last axis (population variance), then apply
-    ``gain * xhat + bias``. ``gain``/``bias`` must broadcast against ``x``."""
+    ``gain * xhat + bias``; ``gain``/``bias`` must broadcast to ``x``'s
+    shape. Runs in row blocks; ``xhat`` and ``inv_sd`` outlive the call
+    only when a tape records it."""
     xv, gv, bv = _val(x), _val(gain), _val(bias)
-    xhat, inv_sd = _standardize(xv, eps)
-    return _emit(tape, gv * xhat + bv, [
-        (x, lambda g: _standardize_adjoint(g * gv, xhat, inv_sd)),
+    if np.broadcast_shapes(xv.shape, gv.shape, bv.shape) != xv.shape:
+        raise ShapeError(f"gain {gv.shape} and bias {bv.shape} do not broadcast to {xv.shape}")
+    keep, nd = tape is not None, xv.ndim
+    blocks = _row_blocks(xv.shape)
+    out = np.empty(xv.shape)
+    scratch = np.empty((blocks[0].stop,) + xv.shape[1:])     # one block
+    if keep:
+        xhat, inv_sd = np.empty(xv.shape), np.empty(xv.shape[:-1] + (1,))
+    for b in blocks:
+        o = out[b]
+        xh = xhat[b] if keep else scratch[:o.shape[0]]
+        inv = _standardize(xv[b], eps, xh, o)
+        if keep:
+            inv_sd[b] = inv
+        np.multiply(_rows(gv, nd, b), xh, out=o)
+        o += _rows(bv, nd, b)
+
+    def pull_x(g):
+        dx = np.empty(xv.shape)
+        for b in blocks:
+            d = np.multiply(g[b], _rows(gv, nd, b), out=dx[b])
+            _standardize_adjoint(d, xhat[b], inv_sd[b], scratch[:d.shape[0]])
+        return dx
+
+    return _emit(tape, out, [
+        (x, pull_x),
         (gain, lambda g: _unbroadcast(g * xhat, gv.shape)),
         (bias, lambda g: _unbroadcast(g, bv.shape)),
     ])
+
+
+def _gate_blocks(a: np.ndarray) -> list[np.ndarray]:
+    """The (i, f, g, o) column blocks of a ``(batch, 4H)`` array, as views."""
+    h = a.shape[1] // 4
+    return [a[:, q * h:(q + 1) * h] for q in range(4)]
+
+
+def _cell_adjoint(gh, dc, act, tc, c_prev, d, u, v):
+    """One step of the LSTM cell's adjoint, in place. ``gh`` and ``dc`` are
+    the gradients of ``h'`` and ``c'``; ``act`` holds the step's (i, f, g,
+    o) activations. Writes the gradient of the pre-activations into ``d``
+    and turns ``dc`` into the gradient of ``c``; ``u`` and ``v`` are scratch."""
+    si, sf, tg, so = _gate_blocks(act)
+    di, df, dg, do = _gate_blocks(d)
+    np.multiply(gh, so, out=u)
+    u *= np.subtract(1.0, np.multiply(tc, tc, out=v), out=v)
+    dc += u
+    np.multiply(dc, tg, out=di)
+    di *= si
+    di *= np.subtract(1.0, si, out=v)
+    np.multiply(dc, c_prev, out=df)
+    df *= sf
+    df *= np.subtract(1.0, sf, out=v)
+    np.multiply(dc, si, out=dg)
+    dg *= np.subtract(1.0, np.multiply(tg, tg, out=v), out=v)
+    np.multiply(gh, tc, out=do)
+    do *= so
+    do *= np.subtract(1.0, so, out=v)
+    dc *= sf
 
 
 def lstm_scan(tape, ax, weights, gain, bias, gate_bias, h0, c0, eps: float = 1e-5):
@@ -257,54 +351,65 @@ def lstm_scan(tape, ax, weights, gain, bias, gate_bias, h0, c0, eps: float = 1e-
         raise ShapeError(f"state {h.shape}/{c.shape} does not match gates {axv.shape}")
     keep = tape is not None
     blocks = (batch, 4, hidden)
+    kept = steps if keep else 1                 # without a tape, one step's buffers are reused
     hs = np.empty((steps, batch, hidden))
-    xhats = np.empty((steps,) + blocks) if keep else None
-    ins, saved = [[] for _ in ws], []          # per weight: the rows it multiplied
+    gates = np.empty((kept, batch, width))      # pre-activations, then the (i, f, g, o) activations
+    xhats = np.empty((kept,) + blocks)
+    inv_sds = np.empty((kept, batch, 4, 1))
+    tcs = np.empty((kept, batch, hidden))       # tanh(c'), after holding si * tg
+    cs = np.empty((kept + 1 if keep else 1, batch, hidden))    # c entering step 0, then each c'
+    cs[0] = c
+    ins = [[] for _ in ws]                      # per weight: the rows it multiplied
     for t in range(steps):
+        k = t if keep else 0
         a = h
-        for k, w in enumerate(ws):
+        for j, w in enumerate(ws):
             if keep:
-                ins[k].append(a)
+                ins[j].append(a)
             a = a @ w
-        xhat, inv_sd = _standardize(a.reshape(blocks), eps)
-        pre = (axv[t] + (gv * xhat + bv).reshape(batch, width)) + gbv
-        si = 1.0 / (1.0 + np.exp(-pre[:, :hidden]))
-        sf = 1.0 / (1.0 + np.exp(-pre[:, hidden:2 * hidden]))
-        tg = np.tanh(pre[:, 2 * hidden:3 * hidden])
-        so = 1.0 / (1.0 + np.exp(-pre[:, 3 * hidden:]))
-        c_prev, c = c, sf * c + si * tg
-        tc = np.tanh(c)
-        hs[t] = so * tc
-        h = hs[t]
-        if keep:
-            xhats[t] = xhat
-            saved.append((si, sf, tg, so, tc, c_prev, inv_sd))
+        pre, xhat = gates[k], xhats[k]
+        pre_blocks = pre.reshape(blocks)
+        inv_sds[k] = _standardize(a.reshape(blocks), eps, xhat, pre_blocks)
+        np.multiply(gv, xhat, out=pre_blocks)
+        pre_blocks += bv
+        pre += axv[t]
+        pre += gbv
+        for z in (pre[:, :2 * hidden], pre[:, 3 * hidden:]):    # sigmoid of [i, f], then of o
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            np.divide(1.0, z, out=z)
+        si, sf, tg, so = _gate_blocks(pre)
+        np.tanh(tg, out=tg)
+        c_prev, c, tc = cs[k], cs[k + 1 if keep else 0], tcs[k]
+        np.multiply(sf, c_prev, out=c)
+        c += np.multiply(si, tg, out=tc)
+        np.tanh(c, out=tc)
+        h = np.multiply(so, tc, out=hs[t])
 
     def adjoint(g):
+        nonlocal gates, tcs, cs
         d_pre = np.empty_like(axv)
         d_outs = [np.empty((steps, batch, w.shape[1])) for w in ws]
         dh, dc = np.zeros((batch, hidden)), np.zeros((batch, hidden))
+        gh, u, v = (np.empty((batch, hidden)) for _ in range(3))
+        scratch = np.empty(blocks)
         for t in reversed(range(steps)):
-            si, sf, tg, so, tc, c_prev, inv_sd = saved.pop()
-            gh = g[t] + dh
-            dc = dc + gh * so * (1.0 - tc * tc)
-            d = d_pre[t]
-            d[:, :hidden] = dc * tg * si * (1.0 - si)
-            d[:, hidden:2 * hidden] = dc * c_prev * sf * (1.0 - sf)
-            d[:, 2 * hidden:3 * hidden] = dc * si * (1.0 - tg * tg)
-            d[:, 3 * hidden:] = gh * tc * so * (1.0 - so)
-            dc = dc * sf
-            dh = _standardize_adjoint(d.reshape(blocks) * gv, xhats[t], inv_sd)
-            dh = dh.reshape(batch, width)
-            for k in reversed(range(len(ws))):
-                d_outs[k][t] = dh
-                dh = dh @ ws[k].T
+            _cell_adjoint(np.add(g[t], dh, out=gh), dc, gates[t], tcs[t], cs[t], d_pre[t], u, v)
+            dh = d_outs[-1][t]
+            _standardize_adjoint(np.multiply(d_pre[t].reshape(blocks), gv, out=dh.reshape(blocks)),
+                                 xhats[t], inv_sds[t], scratch)
+            for j in reversed(range(len(ws))):
+                dh = dh @ ws[j].T
+                if j:
+                    d_outs[j - 1][t] = dh
+        gates = tcs = cs = None     # spent: free them before the products below
         d_norm = d_pre.reshape(xhats.shape)
         grads = {"ax": d_pre, "gain": _unbroadcast(d_norm * xhats, gv.shape),
                  "bias": _unbroadcast(d_norm, bv.shape),
                  "gate_bias": _unbroadcast(d_pre, gbv.shape), "h0": dh, "c0": dc}
-        for k in range(len(ws)):    # (T batch, d_in)^T @ (T batch, d_out)
-            grads[k] = np.tensordot(np.stack(ins[k]), d_outs[k], ([0, 1], [0, 1]))
+        for j in range(len(ws)):    # (T batch, d_in)^T @ (T batch, d_out)
+            grads[j] = np.tensordot(np.stack(ins[j]), d_outs[j], ([0, 1], [0, 1]))
         return grads
 
     grads = {}
@@ -317,8 +422,8 @@ def lstm_scan(tape, ax, weights, gain, bias, gate_bias, h0, c0, eps: float = 1e-
 
     out = _emit(tape, hs, [(ax, pull("ax")), (gain, pull("gain")), (bias, pull("bias")),
                            (gate_bias, pull("gate_bias")), (h0, pull("h0")), (c0, pull("c0"))]
-                + [(w, pull(k)) for k, w in enumerate(weights)])
-    return out, c
+                + [(w, pull(j)) for j, w in enumerate(weights)])
+    return out, cs[-1]
 
 
 def cross_entropy(tape, logits, targets) -> Var:
@@ -333,21 +438,29 @@ def cross_entropy(tape, logits, targets) -> Var:
     if targets.min() < 0 or targets.max() >= lv.shape[1]:
         raise VocabError(f"target ids must lie in [0, {lv.shape[1]}), "
                          f"got range [{targets.min()}, {targets.max()}]")
-    if not np.all(np.isfinite(lv)):
-        raise NumericError("non-finite logits")
-    rows = np.arange(lv.shape[0])
-    row_max = lv.max(axis=1, keepdims=True)
-    shifted = lv - row_max
-    picked = shifted[rows, targets]
-    log_z = np.log(np.exp(shifted, out=shifted).sum(axis=1, keepdims=True))
+    n = lv.shape[0]
+    blocks = _row_blocks(lv.shape)
+    scratch = np.empty((blocks[0].stop, lv.shape[1]))        # one block of shifted logits
+    row_max, log_z, picked = np.empty((n, 1)), np.empty((n, 1)), np.empty(n)
+    for b in blocks:
+        block = lv[b]
+        if not np.all(np.isfinite(block)):
+            raise NumericError("non-finite logits")
+        shifted = scratch[:block.shape[0]]
+        np.subtract(block, np.max(block, axis=1, keepdims=True, out=row_max[b]), out=shifted)
+        picked[b] = shifted[np.arange(block.shape[0]), targets[b]]
+        np.log(np.exp(shifted, out=shifted).sum(axis=1, keepdims=True), out=log_z[b])
     nll = (log_z[:, 0] - picked).mean()
 
     def pull(g):
-        grad = lv - row_max
-        grad -= log_z
-        np.exp(grad, out=grad)
-        grad[rows, targets] -= 1.0
-        grad *= float(g) / lv.shape[0]
+        grad = np.empty(lv.shape)
+        factor = float(g) / n
+        for b in blocks:
+            gb = np.subtract(lv[b], row_max[b], out=grad[b])
+            gb -= log_z[b]
+            np.exp(gb, out=gb)
+            gb[np.arange(gb.shape[0]), targets[b]] -= 1.0
+            gb *= factor
         return grad
 
     return _emit(tape, np.float64(nll), [(logits, pull)])

@@ -305,16 +305,11 @@ class ForwardResult:
     factors: tuple[list[Var], list[Var]]     # W_x's and W_h's TTLinear.factors
 
 
-def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
-               state: tuple[np.ndarray, np.ndarray] | None = None) -> ForwardResult:
-    """Unroll the cell over a ``(batch, T)`` token window.
-
-    Only the recurrence runs per step. Each stack's factors, the embedding
-    gather, ``W_x`` and its layer norm run once before the loop, the
-    output projection once after it. The initial state is zero unless a
-    carried ``state`` is supplied; the returned state is detached, so
-    gradients never cross window boundaries.
-    """
+def _recurrence(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None,
+                state: tuple[np.ndarray, np.ndarray] | None):
+    """Everything :func:`forward_lm` runs before the output projection:
+    the time-major ``(T, batch, H)`` hidden states as a Var, the last cell
+    state and the two stacks' factor lists."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ShapeError(f"token batch must be 2-D, got shape {tokens.shape}")
@@ -333,13 +328,28 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
     ax = ag.reshape(tape, ax, (steps, batch, 4 * hidden))
     ln = model.ln_h
     hs, c = ag.lstm_scan(tape, ax, transposed(tape, wh), ln.gain, ln.bias,
-                         model.gate_bias, *state, LN_EPS)           # (T, batch, H)
+                         model.gate_bias, *state, LN_EPS)
+    return hs, c, (wx, wh)
+
+
+def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
+               state: tuple[np.ndarray, np.ndarray] | None = None) -> ForwardResult:
+    """Unroll the cell over a ``(batch, T)`` token window.
+
+    Only the recurrence runs per step. Each stack's factors, the embedding
+    gather, ``W_x`` and its layer norm run once before the loop, the
+    output projection once after it. The initial state is zero unless a
+    carried ``state`` is supplied; the returned state is detached, so
+    gradients never cross window boundaries.
+    """
+    hs, c, factors = _recurrence(model, tokens, tape, state)
+    steps, batch, hidden = hs.shape
     seq = ag.transpose(tape, hs, (1, 0, 2))                         # (batch, T, H)
     rows = ag.reshape(tape, seq, (batch * steps, hidden))
     logit_rows = ag.linear(tape, rows, model.proj_w, model.proj_b)
     logits = logit_rows.value.reshape(batch, steps, -1)
     return ForwardResult(logits, logit_rows, rows.value.reshape(batch, steps, hidden),
-                         (hs.value[-1].copy(), c.copy()), (wx, wh))
+                         (hs.value[-1].copy(), c.copy()), factors)
 
 
 def sequence_nll(tape, result: ForwardResult, targets: np.ndarray) -> Var:

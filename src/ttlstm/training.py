@@ -26,7 +26,7 @@ from .data import make_batches
 from .distill import (DataCovariance, DistillConfig, KdTarget, TeacherWeights,
                       factored_kd_penalty, kd_penalty, total_loss)
 from .errors import ConfigError, NumericError
-from .nn import TTLinear, TTLstmModel, forward_lm, sequence_nll
+from .nn import TTLinear, TTLstmModel, _recurrence, forward_lm, sequence_nll
 
 __all__ = ["TrainConfig", "EpochStats", "train_model", "evaluate", "collect_stack_inputs",
            "clip_gradients"]
@@ -229,8 +229,8 @@ def collect_stack_inputs(model: TTLstmModel, ids: np.ndarray,
                          max_windows: int | None = None):
     """Gather the vectors each gate stack multiplies during a forward pass
     of ``model`` over the stream: embedded inputs (for W_x) and the hidden
-    states entering each step (for W_h). One ordinary stateful
-    ``forward_lm`` runs per window."""
+    states entering each step (for W_h). Each window runs the stateful
+    recurrence of ``forward_lm`` without its output projection."""
     arch = model.arch
     stream = make_batches(ids, arch.batch_size, arch.unroll)
     xs: list[np.ndarray] = []
@@ -241,10 +241,10 @@ def collect_stack_inputs(model: TTLstmModel, ids: np.ndarray,
         if max_windows is not None and w >= max_windows:
             break
         xs.append(model.embed.value[batch.inputs.reshape(-1)])
-        out = forward_lm(model, batch.inputs, tape=None, state=state)
+        out, c, _ = _recurrence(model, batch.inputs, None, state)
+        seq = out.value                                      # (T, batch, H)
         # W_h multiplies the state entering each step: the carried state,
         # then every step's output but the last; rows time-major
-        entering = np.concatenate([state[0][:, None], out.hidden[:, :-1]], axis=1)
-        hs.append(entering.transpose(1, 0, 2).reshape(-1, arch.hidden_dim))
-        state = out.state
+        hs.append(np.concatenate([state[0][None], seq[:-1]]).reshape(-1, arch.hidden_dim))
+        state = (seq[-1], c)
     return np.concatenate(xs, axis=0), np.concatenate(hs, axis=0)

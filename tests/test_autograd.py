@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ttlstm.autograd as ag
 from ttlstm.autograd import Parameter, Tape, Var, backward, grad_check
-from ttlstm.errors import DomainError, ShapeError, StateError, VocabError
+from ttlstm.errors import DomainError, NumericError, ShapeError, StateError, VocabError
 from ttlstm.nn import TTLinear
 from ttlstm.ttrain import MpsTrain, ShapeFactorization, new_mps
 
@@ -151,6 +155,228 @@ class TestLstmScan:
         with pytest.raises(ShapeError):
             ag.lstm_scan(None, np.zeros((3, 2, 8)), [np.zeros((2, 8))], np.ones((4, 2)),
                          np.zeros((4, 2)), np.zeros(8), np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def _reference_layer_norm(xv, gv, bv, g, eps=1e-5):
+    """Layer norm, unblocked, in the kernel's operation order: the output,
+    and the ``x`` and ``gain`` gradients for the output gradient ``g``."""
+    centered = xv - xv.mean(axis=-1, keepdims=True)
+    inv_sd = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered * inv_sd
+    gg = g * gv
+    dx = (gg - gg.mean(axis=-1, keepdims=True)
+          - xhat * (gg * xhat).mean(axis=-1, keepdims=True)) * inv_sd
+    return gv * xhat + bv, dx, (g * xhat).sum(axis=0)
+
+
+def _reference_cross_entropy(lv, targets, seed):
+    """Softmax NLL, unblocked, in the kernel's operation order, and the
+    logits gradient for the loss gradient ``seed``."""
+    rows = np.arange(lv.shape[0])
+    row_max = lv.max(axis=1, keepdims=True)
+    shifted = lv - row_max
+    picked = shifted[rows, targets]
+    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    grad = lv - row_max
+    grad -= log_z
+    np.exp(grad, out=grad)
+    grad[rows, targets] -= 1.0
+    grad *= seed / lv.shape[0]
+    return (log_z[:, 0] - picked).mean(), grad
+
+
+def _check_layer_norm(shape, seed, taped):
+    rng = np.random.default_rng(seed)
+    x = Parameter(rng.normal(0.5, 2.0, size=shape), "x")
+    gain = Parameter(rng.normal(1.0, 0.2, size=shape[1:]), "gain")
+    bias = Parameter(rng.normal(0.0, 0.2, size=shape[1:]), "bias")
+    g = rng.normal(size=shape)
+    want, want_dx, want_dgain = _reference_layer_norm(x.value, gain.value, bias.value, g)
+    t = Tape() if taped else None
+    out = ag.layer_norm(t, x, gain, bias, 1e-5)
+    assert out.value.tobytes() == want.tobytes()
+    if taped:
+        backward(t, ag.reduce_sum(t, ag.mul(t, out, g)))     # the output gradient is g
+        assert x.grad.tobytes() == want_dx.tobytes()
+        assert gain.grad.tobytes() == want_dgain.tobytes()
+        assert bias.grad.tobytes() == g.sum(axis=0).tobytes()
+
+
+def _check_cross_entropy(rows, vocab, seed, taped):
+    rng = np.random.default_rng(seed)
+    logits = Parameter(rng.normal(scale=4.0, size=(rows, vocab)), "logits")
+    targets = rng.integers(0, vocab, size=rows)
+    want, want_grad = _reference_cross_entropy(logits.value, targets, 1.5)
+    t = Tape() if taped else None
+    loss = ag.cross_entropy(t, logits, targets)
+    assert float(loss.value) == float(want)
+    if taped:
+        backward(t, loss, seed=1.5)
+        assert logits.grad.tobytes() == want_grad.tobytes()
+
+
+class TestRowBlocks:
+    """The row-blocked layer norm and cross-entropy give bitwise the values
+    of the same operations on the whole array, across several blocks and a
+    ragged last one."""
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
+    @pytest.mark.parametrize("shape", [(301, 4, 160), (1, 4, 160), (3, 4, 8), (9, 70000), (64,)])
+    def test_layer_norm_matches_unblocked_reference(self, shape, taped):
+        _check_layer_norm(shape, 0, taped)
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
+    @pytest.mark.parametrize("rows,vocab", [(257, 2000), (5, 40000), (1, 1), (3, 7)])
+    def test_cross_entropy_matches_unblocked_reference(self, rows, vocab, taped):
+        _check_cross_entropy(rows, vocab, rows, taped)
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.integers(1, 80), width=st.integers(1, 6000), seed=st.integers(0, 2 ** 32 - 1),
+           taped=st.booleans())
+    def test_blocked_kernels_match_reference_for_any_rows_and_width(self, rows, width, seed, taped):
+        _check_cross_entropy(rows, width, seed, taped)
+        _check_layer_norm((rows, 2, -(-width // 2)), seed, taped)
+
+    def test_blocks_tile_axis_zero_within_the_byte_budget(self):
+        blocks = ag._row_blocks((301, 4, 160))
+        assert blocks[0].start == 0 and blocks[-1].stop == 301
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [b.stop - b.start for b in blocks]
+        assert len(sizes) > 1 and sizes[-1] < sizes[0]
+        assert max(sizes) * 4 * 160 * 8 <= ag.ROW_BLOCK_BYTES
+        assert ag._row_blocks((3, 40000)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+    def test_non_finite_logit_in_the_last_block_raises(self, bad):
+        logits = np.random.default_rng(3).normal(size=(257, 2000))
+        assert ag._row_blocks(logits.shape)[-1].start > 0
+        logits[-1, 1999] = bad
+        with pytest.raises(NumericError):
+            ag.cross_entropy(None, logits, np.zeros(257, dtype=np.int64))
+
+    def test_gain_must_broadcast_to_the_input(self):
+        with pytest.raises(ShapeError):
+            ag.layer_norm(None, np.zeros((4, 3)), np.ones((2, 4, 3)), np.zeros(3))
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    """Without a tape the blocked kernels allocate about their output and
+    one block of scratch, not whole-array temporaries."""
+
+    def test_cross_entropy_peak_is_a_small_share_of_the_logits(self):
+        rng = np.random.default_rng(0)
+        logits, targets = rng.normal(size=(300, 2000)), rng.integers(0, 2000, size=300)
+        peak = _traced_peak(lambda: ag.cross_entropy(None, logits, targets))
+        assert peak <= 0.25 * logits.nbytes, f"peak {peak} B for {logits.nbytes} B of logits"
+
+    def test_layer_norm_peak_is_about_one_output(self):
+        rng = np.random.default_rng(1)
+        x, gain, bias = rng.normal(size=(300, 4, 160)), np.ones((4, 160)), np.zeros((4, 160))
+        peak = _traced_peak(lambda: ag.layer_norm(None, x, gain, bias))
+        assert peak <= 2.0 * x.nbytes, f"peak {peak} B for a {x.nbytes} B input"
+
+
+def _reference_scan(axv, ws, gv, bv, gbv, h, c, g, eps=1e-5):
+    """``lstm_scan`` written out step by step with fresh arrays: the hidden
+    states, the last cell state and, for the output gradient ``g``, the
+    gradients of the inputs and of each weight."""
+    steps, batch, width = axv.shape
+    hidden = width // 4
+    blocks = (batch, 4, hidden)
+
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    hs, ins, saved = np.empty((steps, batch, hidden)), [[] for _ in ws], []
+    for t in range(steps):
+        a = h
+        for k, w in enumerate(ws):
+            ins[k].append(a)
+            a = a @ w
+        a = a.reshape(blocks)
+        centered = a - a.mean(axis=-1, keepdims=True)
+        inv_sd = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+        xhat = centered * inv_sd
+        pre = (axv[t] + (gv * xhat + bv).reshape(batch, width)) + gbv
+        si, sf = sigmoid(pre[:, :hidden]), sigmoid(pre[:, hidden:2 * hidden])
+        tg, so = np.tanh(pre[:, 2 * hidden:3 * hidden]), sigmoid(pre[:, 3 * hidden:])
+        c_prev, c = c, sf * c + si * tg
+        tc = np.tanh(c)
+        hs[t] = so * tc
+        h = hs[t]
+        saved.append((si, sf, tg, so, tc, c_prev, xhat, inv_sd))
+    d_pre = np.empty_like(axv)
+    d_outs = [np.empty((steps, batch, w.shape[1])) for w in ws]
+    dh, dc = np.zeros((batch, hidden)), np.zeros((batch, hidden))
+    xhats = np.empty((steps,) + blocks)
+    for t in reversed(range(steps)):
+        si, sf, tg, so, tc, c_prev, xhat, inv_sd = saved[t]
+        xhats[t] = xhat
+        gh = g[t] + dh
+        dc = dc + gh * so * (1.0 - tc * tc)
+        d = d_pre[t]
+        d[:, :hidden] = dc * tg * si * (1.0 - si)
+        d[:, hidden:2 * hidden] = dc * c_prev * sf * (1.0 - sf)
+        d[:, 2 * hidden:3 * hidden] = dc * si * (1.0 - tg * tg)
+        d[:, 3 * hidden:] = gh * tc * so * (1.0 - so)
+        dc = dc * sf
+        gg = d.reshape(blocks) * gv
+        dh = (gg - gg.mean(axis=-1, keepdims=True)
+              - xhat * (gg * xhat).mean(axis=-1, keepdims=True)) * inv_sd
+        dh = dh.reshape(batch, width)
+        for k in reversed(range(len(ws))):
+            d_outs[k][t] = dh
+            dh = dh @ ws[k].T
+    d_norm = d_pre.reshape(xhats.shape)
+    grads = {"ax": d_pre, "gain": (d_norm * xhats).sum(axis=(0, 1)),
+             "bias": d_norm.sum(axis=(0, 1)), "gate_bias": d_pre.sum(axis=(0, 1)),
+             "h0": dh, "c0": dc}
+    for k in range(len(ws)):
+        grads[f"w{k}"] = np.tensordot(np.stack(ins[k]), d_outs[k], ([0, 1], [0, 1]))
+    return hs, c, grads
+
+
+class TestLstmScanBitwise:
+    """``lstm_scan`` with its reused buffers and in-place steps gives bitwise
+    the values and gradients of the same loop on fresh arrays."""
+
+    @pytest.mark.parametrize("steps,batch,hidden,widths", [
+        (3, 2, 3, [12]), (3, 2, 3, [2, 12]), (1, 3, 5, [20]), (4, 1, 5, [3, 20]),
+        (35, 20, 64, [256]), (35, 20, 64, [16, 256]),
+    ], ids=["one-weight", "two-weights", "one-step", "batch-one", "paper-like-dense",
+            "paper-like-pair"])
+    def test_matches_a_loop_on_fresh_arrays(self, steps, batch, hidden, widths):
+        rng = np.random.default_rng(steps * batch + len(widths))
+        ax = _param(rng, (steps, batch, 4 * hidden), "ax")
+        dims = [hidden] + widths
+        weights = [Parameter(rng.normal(size=(dims[k], dims[k + 1])) / np.sqrt(dims[k]), f"w{k}")
+                   for k in range(len(widths))]
+        gain = Parameter(rng.normal(1.0, 0.2, size=(4, hidden)), "gain")
+        bias = Parameter(rng.normal(0.0, 0.2, size=(4, hidden)), "bias")
+        gate_bias = _param(rng, (4 * hidden,), "gate_bias")
+        h0, c0 = _param(rng, (batch, hidden), "h0"), _param(rng, (batch, hidden), "c0")
+        g = rng.normal(size=(steps, batch, hidden))
+        want_hs, want_c, want = _reference_scan(
+            ax.value, [w.value for w in weights], gain.value, bias.value, gate_bias.value,
+            h0.value, c0.value, g)
+        args = (ax, weights, gain, bias, gate_bias, h0, c0)
+        hs, c = ag.lstm_scan(None, *args)
+        assert hs.value.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
+        t = Tape()
+        hs, c = ag.lstm_scan(t, *args)
+        assert hs.value.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
+        backward(t, ag.reduce_sum(t, ag.mul(t, hs, g)))     # the output gradient is g
+        for p in [ax, *weights, gain, bias, gate_bias, h0, c0]:
+            assert p.grad.tobytes() == want[p.name].tobytes(), p.name
 
 
 class TestBackwardMechanics:

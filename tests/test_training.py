@@ -215,6 +215,18 @@ def test_collect_stack_inputs_matches_per_step_loop(rep, rank):
     assert hs.tobytes() == np.concatenate(want_h).tobytes()
 
 
+def test_collect_stack_inputs_runs_no_output_projection(monkeypatch):
+    vocab, train_ids, _ = _setup(n_tokens=1200)
+    model = build_model(_arch(vocab, "mps", 3, unroll=5, batch=3), seed=8)
+    calls = []
+    linear = ag.linear
+    monkeypatch.setattr(ag, "linear", lambda *args: calls.append(args) or linear(*args))
+    collect_stack_inputs(model, train_ids, max_windows=2)
+    assert calls == []
+    forward_lm(model, next(iter(make_batches(train_ids, 3, 5))).inputs)
+    assert len(calls) == 1
+
+
 def _kd_setup(rep, rank, mode, n_windows=2):
     """A student, a dense teacher, its covariances and a stream of exactly
     ``n_windows`` training windows."""

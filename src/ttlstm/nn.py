@@ -313,6 +313,8 @@ def _recurrence(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None,
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ShapeError(f"token batch must be 2-D, got shape {tokens.shape}")
+    if tokens.size == 0:
+        raise ShapeError(f"token batch {tokens.shape} has no steps or no lanes")
     if tokens.min() < 0 or tokens.max() >= model.vocab_size:
         raise VocabError(
             f"token ids must lie in [0, {model.vocab_size}), "

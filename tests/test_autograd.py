@@ -84,6 +84,11 @@ class TestPerOpGradients:
         with pytest.raises(VocabError):
             ag.cross_entropy(None, logits, np.array([0, bad]))
 
+    @pytest.mark.parametrize("tape", [None, Tape()], ids=["no-tape", "tape"])
+    def test_cross_entropy_of_zero_rows_raises_shape_error(self, tape):
+        with pytest.raises(ShapeError):
+            ag.cross_entropy(tape, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
     @pytest.mark.parametrize("rows,vocab,spread", [(1, 1, 1.0), (7, 11, 0.1), (40, 300, 50.0)])
     def test_cross_entropy_matches_reference_bitwise(self, rows, vocab, spread):
         rng = np.random.default_rng(rows)
@@ -155,6 +160,12 @@ class TestLstmScan:
         with pytest.raises(ShapeError):
             ag.lstm_scan(None, np.zeros((3, 2, 8)), [np.zeros((2, 8))], np.ones((4, 2)),
                          np.zeros((4, 2)), np.zeros(8), np.zeros((2, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("steps,batch", [(0, 2), (3, 0)], ids=["no-steps", "no-lanes"])
+    def test_empty_gates_raise_shape_error(self, steps, batch):
+        with pytest.raises(ShapeError):
+            ag.lstm_scan(Tape(), np.zeros((steps, batch, 8)), [np.zeros((2, 8))], np.ones((4, 2)),
+                         np.zeros((4, 2)), np.zeros(8), np.zeros((batch, 2)), np.zeros((batch, 2)))
 
 
 def _reference_layer_norm(xv, gv, bv, g, eps=1e-5):
@@ -284,6 +295,31 @@ class TestKernelMemory:
         peak = _traced_peak(lambda: ag.layer_norm(None, x, gain, bias))
         assert peak <= 2.0 * x.nbytes, f"peak {peak} B for a {x.nbytes} B input"
 
+    def test_scan_without_a_tape_keeps_one_step_of_gate_buffers(self):
+        """The eval path allocates the hidden states plus a few steps' worth
+        of buffers (about 9 here); a per-window gate buffer alone would be 35."""
+        args = _scan_args(np.random.default_rng(2), 35, 20, 64, [256])
+        step = 20 * 4 * 64 * 8
+        hs = ag.lstm_scan(None, *args)[0].value
+        peak = _traced_peak(lambda: ag.lstm_scan(None, *args))
+        assert peak <= hs.nbytes + 12 * step, f"peak {peak} B, {hs.nbytes} B of hidden states"
+
+    def test_taped_scan_and_backward_peak(self):
+        """The adjoint writes ``ax``'s gradient over the spent gate rows
+        instead of a ``(T, batch, 4H)`` buffer of its own, so a forward
+        plus backward peaks at about 4.2x ``ax``'s bytes."""
+        args = _scan_args(np.random.default_rng(3), 35, 20, 64, [256])
+        g = np.random.default_rng(4).normal(size=(35, 20, 64))
+
+        def run():
+            t = Tape()
+            hs, _ = ag.lstm_scan(t, *args)
+            backward(t, ag.reduce_sum(t, ag.mul(t, hs, g)))
+
+        peak = _traced_peak(run)
+        nbytes = args[0].value.nbytes
+        assert peak <= 4.5 * nbytes, f"peak {peak} B for a {nbytes} B ax"
+
 
 def _reference_scan(axv, ws, gv, bv, gbv, h, c, g, eps=1e-5):
     """``lstm_scan`` written out step by step with fresh arrays: the hidden
@@ -345,6 +381,22 @@ def _reference_scan(axv, ws, gv, bv, gbv, h, c, g, eps=1e-5):
     return hs, c, grads
 
 
+def _scan_args(rng, steps, batch, hidden, widths):
+    """``lstm_scan``'s inputs after ``tape``: a ``(steps, batch, 4 hidden)``
+    ``ax``, weights from ``hidden`` through ``widths``, gain, bias, gate
+    bias and the entering state, all Parameters named as the reference
+    scan names their gradients."""
+    ax = _param(rng, (steps, batch, 4 * hidden), "ax")
+    dims = [hidden] + widths
+    weights = [Parameter(rng.normal(size=(dims[k], dims[k + 1])) / np.sqrt(dims[k]), f"w{k}")
+               for k in range(len(widths))]
+    gain = Parameter(rng.normal(1.0, 0.2, size=(4, hidden)), "gain")
+    bias = Parameter(rng.normal(0.0, 0.2, size=(4, hidden)), "bias")
+    gate_bias = _param(rng, (4 * hidden,), "gate_bias")
+    h0, c0 = _param(rng, (batch, hidden), "h0"), _param(rng, (batch, hidden), "c0")
+    return ax, weights, gain, bias, gate_bias, h0, c0
+
+
 class TestLstmScanBitwise:
     """``lstm_scan`` with its reused buffers and in-place steps gives bitwise
     the values and gradients of the same loop on fresh arrays."""
@@ -375,6 +427,27 @@ class TestLstmScanBitwise:
         hs, c = ag.lstm_scan(t, *args)
         assert hs.value.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
         backward(t, ag.reduce_sum(t, ag.mul(t, hs, g)))     # the output gradient is g
+        for p in [ax, *weights, gain, bias, gate_bias, h0, c0]:
+            assert p.grad.tobytes() == want[p.name].tobytes(), p.name
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.integers(1, 6), batch=st.integers(1, 5), hidden=st.integers(1, 70),
+           inner=st.lists(st.integers(1, 70), max_size=2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_reference_for_any_shape(self, steps, batch, hidden, inner, seed):
+        """1-3 weights, any small window; odd widths reach the SIMD tails."""
+        rng = np.random.default_rng(seed)
+        args = _scan_args(rng, steps, batch, hidden, inner + [4 * hidden])
+        ax, weights, gain, bias, gate_bias, h0, c0 = args
+        g = rng.normal(size=(steps, batch, hidden))
+        want_hs, want_c, want = _reference_scan(
+            ax.value, [w.value for w in weights], gain.value, bias.value, gate_bias.value,
+            h0.value, c0.value, g)
+        hs, c = ag.lstm_scan(None, *args)
+        assert hs.value.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
+        t = Tape()
+        hs, c = ag.lstm_scan(t, *args)
+        assert hs.value.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
+        backward(t, ag.reduce_sum(t, ag.mul(t, hs, g)))
         for p in [ax, *weights, gain, bias, gate_bias, h0, c0]:
             assert p.grad.tobytes() == want[p.name].tobytes(), p.name
 

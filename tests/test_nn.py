@@ -127,6 +127,15 @@ class TestForward:
         np.testing.assert_array_equal(out.logits[0], out.logits[1])
         np.testing.assert_array_equal(out.logits[0], out.logits[2])
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 5), (0, 0)], ids=["no-steps", "no-lanes", "empty"])
+    def test_empty_window_raises_shape_error(self, shape):
+        model = build_model(_tiny_arch(), seed=1)
+        tokens = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(ShapeError):
+            forward_lm(model, tokens)
+        with pytest.raises(ShapeError):
+            forward_lm(model, tokens, Tape())
+
     def test_vocab_error(self):
         model = build_model(_tiny_arch(), seed=1)
         with pytest.raises(VocabError):

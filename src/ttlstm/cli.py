@@ -1,7 +1,8 @@
 """Command-line surface: ``ttlstm train|eval|bench|info``.
 
 Exit codes: 0 success, 2 configuration error (also an argument outside its
-domain, such as a corpus too short for one window), 3 file-format error,
+domain, such as a corpus too short for one window, and a file that cannot
+be read or written), 3 file-format error,
 4 numeric failure. All commands accept ``--threads`` (default 1); the
 thread count is exported to the BLAS layer before numpy loads, which is
 why the heavy imports below live inside the command handlers.
@@ -58,7 +59,7 @@ def read_config(path) -> tuple[dict[str, str], str]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -127,7 +128,7 @@ def _read_corpus(path) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read corpus {path}: {exc}") from exc
 
 
@@ -325,7 +326,7 @@ def cmd_bench(args) -> int:
 def _info_rows(args):
     import numpy as np
 
-    from .contract import cost_model, efficiency_gain
+    from .contract import CostReport, cost_model
 
     rows = []
     if args.model:
@@ -344,25 +345,19 @@ def _info_rows(args):
             eigs = np.linalg.eigvalsh(cov)
             eig[stack] = float(eigs[0]), float(eigs[-1])
 
-    h, e = arch.hidden_dim, arch.embed_dim
-    full = {"wx": 4 * h * e, "wh": 4 * h * h}
     for stack, fact in (("wx", arch.wx_fact()), ("wh", arch.wh_fact())):
         lo, hi = eig.get(stack, ("", ""))
-        if rep == "dense":
-            rows.append({"matrix": stack, "kind": "dense", "n_factors": 1, "rank": 0,
-                         "storage": full[stack], "storage_bound": full[stack],
-                         "matvec_ops": full[stack], "build_ops": 0,
-                         "ops_bound": full[stack], "compression_rate": 1.0,
-                         "efficiency_gain": "", "s_eigen_min": lo, "s_eigen_max": hi})
-            continue
-        report = cost_model(fact, rank, rep)
-        gain = efficiency_gain(fact) if fact.n == fact.m and fact.n >= 2 else ""
-        rows.append({"matrix": stack, "kind": rep, "n_factors": fact.n, "rank": rank,
-                     "storage": report.storage, "storage_bound": report.storage_bound,
-                     "matvec_ops": report.matvec_ops, "build_ops": report.build_ops,
-                     "ops_bound": report.matvec_ops_bound,
-                     "compression_rate": full[stack] / report.storage,
-                     "efficiency_gain": gain, "s_eigen_min": lo, "s_eigen_max": hi})
+        full = fact.n_rows * fact.n_cols
+        report = (CostReport("dense", 1, 0, full, full, full, 0, full) if rep == "dense"
+                  else cost_model(fact, rank, rep))
+        # the gain column: multiply-adds per input row of a dense product over this stack's
+        rows.append({"matrix": stack, "kind": report.kind, "n_factors": report.n_factors,
+                     "rank": report.max_rank, "storage": report.storage,
+                     "storage_bound": report.storage_bound, "matvec_ops": report.matvec_ops,
+                     "build_ops": report.build_ops, "ops_bound": report.matvec_ops_bound,
+                     "compression_rate": full / report.storage,
+                     "efficiency_gain": full / report.matvec_ops,
+                     "s_eigen_min": lo, "s_eigen_max": hi})
     return rows
 
 
@@ -460,7 +455,7 @@ def main(argv=None) -> int:
     handlers = {"train": cmd_train, "eval": cmd_eval, "bench": cmd_bench, "info": cmd_info}
     try:
         return handlers[args.command](args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FormatError as exc:

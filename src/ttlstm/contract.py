@@ -37,7 +37,6 @@ __all__ = [
     "mpo_matvec",
     "cost_model",
     "pick_rank",
-    "efficiency_gain",
     "compression_rate",
 ]
 
@@ -215,19 +214,6 @@ def pick_rank(target_rate: float, fact: ShapeFactorization, kind: str) -> int:
     else:
         raise DomainError(f"kind must be 'mps' or 'mpo', got {kind!r}")
     return max(1, int(math.floor(r)))
-
-
-def efficiency_gain(fact: ShapeFactorization) -> float:
-    """Ratio of MPO inference cost to MPS inference cost at a matched
-    compression rate: ``N M (I + J) / (I J (N + M))``, halved for n == 2."""
-    if fact.n != fact.m or fact.n < 2:
-        raise DomainError("efficiency gain assumes n == m >= 2")
-    big_n, big_m = fact.n_rows, fact.n_cols
-    max_i, max_j = max(fact.row_dims), max(fact.col_dims)
-    gain = big_n * big_m * (max_i + max_j) / (max_i * max_j * (big_n + big_m))
-    if fact.n == 2:
-        gain /= 2.0
-    return gain
 
 
 def compression_rate(full_param_count: int, tt_param_count: int) -> float:

@@ -1,5 +1,7 @@
 """End-to-end tests of the ``ttlstm`` command line via subprocesses."""
 
+import csv
+import io
 import re
 import struct
 import subprocess
@@ -9,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttlstm.contract import pick_rank
+from ttlstm.contract import cost_model, pick_rank
 from ttlstm.data import build_vocab, save_vocab, synthetic_corpus
-from ttlstm.cli import read_config
+from ttlstm.cli import main, read_config
 from ttlstm.errors import FormatError
 from ttlstm.modelfile import MAGIC, load_model, read_records, save_model
 from ttlstm.nn import ModelArch, build_model
@@ -166,7 +168,8 @@ def test_info_reproduces_gate_stack_costs(workdir):
     wx = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert int(wx["storage"]) == 32_320
     assert abs(float(wx["compression_rate"]) - 52.2896) < 1e-3
-    assert abs(float(wx["efficiency_gain"]) - 15.0) < 1e-9
+    # 1,690,000 dense multiply-adds per row over 20 * (2600 + 650) through the factor pair
+    assert abs(float(wx["efficiency_gain"]) - 26.0) < 1e-9
 
 
 @pytest.mark.parametrize("dims", [{}, {"wx_row_dims": (4, 16), "wx_col_dims": (2, 8)}])
@@ -181,6 +184,36 @@ def test_info_plans_target_rate_rank_on_the_model_factorization(tmp_path, dims):
     lines = proc.stdout.strip().splitlines()
     ranks = {dict(zip(lines[0].split(","), line.split(",")))["rank"] for line in lines[1:]}
     assert ranks == {str(pick_rank(1.8, arch.wx_fact(), "mps"))}
+
+
+@pytest.mark.parametrize("rep,factors,rank", [
+    ("dense", 2, 0), ("mps", 2, 1), ("mps", 2, 5), ("mps", 3, 3),
+    ("mpo", 2, 4), ("mpo", 3, 2), ("mpo", 3, 7),
+])
+def test_info_rows_are_cost_model_reports(tmp_path, monkeypatch, capsys, rep, factors, rank):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # main exports --threads; undone after the test
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"vocab_size=50\nembed_dim=12\nhidden_dim=18\nrepresentation={rep}\n"
+                   f"factors={factors}\nrank={rank}\n")
+    assert main(["info", "--config", str(cfg)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    arch = ModelArch(vocab_size=50, embed_dim=12, hidden_dim=18, representation=rep,
+                     n_factors=factors, rank=rank)
+    assert [row["matrix"] for row in rows] == ["wx", "wh"]
+    for row, fact in zip(rows, (arch.wx_fact(), arch.wh_fact())):
+        full = fact.n_rows * fact.n_cols
+        if rep == "dense":
+            storage, build_ops, matvec_ops = full, 0, full
+        else:
+            report = cost_model(fact, rank, rep)
+            storage, build_ops, matvec_ops = report.storage, report.build_ops, report.matvec_ops
+        assert row["kind"] == rep
+        assert (int(row["storage"]), int(row["build_ops"]), int(row["matvec_ops"])) == \
+            (storage, build_ops, matvec_ops)
+        assert float(row["compression_rate"]) == full / storage
+        assert float(row["efficiency_gain"]) == full / matvec_ops
 
 
 def test_numeric_error_record_reports_the_model_compression_rate(workdir, tmp_path):
@@ -277,6 +310,49 @@ def test_vocab_size_that_misfits_the_model_exits_2(workdir, tmp_path):
     save_vocab(vocab, tmp_path / "small.ttlm.vocab")
     proc = run_cli("eval", "--model", model, "--corpus", workdir / "test.txt", expect=2)
     assert "40 tokens" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", [
+    "eval missing model", "train missing teacher", "info model is a directory",
+    "train non-UTF-8 corpus", "train non-UTF-8 config", "eval non-UTF-8 corpus",
+    "records in a missing directory", "out in a missing directory",
+    "covariance-out in a missing directory",
+])
+def test_file_that_cannot_be_read_or_written_exits_2(workdir, teacher, tmp_path, case):
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes("caf\xe9 au lait\n".encode("latin-1"))
+    corpus, cfg, missing = workdir / "corpus.txt", workdir / "dense.cfg", tmp_path / "missing"
+    argv = {
+        "eval missing model": ["eval", "--model", tmp_path / "nope.ttlm", "--corpus", corpus],
+        "train missing teacher": ["train", "--config", workdir / "mps.cfg", "--corpus", corpus,
+                                  "--teacher", tmp_path / "nope.ttlm", "--out", tmp_path / "s.ttlm"],
+        "info model is a directory": ["info", "--model", tmp_path],
+        "train non-UTF-8 corpus": ["train", "--config", cfg, "--corpus", latin,
+                                   "--out", tmp_path / "x.ttlm"],
+        "train non-UTF-8 config": ["train", "--config", latin, "--corpus", corpus,
+                                   "--out", tmp_path / "x.ttlm"],
+        "eval non-UTF-8 corpus": ["eval", "--model", teacher, "--corpus", latin],
+        "records in a missing directory": ["info", "--config", cfg,
+                                           "--records", missing / "records.csv"],
+        "out in a missing directory": ["train", "--config", cfg, "--corpus", corpus,
+                                       "--out", missing / "x.ttlm"],
+        "covariance-out in a missing directory": ["info", "--model", teacher, "--corpus", corpus,
+                                                  "--covariance-out", missing / "cov.npz"],
+    }[case]
+    proc = run_cli(*argv, expect=2)
+    assert proc.stderr.startswith("config error:")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def test_non_utf8_vocab_file_exits_3(tmp_path):
+    # no vocab hash in the manifest, so the vocab file itself is parsed
+    model = tmp_path / "m.ttlm"
+    save_model(build_model(ModelArch(vocab_size=20, embed_dim=4, hidden_dim=4,
+                                     representation="mps", rank=2)), model)
+    (tmp_path / "m.ttlm.vocab").write_bytes(b"<unk>\t0\n<eos>\t1\ncaf\xe9\t2\n")
+    proc = run_cli("info", "--model", model, expect=3)
+    assert proc.stderr.startswith("format error:") and "m.ttlm.vocab" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 def test_same_seed_training_bitwise_identical_model_files(workdir):

@@ -9,7 +9,6 @@ from ttlstm.contract import (
     build_factor_pair,
     compression_rate,
     cost_model,
-    efficiency_gain,
     mpo_matvec,
     mps_matvec,
     pick_rank,
@@ -380,22 +379,6 @@ class TestPickRank:
         report = cost_model(fact, r, kind)
         achieved = STACK650_PARAMS / report.storage_bound
         assert abs(achieved - rho) / rho <= 0.25
-
-
-class TestEfficiencyGain:
-    def test_ptb_two_factor(self):
-        gain = efficiency_gain(STACK650_FACT)
-        assert abs(gain - 15.0) < 1e-12
-
-    def test_square_shapes_reduce_to_n_over_i(self):
-        fact = ShapeFactorization((8, 8, 8), (8, 8, 8))
-        n_total = 512
-        assert abs(efficiency_gain(fact) - n_total / 8) < 1e-12
-
-    def test_three_factor_is_twice_two_factor(self):
-        two = ShapeFactorization((8, 8), (8, 8))
-        three = ShapeFactorization((8, 8, 1), (8, 8, 1))
-        assert abs(efficiency_gain(three) - 2 * efficiency_gain(two)) < 1e-12
 
 
 class TestCompressionRate:

@@ -23,6 +23,25 @@ column of a ``(batch, 4H)`` row costs about twice as much. The adjoint
 keeps one step's pre-activation gradient in the same layout and writes
 ``ax``'s gradient, row-major, over the spent gate rows.
 
+A taped kernel keeps no full-size array that its adjoint can rebuild
+from what the tape holds anyway, and each rebuild repeats the forward's
+own operations on the same inputs, so it is bitwise:
+
+- ``layer_norm`` keeps ``x``'s row mean and ``inv_sd``, two ``(rows, ...,
+  1)`` arrays; ``x`` itself is already held by the record that made it.
+  Its ``x`` and ``gain`` pulls rebuild ``xhat`` block by block as ``(x -
+  mean) * inv_sd``.
+- ``cross_entropy`` keeps each row's maximum and log-normalizer; its pull
+  rebuilds the softmax from them.
+- ``lstm_scan`` keeps each step's gate activations, normalized ``W_h``
+  product ``xhat``, ``inv_sd`` and cell state, and the rows each weight
+  multiplied. Its adjoint rebuilds ``tanh(c')`` one step at a time from
+  the kept cell state, and forms the ``gain`` gradient's product in the
+  spent ``xhat`` buffer.
+
+``layer_norm`` and ``lstm_scan`` share one standardize and one adjoint,
+which write their row statistics into arrays the caller owns.
+
 A tape is single-owner: do not share one across concurrent forward passes.
 Independent tapes may run in parallel.
 """
@@ -244,23 +263,46 @@ def _rows(a: np.ndarray, ndim: int, block: slice) -> np.ndarray:
     return a[block] if a.ndim == ndim and a.shape[0] != 1 else a
 
 
-def _standardize(xv: np.ndarray, eps: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Write ``xhat`` of ``xv`` over its last axis (population variance) into
-    ``out`` and return ``inv_sd``; ``scratch``, shaped like ``out``, holds
-    the squares (it may be ``xv``, which is spent once centered)."""
-    np.subtract(xv, xv.mean(axis=-1, keepdims=True), out=out)
-    inv_sd = 1.0 / np.sqrt(np.multiply(out, out, out=scratch).mean(axis=-1, keepdims=True) + eps)
+def _mean(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)`` written into ``out``: the sum and
+    the true divide ``.mean`` runs, without its temporaries."""
+    np.add.reduce(a, axis=-1, keepdims=True, out=out)
+    out /= a.shape[-1]
+    return out
+
+
+def _xhat(xv: np.ndarray, mean: np.ndarray, inv_sd: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``(xv - mean) * inv_sd`` into ``out``: the two operations with which
+    :func:`_standardize` finishes ``xhat``, so a rebuild is bitwise."""
+    np.subtract(xv, mean, out=out)
     out *= inv_sd
-    return inv_sd
+    return out
+
+
+def _standardize(xv: np.ndarray, eps: float, out: np.ndarray, scratch: np.ndarray,
+                 mean: np.ndarray, inv_sd: np.ndarray) -> np.ndarray:
+    """Write ``xhat`` of ``xv`` over its last axis (population variance) into
+    ``out`` and the row statistics into the caller's ``(..., 1)`` arrays
+    ``mean`` and ``inv_sd``; ``scratch``, shaped like ``out``, holds the
+    squares (it may be ``xv``, which is spent once centered)."""
+    np.subtract(xv, _mean(xv, mean), out=out)
+    _mean(np.multiply(out, out, out=scratch), inv_sd)
+    inv_sd += eps
+    np.sqrt(inv_sd, out=inv_sd)
+    np.divide(1.0, inv_sd, out=inv_sd)
+    out *= inv_sd
+    return out
 
 
 def _standardize_adjoint(gg: np.ndarray, xhat: np.ndarray, inv_sd: np.ndarray,
-                         scratch: np.ndarray) -> np.ndarray:
+                         scratch: np.ndarray, mean_g: np.ndarray,
+                         mean_gx: np.ndarray) -> np.ndarray:
     """Input gradient of :func:`_standardize` given the gradient ``gg`` of
     ``xhat``, computed in place in ``gg``: ``(gg - mean(gg) - xhat *
-    mean(gg xhat)) * inv_sd``."""
-    mean_g = gg.mean(axis=-1, keepdims=True)
-    mean_gx = np.multiply(gg, xhat, out=scratch).mean(axis=-1, keepdims=True)
+    mean(gg xhat)) * inv_sd``; the two means go to the caller's ``(...,
+    1)`` arrays ``mean_g`` and ``mean_gx``."""
+    _mean(gg, mean_g)
+    _mean(np.multiply(gg, xhat, out=scratch), mean_gx)
     gg -= mean_g
     gg -= np.multiply(xhat, mean_gx, out=scratch)
     gg *= inv_sd
@@ -270,36 +312,47 @@ def _standardize_adjoint(gg: np.ndarray, xhat: np.ndarray, inv_sd: np.ndarray,
 def layer_norm(tape, x, gain, bias, eps: float = 1e-5) -> Var:
     """Standardize over the last axis (population variance), then apply
     ``gain * xhat + bias``; ``gain``/``bias`` must broadcast to ``x``'s
-    shape. Runs in row blocks; ``xhat`` and ``inv_sd`` outlive the call
-    only when a tape records it."""
+    shape. Runs in row blocks. A tape keeps only ``x``'s row mean and
+    ``inv_sd``: the ``x`` and ``gain`` pulls rebuild ``xhat`` from them
+    block by block."""
     xv, gv, bv = _val(x), _val(gain), _val(bias)
     if np.broadcast_shapes(xv.shape, gv.shape, bv.shape) != xv.shape:
         raise ShapeError(f"gain {gv.shape} and bias {bv.shape} do not broadcast to {xv.shape}")
     keep, nd = tape is not None, xv.ndim
     blocks = _row_blocks(xv.shape)
-    out = np.empty(xv.shape)
-    scratch = np.empty((blocks[0].stop,) + xv.shape[1:])     # one block
-    if keep:
-        xhat, inv_sd = np.empty(xv.shape), np.empty(xv.shape[:-1] + (1,))
+    block = (blocks[0].stop,) + xv.shape[1:]
+    stats = (xv.shape if keep else block)[:-1] + (1,)     # per block without a tape
+    out, xhat = np.empty(xv.shape), np.empty(block)
+    mean, inv_sd = np.empty(stats), np.empty(stats)
     for b in blocks:
         o = out[b]
-        xh = xhat[b] if keep else scratch[:o.shape[0]]
-        inv = _standardize(xv[b], eps, xh, o)
-        if keep:
-            inv_sd[b] = inv
-        np.multiply(_rows(gv, nd, b), xh, out=o)
+        n = o.shape[0]
+        r = b if keep else slice(0, n)
+        _standardize(xv[b], eps, xhat[:n], o, mean[r], inv_sd[r])
+        np.multiply(_rows(gv, nd, b), xhat[:n], out=o)
         o += _rows(bv, nd, b)
 
     def pull_x(g):
         dx = np.empty(xv.shape)
+        xh, scratch = np.empty((2,) + block)
+        mean_g, mean_gx = np.empty((2,) + block[:-1] + (1,))
         for b in blocks:
             d = np.multiply(g[b], _rows(gv, nd, b), out=dx[b])
-            _standardize_adjoint(d, xhat[b], inv_sd[b], scratch[:d.shape[0]])
+            r = slice(0, d.shape[0])
+            _standardize_adjoint(d, _xhat(xv[b], mean[b], inv_sd[b], xh[r]), inv_sd[b],
+                                 scratch[r], mean_g[r], mean_gx[r])
         return dx
+
+    def pull_gain(g):
+        gx = np.empty(xv.shape)
+        for b in blocks:
+            block_gx = _xhat(xv[b], mean[b], inv_sd[b], gx[b])
+            block_gx *= g[b]                    # xhat * g, bitwise g * xhat
+        return _unbroadcast(gx, gv.shape)
 
     return _emit(tape, out, [
         (x, pull_x),
-        (gain, lambda g: _unbroadcast(g * xhat, gv.shape)),
+        (gain, pull_gain),
         (bias, lambda g: _unbroadcast(g, bv.shape)),
     ])
 
@@ -374,8 +427,8 @@ def lstm_scan(tape, ax, weights, gain, bias, gate_bias, h0, c0, eps: float = 1e-
     hs = np.empty((steps, batch, hidden))
     gates = np.empty((kept, 4, batch, hidden))  # pre-activations, then the (i, f, g, o) activations
     xhats = np.empty((kept,) + blocks)
-    inv_sds = np.empty((kept, batch, 4, 1))
-    tcs = np.empty((kept, batch, hidden))       # tanh(c'), after holding si * tg
+    mean, inv_sds = np.empty((batch, 4, 1)), np.empty((kept, batch, 4, 1))
+    tc = np.empty((batch, hidden))              # tanh(c'), after holding si * tg
     cs = np.empty((kept + 1 if keep else 1, batch, hidden))    # c entering step 0, then each c'
     cs[0] = c
     ax_gates = axv.reshape(steps, *blocks).transpose(0, 2, 1, 3)     # a view, gate-major
@@ -393,7 +446,7 @@ def lstm_scan(tape, ax, weights, gain, bias, gate_bias, h0, c0, eps: float = 1e-
             a = a @ w
         pre, xhat = gates[k], xhats[k]
         a = a.reshape(blocks)
-        inv_sds[k] = _standardize(a, eps, xhat, a)     # the product is spent once centered
+        _standardize(a, eps, xhat, a, mean, inv_sds[k])     # the product is spent once centered
         np.multiply(gain_gates, xhat.transpose(1, 0, 2), out=pre)
         pre += bias_gates
         pre += ax_gates[t]
@@ -405,38 +458,41 @@ def lstm_scan(tape, ax, weights, gain, bias, gate_bias, h0, c0, eps: float = 1e-
             np.divide(1.0, z, out=z)
         si, sf, tg, so = pre
         np.tanh(tg, out=tg)
-        c_prev, c, tc = cs[k], cs[k + 1 if keep else 0], tcs[k]
+        c_prev, c = cs[k], cs[k + 1 if keep else 0]
         np.multiply(sf, c_prev, out=c)
         c += np.multiply(si, tg, out=tc)
         np.tanh(c, out=tc)
         h = np.multiply(so, tc, out=hs[t])
 
     def adjoint(g):
-        nonlocal gates, tcs, cs
+        nonlocal gates, cs
         d_ax = gates.reshape(axv.shape)         # row t takes ax's gradient once step t's gates are spent
         d_pre = np.empty((4, batch, hidden))    # one step's, gate-major
         d_outs = [np.empty((steps, batch, w.shape[1])) for w in ws]
         dh, dc = np.zeros((batch, hidden)), np.zeros((batch, hidden))
-        gh, u = np.empty((batch, hidden)), np.empty((batch, hidden))
+        gh, u, tc = np.empty((3, batch, hidden))
         v, scratch = np.empty((2, batch, hidden)), np.empty(blocks)
+        mean_g, mean_gx = np.empty((2, batch, 4, 1))
         for t in reversed(range(steps)):
-            _cell_adjoint(np.add(g[t], dh, out=gh), dc, gates[t], tcs[t], cs[t], d_pre, u, v)
+            np.tanh(cs[t + 1], out=tc)          # the forward's tanh(c') on the kept c'
+            _cell_adjoint(np.add(g[t], dh, out=gh), dc, gates[t], tc, cs[t], d_pre, u, v)
             d = d_ax[t].reshape(blocks)
             np.copyto(d, d_pre.transpose(1, 0, 2))
             dh = d_outs[-1][t]
             _standardize_adjoint(np.multiply(d, gv, out=dh.reshape(blocks)),
-                                 xhats[t], inv_sds[t], scratch)
+                                 xhats[t], inv_sds[t], scratch, mean_g, mean_gx)
             for j in reversed(range(len(ws))):
                 dh = dh @ ws[j].T
                 if j:
                     d_outs[j - 1][t] = dh
-        gates = tcs = cs = None     # spent: free them before the products below
+        gates = cs = None           # spent: free them before the products below
         grads = {"h0": dh, "c0": dc}
         for j in range(len(ws)):    # (T batch, d_in)^T @ (T batch, d_out)
             grads[j] = np.tensordot(np.stack(ins[j]), d_outs[j], ([0, 1], [0, 1]))
-        d_outs = None               # free them before the reductions' temporary
+        d_outs = None               # spent: free them before the reductions
         d_norm = d_ax.reshape(xhats.shape)
-        grads.update({"ax": d_ax, "gain": _unbroadcast(d_norm * xhats, gv.shape),
+        d_gain = np.multiply(xhats, d_norm, out=xhats)     # d_norm * xhats, in the spent xhats
+        grads.update({"ax": d_ax, "gain": _unbroadcast(d_gain, gv.shape),
                       "bias": _unbroadcast(d_norm, bv.shape),
                       "gate_bias": _unbroadcast(d_ax, gbv.shape)})
         return grads

@@ -162,14 +162,24 @@ def _load_model_and_vocab(path):
 def _load_covariance(path, embed_dim: int, hidden_dim: int):
     """``(cov_x, cov_h)`` from a ``--covariance`` file: each must be a
     finite real square matrix (else :class:`FormatError`), ``E x E`` and
-    ``H x H`` respectively (else :class:`ConfigError`)."""
+    ``H x H`` respectively (else :class:`ConfigError`). A file that cannot
+    be opened is a :class:`ConfigError`, one that does not parse as an
+    ``.npz`` archive with both arrays a :class:`FormatError`."""
+    import zipfile
+    import zlib
+
     import numpy as np
 
     try:
-        with np.load(path) as npz:
-            covs = npz["cov_x"], npz["cov_h"]
-    except (OSError, KeyError, ValueError) as exc:
-        raise FormatError(f"bad covariance file {path}: {exc}") from exc
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ConfigError(f"cannot read covariance file {path}: {exc}") from exc
+    with fh:
+        try:
+            with np.load(fh) as npz:
+                covs = npz["cov_x"], npz["cov_h"]
+        except (EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+            raise FormatError(f"bad covariance file {path}: {exc}") from exc
     for name, cov, dim in zip(("cov_x", "cov_h"), covs, (embed_dim, hidden_dim)):
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.dtype.kind not in "iuf" \
            or not np.all(np.isfinite(cov)):
@@ -189,6 +199,15 @@ def _split_ids(ids, valid_fraction: float):
     return ids[:cut], ids[cut:]
 
 
+def _check_output_dirs(*paths) -> None:
+    """Fail before any work if an output file's directory does not exist."""
+    for path in paths:
+        if path is not None:
+            folder = os.path.dirname(str(path)) or "."
+            if not os.path.isdir(folder):
+                raise ConfigError(f"cannot write {path}: no directory {folder}")
+
+
 def cmd_train(args) -> int:
     from .data import build_vocab, encode_stream, save_vocab
     from .distill import DistillConfig, TeacherWeights
@@ -196,6 +215,7 @@ def cmd_train(args) -> int:
     from .nn import build_model
     from .training import TrainConfig, train_model
 
+    _check_output_dirs(args.out, args.records)
     cfg, cfg_hash = read_config(args.config)
     seed, seed_from = ((args.seed, "--seed") if args.seed is not None
                        else (_number(cfg, "seed"), "config key 'seed'"))

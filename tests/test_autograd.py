@@ -226,6 +226,37 @@ def _check_cross_entropy(rows, vocab, seed, taped):
         assert logits.grad.tobytes() == want_grad.tobytes()
 
 
+class TestStandardize:
+    """The shared standardize and its adjoint give bitwise the ``.mean``
+    formulas of ``_reference_layer_norm``, statistics included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 30), width=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1),
+           squares_in_input=st.booleans())
+    def test_matches_the_mean_formulas_for_any_rows_and_width(self, rows, width, seed,
+                                                              squares_in_input):
+        rng = np.random.default_rng(seed)
+        x, gg = rng.normal(0.5, 2.0, size=(rows, width)), rng.normal(size=(rows, width))
+        want_mean = x.mean(axis=-1, keepdims=True)
+        centered = x - want_mean
+        want_inv_sd = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+        want_xhat = centered * want_inv_sd
+        want_mean_g = gg.mean(axis=-1, keepdims=True)
+        want_mean_gx = (gg * want_xhat).mean(axis=-1, keepdims=True)
+        want_dx = (gg - want_mean_g - want_xhat * want_mean_gx) * want_inv_sd
+
+        xv, out = x.copy(), np.empty(x.shape)
+        mean, inv_sd, mean_g, mean_gx = np.empty((4, rows, 1))
+        scratch = xv if squares_in_input else np.empty(x.shape)     # the scan reuses its input
+        xhat = ag._standardize(xv, 1e-5, out, scratch, mean, inv_sd)
+        assert xhat is out
+        for got, want in ((xhat, want_xhat), (mean, want_mean), (inv_sd, want_inv_sd)):
+            assert got.tobytes() == want.tobytes()
+        dx = ag._standardize_adjoint(gg.copy(), xhat, inv_sd, np.empty(x.shape), mean_g, mean_gx)
+        for got, want in ((dx, want_dx), (mean_g, want_mean_g), (mean_gx, want_mean_gx)):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestRowBlocks:
     """The row-blocked layer norm and cross-entropy give bitwise the values
     of the same operations on the whole array, across several blocks and a
@@ -279,9 +310,22 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def _traced_kept(call) -> int:
+    """Bytes ``call()`` leaves allocated while its result is still held."""
+    tracemalloc.start()
+    try:
+        held = call()
+        kept = tracemalloc.get_traced_memory()[0]
+        del held
+        return kept
+    finally:
+        tracemalloc.stop()
+
+
 class TestKernelMemory:
     """Without a tape the blocked kernels allocate about their output and
-    one block of scratch, not whole-array temporaries."""
+    one block of scratch, not whole-array temporaries; with one they keep
+    nothing full-size that their adjoint can rebuild."""
 
     def test_cross_entropy_peak_is_a_small_share_of_the_logits(self):
         rng = np.random.default_rng(0)
@@ -294,6 +338,37 @@ class TestKernelMemory:
         x, gain, bias = rng.normal(size=(300, 4, 160)), np.ones((4, 160)), np.zeros((4, 160))
         peak = _traced_peak(lambda: ag.layer_norm(None, x, gain, bias))
         assert peak <= 2.0 * x.nbytes, f"peak {peak} B for a {x.nbytes} B input"
+
+    def test_taped_layer_norm_keeps_row_statistics_not_xhat(self):
+        """Beyond its output a taped call keeps ``x``'s row mean and
+        ``inv_sd`` (about 0.015x the input here), not a full-size ``xhat``."""
+        rng = np.random.default_rng(1)
+        x = Parameter(rng.normal(size=(300, 4, 160)), "x")
+        gain, bias = Parameter(np.ones((4, 160)), "gain"), Parameter(np.zeros((4, 160)), "bias")
+
+        def run():
+            t = Tape()
+            return t, ag.layer_norm(t, x, gain, bias)
+
+        kept = _traced_kept(run) - x.value.nbytes          # the output is x's size
+        assert kept <= 0.1 * x.value.nbytes, f"{kept} B kept for a {x.value.nbytes} B input"
+
+    def test_taped_scan_keeps_no_per_step_tanh_of_the_cell_state(self):
+        """A taped forward keeps the hidden states, the gate activations, the
+        normalized products, the cell states and ``inv_sd``; the adjoint
+        rebuilds ``tanh(c')`` from the kept cell states."""
+        steps, batch, hidden = 35, 20, 64
+        args = _scan_args(np.random.default_rng(2), steps, batch, hidden, [256])
+
+        def run():
+            t = Tape()
+            return t, ag.lstm_scan(t, *args)
+
+        kept = _traced_kept(run)
+        window = steps * batch * hidden * 8         # one (T, batch, H) buffer
+        arrays = (window + 2 * args[0].value.nbytes + (steps + 1) * batch * hidden * 8
+                  + steps * batch * 4 * 8)
+        assert kept - arrays <= 0.25 * window, f"{kept - arrays} B kept beyond the arrays named"
 
     def test_scan_without_a_tape_keeps_one_step_of_gate_buffers(self):
         """The eval path allocates the hidden states plus a few steps' worth

@@ -464,6 +464,47 @@ def test_info_rejects_a_bad_covariance_file(workdir, tmp_path, arrays, expect, n
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("case", ["missing", "directory"])
+def test_covariance_file_that_cannot_be_read_exits_2(workdir, tmp_path, case):
+    cov = tmp_path / "nope.npz" if case == "missing" else tmp_path
+    proc = run_cli("info", "--config", workdir / "mps.cfg", "--covariance", cov, expect=2)
+    assert proc.stderr.startswith("config error:") and str(cov) in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def _corrupt_covariance(case: str) -> bytes:
+    buf = io.BytesIO()
+    np.savez_compressed(buf, cov_x=np.eye(12), cov_h=np.eye(12))
+    archive = buf.getvalue()
+    return {
+        "zip magic then garbage": b"PK\x03\x04" + bytes(range(256)) * 2,
+        "empty": b"",
+        "truncated archive": archive[:len(archive) // 2],
+        "damaged member": archive[:80] + bytes(b ^ 0xFF for b in archive[80:140]) + archive[140:],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["zip magic then garbage", "empty", "truncated archive",
+                                  "damaged member"])
+def test_corrupt_covariance_file_exits_3(workdir, tmp_path, case):
+    cov = tmp_path / "bad.npz"
+    cov.write_bytes(_corrupt_covariance(case))
+    proc = run_cli("info", "--config", workdir / "mps.cfg", "--covariance", cov, expect=3)
+    assert proc.stderr.startswith("format error:") and "bad.npz" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--out", "--records"])
+def test_train_into_a_missing_directory_exits_2_before_training(workdir, tmp_path, flag):
+    missing = tmp_path / "missing"
+    out = missing / "x.ttlm" if flag == "--out" else tmp_path / "x.ttlm"
+    records = [] if flag == "--out" else ["--records", missing / "records.csv"]
+    proc = run_cli("train", "--config", workdir / "dense.cfg", "--corpus", workdir / "corpus.txt",
+                   "--out", out, *records, expect=2)
+    assert proc.stderr.startswith("config error:") and str(missing) in proc.stderr
+    assert "epoch 1:" not in proc.stdout and not out.exists()
+
+
 _ALWAYS_WRITTEN = ["format_version", "vocab_size", "embed_dim", "hidden_dim", "unroll",
                    "batch_size", "gate_order", "init_kind", "seed", "vocab_sha256", "tensors",
                    "wx_kind", "wh_kind"]

@@ -199,9 +199,11 @@ def _split_ids(ids, valid_fraction: float):
     return ids[:cut], ids[cut:]
 
 
-def _check_output_dirs(*paths) -> None:
-    """Fail before any work if an output file's directory does not exist."""
-    for path in paths:
+def _check_output_dirs(args) -> None:
+    """Fail before any work if the directory of an output file (``--out``,
+    ``--records``, ``--covariance-out``) does not exist."""
+    for key in ("out", "records", "covariance_out"):
+        path = getattr(args, key, None)
         if path is not None:
             folder = os.path.dirname(str(path)) or "."
             if not os.path.isdir(folder):
@@ -215,7 +217,6 @@ def cmd_train(args) -> int:
     from .nn import build_model
     from .training import TrainConfig, train_model
 
-    _check_output_dirs(args.out, args.records)
     cfg, cfg_hash = read_config(args.config)
     seed, seed_from = ((args.seed, "--seed") if args.seed is not None
                        else (_number(cfg, "seed"), "config key 'seed'"))
@@ -474,6 +475,7 @@ def main(argv=None) -> int:
         os.environ[var] = threads
     handlers = {"train": cmd_train, "eval": cmd_eval, "bench": cmd_bench, "info": cmd_info}
     try:
+        _check_output_dirs(args)
         return handlers[args.command](args)
     except (ConfigError, DomainError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

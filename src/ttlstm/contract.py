@@ -20,14 +20,14 @@ An MPS chain is only ever contracted as its factor pair; its dense matrix
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RankError, ShapeError
+from . import ttrain
+from .errors import DomainError, ShapeError
 from .ttrain import (MpoTrain, MpsTrain, ShapeFactorization, apply, check_capacity,
-                     dense_matrix, factor_pair, uniform_mpo_ranks, uniform_mps_ranks)
+                     dense_matrix, factor_pair)
 
 __all__ = [
     "OpCounter",
@@ -123,38 +123,17 @@ class CostReport:
     matvec_ops_bound: int
 
 
-def _rank_chains(fact: ShapeFactorization, ranks, kind: str) -> list[tuple[int, ...]]:
-    """``[row_chain, col_chain]`` for MPS, ``[chain]`` for MPO, checked."""
-    try:
-        rank = operator.index(ranks)
-    except TypeError:
-        chains = [tuple(map(operator.index, c)) for c in (ranks if kind == "mps" else [ranks])]
-    else:
-        return list(uniform_mps_ranks(fact, rank)) if kind == "mps" else [uniform_mpo_ranks(fact, rank)]
-    lengths = [fact.n + 1, fact.m + 1] if kind == "mps" else [fact.n + 1]
-    if [len(c) for c in chains] != lengths:
-        raise RankError(f"{kind} rank chains need lengths {lengths}, got {chains}")
-    if chains[0][0] != 1 or chains[-1][-1] != 1:
-        raise RankError(f"boundary ranks must be 1, got {chains}")
-    if chains[0][-1] != chains[-1][0]:
-        raise RankError(f"the row chain must end on the column chain's first rank, got {chains}")
-    if min(min(c) for c in chains) < 1:
-        raise RankError(f"ranks must be >= 1, got {chains}")
-    return chains
-
-
 def cost_model(fact: ShapeFactorization, ranks, kind: str) -> CostReport:
     """Storage and operation accounting for a factorization and rank choice.
 
     ``ranks`` may be a single uniform inner rank (``uniform_mps_ranks``/
     ``uniform_mpo_ranks``) or explicit chains (a ``(row_chain, col_chain)``
-    pair for MPS, one chain for MPO) of any integer type. A rank below 1, a
-    chain of the wrong length, a boundary rank other than 1 or an MPS row
-    chain not ending where its column chain starts raises :class:`RankError`.
+    pair for MPS, one chain for MPO) of any integer type. A chain that
+    ``new_mps``/``new_mpo`` would reject raises the same :class:`RankError`.
     """
     if kind not in ("mps", "mpo"):
         raise DomainError(f"kind must be 'mps' or 'mpo', got {kind!r}")
-    chains = _rank_chains(fact, ranks, kind)
+    chains = ttrain._rank_chains(fact, ranks, kind)
     n, m = fact.n, fact.m
     big_n, big_m = fact.n_rows, fact.n_cols
     max_i, max_j = max(fact.row_dims), max(fact.col_dims)

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError
-from .nn import GATE_ORDER, LayerNormParams, ModelArch, TTLinear, TTLstmModel
-from .autograd import Parameter
+from .nn import GATE_ORDER, ModelArch, TTLinear, TTLstmModel, _assemble
 from .ttrain import MpoTrain, MpsTrain, ShapeFactorization
 
 __all__ = ["MAGIC", "save_model", "load_model", "RunRecord",
@@ -169,37 +168,23 @@ def _arch_from_manifest(man: dict[str, str]) -> ModelArch:
     )
 
 
-def _check_dense_shapes(arch: ModelArch, tensors: dict[str, np.ndarray]):
-    """The tensors outside the gate stacks must match the architecture."""
-    v, e, h = arch.vocab_size, arch.embed_dim, arch.hidden_dim
-    expected = {"embedding": (v, e), "gate_bias": (4 * h,),
-                "ln_x.gain": (4, h), "ln_x.bias": (4, h), "ln_h.gain": (4, h), "ln_h.bias": (4, h),
-                "proj.weight": (h, v), "proj.bias": (v,)}
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise FormatError(f"{name} declared {tensors[name].shape}, architecture needs {shape}")
-
-
 def _rebuild_stack(prefix: str, man: dict[str, str], tensors: dict[str, np.ndarray],
-                   out_dim: int, in_dim: int) -> TTLinear:
+                   fact: ShapeFactorization) -> TTLinear:
     """The stack from the tensors declared under ``{prefix}.``, in order;
     ``load_model`` checks their names against the ones ``TTLinear`` gives.
     The stack's manifest keys must be exactly the ones its kind writes."""
     kind = man[f"{prefix}_kind"]
     arrays = [arr for name, arr in tensors.items() if name.startswith(f"{prefix}.")]
     if kind == "dense":
-        if len(arrays) != 1 or arrays[0].shape != (out_dim, in_dim):
+        shape = (fact.n_rows, fact.n_cols)
+        if len(arrays) != 1 or arrays[0].shape != shape:
             raise FormatError(f"{prefix} declares {[a.shape for a in arrays]}, "
-                              f"architecture needs one {(out_dim, in_dim)} weight")
+                              f"architecture needs one {shape} weight")
         lin = TTLinear.dense(arrays[0], name=prefix)
+    elif kind == "mps":
+        lin = TTLinear.from_train(MpsTrain(fact, arrays[:fact.n], arrays[fact.n:]), name=prefix)
     else:
-        fact = ShapeFactorization(_ints(man[f"{prefix}_row_dims"]),
-                                  _ints(man[f"{prefix}_col_dims"]))
-        if kind == "mps":
-            train = MpsTrain(fact, arrays[:fact.n], arrays[fact.n:])
-        else:
-            train = MpoTrain(fact, arrays)
-        lin = TTLinear.from_train(train, name=prefix)
+        lin = TTLinear.from_train(MpoTrain(fact, arrays), name=prefix)
     written = _stack_manifest(prefix, lin)
     for key in man:
         if key.startswith(f"{prefix}_") and key not in written:
@@ -260,22 +245,9 @@ def load_model(path) -> tuple[TTLstmModel, dict[str, str]]:
 
     try:
         arch = _arch_from_manifest(manifest)
-        _check_dense_shapes(arch, tensors)
-        wx = _rebuild_stack("wx", manifest, tensors, 4 * arch.hidden_dim, arch.embed_dim)
-        wh = _rebuild_stack("wh", manifest, tensors, 4 * arch.hidden_dim, arch.hidden_dim)
-        model = TTLstmModel(
-            arch,
-            Parameter(tensors["embedding"], "embedding"),
-            wx, wh,
-            Parameter(tensors["gate_bias"], "gate_bias"),
-            LayerNormParams(Parameter(tensors["ln_x.gain"], "ln_x.gain"),
-                            Parameter(tensors["ln_x.bias"], "ln_x.bias")),
-            LayerNormParams(Parameter(tensors["ln_h.gain"], "ln_h.gain"),
-                            Parameter(tensors["ln_h.bias"], "ln_h.bias")),
-            Parameter(tensors["proj.weight"], "proj.weight"),
-            Parameter(tensors["proj.bias"], "proj.bias"),
-            seed=int(manifest["seed"]),
-        )
+        model = _assemble(arch, tensors,
+                          lambda prefix, fact: _rebuild_stack(prefix, manifest, tensors, fact),
+                          int(manifest["seed"]))
     except FormatError:
         raise
     except KeyError as exc:

@@ -265,28 +265,49 @@ def _stack_linear(arch: ModelArch, fact: ShapeFactorization, name: str,
     return TTLinear.from_train(train, name=name)
 
 
+def _param_shapes(arch: ModelArch) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter outside the two gate stacks, in file
+    order; the stacks' parameters sit between the embedding and the rest."""
+    v, e, h = arch.vocab_size, arch.embed_dim, arch.hidden_dim
+    return {"embedding": (v, e), "gate_bias": (4 * h,),
+            "ln_x.gain": (4, h), "ln_x.bias": (4, h), "ln_h.gain": (4, h), "ln_h.bias": (4, h),
+            "proj.weight": (h, v), "proj.bias": (v,)}
+
+
+def _assemble(arch: ModelArch, arrays: dict[str, np.ndarray], stack, seed: int) -> TTLstmModel:
+    """The model over ``arrays`` (taken without copying) and the stacks
+    ``stack("wx", fact)`` and ``stack("wh", fact)`` return; each array's
+    shape is checked (else :class:`ShapeError`) before either stack is built."""
+    shapes = _param_shapes(arch)
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ShapeError(f"{name} declared {arrays[name].shape}, architecture needs {shape}")
+    p = {name: Parameter(arrays[name], name) for name in shapes}
+    wx, wh = stack("wx", arch.wx_fact()), stack("wh", arch.wh_fact())
+    return TTLstmModel(arch, p["embedding"], wx, wh, p["gate_bias"],
+                       LayerNormParams(p["ln_x.gain"], p["ln_x.bias"]),
+                       LayerNormParams(p["ln_h.gain"], p["ln_h.bias"]),
+                       p["proj.weight"], p["proj.bias"], seed=seed)
+
+
 def build_model(arch: ModelArch, seed: int = 0) -> TTLstmModel:
     """Allocate and initialize a model; bitwise deterministic per seed.
 
-    Parameter creation order is fixed: embedding, W_x, W_h, gate bias,
-    layer-norm parameters, output projection. The forget-gate bias block
-    starts at 1.0; all other biases start at zero.
+    Random draws run in a fixed order: embedding, W_x, W_h, output
+    projection weight. Layer-norm gains start at 1.0, and so does the
+    forget-gate bias block; all other biases start at zero.
     """
     rng = np.random.default_rng(seed)
-    v, e, h = arch.vocab_size, arch.embed_dim, arch.hidden_dim
-    embed = Parameter(rng.uniform(-0.1, 0.1, size=(v, e)), "embedding")
-    wx = _stack_linear(arch, arch.wx_fact(), "wx", rng)
-    wh = _stack_linear(arch, arch.wh_fact(), "wh", rng)
-    gate_bias = np.zeros(4 * h)
-    gate_bias[h:2 * h] = 1.0    # forget gate block
-    ln_x = LayerNormParams(Parameter(np.ones((4, h)), "ln_x.gain"),
-                           Parameter(np.zeros((4, h)), "ln_x.bias"))
-    ln_h = LayerNormParams(Parameter(np.ones((4, h)), "ln_h.gain"),
-                           Parameter(np.zeros((4, h)), "ln_h.bias"))
-    proj_w = Parameter(rng.uniform(-0.1, 0.1, size=(h, v)), "proj.weight")
-    proj_b = Parameter(np.zeros(v), "proj.bias")
-    return TTLstmModel(arch, embed, wx, wh, Parameter(gate_bias, "gate_bias"),
-                       ln_x, ln_h, proj_w, proj_b, seed=seed)
+    shapes = _param_shapes(arch)
+    arrays = {"embedding": rng.uniform(-0.1, 0.1, size=shapes["embedding"])}
+    stacks = {name: _stack_linear(arch, fact, name, rng)
+              for name, fact in (("wx", arch.wx_fact()), ("wh", arch.wh_fact()))}
+    arrays["proj.weight"] = rng.uniform(-0.1, 0.1, size=shapes["proj.weight"])
+    arrays.update({name: np.zeros(shape) for name, shape in shapes.items() if name not in arrays})
+    h = arch.hidden_dim
+    arrays["gate_bias"][h:2 * h] = 1.0    # forget gate block
+    arrays["ln_x.gain"][:] = arrays["ln_h.gain"][:] = 1.0
+    return _assemble(arch, arrays, lambda name, fact: stacks[name], seed)
 
 
 def _block_norm(tape, pre: Var, ln: LayerNormParams) -> Var:

@@ -30,6 +30,7 @@ A stack's product ``x W^T`` is :func:`apply`, which ``forward_lm``'s
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -166,23 +167,15 @@ class MpsTrain:
         object.__setattr__(self, "col_cores", tuple(self.col_cores))
         _check_chain(list(self.row_cores), self.fact.row_dims, "row")
         _check_chain(list(self.col_cores), self.fact.col_dims, "col")
-        if self.row_cores[0].shape[0] != 1:
-            raise RankError(f"leading row rank must be 1, got {self.row_cores[0].shape[0]}")
-        if self.col_cores[-1].shape[2] != 1:
-            raise RankError(f"trailing col rank must be 1, got {self.col_cores[-1].shape[2]}")
-        if self.row_cores[-1].shape[2] != self.col_cores[0].shape[0]:
-            raise RankError(
-                "shared middle rank mismatch: "
-                f"{self.row_cores[-1].shape[2]} vs {self.col_cores[0].shape[0]}"
-            )
+        _rank_chains(self.fact, (self.row_ranks, self.col_ranks), "mps")
 
     @property
     def row_ranks(self) -> tuple[int, ...]:
-        return (1,) + tuple(c.shape[2] for c in self.row_cores)
+        return (self.row_cores[0].shape[0],) + tuple(c.shape[2] for c in self.row_cores)
 
     @property
     def col_ranks(self) -> tuple[int, ...]:
-        return tuple(c.shape[0] for c in self.col_cores) + (1,)
+        return tuple(c.shape[0] for c in self.col_cores) + (self.col_cores[-1].shape[2],)
 
     @property
     def mid_rank(self) -> int:
@@ -204,12 +197,33 @@ class MpoTrain:
     def __post_init__(self):
         object.__setattr__(self, "cores", tuple(self.cores))
         _check_chain(list(self.cores), self.fact.fused_dims(), "mpo")
-        if self.cores[0].shape[0] != 1 or self.cores[-1].shape[2] != 1:
-            raise RankError("MPO boundary ranks must both be 1")
+        _rank_chains(self.fact, self.ranks, "mpo")
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return (1,) + tuple(c.shape[2] for c in self.cores)
+        return (self.cores[0].shape[0],) + tuple(c.shape[2] for c in self.cores)
+
+
+def _rank_chains(fact: ShapeFactorization, ranks, kind: str) -> list[tuple[int, ...]]:
+    """``[row_chain, col_chain]`` for MPS, ``[chain]`` for MPO, from one uniform
+    inner rank or the chains themselves: the one check of the rank-chain
+    rules (lengths, boundary ranks 1, a shared middle rank, ranks >= 1)."""
+    try:
+        rank = operator.index(ranks)
+    except TypeError:
+        chains = [tuple(map(operator.index, c)) for c in (ranks if kind == "mps" else [ranks])]
+    else:
+        return list(uniform_mps_ranks(fact, rank)) if kind == "mps" else [uniform_mpo_ranks(fact, rank)]
+    lengths = [fact.n + 1, fact.m + 1] if kind == "mps" else [fact.n + 1]
+    if [len(c) for c in chains] != lengths:
+        raise RankError(f"{kind} rank chains need lengths {lengths}, got {chains}")
+    if chains[0][0] != 1 or chains[-1][-1] != 1:
+        raise RankError(f"boundary ranks must be 1, got {chains}")
+    if chains[0][-1] != chains[-1][0]:
+        raise RankError(f"the row chain must end on the column chain's first rank, got {chains}")
+    if min(min(c) for c in chains) < 1:
+        raise RankError(f"ranks must be >= 1, got {chains}")
+    return chains
 
 
 def uniform_mps_ranks(fact: ShapeFactorization, rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -279,16 +293,7 @@ def new_mps(fact: ShapeFactorization, row_ranks, col_ranks,
     ``row_ranks`` is the chain ``(1, r_1, ..., r_n)`` and ``col_ranks`` the
     chain ``(s_0, ..., s_{m-1}, 1)`` with ``r_n == s_0``.
     """
-    row_ranks = tuple(int(r) for r in row_ranks)
-    col_ranks = tuple(int(r) for r in col_ranks)
-    if len(row_ranks) != fact.n + 1 or len(col_ranks) != fact.m + 1:
-        raise RankError(
-            f"need {fact.n + 1} row ranks and {fact.m + 1} col ranks, "
-            f"got {len(row_ranks)} and {len(col_ranks)}"
-        )
-    # the chain below holds the middle rank once, as r_n; this makes init_params' check cover s_0
-    if row_ranks[-1] != col_ranks[0]:
-        raise RankError("row chain must end on the col chain's starting rank")
+    row_ranks, col_ranks = _rank_chains(fact, (row_ranks, col_ranks), "mps")
     chain = row_ranks + col_ranks[1:]
     scale = init_params(init, fact.n_cols, fact.n + fact.m, chain)
     rng = np.random.default_rng(seed)
@@ -307,9 +312,7 @@ def new_mpo(fact: ShapeFactorization, ranks,
             init: InitScheme = InitScheme(), seed: int = 0) -> MpoTrain:
     """Allocate an MPO train (requires ``n == m``); deterministic per seed."""
     fused = fact.fused_dims()
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != fact.n + 1:
-        raise RankError(f"need {fact.n + 1} ranks, got {len(ranks)}")
+    ranks, = _rank_chains(fact, ranks, "mpo")
     scale = init_params(init, fact.n_cols, fact.n, ranks)
     rng = np.random.default_rng(seed)
     cores = [
@@ -435,32 +438,35 @@ def reconstruct(train: MpsTrain | MpoTrain) -> np.ndarray:
     return dense_matrix(None, train.fact, train.cores).value
 
 
-def _divisors(value: int) -> list[int]:
-    out = [d for d in range(1, value + 1) if value % d == 0]
-    return out
-
-
 def balanced_factorization(value: int, parts: int) -> tuple[int, ...]:
     """Split ``value`` into ``parts`` integer factors with the smallest
     possible maximum factor (ties broken toward the lexicographically
     smallest ascending tuple). Deterministic.
+
+    Only non-decreasing tuples are searched, so a factor ``d`` is tried
+    only while ``d ** p`` does not exceed what is left to split into ``p``
+    parts: every factor but the last is a divisor up to ``isqrt(value)``.
     """
     if parts < 1:
         raise DomainError("parts must be >= 1")
     if value < 1:
         raise DomainError("value must be >= 1")
+    divisors = [d for d in range(1, math.isqrt(value) + 1) if value % d == 0]
     best: tuple[int, ...] | None = None
 
-    def search(v: int, p: int, acc: list[int]):
+    def search(v: int, p: int, low: int, acc: tuple[int, ...]):
         nonlocal best
         if p == 1:
-            cand = tuple(sorted(acc + [v]))
-            if best is None or (max(cand), cand) < (max(best), best):
-                best = cand
+            # acc is non-decreasing and v >= acc[-1], so v is the largest factor
+            if best is None or (v, acc + (v,)) < (best[-1], best):
+                best = acc + (v,)
             return
-        for d in _divisors(v):
-            search(v // d, p - 1, acc + [d])
+        for d in divisors:
+            if d ** p > v:
+                break
+            if d >= low and v % d == 0:
+                search(v // d, p - 1, d, acc + (d,))
 
-    search(value, parts, [])
+    search(value, parts, 1, ())
     assert best is not None
     return best

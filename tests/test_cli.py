@@ -505,6 +505,17 @@ def test_train_into_a_missing_directory_exits_2_before_training(workdir, tmp_pat
     assert "epoch 1:" not in proc.stdout and not out.exists()
 
 
+@pytest.mark.parametrize("command,flag", [("eval", "--records"), ("bench", "--records"),
+                                          ("info", "--covariance-out")])
+def test_output_into_a_missing_directory_exits_2_before_any_work(workdir, teacher, tmp_path,
+                                                                 command, flag):
+    missing = tmp_path / "missing"
+    proc = run_cli(command, "--model", teacher, "--corpus", workdir / "test.txt",
+                   flag, missing / "out.csv", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error:") and str(missing) in proc.stderr
+
+
 _ALWAYS_WRITTEN = ["format_version", "vocab_size", "embed_dim", "hidden_dim", "unroll",
                    "batch_size", "gate_order", "init_kind", "seed", "vocab_sha256", "tensors",
                    "wx_kind", "wh_kind"]

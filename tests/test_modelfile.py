@@ -1,11 +1,16 @@
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ttlstm
 from ttlstm.errors import FormatError
 from ttlstm.modelfile import (
     MAGIC,
@@ -286,3 +291,80 @@ class TestRunRecords:
         append_records(path, [RunRecord("bench", "forward_seconds", 1.39, value_sd=0.08)])
         text = path.read_text()
         assert "1.39" in text and "0.08" in text and "," in text
+
+
+def _manifest_lines(raw: bytes) -> tuple[list[str], bytes]:
+    """A model file's manifest lines and the blobs after them."""
+    head = len(MAGIC) + 8
+    (man_len,) = struct.unpack("<Q", raw[len(MAGIC): head])
+    return raw[head: head + man_len].decode().splitlines(), raw[head + man_len:]
+
+
+def _with_manifest(lines: list[str], blobs: bytes) -> bytes:
+    manifest = "".join(f"{line}\n" for line in lines).encode()
+    return MAGIC + struct.pack("<Q", len(manifest)) + manifest + blobs
+
+
+def test_huge_hidden_dim_in_a_dense_file_is_rejected_before_the_stacks(tmp_path):
+    """The shapes outside the stacks are checked first, so a hidden size no
+    tensor could hold fails at once instead of factorizing ``4 H``."""
+    path = tmp_path / "m.ttlm"
+    save_model(build_model(_arch("dense", 0), seed=1), path)
+    lines, blobs = _manifest_lines(path.read_bytes())
+    lines = ["hidden_dim=99999999999999999999" if line.startswith("hidden_dim=") else line
+             for line in lines]
+    path.write_bytes(_with_manifest(lines, blobs))
+    script = ("import sys\n"
+              "from ttlstm.errors import FormatError\n"
+              "from ttlstm.modelfile import load_model\n"
+              "try:\n"
+              "    load_model(sys.argv[1])\n"
+              "except FormatError as exc:\n"
+              "    print('FormatError:', exc)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(ttlstm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                          text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("FormatError:") and "gate_bias" in proc.stdout
+
+
+@pytest.fixture(scope="module")
+def saved_kinds(tmp_path_factory):
+    """A dense, an MPS and an MPO model file's bytes, and a scratch path."""
+    folder = tmp_path_factory.mktemp("manifest")
+    files = {}
+    for rep, rank in (("dense", 0), ("mps", 3), ("mpo", 2)):
+        path = folder / f"{rep}.ttlm"
+        save_model(build_model(_arch(rep, rank), seed=4), path, vocab_sha256="ab",
+                   train_meta={"lr": "0.5", "distill_mode": "none"})
+        files[rep] = path.read_bytes()
+    return folder / "edited.ttlm", files
+
+
+_MANIFEST_VALUES = ["", "-1", "0", "1", "2", "3", "8", "1,,2", "1,3,3", "4,8", "nan", "inf",
+                    "1.5", "x", "dense", "mps", "mpo", "99999999999999999999",
+                    "12345678901234567890", "-99999999999999999999"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_manifest_line_edit_loads_or_raises_format_error(saved_kinds, data):
+    """Dropping, duplicating or rewriting one manifest line of a dense, MPS
+    or MPO file either loads or raises ``FormatError``, never another error."""
+    path, files = saved_kinds
+    lines, blobs = _manifest_lines(files[data.draw(st.sampled_from(sorted(files)), label="rep")])
+    k = data.draw(st.integers(0, len(lines) - 1), label="line")
+    edit = data.draw(st.sampled_from(["drop", "duplicate", "value"]), label="edit")
+    if edit == "drop":
+        lines = lines[:k] + lines[k + 1:]
+    elif edit == "duplicate":
+        lines = lines[:k + 1] + lines[k:]
+    else:
+        key = lines[k].split("=", 1)[0]
+        lines[k] = f"{key}={data.draw(st.sampled_from(_MANIFEST_VALUES), label='value')}"
+    path.write_bytes(_with_manifest(lines, blobs))
+    try:
+        load_model(path)
+    except FormatError:
+        pass

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_reconstruct_mpo, brute_reconstruct_mps
+from ttlstm.contract import cost_model
 from ttlstm.errors import CapacityError, DomainError, RankError, ShapeError
 from ttlstm.ttrain import (
     InitScheme,
@@ -311,3 +314,93 @@ class TestBalancedFactorization:
                 f = balanced_factorization(value, parts)
                 assert math.prod(f) == value
                 assert len(f) == parts
+
+    def test_matches_the_exhaustive_search(self):
+        for value in range(1, 2601):
+            for parts in range(1, 5):
+                assert balanced_factorization(value, parts) == \
+                    _exhaustive_balanced_factorization(value, parts), (value, parts)
+
+    def test_large_value_takes_no_linear_scan(self):
+        start = time.perf_counter()
+        assert balanced_factorization(4 * 10**11, 2) == (625000, 640000)
+        assert time.perf_counter() - start < 5.0
+
+
+@functools.lru_cache(maxsize=None)
+def _all_divisors(value: int) -> tuple[int, ...]:
+    return tuple(d for d in range(1, value + 1) if value % d == 0)
+
+
+def _exhaustive_balanced_factorization(value: int, parts: int) -> tuple[int, ...]:
+    """Every ordered split of ``value`` into ``parts`` factors, sorted, and
+    the one with the smallest maximum, then the smallest tuple."""
+    best = None
+
+    def search(v, p, acc):
+        nonlocal best
+        if p == 1:
+            cand = tuple(sorted(acc + [v]))
+            if best is None or (max(cand), cand) < (max(best), best):
+                best = cand
+            return
+        for d in _all_divisors(v):
+            search(v // d, p - 1, acc + [d])
+
+    search(value, parts, [])
+    return best
+
+
+_RULE_FACT = ShapeFactorization((3, 4), (2, 5))
+
+# (kind, chains, the word the RankError names); chains are (row, col) for MPS
+_BAD_CHAINS = [
+    ("mps", ((1, 3), (3, 3, 1)), "lengths"),
+    ("mps", ((1, 3, 3), (3, 3, 3, 1)), "lengths"),
+    ("mpo", (1, 3, 3, 1), "lengths"),
+    ("mps", ((2, 3, 3), (3, 3, 1)), "boundary"),
+    ("mps", ((1, 3, 3), (3, 3, 2)), "boundary"),
+    ("mpo", (2, 3, 1), "boundary"),
+    ("mpo", (1, 3, 3), "boundary"),
+    ("mps", ((1, 3, 2), (5, 3, 1)), "column chain"),
+    ("mps", ((1, 0, 2), (2, 3, 1)), ">= 1"),
+    ("mps", ((1, 3, 0), (0, 3, 1)), ">= 1"),
+    ("mpo", (1, 0, 1), ">= 1"),
+]
+
+
+def _zero_train(kind, chains):
+    """The train whose zero-filled cores have exactly ``chains``' ranks."""
+    fact = _RULE_FACT
+    if kind == "mps":
+        row, col = chains
+        return MpsTrain(fact, [np.zeros((row[k], fact.row_dims[k], row[k + 1])) for k in range(2)],
+                        [np.zeros((col[k], fact.col_dims[k], col[k + 1])) for k in range(2)])
+    fused = fact.fused_dims()
+    return MpoTrain(fact, [np.zeros((chains[k], fused[k], chains[k + 1])) for k in range(2)])
+
+
+class TestOneRankChainRuleSet:
+    """A broken chain gets the same RankError from the cost model, the
+    allocators and the train constructors."""
+
+    @pytest.mark.parametrize("kind,chains,word", _BAD_CHAINS)
+    def test_cost_model_and_allocators_agree(self, kind, chains, word):
+        with pytest.raises(RankError, match=word):
+            cost_model(_RULE_FACT, chains, kind)
+        with pytest.raises(RankError, match=word):
+            if kind == "mps":
+                new_mps(_RULE_FACT, *chains, seed=0)
+            else:
+                new_mpo(_RULE_FACT, chains, seed=0)
+
+    # a chain of the wrong length has the wrong core count, which _check_chain reports
+    @pytest.mark.parametrize("kind,chains,word",
+                             [row for row in _BAD_CHAINS if row[2] != "lengths"])
+    def test_train_constructors_agree(self, kind, chains, word):
+        with pytest.raises(RankError, match=word):
+            _zero_train(kind, chains)
+
+    def test_zero_trains_of_good_chains_build(self):
+        assert _zero_train("mps", ((1, 3, 2), (2, 3, 1))).row_ranks == (1, 3, 2)
+        assert _zero_train("mpo", (1, 3, 1)).ranks == (1, 3, 1)

@@ -7,14 +7,14 @@ be read or written), 3 file-format error,
 thread count is exported to the BLAS layer before numpy loads, which is
 why the heavy imports below live inside the command handlers.
 
-The knowledge-distillation protocol is three invocations:
+The knowledge-distillation protocol is two invocations:
 
     ttlstm train --config dense.cfg --corpus train.txt --out teacher.ttlm
-    ttlstm info  --model teacher.ttlm --corpus train.txt --covariance-out cov.npz
     ttlstm train --config student.cfg --corpus train.txt \
-                 --teacher teacher.ttlm --covariance cov.npz --out student.ttlm
+                 --teacher teacher.ttlm --out student.ttlm
 
-(the covariance pass is only needed for ``distill=kda``).
+For ``distill=kda`` the second one passes the teacher over its own training
+split first, for the covariances of the vectors each gate stack multiplies.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ import sys
 import time
 
 from .errors import ConfigError, DomainError, FormatError, NumericError
+
+# the largest vocab_size, embed_dim or hidden_dim a config may ask for:
+# ModelArch factors each stack size by trial division up to its square root
+MAX_SIZE = 2**31 - 1
 
 _CONFIG_DEFAULTS: dict[str, str] = {
     "vocab_size": "10000",
@@ -114,6 +118,10 @@ def _build_arch(cfg: dict[str, str], vocab_size: int):
         wx_row_dims=_dims(cfg, "wx_row_dims"), wx_col_dims=_dims(cfg, "wx_col_dims"),
         wh_row_dims=_dims(cfg, "wh_row_dims"), wh_col_dims=_dims(cfg, "wh_col_dims"),
     )
+    for key in ("vocab_size", "embed_dim", "hidden_dim"):
+        if fields[key] > MAX_SIZE:
+            raise ConfigError(f"config key {key!r} must be at most {MAX_SIZE}, "
+                              f"got {fields[key]}")
     rank = _number(cfg, "rank")
     if rep != "dense" and rank < 1:
         target = _number(cfg, "target_rate", float)
@@ -159,36 +167,13 @@ def _load_model_and_vocab(path):
     return model, vocab, manifest
 
 
-def _load_covariance(path, embed_dim: int, hidden_dim: int):
-    """``(cov_x, cov_h)`` from a ``--covariance`` file: each must be a
-    finite real square matrix (else :class:`FormatError`), ``E x E`` and
-    ``H x H`` respectively (else :class:`ConfigError`). A file that cannot
-    be opened is a :class:`ConfigError`, one that does not parse as an
-    ``.npz`` archive with both arrays a :class:`FormatError`."""
-    import zipfile
-    import zlib
+def _stack_covariances(model, ids):
+    """``(cov_x, cov_h)``: covariances of the vectors ``model``'s W_x and W_h
+    multiply over the stream ``ids``."""
+    from .distill import accumulate_covariance
+    from .training import collect_stack_inputs
 
-    import numpy as np
-
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise ConfigError(f"cannot read covariance file {path}: {exc}") from exc
-    with fh:
-        try:
-            with np.load(fh) as npz:
-                covs = npz["cov_x"], npz["cov_h"]
-        except (EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
-            raise FormatError(f"bad covariance file {path}: {exc}") from exc
-    for name, cov, dim in zip(("cov_x", "cov_h"), covs, (embed_dim, hidden_dim)):
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.dtype.kind not in "iuf" \
-           or not np.all(np.isfinite(cov)):
-            raise FormatError(f"bad covariance file {path}: {name} must be a "
-                              f"finite square matrix, got shape {cov.shape}")
-        if cov.shape[0] != dim:
-            raise ConfigError(f"{name} in {path} is {cov.shape[0]} x {cov.shape[0]}, "
-                              f"the model needs {dim} x {dim}")
-    return covs
+    return tuple(accumulate_covariance(rows) for rows in collect_stack_inputs(model, ids))
 
 
 def _split_ids(ids, valid_fraction: float):
@@ -201,8 +186,8 @@ def _split_ids(ids, valid_fraction: float):
 
 def _check_output_dirs(args) -> None:
     """Fail before any work if the directory of an output file (``--out``,
-    ``--records``, ``--covariance-out``) does not exist."""
-    for key in ("out", "records", "covariance_out"):
+    ``--records``) does not exist."""
+    for key in ("out", "records"):
         path = getattr(args, key, None)
         if path is not None:
             folder = os.path.dirname(str(path)) or "."
@@ -241,15 +226,13 @@ def cmd_train(args) -> int:
     model = build_model(arch, seed=seed)
 
     distill = DistillConfig(cfg["distill"], _number(cfg, "lambda", float))
-    cov_x = cov_h = None
-    if distill.mode == "kda" and distill.active:
-        if not args.covariance:
-            raise ConfigError("distill=kda needs --covariance from 'ttlstm info --covariance-out'")
-        cov_x, cov_h = _load_covariance(args.covariance, arch.embed_dim, arch.hidden_dim)
-
     train_cfg = TrainConfig(
         optimizer=cfg["optimizer"], lr=_number(cfg, "lr", float),
         epochs=_number(cfg, "epochs"), clip=_number(cfg, "clip", float), distill=distill)
+    cov_x = cov_h = None
+    if distill.mode == "kda" and distill.active and teacher is not None:
+        cov_x, cov_h = _stack_covariances(teacher, train_ids)
+    del teacher     # the student needs only its weights and the covariances
 
     records: list[RunRecord] = []
 
@@ -345,26 +328,26 @@ def cmd_bench(args) -> int:
 
 
 def _info_rows(args):
-    import numpy as np
-
     from .contract import CostReport, cost_model
+    from .data import encode_stream
 
     rows = []
+    eig = {}
     if args.model:
-        arch = _load_model_and_vocab(args.model)[0].arch
+        model, vocab, _ = _load_model_and_vocab(args.model)
+        arch = model.arch
+        if args.corpus:
+            ids = encode_stream(_read_corpus(args.corpus), vocab)
+            cov_x, cov_h = _stack_covariances(model, ids)
+            eig = {"wx": cov_x.eigen_extremes(), "wh": cov_h.eigen_extremes()}
+    elif args.corpus:
+        raise ConfigError("info --corpus needs --model")
     elif args.config:
         cfg, _ = read_config(args.config)
         arch = _build_arch(cfg, _number(cfg, "vocab_size"))
     else:
         raise ConfigError("info needs --model or --config")
     rep, rank = arch.representation, arch.rank
-
-    eig = {}
-    if args.covariance:
-        covs = _load_covariance(args.covariance, arch.embed_dim, arch.hidden_dim)
-        for stack, cov in zip(("wx", "wh"), covs):
-            eigs = np.linalg.eigvalsh(cov)
-            eig[stack] = float(eigs[0]), float(eigs[-1])
 
     for stack, fact in (("wx", arch.wx_fact()), ("wh", arch.wh_fact())):
         lo, hi = eig.get(stack, ("", ""))
@@ -385,31 +368,8 @@ def _info_rows(args):
 def cmd_info(args) -> int:
     import csv
 
-    import numpy as np
-
-    if args.covariance_out:
-        if not (args.model and args.corpus):
-            raise ConfigError("--covariance-out needs --model and --corpus")
-        from .data import encode_stream
-        from .distill import accumulate_covariance
-        from .training import collect_stack_inputs
-
-        model, vocab, _ = _load_model_and_vocab(args.model)
-        ids = encode_stream(_read_corpus(args.corpus), vocab)
-        xs, hs = collect_stack_inputs(model, ids)
-        cov_x = accumulate_covariance(xs)
-        cov_h = accumulate_covariance(hs)
-        np.savez(args.covariance_out, cov_x=cov_x.matrix, cov_h=cov_h.matrix,
-                 count_x=cov_x.count, count_h=cov_h.count)
-        print(f"wrote {args.covariance_out}: cov_x eigenvalue range {cov_x.eigen_extremes()}, "
-              f"cov_h eigenvalue range {cov_h.eigen_extremes()}")
-        return 0
-
     rows = _info_rows(args)
-    fields = ["matrix", "kind", "n_factors", "rank", "storage", "storage_bound",
-              "matvec_ops", "build_ops", "ops_bound", "compression_rate",
-              "efficiency_gain", "s_eigen_min", "s_eigen_max"]
-    writer = csv.DictWriter(sys.stdout, fieldnames=fields)
+    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
@@ -439,7 +399,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--corpus", required=True)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--teacher", default=None)
-    p_train.add_argument("--covariance", default=None)
     p_train.add_argument("--seed", type=int, default=None)
     common(p_train)
 
@@ -459,8 +418,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--model", default=None)
     p_info.add_argument("--config", default=None)
     p_info.add_argument("--corpus", default=None)
-    p_info.add_argument("--covariance", default=None)
-    p_info.add_argument("--covariance-out", dest="covariance_out", default=None)
     common(p_info)
     return parser
 

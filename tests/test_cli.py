@@ -8,15 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ttlstm.contract import cost_model, pick_rank
-from ttlstm.data import build_vocab, save_vocab, synthetic_corpus
-from ttlstm.cli import main, read_config
+from ttlstm.data import build_vocab, encode_stream, load_vocab, save_vocab, synthetic_corpus
+from ttlstm.cli import MAX_SIZE, main, read_config
+from ttlstm.distill import DistillConfig, TeacherWeights, accumulate_covariance
 from ttlstm.errors import FormatError
 from ttlstm.modelfile import MAGIC, load_model, read_records, save_model
 from ttlstm.nn import ModelArch, build_model
+from ttlstm.training import TrainConfig, collect_stack_inputs, train_model
 
 
 def run_cli(*argv, expect=0):
@@ -72,17 +73,36 @@ def test_eval_reports_perplexity(workdir, teacher):
     assert proc.stdout.splitlines()[0] == proc2.stdout.splitlines()[0]
 
 
-def test_three_phase_distillation_protocol(workdir, teacher):
-    cov = workdir / "cov.npz"
-    run_cli("info", "--model", teacher, "--corpus", workdir / "corpus.txt",
-            "--covariance-out", cov)
-    with np.load(cov) as npz:
-        assert npz["cov_x"].shape == (12, 12)
-        assert npz["cov_h"].shape == (12, 12)
+def _teacher_ids(workdir, teacher):
+    """The teacher model and the corpus encoded in its vocabulary."""
+    model, manifest = load_model(teacher)
+    vocab = load_vocab(workdir / "teacher.ttlm.vocab")
+    return model, manifest, encode_stream(
+        (workdir / "corpus.txt").read_text(encoding="utf-8"), vocab)
+
+
+def test_two_phase_distillation_protocol(workdir, teacher):
     student = workdir / "student_kda.ttlm"
     run_cli("train", "--config", workdir / "kda.cfg", "--corpus", workdir / "corpus.txt",
-            "--teacher", teacher, "--covariance", cov, "--out", student)
-    assert student.exists()
+            "--teacher", teacher, "--out", student)
+    # the same student in-process, its covariances taken over the training split only
+    teacher_model, manifest, ids = _teacher_ids(workdir, teacher)
+    cut = int(round(ids.size * 0.9))                         # valid_fraction=0.1
+    train_ids, valid_ids = ids[:cut], ids[cut:]
+    cov_x, cov_h = (accumulate_covariance(rows).matrix
+                    for rows in collect_stack_inputs(teacher_model, train_ids))
+    arch = ModelArch(vocab_size=teacher_model.vocab_size, embed_dim=12, hidden_dim=12,
+                     unroll=8, batch_size=4, representation="mps", n_factors=2, rank=4)
+    model = build_model(arch, seed=3)
+    distill = DistillConfig("kda", 0.000001)
+    train_model(model, train_ids, valid_ids,
+                TrainConfig(optimizer="adam", lr=0.01, epochs=1, distill=distill),
+                teacher=TeacherWeights.from_model(teacher_model), cov_x=cov_x, cov_h=cov_h)
+    expected = workdir / "student_kda_in_process.ttlm"
+    save_model(model, expected, vocab_sha256=manifest["vocab_sha256"], train_meta={
+        "optimizer": "adam", "lr": "0.01", "epochs": "1", "clip": "5.0",
+        "distill_mode": "kda", "distill_lambda": repr(distill.lam)})
+    assert student.read_bytes() == expected.read_bytes()
 
 
 def test_kdw_student_training(workdir, teacher):
@@ -147,13 +167,16 @@ def test_info_dense_rate_is_one(workdir):
 
 
 def test_info_with_covariance_reports_eigen_extremes(workdir, teacher):
-    cov = workdir / "cov_info.npz"
-    run_cli("info", "--model", teacher, "--corpus", workdir / "corpus.txt",
-            "--covariance-out", cov)
-    proc = run_cli("info", "--model", teacher, "--covariance", cov)
-    header = proc.stdout.strip().splitlines()[0].split(",")
-    row = dict(zip(header, proc.stdout.strip().splitlines()[1].split(",")))
-    assert float(row["s_eigen_max"]) >= float(row["s_eigen_min"]) >= -1e-6
+    proc = run_cli("info", "--model", teacher, "--corpus", workdir / "corpus.txt")
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    teacher_model, _, ids = _teacher_ids(workdir, teacher)
+    covs = [accumulate_covariance(v) for v in collect_stack_inputs(teacher_model, ids)]
+    assert [row["matrix"] for row in rows] == ["wx", "wh"]
+    for row, cov in zip(rows, covs):
+        lo, hi = cov.eigen_extremes()
+        assert float(row["s_eigen_min"]) == pytest.approx(lo, rel=1e-12, abs=1e-12)
+        assert float(row["s_eigen_max"]) == pytest.approx(hi, rel=1e-12)
+        assert hi >= lo >= -1e-6
 
 
 def test_info_reproduces_gate_stack_costs(workdir):
@@ -316,7 +339,6 @@ def test_vocab_size_that_misfits_the_model_exits_2(workdir, tmp_path):
     "eval missing model", "train missing teacher", "info model is a directory",
     "train non-UTF-8 corpus", "train non-UTF-8 config", "eval non-UTF-8 corpus",
     "records in a missing directory", "out in a missing directory",
-    "covariance-out in a missing directory",
 ])
 def test_file_that_cannot_be_read_or_written_exits_2(workdir, teacher, tmp_path, case):
     latin = tmp_path / "latin.txt"
@@ -336,8 +358,6 @@ def test_file_that_cannot_be_read_or_written_exits_2(workdir, teacher, tmp_path,
                                            "--records", missing / "records.csv"],
         "out in a missing directory": ["train", "--config", cfg, "--corpus", corpus,
                                        "--out", missing / "x.ttlm"],
-        "covariance-out in a missing directory": ["info", "--model", teacher, "--corpus", corpus,
-                                                  "--covariance-out", missing / "cov.npz"],
     }[case]
     proc = run_cli(*argv, expect=2)
     assert proc.stderr.startswith("config error:")
@@ -387,8 +407,7 @@ def test_corpus_shorter_than_one_window_exits_2(workdir, teacher, tmp_path, comm
         "train": ["train", "--config", workdir / "dense.cfg", "--corpus", short,
                   "--out", tmp_path / "short.ttlm"],
         "bench": ["bench", "--model", teacher, "--corpus", short, "--runs", 2, "--discard", 1],
-        "info": ["info", "--model", teacher, "--corpus", short,
-                 "--covariance-out", tmp_path / "cov.npz"],
+        "info": ["info", "--model", teacher, "--corpus", short],
     }[command]
     proc = run_cli(*argv, expect=2)
     assert proc.stderr.startswith("config error:")
@@ -437,61 +456,43 @@ def test_non_numeric_config_value_exits_2(workdir, tmp_path, command, key, value
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("cov_x,expect", [(np.eye(5), 2),            # another architecture's
-                                          (np.full((12, 12), np.nan), 3),
-                                          (np.ones((12, 6)), 3)])
-def test_bad_covariance_file_exits_before_training(workdir, teacher, tmp_path, cov_x, expect):
-    cov = tmp_path / "bad_cov.npz"
-    np.savez(cov, cov_x=cov_x, cov_h=np.eye(12) if expect == 3 else np.eye(5))
-    proc = run_cli("train", "--config", workdir / "kda.cfg", "--corpus", workdir / "corpus.txt",
-                   "--teacher", teacher, "--covariance", cov, "--out", tmp_path / "s.ttlm",
-                   expect=expect)
-    assert "cov_x" in proc.stderr and "Traceback" not in proc.stderr
-    assert "epoch" not in proc.stdout
+@pytest.mark.parametrize("command,flag", [("train", "--covariance"), ("info", "--covariance"),
+                                          ("info", "--covariance-out")])
+def test_removed_covariance_flags_exit_2(workdir, teacher, tmp_path, command, flag):
+    rest = (["--config", workdir / "kda.cfg", "--teacher", teacher, "--out", tmp_path / "s.ttlm"]
+            if command == "train" else ["--model", teacher])
+    proc = run_cli(command, *rest, "--corpus", workdir / "corpus.txt",
+                   flag, tmp_path / "cov.npz", expect=2)
+    assert "unrecognized arguments" in proc.stderr and "epoch" not in proc.stdout
 
 
-@pytest.mark.parametrize("arrays,expect,named", [
-    ({"cov_x": np.eye(5), "cov_h": np.eye(12)}, 2, "cov_x"),     # another architecture's
-    ({"cov_x": np.full((12, 12), np.nan), "cov_h": np.eye(12)}, 3, "cov_x"),
-    ({"cov_x": np.eye(12), "cov_h": np.ones((12, 6))}, 3, "cov_h"),
-    ({"cov_x": np.eye(12)}, 3, "cov_h"),
-])
-def test_info_rejects_a_bad_covariance_file(workdir, tmp_path, arrays, expect, named):
-    cov = tmp_path / "bad_cov.npz"
-    np.savez(cov, **arrays)
-    proc = run_cli("info", "--config", workdir / "mps.cfg", "--covariance", cov, expect=expect)
-    assert named in proc.stderr and "Traceback" not in proc.stderr
+def test_info_corpus_without_a_model_exits_2(workdir):
+    proc = run_cli("info", "--config", workdir / "mps.cfg", "--corpus", workdir / "corpus.txt",
+                   expect=2)
+    assert proc.stderr.startswith("config error:") and "--model" in proc.stderr
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("case", ["missing", "directory"])
-def test_covariance_file_that_cannot_be_read_exits_2(workdir, tmp_path, case):
-    cov = tmp_path / "nope.npz" if case == "missing" else tmp_path
-    proc = run_cli("info", "--config", workdir / "mps.cfg", "--covariance", cov, expect=2)
-    assert proc.stderr.startswith("config error:") and str(cov) in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+@pytest.mark.parametrize("key", ["vocab_size", "embed_dim", "hidden_dim"])
+def test_config_size_above_the_bound_exits_2(tmp_path, key):
+    sizes = {"vocab_size": 100, "embed_dim": 12, "hidden_dim": 12, key: 10**20}
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in sizes.items())
+                   + "representation=mps\nrank=2\n")
+    proc = subprocess.run([sys.executable, "-m", "ttlstm", "info", "--config", str(cfg)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:") and repr(key) in proc.stderr
 
 
-def _corrupt_covariance(case: str) -> bytes:
-    buf = io.BytesIO()
-    np.savez_compressed(buf, cov_x=np.eye(12), cov_h=np.eye(12))
-    archive = buf.getvalue()
-    return {
-        "zip magic then garbage": b"PK\x03\x04" + bytes(range(256)) * 2,
-        "empty": b"",
-        "truncated archive": archive[:len(archive) // 2],
-        "damaged member": archive[:80] + bytes(b ^ 0xFF for b in archive[80:140]) + archive[140:],
-    }[case]
-
-
-@pytest.mark.parametrize("case", ["zip magic then garbage", "empty", "truncated archive",
-                                  "damaged member"])
-def test_corrupt_covariance_file_exits_3(workdir, tmp_path, case):
-    cov = tmp_path / "bad.npz"
-    cov.write_bytes(_corrupt_covariance(case))
-    proc = run_cli("info", "--config", workdir / "mps.cfg", "--covariance", cov, expect=3)
-    assert proc.stderr.startswith("format error:") and "bad.npz" in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+def test_config_sizes_at_the_bound_are_accepted(tmp_path):
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text(f"vocab_size={MAX_SIZE}\nembed_dim={MAX_SIZE}\nhidden_dim={MAX_SIZE}\n"
+                   "representation=mps\nrank=2\n")
+    proc = subprocess.run([sys.executable, "-m", "ttlstm", "info", "--config", str(cfg)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split(",")[0] for line in proc.stdout.splitlines()] == ["matrix", "wx", "wh"]
 
 
 @pytest.mark.parametrize("flag", ["--out", "--records"])
@@ -506,7 +507,7 @@ def test_train_into_a_missing_directory_exits_2_before_training(workdir, tmp_pat
 
 
 @pytest.mark.parametrize("command,flag", [("eval", "--records"), ("bench", "--records"),
-                                          ("info", "--covariance-out")])
+                                          ("info", "--records")])
 def test_output_into_a_missing_directory_exits_2_before_any_work(workdir, teacher, tmp_path,
                                                                  command, flag):
     missing = tmp_path / "missing"

@@ -14,7 +14,9 @@ The knowledge-distillation protocol is two invocations:
                  --teacher teacher.ttlm --out student.ttlm
 
 For ``distill=kda`` the second one passes the teacher over its own training
-split first, for the covariances of the vectors each gate stack multiplies.
+split first, for the covariances of the vectors each gate stack multiplies;
+the pass merges them window by window, so its memory does not grow with the
+split.
 """
 
 from __future__ import annotations
@@ -169,11 +171,16 @@ def _load_model_and_vocab(path):
 
 def _stack_covariances(model, ids):
     """``(cov_x, cov_h)``: covariances of the vectors ``model``'s W_x and W_h
-    multiply over the stream ``ids``."""
+    multiply over the stream ``ids``, merged window by window so that memory
+    does not grow with the stream."""
     from .distill import accumulate_covariance
-    from .training import collect_stack_inputs
+    from .training import _stack_input_windows
 
-    return tuple(accumulate_covariance(rows) for rows in collect_stack_inputs(model, ids))
+    covs = None
+    for rows in _stack_input_windows(model, ids):
+        window = [accumulate_covariance(r) for r in rows]
+        covs = window if covs is None else [a.merge(b) for a, b in zip(covs, window)]
+    return tuple(covs)
 
 
 def _split_ids(ids, valid_fraction: float):
@@ -333,6 +340,8 @@ def _info_rows(args):
 
     rows = []
     eig = {}
+    if args.model and args.config:
+        raise ConfigError("info takes --model or --config, not both")
     if args.model:
         model, vocab, _ = _load_model_and_vocab(args.model)
         arch = model.arch

@@ -17,20 +17,21 @@ Factored penalty. An MPS student keeps its stack as the factor pair
 ``W = F G^T`` (``F`` is ``N x r``, ``G^T`` is ``r x M``), and expanding
 the trace gives
 
-    lambda * (c - 2 sum F o (A G) + sum (F^T F) o (G^T S G))
+    lambda * (c - 2 sum F o (W* (S G)) + sum (F^T F) o (G^T S G))
 
-with ``A = W* S`` and ``c = Trace[W* S W*^T]``, where ``o`` is the
-elementwise product. ``A`` and ``c`` depend only on the teacher and the
-covariance, so :class:`KdTarget` computes them once per training run;
-for ``kdw`` (``S = I``) they are ``W*`` and ``||W*||_F^2``. Each window
-then costs ``N M r + r N r + r M^2 + r M r`` multiply-adds and builds no
-``N x M`` array, where the dense :func:`kd_penalty` on ``F G^T`` pays
-``N r M`` for the product and ``N M^2`` more for ``kda``: at
-``(50,52) x (25,26)`` rank 109 that is 268.9M against 1,282.7M per stack.
-:func:`factored_kd_penalty` computes it. Precision: the three terms
-nearly cancel as ``W -> W*``, so its absolute rounding error is about
-``eps * c`` rather than ``eps`` times the penalty; far from the teacher
-the two forms agree to rounding.
+with ``c = Trace[W* S W*^T]``, where ``o`` is the elementwise product.
+:class:`KdTarget` holds no array beyond the teacher's own: ``W*`` itself,
+``S`` and the number ``c``, whose build costs ``N M^2 / 2`` multiply-adds
+once per training run (``W*^T W*`` is symmetric); for ``kdw`` (``S = I``)
+``c`` is ``||W*||_F^2``. Each window computes ``S G`` once for both
+terms, then costs ``N M r + r N r + r M^2 + r M r`` multiply-adds and
+builds no ``N x M`` array, where the dense :func:`kd_penalty` on
+``F G^T`` pays ``N r M`` for the product and ``N M^2`` more for ``kda``:
+at ``(50,52) x (25,26)`` rank 109 that is 268.9M against 1,282.7M per
+stack. :func:`factored_kd_penalty` computes it. Precision: the three
+terms nearly cancel as ``W -> W*``, so its absolute rounding error is
+about ``eps * c`` rather than ``eps`` times the penalty; far from the
+teacher the two forms agree to rounding.
 """
 
 from __future__ import annotations
@@ -70,6 +71,15 @@ class DataCovariance:
     def eigen_extremes(self) -> tuple[float, float]:
         eigs = np.linalg.eigvalsh(self.matrix)
         return float(eigs[0]), float(eigs[-1])
+
+    def merge(self, other: "DataCovariance") -> "DataCovariance":
+        """The covariance of both row sets together, by the pairwise update
+        of Chan, Golub & LeVeque (1979); exactly symmetric if both are."""
+        n = self.count + other.count
+        delta = other.mean - self.mean
+        shift = (self.count * other.count / n) * np.outer(delta, delta)
+        return DataCovariance(self.matrix + other.matrix + shift, n,
+                              self.mean + delta * (other.count / n))
 
 
 @dataclass(frozen=True)
@@ -146,11 +156,12 @@ def kd_penalty(tape, teacher_w: np.ndarray, student_w: Var, lam: float,
 
 @dataclass(frozen=True)
 class KdTarget:
-    """What the factored penalty of one stack needs from the teacher:
-    ``a = W* S`` (``N x M``), ``c = Trace[W* S W*^T]`` and ``s`` (``None``
-    for the identity). Built once per training run by :meth:`build`."""
+    """What the factored penalty of one stack needs from the teacher: the
+    teacher's own ``w = W*`` (``N x M``, not a copy), ``c = Trace[W* S W*^T]``
+    and ``s`` (``None`` for the identity). Built once per training run by
+    :meth:`build`."""
 
-    a: np.ndarray
+    w: np.ndarray
     c: float
     s: np.ndarray | None
 
@@ -164,10 +175,11 @@ class KdTarget:
         if s.shape != (w_star.shape[1], w_star.shape[1]):
             raise ShapeError(f"covariance {s.shape} does not match stack columns")
         # Trace[D S D^T] sees only the symmetric part of S, and the
-        # expansion's cross term needs it; symmetric S is kept bitwise
-        s = (s + s.T) / 2.0
-        a = w_star @ s
-        return cls(a, float(np.vdot(a, w_star)), s)
+        # expansion's cross term needs it; a symmetric S is kept as it is
+        if not np.array_equal(s, s.T):
+            s = (s + s.T) / 2.0
+        # Trace[W* S W*^T] = sum S o (W*^T W*); numpy runs w.T @ w as a BLAS syrk
+        return cls(w_star, float(np.vdot(s, w_star.T @ w_star)), s)
 
 
 def factored_kd_penalty(tape, target: KdTarget, f: Var, g_t: Var, lam: float) -> Var:
@@ -177,11 +189,11 @@ def factored_kd_penalty(tape, target: KdTarget, f: Var, g_t: Var, lam: float) ->
     Equal to ``kd_penalty(tape, W*, F G^T, lam, S)`` up to rounding;
     gradients flow into ``f`` and ``g_t``.
     """
-    if (f.shape[0], g_t.shape[1]) != target.a.shape or f.shape[1] != g_t.shape[0]:
-        raise ShapeError(f"factor pair {f.shape}, {g_t.shape} vs target {target.a.shape}")
+    if (f.shape[0], g_t.shape[1]) != target.w.shape or f.shape[1] != g_t.shape[0]:
+        raise ShapeError(f"factor pair {f.shape}, {g_t.shape} vs target {target.w.shape}")
     g = ag.transpose(tape, g_t)
-    cross = ag.reduce_sum(tape, ag.mul(tape, f, ag.matmul(tape, target.a, g)))
     s_g = g if target.s is None else ag.matmul(tape, target.s, g)
+    cross = ag.reduce_sum(tape, ag.mul(tape, f, ag.matmul(tape, target.w, s_g)))
     gram = ag.mul(tape, ag.matmul(tape, ag.transpose(tape, f), f), ag.matmul(tape, g_t, s_g))
     quad = ag.sub(tape, ag.reduce_sum(tape, gram), ag.scale(tape, cross, 2.0))
     return ag.scale(tape, ag.add(tape, quad, target.c), float(lam))

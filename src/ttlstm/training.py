@@ -131,7 +131,8 @@ def evaluate(model: TTLstmModel, ids: np.ndarray):
 def _stack_penalty(stack: TTLinear, teacher_w: np.ndarray, cov, lam: float):
     """``(tape, factors) -> penalty Var`` for one gate stack, on the factor
     list ``forward_lm`` built for the window: the factored penalty on an MPS
-    pair ``[F, G^T]`` from a :class:`KdTarget` built here once per call,
+    pair ``[F, G^T]`` from a :class:`KdTarget` built here once per call
+    (``W*`` itself, ``S`` and ``Tr[W* S W*^T]``; no ``N x M`` copy),
     ``kd_penalty`` on a dense or MPO stack's one factor ``[W]``."""
     if stack.kind == "mps":
         target = KdTarget.build(teacher_w, cov)
@@ -225,26 +226,32 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
     return history
 
 
+def _stack_input_windows(model: TTLstmModel, ids: np.ndarray,
+                         max_windows: int | None = None):
+    """Yield, window by window, the rows W_x and W_h multiply during a
+    forward pass of ``model`` over the stream: ``(x_rows, h_rows)``."""
+    arch = model.arch
+    stream = make_batches(ids, arch.batch_size, arch.unroll)
+    state = (np.zeros((arch.batch_size, arch.hidden_dim)),
+             np.zeros((arch.batch_size, arch.hidden_dim)))
+    for w, batch in enumerate(stream):
+        if max_windows is not None and w >= max_windows:
+            break
+        x_rows = model.embed.value[batch.inputs.reshape(-1)]
+        out, c, _ = _recurrence(model, batch.inputs, None, state)
+        seq = out.value                                      # (T, batch, H)
+        # W_h multiplies the state entering each step: the carried state,
+        # then every step's output but the last; rows time-major
+        h_rows = np.concatenate([state[0][None], seq[:-1]]).reshape(-1, arch.hidden_dim)
+        state = (seq[-1], c)
+        yield x_rows, h_rows
+
+
 def collect_stack_inputs(model: TTLstmModel, ids: np.ndarray,
                          max_windows: int | None = None):
     """Gather the vectors each gate stack multiplies during a forward pass
     of ``model`` over the stream: embedded inputs (for W_x) and the hidden
     states entering each step (for W_h). Each window runs the stateful
     recurrence of ``forward_lm`` without its output projection."""
-    arch = model.arch
-    stream = make_batches(ids, arch.batch_size, arch.unroll)
-    xs: list[np.ndarray] = []
-    hs: list[np.ndarray] = []
-    state = (np.zeros((arch.batch_size, arch.hidden_dim)),
-             np.zeros((arch.batch_size, arch.hidden_dim)))
-    for w, batch in enumerate(stream):
-        if max_windows is not None and w >= max_windows:
-            break
-        xs.append(model.embed.value[batch.inputs.reshape(-1)])
-        out, c, _ = _recurrence(model, batch.inputs, None, state)
-        seq = out.value                                      # (T, batch, H)
-        # W_h multiplies the state entering each step: the carried state,
-        # then every step's output but the last; rows time-major
-        hs.append(np.concatenate([state[0][None], seq[:-1]]).reshape(-1, arch.hidden_dim))
-        state = (seq[-1], c)
+    xs, hs = zip(*_stack_input_windows(model, ids, max_windows))
     return np.concatenate(xs, axis=0), np.concatenate(hs, axis=0)

@@ -6,13 +6,15 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ttlstm.contract import cost_model, pick_rank
 from ttlstm.data import build_vocab, encode_stream, load_vocab, save_vocab, synthetic_corpus
-from ttlstm.cli import MAX_SIZE, main, read_config
+from ttlstm.cli import MAX_SIZE, _stack_covariances, main, read_config
 from ttlstm.distill import DistillConfig, TeacherWeights, accumulate_covariance
 from ttlstm.errors import FormatError
 from ttlstm.modelfile import MAGIC, load_model, read_records, save_model
@@ -85,12 +87,11 @@ def test_two_phase_distillation_protocol(workdir, teacher):
     student = workdir / "student_kda.ttlm"
     run_cli("train", "--config", workdir / "kda.cfg", "--corpus", workdir / "corpus.txt",
             "--teacher", teacher, "--out", student)
-    # the same student in-process, its covariances taken over the training split only
+    # the same student in-process, its covariances streamed over the training split only
     teacher_model, manifest, ids = _teacher_ids(workdir, teacher)
     cut = int(round(ids.size * 0.9))                         # valid_fraction=0.1
     train_ids, valid_ids = ids[:cut], ids[cut:]
-    cov_x, cov_h = (accumulate_covariance(rows).matrix
-                    for rows in collect_stack_inputs(teacher_model, train_ids))
+    cov_x, cov_h = _stack_covariances(teacher_model, train_ids)
     arch = ModelArch(vocab_size=teacher_model.vocab_size, embed_dim=12, hidden_dim=12,
                      unroll=8, batch_size=4, representation="mps", n_factors=2, rank=4)
     model = build_model(arch, seed=3)
@@ -471,6 +472,29 @@ def test_info_corpus_without_a_model_exits_2(workdir):
                    expect=2)
     assert proc.stderr.startswith("config error:") and "--model" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_info_model_and_config_together_exits_2(workdir, teacher):
+    proc = run_cli("info", "--model", teacher, "--config", workdir / "mps.cfg", expect=2)
+    assert proc.stderr.startswith("config error:") and "--config" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_streamed_covariance_pass_memory_does_not_grow_with_the_stream():
+    arch = ModelArch(vocab_size=50, embed_dim=32, hidden_dim=32, unroll=10, batch_size=8)
+    model = build_model(arch, seed=5)
+    rng = np.random.default_rng(6)
+    streams = {w: rng.integers(0, 50, size=8 * (10 * w + 1)) for w in (4, 16)}
+    _stack_covariances(model, streams[4])          # warm up lazy imports and caches
+    peaks = {}
+    for windows, ids in streams.items():
+        tracemalloc.start()
+        try:
+            _stack_covariances(model, ids)
+            peaks[windows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] <= 1.2 * peaks[4], peaks
 
 
 @pytest.mark.parametrize("key", ["vocab_size", "embed_dim", "hidden_dim"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,20 @@ class TestAccumulateCovariance:
         cov = accumulate_covariance(rng.normal(size=(30, 4)))
         lo, hi = cov.eigen_extremes()
         assert lo <= hi
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_merge_matches_the_two_pass_covariance(self, offset):
+        # uneven blocks, folded left to right as a streamed pass does
+        rows = np.random.default_rng(2).normal(size=(97, 6)) * [1, 2, 3, 1, 5, 1] + offset
+        merged = None
+        for lo, hi in ((0, 1), (1, 6), (6, 40), (40, 97)):
+            block = accumulate_covariance(rows[lo:hi])
+            merged = block if merged is None else merged.merge(block)
+        want = accumulate_covariance(rows)
+        assert merged.count == want.count == 97
+        np.testing.assert_array_equal(merged.matrix, merged.matrix.T)
+        assert np.max(np.abs(merged.matrix - want.matrix)) <= 1e-12 * np.max(np.abs(want.matrix))
+        np.testing.assert_allclose(merged.mean, want.mean, rtol=1e-14)
 
 
 def _scalar(tape, teacher, student_w, lam, cov=None):
@@ -190,8 +206,53 @@ class TestFactoredKdPenalty:
         w_star, _ = _c07_data()
         target = KdTarget.build(w_star)
         assert target.s is None
-        np.testing.assert_array_equal(target.a, w_star)
+        np.testing.assert_array_equal(target.w, w_star)
         assert target.c == pytest.approx(np.sum(w_star ** 2), rel=1e-14)
+
+    def test_kda_target_holds_the_teacher_itself(self):
+        # a W* S product or a copy of W* would take N M 8 bytes
+        rng = np.random.default_rng(16)
+        n, m = 1200, 300
+        w_star = rng.normal(size=(n, m))
+        cov = accumulate_covariance(rng.normal(size=(400, m)))
+        tracemalloc.start()
+        try:
+            target = KdTarget.build(w_star, cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(target.w, w_star)
+        assert peak < n * m * 8
+        assert target.s is cov.matrix          # exactly symmetric: kept, not copied
+
+    @pytest.mark.parametrize("case", FACTORED_CASES)
+    def test_kda_target_c_is_the_weighted_trace(self, case):
+        _, w_star, cov = _mps_student(case)
+        target = KdTarget.build(w_star, cov)
+        want = np.vdot(w_star @ cov.matrix, w_star)
+        assert abs(target.c - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("case", FACTORED_CASES)
+    def test_kdw_penalty_is_bitwise_the_teacher_times_g(self, case):
+        # kdw's cross term as Sum F o (A G) with A = W*, the form that kept
+        # a separate A; holding W* itself must not move a bit
+        lin, w_star, _ = _mps_student(case)
+
+        def a_times_g(tape):
+            f, g_t = lin.factors(tape)
+            g = ag.transpose(tape, g_t)
+            cross = ag.reduce_sum(tape, ag.mul(tape, f, ag.matmul(tape, w_star, g)))
+            gram = ag.mul(tape, ag.matmul(tape, ag.transpose(tape, f), f),
+                          ag.matmul(tape, g_t, g))
+            quad = ag.sub(tape, ag.reduce_sum(tape, gram), ag.scale(tape, cross, 2.0))
+            return ag.scale(tape, ag.add(tape, quad, float(np.vdot(w_star, w_star))), 0.73)
+
+        want, want_grads = _value_and_grads(lin, a_times_g)
+        target = KdTarget.build(w_star)
+        got, got_grads = _value_and_grads(lin, lambda t: _factored(t, lin, target, 0.73))
+        assert got == want
+        for g, w in zip(got_grads, want_grads):
+            assert g.tobytes() == w.tobytes()
 
     def test_asymmetric_weight_matches_dense_penalty(self):
         # the trace sees only the symmetric part of S; so does the target

@@ -332,7 +332,8 @@ class TestPenaltyDispatch:
         monkeypatch.setattr(training.KdTarget, "build", counted)
         cfg.epochs = 2
         train_model(student, ids, valid_ids, cfg, teacher=teacher, cov_x=cov_x, cov_h=cov_h)
-        # W* S and Tr[W* S W*^T] once per stack per call, not per window or epoch
+        # Tr[W* S W*^T] (and S symmetrized if it is not) once per stack per call,
+        # not per window or epoch
         assert len(builds) == 2
         assert (builds[0] is None) == (mode == "kdw")
 

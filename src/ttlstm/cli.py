@@ -14,9 +14,9 @@ The knowledge-distillation protocol is two invocations:
                  --teacher teacher.ttlm --out student.ttlm
 
 For ``distill=kda`` the second one passes the teacher over its own training
-split first, for the covariances of the vectors each gate stack multiplies;
-the pass merges them window by window, so its memory does not grow with the
-split.
+split first, for the covariances of the vectors each gate stack multiplies
+(``training.stack_covariances``); the pass merges them window by window, so
+its memory does not grow with the split.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from .errors import ConfigError, DomainError, FormatError, NumericError
 # the largest vocab_size, embed_dim or hidden_dim a config may ask for:
 # ModelArch factors each stack size by trial division up to its square root
 MAX_SIZE = 2**31 - 1
+# the most cores per chain a config may ask for: every stack size is at most
+# 4 * MAX_SIZE < 2**33, so it has at most 32 prime factors, and any further
+# core would have extent 1
+MAX_FACTORS = 32
 
 _CONFIG_DEFAULTS: dict[str, str] = {
     "vocab_size": "10000",
@@ -124,9 +128,15 @@ def _build_arch(cfg: dict[str, str], vocab_size: int):
         if fields[key] > MAX_SIZE:
             raise ConfigError(f"config key {key!r} must be at most {MAX_SIZE}, "
                               f"got {fields[key]}")
-    rank = _number(cfg, "rank")
+    if not 1 <= fields["n_factors"] <= MAX_FACTORS:
+        raise ConfigError(f"config key 'factors' must lie in [1, {MAX_FACTORS}], "
+                          f"got {fields['n_factors']}")
+    rank, target = _number(cfg, "rank"), _number(cfg, "target_rate", float)
+    if rep == "dense" and (rank or target):
+        raise ConfigError("a dense model takes neither 'rank' nor 'target_rate'")
+    if rank >= 1 and target:
+        raise ConfigError("config keys 'rank' and 'target_rate' exclude each other")
     if rep != "dense" and rank < 1:
-        target = _number(cfg, "target_rate", float)
         if target <= 1.0:
             raise ConfigError("tensor-train stacks need rank >= 1 or target_rate > 1")
         # the factorization does not depend on the rank, so any rank >= 1 plans it
@@ -169,20 +179,6 @@ def _load_model_and_vocab(path):
     return model, vocab, manifest
 
 
-def _stack_covariances(model, ids):
-    """``(cov_x, cov_h)``: covariances of the vectors ``model``'s W_x and W_h
-    multiply over the stream ``ids``, merged window by window so that memory
-    does not grow with the stream."""
-    from .distill import accumulate_covariance
-    from .training import _stack_input_windows
-
-    covs = None
-    for rows in _stack_input_windows(model, ids):
-        window = [accumulate_covariance(r) for r in rows]
-        covs = window if covs is None else [a.merge(b) for a, b in zip(covs, window)]
-    return tuple(covs)
-
-
 def _split_ids(ids, valid_fraction: float):
     if not 0.0 < valid_fraction < 1.0:
         raise ConfigError(f"config key 'valid_fraction' must lie in (0, 1), got {valid_fraction}")
@@ -207,7 +203,7 @@ def cmd_train(args) -> int:
     from .distill import DistillConfig, TeacherWeights
     from .modelfile import RunRecord, append_records, save_model
     from .nn import build_model
-    from .training import TrainConfig, train_model
+    from .training import TrainConfig, stack_covariances, train_model
 
     cfg, cfg_hash = read_config(args.config)
     seed, seed_from = ((args.seed, "--seed") if args.seed is not None
@@ -238,7 +234,7 @@ def cmd_train(args) -> int:
         epochs=_number(cfg, "epochs"), clip=_number(cfg, "clip", float), distill=distill)
     cov_x = cov_h = None
     if distill.mode == "kda" and distill.active and teacher is not None:
-        cov_x, cov_h = _stack_covariances(teacher, train_ids)
+        cov_x, cov_h = stack_covariances(teacher, train_ids)
     del teacher     # the student needs only its weights and the covariances
 
     records: list[RunRecord] = []
@@ -337,17 +333,25 @@ def cmd_bench(args) -> int:
 def _info_rows(args):
     from .contract import CostReport, cost_model
     from .data import encode_stream
+    from .training import stack_covariances
 
     rows = []
     eig = {}
+    chains = {}
     if args.model and args.config:
         raise ConfigError("info takes --model or --config, not both")
     if args.model:
         model, vocab, _ = _load_model_and_vocab(args.model)
         arch = model.arch
+        if arch.representation != "dense":
+            # the stored chains, which need not be uniform at arch.rank
+            for name, lin in (("wx", model.wx), ("wh", model.wh)):
+                train = lin.to_train()
+                chains[name] = ((train.row_ranks, train.col_ranks) if lin.kind == "mps"
+                                else train.ranks)
         if args.corpus:
             ids = encode_stream(_read_corpus(args.corpus), vocab)
-            cov_x, cov_h = _stack_covariances(model, ids)
+            cov_x, cov_h = stack_covariances(model, ids)
             eig = {"wx": cov_x.eigen_extremes(), "wh": cov_h.eigen_extremes()}
     elif args.corpus:
         raise ConfigError("info --corpus needs --model")
@@ -362,7 +366,7 @@ def _info_rows(args):
         lo, hi = eig.get(stack, ("", ""))
         full = fact.n_rows * fact.n_cols
         report = (CostReport("dense", 1, 0, full, full, full, 0, full) if rep == "dense"
-                  else cost_model(fact, rank, rep))
+                  else cost_model(fact, chains.get(stack, rank), rep))
         # the gain column: multiply-adds per input row of a dense product over this stack's
         rows.append({"matrix": stack, "kind": report.kind, "n_factors": report.n_factors,
                      "rank": report.max_rank, "storage": report.storage,

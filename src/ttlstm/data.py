@@ -49,12 +49,6 @@ class Vocab:
     def eos_id(self) -> int:
         return 1
 
-    def encode_token(self, token: str) -> int:
-        return self._token_to_id.get(token, 0)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
-
 
 def build_vocab(text: str, max_size: int) -> Vocab:
     """Frequency-capped vocabulary: the ``max_size - 2`` most frequent
@@ -73,13 +67,13 @@ def build_vocab(text: str, max_size: int) -> Vocab:
 
 def encode_stream(text: str, vocab: Vocab) -> np.ndarray:
     """One id per token with an end-of-sentence id after each non-empty line."""
-    get, eos = vocab._token_to_id.get, vocab.eos_id
+    get, unk, eos = vocab._token_to_id.get, vocab.unk_id, vocab.eos_id
     ids: list[int] = []
     for line in text.splitlines():
         tokens = line.split()
         if not tokens:
             continue
-        ids += [get(t, 0) for t in tokens]
+        ids += [get(t, unk) for t in tokens]
         ids.append(eos)
     return np.asarray(ids, dtype=np.int64)
 
@@ -135,10 +129,6 @@ class BatchStream:
 
     def __len__(self) -> int:
         return self.n_windows
-
-    @property
-    def tokens_per_epoch(self) -> int:
-        return self.n_windows * self.batch_size * self.unroll
 
     def __iter__(self):
         for w in range(self.n_windows):

@@ -11,7 +11,7 @@ teacher's trained stack W*:
 
 The covariance for W_x is accumulated over the embedded input vectors and
 the one for W_h over teacher-produced hidden states, in a preliminary
-teacher pass over the training stream.
+teacher pass over the training stream (``training.stack_covariances``).
 
 Factored penalty. An MPS student keeps its stack as the factor pair
 ``W = F G^T`` (``F`` is ``N x r``, ``G^T`` is ``r x M``), and expanding
@@ -111,12 +111,9 @@ class TeacherWeights:
         return cls(model.wx.reconstruct_matrix(), model.wh.reconstruct_matrix(), source)
 
 
-def accumulate_covariance(vectors) -> DataCovariance:
-    """Two-pass centered covariance sum over a stream of equal-length rows."""
-    rows = np.asarray(list(vectors) if not isinstance(vectors, np.ndarray) else vectors,
-                      dtype=np.float64)
-    if rows.ndim == 1 and rows.size > 0:
-        rows = rows[None, :]
+def accumulate_covariance(rows: np.ndarray) -> DataCovariance:
+    """Two-pass centered covariance sum over the rows of a 2-D array."""
+    rows = np.asarray(rows, dtype=np.float64)
     if rows.size == 0:
         raise DomainError("empty vector stream")
     if rows.ndim != 2:

@@ -189,6 +189,8 @@ class ModelArch:
             raise ConfigError("vocab, embedding, hidden, unroll and batch sizes must be positive")
         if self.representation not in ("dense", "mps", "mpo"):
             raise ConfigError(f"unknown representation {self.representation!r}")
+        if self.n_factors < 1:
+            raise ConfigError(f"n_factors must be >= 1, got {self.n_factors}")
         if self.representation != "dense" and self.rank < 1:
             raise ConfigError("tensor-train stacks need rank >= 1")
         if self.init not in InitScheme.KINDS:
@@ -321,7 +323,6 @@ def _block_norm(tape, pre: Var, ln: LayerNormParams) -> Var:
 class ForwardResult:
     logits: np.ndarray                       # (batch, T, V), a view of logit_rows
     logit_rows: Var                          # (batch * T, V), batch-major rows
-    hidden: np.ndarray                       # (batch, T, H), h after each step
     state: tuple[np.ndarray, np.ndarray]     # detached (h, c)
     factors: tuple[list[Var], list[Var]]     # W_x's and W_h's TTLinear.factors
 
@@ -371,8 +372,7 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
     rows = ag.reshape(tape, seq, (batch * steps, hidden))
     logit_rows = ag.linear(tape, rows, model.proj_w, model.proj_b)
     logits = logit_rows.value.reshape(batch, steps, -1)
-    return ForwardResult(logits, logit_rows, rows.value.reshape(batch, steps, hidden),
-                         (hs.value[-1].copy(), c.copy()), factors)
+    return ForwardResult(logits, logit_rows, (hs.value[-1].copy(), c.copy()), factors)
 
 
 def sequence_nll(tape, result: ForwardResult, targets: np.ndarray) -> Var:

@@ -24,12 +24,12 @@ from . import autograd as ag
 from .autograd import Tape
 from .data import make_batches
 from .distill import (DataCovariance, DistillConfig, KdTarget, TeacherWeights,
-                      factored_kd_penalty, kd_penalty, total_loss)
+                      accumulate_covariance, factored_kd_penalty, kd_penalty, total_loss)
 from .errors import ConfigError, NumericError
 from .nn import TTLinear, TTLstmModel, _recurrence, forward_lm, sequence_nll
 
-__all__ = ["TrainConfig", "EpochStats", "train_model", "evaluate", "collect_stack_inputs",
-           "clip_gradients"]
+__all__ = ["TrainConfig", "EpochStats", "train_model", "evaluate", "stack_covariances",
+           "collect_stack_inputs", "clip_gradients"]
 
 
 @dataclass
@@ -245,6 +245,18 @@ def _stack_input_windows(model: TTLstmModel, ids: np.ndarray,
         h_rows = np.concatenate([state[0][None], seq[:-1]]).reshape(-1, arch.hidden_dim)
         state = (seq[-1], c)
         yield x_rows, h_rows
+
+
+def stack_covariances(model: TTLstmModel, ids: np.ndarray):
+    """``(cov_x, cov_h)``: covariances of the vectors ``model``'s W_x and W_h
+    multiply over the stream ``ids``, the teacher pass of ``kda``
+    distillation, merged window by window so that memory does not grow
+    with the stream."""
+    covs = None
+    for rows in _stack_input_windows(model, ids):
+        window = [accumulate_covariance(r) for r in rows]
+        covs = window if covs is None else [a.merge(b) for a, b in zip(covs, window)]
+    return tuple(covs)
 
 
 def collect_stack_inputs(model: TTLstmModel, ids: np.ndarray,

@@ -14,12 +14,13 @@ import pytest
 
 from ttlstm.contract import cost_model, pick_rank
 from ttlstm.data import build_vocab, encode_stream, load_vocab, save_vocab, synthetic_corpus
-from ttlstm.cli import MAX_SIZE, _stack_covariances, main, read_config
+from ttlstm.cli import MAX_FACTORS, MAX_SIZE, main, read_config
 from ttlstm.distill import DistillConfig, TeacherWeights, accumulate_covariance
 from ttlstm.errors import FormatError
 from ttlstm.modelfile import MAGIC, load_model, read_records, save_model
-from ttlstm.nn import ModelArch, build_model
-from ttlstm.training import TrainConfig, collect_stack_inputs, train_model
+from ttlstm.nn import ModelArch, TTLinear, build_model
+from ttlstm.training import TrainConfig, collect_stack_inputs, stack_covariances, train_model
+from ttlstm.ttrain import new_mps, storage_count
 
 
 def run_cli(*argv, expect=0):
@@ -91,7 +92,7 @@ def test_two_phase_distillation_protocol(workdir, teacher):
     teacher_model, manifest, ids = _teacher_ids(workdir, teacher)
     cut = int(round(ids.size * 0.9))                         # valid_fraction=0.1
     train_ids, valid_ids = ids[:cut], ids[cut:]
-    cov_x, cov_h = _stack_covariances(teacher_model, train_ids)
+    cov_x, cov_h = stack_covariances(teacher_model, train_ids)
     arch = ModelArch(vocab_size=teacher_model.vocab_size, embed_dim=12, hidden_dim=12,
                      unroll=8, batch_size=4, representation="mps", n_factors=2, rank=4)
     model = build_model(arch, seed=3)
@@ -238,6 +239,30 @@ def test_info_rows_are_cost_model_reports(tmp_path, monkeypatch, capsys, rep, fa
             (storage, build_ops, matvec_ops)
         assert float(row["compression_rate"]) == full / storage
         assert float(row["efficiency_gain"]) == full / matvec_ops
+
+
+def test_info_model_reports_the_stored_rank_chains(workdir, tmp_path):
+    """A saved stack whose chains are not uniform at the model's rank is
+    reported from its own chains, not from ``arch.rank``."""
+    model = build_model(ModelArch(vocab_size=40, embed_dim=12, hidden_dim=12,
+                                  representation="mps", rank=4), seed=1)
+    model.wx = TTLinear.from_train(new_mps(model.wx.fact, (1, 2, 4), (4, 3, 1), seed=2),
+                                   name="wx")
+    path = tmp_path / "chains.ttlm"
+    save_model(model, path)
+    save_vocab(build_vocab((workdir / "corpus.txt").read_text(encoding="utf-8"), 40),
+               tmp_path / "chains.ttlm.vocab")
+    rows = list(csv.DictReader(io.StringIO(run_cli("info", "--model", path).stdout)))
+    assert [row["matrix"] for row in rows] == ["wx", "wh"]
+    for row, lin in zip(rows, (model.wx, model.wh)):
+        train = lin.to_train()
+        report = cost_model(lin.fact, (train.row_ranks, train.col_ranks), "mps")
+        assert int(row["storage"]) == storage_count(train) == report.storage
+        assert (int(row["rank"]), int(row["build_ops"]), int(row["matvec_ops"])) == \
+            (report.max_rank, report.build_ops, report.matvec_ops)
+        assert float(row["compression_rate"]) == lin.out_dim * lin.in_dim / report.storage
+    uniform = cost_model(model.wx.fact, 4, "mps")
+    assert int(rows[0]["storage"]) < uniform.storage
 
 
 def test_numeric_error_record_reports_the_model_compression_rate(workdir, tmp_path):
@@ -485,16 +510,45 @@ def test_streamed_covariance_pass_memory_does_not_grow_with_the_stream():
     model = build_model(arch, seed=5)
     rng = np.random.default_rng(6)
     streams = {w: rng.integers(0, 50, size=8 * (10 * w + 1)) for w in (4, 16)}
-    _stack_covariances(model, streams[4])          # warm up lazy imports and caches
+    stack_covariances(model, streams[4])          # warm up lazy imports and caches
     peaks = {}
     for windows, ids in streams.items():
         tracemalloc.start()
         try:
-            _stack_covariances(model, ids)
+            stack_covariances(model, ids)
             peaks[windows] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peaks[16] <= 1.2 * peaks[4], peaks
+
+
+@pytest.mark.parametrize("factors", [0, -1, MAX_FACTORS + 1, 1000])
+def test_factors_outside_its_range_exits_2(tmp_path, factors):
+    cfg = tmp_path / "factors.cfg"
+    cfg.write_text(f"embed_dim=12\nhidden_dim=12\nrepresentation=mps\nrank=2\nfactors={factors}\n")
+    proc = run_cli("info", "--config", cfg, expect=2)
+    assert proc.stderr.startswith("config error:") and "'factors'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_factors_at_the_bound_is_accepted(tmp_path):
+    cfg = tmp_path / "factors.cfg"
+    cfg.write_text("embed_dim=12\nhidden_dim=12\nrepresentation=mps\nrank=2\n"
+                   f"factors={MAX_FACTORS}\n")
+    rows = list(csv.DictReader(io.StringIO(run_cli("info", "--config", cfg).stdout)))
+    assert {int(row["n_factors"]) for row in rows} == {MAX_FACTORS}
+
+
+@pytest.mark.parametrize("rep,extra", [("mps", "rank=4\ntarget_rate=1.8\n"),
+                                       ("mpo", "rank=2\ntarget_rate=5\n"),
+                                       ("dense", "rank=4\n"),
+                                       ("dense", "target_rate=1.8\n")])
+def test_conflicting_rank_keys_exit_2(tmp_path, rep, extra):
+    cfg = tmp_path / "conflict.cfg"
+    cfg.write_text(f"embed_dim=12\nhidden_dim=12\nrepresentation={rep}\n{extra}")
+    proc = run_cli("info", "--config", cfg, expect=2)
+    assert proc.stderr.startswith("config error:") and "'target_rate'" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("key", ["vocab_size", "embed_dim", "hidden_dim"])

@@ -269,8 +269,9 @@ def test_forward_matches_lstm_step_loop_bitwise(rep, rank):
     for t in range(7):
         h, c = forward_lm(model, tokens[:, t:t + 1], state=(h, c)).state
         hs.append(h)
+    seq = nn._recurrence(model, tokens, None, state)[0].value       # (T, batch, H)
     for t in range(7):
-        assert out.hidden[:, t].tobytes() == hs[t].tobytes()
+        assert seq[t].tobytes() == hs[t].tobytes()
     assert out.state[0].tobytes() == h.tobytes()
     assert out.state[1].tobytes() == c.tobytes()
     rows = np.stack(hs, axis=1).reshape(-1, 16)
@@ -442,3 +443,10 @@ def test_model_arch_rejects_factor_dims_that_miss_the_stack(dims):
                   **dims)
     ModelArch(vocab_size=20, embed_dim=8, hidden_dim=8, representation="mps", rank=2,
               wx_row_dims=(4, 8), wx_col_dims=(2, 4), wh_row_dims=(8, 4), wh_col_dims=(4, 2))
+
+
+@pytest.mark.parametrize("rep,rank", [("dense", 0), ("mps", 2)])
+def test_model_arch_rejects_fewer_than_one_factor(rep, rank):
+    with pytest.raises(ConfigError, match="n_factors"):
+        ModelArch(vocab_size=20, embed_dim=8, hidden_dim=8, representation=rep, rank=rank,
+                  n_factors=0)

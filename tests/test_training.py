@@ -227,6 +227,31 @@ def test_collect_stack_inputs_runs_no_output_projection(monkeypatch):
     assert len(calls) == 1
 
 
+def _window_fold(model, ids):
+    """The teacher pass spelled out: each window's covariances, merged
+    into the running pair left to right."""
+    covs = None
+    for rows in training._stack_input_windows(model, ids):
+        window = [accumulate_covariance(r) for r in rows]
+        covs = window if covs is None else [a.merge(b) for a, b in zip(covs, window)]
+    return tuple(covs)
+
+
+@pytest.mark.parametrize("rep,rank", [("dense", 0), ("mps", 3)])
+def test_stack_covariances_is_bitwise_the_window_fold(rep, rank):
+    vocab, train_ids, _ = _setup(n_tokens=1200)
+    model = build_model(_arch(vocab, rep, rank, unroll=5, batch=3), seed=8)
+    n_rows = len(make_batches(train_ids, 3, 5)) * 3 * 5
+    got = training.stack_covariances(model, train_ids)
+    want = _window_fold(model, train_ids)
+    assert n_rows > 3 * 3 * 5 and len(got) == 2
+    for g, w in zip(got, want):
+        assert g.count == w.count == n_rows
+        assert g.matrix.shape == (12, 12)
+        assert g.matrix.tobytes() == w.matrix.tobytes()
+        assert g.mean.tobytes() == w.mean.tobytes()
+
+
 def _kd_setup(rep, rank, mode, n_windows=2):
     """A student, a dense teacher, its covariances and a stream of exactly
     ``n_windows`` training windows."""

@@ -331,6 +331,8 @@ def cmd_bench(args) -> int:
 
 
 def _info_rows(args):
+    import numpy as np
+
     from .contract import CostReport, cost_model
     from .data import encode_stream
     from .training import stack_covariances
@@ -351,8 +353,8 @@ def _info_rows(args):
                                 else train.ranks)
         if args.corpus:
             ids = encode_stream(_read_corpus(args.corpus), vocab)
-            cov_x, cov_h = stack_covariances(model, ids)
-            eig = {"wx": cov_x.eigen_extremes(), "wh": cov_h.eigen_extremes()}
+            for stack, s in zip(("wx", "wh"), stack_covariances(model, ids)):
+                eig[stack] = tuple(float(e) for e in np.linalg.eigvalsh(s)[[0, -1]])
     elif args.corpus:
         raise ConfigError("info --corpus needs --model")
     elif args.config:

@@ -11,7 +11,8 @@ teacher's trained stack W*:
 
 The covariance for W_x is accumulated over the embedded input vectors and
 the one for W_h over teacher-produced hidden states, in a preliminary
-teacher pass over the training stream (``training.stack_covariances``).
+teacher pass over the training stream (``training.stack_covariances``,
+which returns the two ``S`` arrays that the penalties take).
 
 Factored penalty. An MPS student keeps its stack as the factor pair
 ``W = F G^T`` (``F`` is ``N x r``, ``G^T`` is ``r x M``), and expanding
@@ -68,10 +69,6 @@ class DataCovariance:
     count: int
     mean: np.ndarray
 
-    def eigen_extremes(self) -> tuple[float, float]:
-        eigs = np.linalg.eigvalsh(self.matrix)
-        return float(eigs[0]), float(eigs[-1])
-
     def merge(self, other: "DataCovariance") -> "DataCovariance":
         """The covariance of both row sets together, by the pairwise update
         of Chan, Golub & LeVeque (1979); exactly symmetric if both are."""
@@ -125,17 +122,13 @@ def accumulate_covariance(rows: np.ndarray) -> DataCovariance:
     return DataCovariance(matrix, rows.shape[0], mean)
 
 
-def _matrix(cov: DataCovariance | np.ndarray) -> np.ndarray:
-    return cov.matrix if isinstance(cov, DataCovariance) else np.asarray(cov, dtype=np.float64)
-
-
 def kd_penalty(tape, teacher_w: np.ndarray, student_w: Var, lam: float,
-               cov: DataCovariance | np.ndarray | None = None) -> Var:
+               cov: np.ndarray | None = None) -> Var:
     """Differentiable distillation penalty on one stack.
 
     ``cov=None`` is the identity (weight matching); otherwise the penalty
-    weights the difference by the covariance. Gradients flow into whatever
-    produced ``student_w`` (typically the train cores).
+    weights the difference by the ``M x M`` covariance array. Gradients
+    flow into whatever produced ``student_w`` (typically the train cores).
     """
     teacher_w = np.asarray(teacher_w, dtype=np.float64)
     if teacher_w.shape != student_w.shape:
@@ -144,7 +137,7 @@ def kd_penalty(tape, teacher_w: np.ndarray, student_w: Var, lam: float,
     if cov is None:
         quad = ag.mul(tape, diff, diff)
     else:
-        s = _matrix(cov)
+        s = np.asarray(cov, dtype=np.float64)
         if s.shape != (teacher_w.shape[1], teacher_w.shape[1]):
             raise ShapeError(f"covariance {s.shape} does not match stack columns")
         quad = ag.mul(tape, diff, ag.matmul(tape, diff, s))
@@ -164,11 +157,11 @@ class KdTarget:
 
     @classmethod
     def build(cls, teacher_w: np.ndarray,
-              cov: DataCovariance | np.ndarray | None = None) -> "KdTarget":
+              cov: np.ndarray | None = None) -> "KdTarget":
         w_star = np.asarray(teacher_w, dtype=np.float64)
         if cov is None:
             return cls(w_star, float(np.vdot(w_star, w_star)), None)
-        s = _matrix(cov)
+        s = np.asarray(cov, dtype=np.float64)
         if s.shape != (w_star.shape[1], w_star.shape[1]):
             raise ShapeError(f"covariance {s.shape} does not match stack columns")
         # Trace[D S D^T] sees only the symmetric part of S, and the

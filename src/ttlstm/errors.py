@@ -17,7 +17,7 @@ class DomainError(TTError, ValueError):
     """A numeric argument lies outside the valid domain."""
 
 
-class CapacityError(TTError, ValueError):
+class CapacityError(DomainError):
     """A dense materialization would exceed the configured entry cap."""
 
 

@@ -33,7 +33,7 @@ from .nn import GATE_ORDER, ModelArch, TTLinear, TTLstmModel, _assemble
 from .ttrain import MpoTrain, MpsTrain, ShapeFactorization
 
 __all__ = ["MAGIC", "save_model", "load_model", "RunRecord",
-           "RUN_RECORD_FIELDS", "append_records", "read_records"]
+           "RUN_RECORD_FIELDS", "append_records"]
 
 MAGIC = b"TTLM1\n"
 FORMAT_VERSION = 1
@@ -303,8 +303,3 @@ def append_records(path, records: list[RunRecord]):
             writer.writeheader()
         for record in records:
             writer.writerow(record.row())
-
-
-def read_records(path) -> list[dict[str, str]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))

@@ -201,6 +201,12 @@ class ModelArch:
             dims = getattr(self, key)
             if dims and (min(dims) < 1 or math.prod(dims) != extent):
                 raise ConfigError(f"{key}={dims} must be positive and multiply to {extent}")
+        for stack in ("wx", "wh"):
+            n, m = (len(getattr(self, f"{stack}_{side}_dims") or ()) or self.n_factors
+                    for side in ("row", "col"))
+            if self.representation == "mpo" and n != m:     # core k pairs I_k with J_k
+                raise ConfigError(f"an mpo stack needs as many row as column factors, "
+                                  f"{stack} has {n} and {m}")
 
     def _fact(self, rows_override, cols_override, out_dim, in_dim) -> ShapeFactorization:
         rows = rows_override or balanced_factorization(out_dim, self.n_factors)
@@ -232,10 +238,6 @@ class TTLstmModel:
     @property
     def vocab_size(self) -> int:
         return self.arch.vocab_size
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.arch.hidden_dim
 
     def parameters(self) -> list[Parameter]:
         return ([self.embed] + self.wx.parameters() + self.wh.parameters()

@@ -23,8 +23,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tape
 from .data import make_batches
-from .distill import (DataCovariance, DistillConfig, KdTarget, TeacherWeights,
-                      accumulate_covariance, factored_kd_penalty, kd_penalty, total_loss)
+from .distill import (DistillConfig, KdTarget, TeacherWeights, accumulate_covariance,
+                      factored_kd_penalty, kd_penalty, total_loss)
 from .errors import ConfigError, NumericError
 from .nn import TTLinear, TTLstmModel, _recurrence, forward_lm, sequence_nll
 
@@ -155,8 +155,9 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
     """Train in place and return per-epoch statistics.
 
     ``teacher`` enables the distillation penalty configured in
-    ``cfg.distill``; ``cov_x``/``cov_h`` supply the activation covariances
-    for ``kda`` mode, ``E x E`` and ``H x H`` (else :class:`ConfigError`).
+    ``cfg.distill``; ``cov_x``/``cov_h`` supply the activation covariance
+    arrays for ``kda`` mode (:func:`stack_covariances`), ``E x E`` and
+    ``H x H`` (else :class:`ConfigError`).
     The penalty reads the window's factors from ``forward_lm``: the factored
     form on an MPS pair, ``kd_penalty`` on a dense or MPO ``[W]`` (:mod:`distill`).
     ``epoch_callback`` receives the :class:`EpochStats` of each completed
@@ -173,7 +174,7 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
         for name, cov, stack in (("cov_x", cov_x, model.wx), ("cov_h", cov_h, model.wh)):
             if cov is None:
                 raise ConfigError("kda distillation requires both covariances")
-            shape = np.shape(cov.matrix if isinstance(cov, DataCovariance) else cov)
+            shape = np.shape(cov)
             if shape != (stack.in_dim, stack.in_dim):
                 raise ConfigError(f"{name} has shape {shape}, the student needs "
                                   f"{stack.in_dim} x {stack.in_dim}")
@@ -248,15 +249,15 @@ def _stack_input_windows(model: TTLstmModel, ids: np.ndarray,
 
 
 def stack_covariances(model: TTLstmModel, ids: np.ndarray):
-    """``(cov_x, cov_h)``: covariances of the vectors ``model``'s W_x and W_h
-    multiply over the stream ``ids``, the teacher pass of ``kda``
-    distillation, merged window by window so that memory does not grow
-    with the stream."""
+    """``(s_x, s_h)``: the covariance arrays (``E x E`` and ``H x H``) of the
+    vectors ``model``'s W_x and W_h multiply over the stream ``ids``, the
+    teacher pass of ``kda`` distillation, merged window by window so that
+    memory does not grow with the stream."""
     covs = None
     for rows in _stack_input_windows(model, ids):
         window = [accumulate_covariance(r) for r in rows]
         covs = window if covs is None else [a.merge(b) for a, b in zip(covs, window)]
-    return tuple(covs)
+    return covs[0].matrix, covs[1].matrix
 
 
 def collect_stack_inputs(model: TTLstmModel, ids: np.ndarray,

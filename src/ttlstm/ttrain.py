@@ -178,10 +178,6 @@ class MpsTrain:
         return tuple(c.shape[0] for c in self.col_cores) + (self.col_cores[-1].shape[2],)
 
     @property
-    def mid_rank(self) -> int:
-        return self.row_cores[-1].shape[2]
-
-    @property
     def cores(self) -> tuple[np.ndarray, ...]:
         """The whole chain: the row cores, then the column cores."""
         return self.row_cores + self.col_cores
@@ -446,12 +442,21 @@ def balanced_factorization(value: int, parts: int) -> tuple[int, ...]:
     Only non-decreasing tuples are searched, so a factor ``d`` is tried
     only while ``d ** p`` does not exceed what is left to split into ``p``
     parts: every factor but the last is a divisor up to ``isqrt(value)``.
+    At most ``omega``, the count of prime factors with multiplicity, differ
+    from 1, so further parts are leading ones and the search stays shallow.
     """
     if parts < 1:
         raise DomainError("parts must be >= 1")
     if value < 1:
         raise DomainError("value must be >= 1")
     divisors = [d for d in range(1, math.isqrt(value) + 1) if value % d == 0]
+    omega, rest = 0, value
+    for d in divisors[1:]:
+        while rest % d == 0:
+            rest, omega = rest // d, omega + 1
+    omega += rest > 1
+    if parts > omega:
+        return (1,) * (parts - omega) + (balanced_factorization(value, omega) if omega else ())
     best: tuple[int, ...] | None = None
 
     def search(v: int, p: int, low: int, acc: tuple[int, ...]):

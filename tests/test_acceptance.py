@@ -5,6 +5,7 @@ lines as they complete. The experiment and benchmark tests (8 and 9) train
 real models and take a few minutes combined.
 """
 
+import csv
 import subprocess
 import sys
 import time
@@ -26,7 +27,7 @@ from ttlstm.contract import (
 from ttlstm.data import build_vocab, encode_stream, synthetic_corpus
 from ttlstm.distill import DistillConfig, TeacherWeights, accumulate_covariance, kd_penalty
 from ttlstm.errors import FormatError
-from ttlstm.modelfile import load_model, read_records, save_model
+from ttlstm.modelfile import load_model, save_model
 from ttlstm.nn import (
     ModelArch,
     build_model,
@@ -134,7 +135,7 @@ def test_c03_op_count_bounds():
         ok &= build_counter.madds <= build_bound
         mv_counter = OpCounter()
         mps_matvec(fp, np.zeros(big_m), mv_counter)
-        mv_bound = 2 * train.mid_rank * (big_n + big_m)
+        mv_bound = 2 * train.row_ranks[-1] * (big_n + big_m)
         ok &= mv_counter.madds <= mv_bound
         worst_ratio = max(worst_ratio, mv_counter.madds / mv_bound)
     report(3, "multiply-add counters stay under the closed-form bounds",
@@ -238,7 +239,7 @@ def test_c07_kd_identities():
     lam = 0.73
 
     xs = rng.normal(size=(40, 5))
-    cov = accumulate_covariance(xs)
+    cov = accumulate_covariance(xs).matrix
     centered = xs - xs.mean(axis=0)
     direct = lam * sum(np.sum(((w_star - w.value) @ x) ** 2) for x in centered)
     trace_form = float(kd_penalty(None, w_star, w, lam, cov).value)
@@ -350,7 +351,8 @@ def test_c09_benchmark_direction(tmp_path):
              "--threads", "1", "--records", str(records)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        row = read_records(records)[-1]
+        with open(records, encoding="utf-8", newline="") as fh:
+            row = list(csv.DictReader(fh))[-1]
         assert row["metric"] == "forward_seconds"
         means[name] = float(row["value"])
     speedup = means["mpo"] / means["mps"]

@@ -17,10 +17,15 @@ from ttlstm.data import build_vocab, encode_stream, load_vocab, save_vocab, synt
 from ttlstm.cli import MAX_FACTORS, MAX_SIZE, main, read_config
 from ttlstm.distill import DistillConfig, TeacherWeights, accumulate_covariance
 from ttlstm.errors import FormatError
-from ttlstm.modelfile import MAGIC, load_model, read_records, save_model
+from ttlstm.modelfile import MAGIC, load_model, save_model
 from ttlstm.nn import ModelArch, TTLinear, build_model
 from ttlstm.training import TrainConfig, collect_stack_inputs, stack_covariances, train_model
 from ttlstm.ttrain import new_mps, storage_count
+
+
+def _records(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def run_cli(*argv, expect=0):
@@ -63,7 +68,7 @@ def teacher(workdir):
 def test_train_writes_model_vocab_and_records(workdir, teacher):
     assert teacher.exists()
     assert (workdir / "teacher.ttlm.vocab").exists()
-    rows = read_records(workdir / "records.csv")
+    rows = _records(workdir / "records.csv")
     metrics = {row["metric"] for row in rows}
     assert {"train_perplexity", "valid_perplexity"} <= metrics
 
@@ -119,7 +124,7 @@ def test_bench_aggregates_exactly_runs_minus_discard(workdir, teacher):
     proc = run_cli("bench", "--model", teacher, "--corpus", workdir / "test.txt",
                    "--runs", 5, "--discard", 2, "--records", records)
     assert "over 3 runs" in proc.stdout
-    rows = read_records(records)
+    rows = _records(records)
     assert rows[-1]["metric"] == "forward_seconds"
     assert float(rows[-1]["value"]) > 0
 
@@ -175,7 +180,8 @@ def test_info_with_covariance_reports_eigen_extremes(workdir, teacher):
     covs = [accumulate_covariance(v) for v in collect_stack_inputs(teacher_model, ids)]
     assert [row["matrix"] for row in rows] == ["wx", "wh"]
     for row, cov in zip(rows, covs):
-        lo, hi = cov.eigen_extremes()
+        eigs = np.linalg.eigvalsh(cov.matrix)
+        lo, hi = float(eigs[0]), float(eigs[-1])
         assert float(row["s_eigen_min"]) == pytest.approx(lo, rel=1e-12, abs=1e-12)
         assert float(row["s_eigen_max"]) == pytest.approx(hi, rel=1e-12)
         assert hi >= lo >= -1e-6
@@ -273,7 +279,7 @@ def test_numeric_error_record_reports_the_model_compression_rate(workdir, tmp_pa
     proc = run_cli("train", "--config", cfg, "--corpus", workdir / "corpus.txt",
                    "--out", tmp_path / "blowup.ttlm", "--records", records, expect=4)
     assert "numeric error" in proc.stderr
-    (row,) = [r for r in read_records(records) if r["metric"] == "numeric_error"]
+    (row,) = [r for r in _records(records) if r["metric"] == "numeric_error"]
     rate = build_model(ModelArch(vocab_size=100, embed_dim=12, hidden_dim=12,
                                  representation="mps", rank=2)).gate_compression_rate()
     assert rate > 1.0
@@ -503,6 +509,39 @@ def test_info_model_and_config_together_exits_2(workdir, teacher):
     proc = run_cli("info", "--model", teacher, "--config", workdir / "mps.cfg", expect=2)
     assert proc.stderr.startswith("config error:") and "--config" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["info", "train"])
+def test_mpo_config_with_unequal_factor_counts_exits_2(workdir, tmp_path, command):
+    cfg = tmp_path / "mpo.cfg"
+    cfg.write_text("vocab_size=100\nembed_dim=12\nhidden_dim=12\nunroll=8\nbatch_size=4\n"
+                   "representation=mpo\nrank=2\nwx_row_dims=4,4,3\n")
+    extra = () if command == "info" else ("--corpus", workdir / "corpus.txt",
+                                          "--out", tmp_path / "m.ttlm")
+    proc = run_cli(command, "--config", cfg, *extra, expect=2)
+    assert proc.stderr.startswith("config error:") and "column factors" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_teacher_too_large_to_materialize_exits_2(workdir, tmp_path, monkeypatch, capsys):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # main exports --threads; undone after the test
+    arch = ModelArch(vocab_size=40, embed_dim=12, hidden_dim=12, representation="mps",
+                     rank=1, unroll=8, batch_size=4)
+    teacher = tmp_path / "mps_teacher.ttlm"
+    save_model(build_model(arch, seed=1), teacher)
+    save_vocab(build_vocab((workdir / "corpus.txt").read_text(encoding="utf-8"), 40),
+               tmp_path / "mps_teacher.ttlm.vocab")
+    # the teacher's W_x is 4H x E = 576 entries, one above the cap
+    monkeypatch.setattr("ttlstm.ttrain.MATERIALIZATION_CAP", 4 * 12 * 12 - 1)
+    out = tmp_path / "student.ttlm"
+    assert main(["train", "--config", str(workdir / "mps.cfg"),
+                 "--corpus", str(workdir / "corpus.txt"), "--teacher", str(teacher),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "exceeds cap" in err
+    assert not out.exists()
 
 
 def test_streamed_covariance_pass_memory_does_not_grow_with_the_stream():

@@ -183,7 +183,7 @@ def test_counter_bounds_random_grid():
         assert build_counter.madds <= max(build_bound, 0)
         mv_counter = OpCounter()
         mps_matvec(fp, np.zeros(big_m), mv_counter)
-        assert mv_counter.madds <= 2 * mps.mid_rank * (big_n + big_m)
+        assert mv_counter.madds <= 2 * mps.row_ranks[-1] * (big_n + big_m)
 
 
 class TestCostModel:
@@ -235,7 +235,7 @@ class TestCostModel:
         counter = OpCounter()
         dense_matrix(None, fact, train.cores, counter)
         report = cost_model(fact, (row_ranks, col_ranks), "mps")
-        want = report.build_ops + fact.n_rows * train.mid_rank * fact.n_cols
+        want = report.build_ops + fact.n_rows * train.row_ranks[-1] * fact.n_cols
         assert counter.madds == want
         if rows == (50, 52):
             assert want == 222_823_250

@@ -1,3 +1,4 @@
+import csv
 import os
 import struct
 import subprocess
@@ -18,7 +19,6 @@ from ttlstm.modelfile import (
     RunRecord,
     append_records,
     load_model,
-    read_records,
     save_model,
 )
 from ttlstm.nn import ModelArch, TTLinear, build_model
@@ -280,7 +280,8 @@ class TestRunRecords:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(RUN_RECORD_FIELDS)
         assert sum(1 for line in lines if line.startswith("command")) == 1
-        rows = read_records(path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[0]["value"]) == 12.5
         assert rows[1]["representation"] == "mps"
@@ -327,6 +328,19 @@ def test_huge_hidden_dim_in_a_dense_file_is_rejected_before_the_stacks(tmp_path)
                           text=True, timeout=30, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("FormatError:") and "gate_bias" in proc.stdout
+
+
+def test_a_thousand_factor_chain_raises_format_error(tmp_path):
+    """A manifest whose W_x row dims name 1000 cores and whose column dims
+    are left out factors ``E`` into 1000 parts, and must end in ``FormatError``."""
+    path = tmp_path / "m.ttlm"
+    save_model(build_model(_arch(), seed=1), path)
+    lines, blobs = _manifest_lines(path.read_bytes())
+    lines = ["wx_row_dims=" + "1," * 998 + "4,8" if line.startswith("wx_row_dims=") else line
+             for line in lines if not line.startswith("wx_col_dims=")]
+    path.write_bytes(_with_manifest(lines, blobs))
+    with pytest.raises(FormatError):
+        load_model(path)
 
 
 @pytest.fixture(scope="module")

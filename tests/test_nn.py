@@ -450,3 +450,23 @@ def test_model_arch_rejects_fewer_than_one_factor(rep, rank):
     with pytest.raises(ConfigError, match="n_factors"):
         ModelArch(vocab_size=20, embed_dim=8, hidden_dim=8, representation=rep, rank=rank,
                   n_factors=0)
+
+
+@pytest.mark.parametrize("dims", [
+    dict(wx_row_dims=(4, 4, 3)),                        # 3 row factors, 2 column factors
+    dict(wh_col_dims=(2, 2, 3)),
+    dict(wx_row_dims=(48,), wx_col_dims=(3, 4)),
+])
+def test_model_arch_rejects_an_mpo_stack_with_unequal_factor_counts(dims):
+    with pytest.raises(ConfigError, match="column factors"):
+        ModelArch(vocab_size=20, embed_dim=12, hidden_dim=12, representation="mpo", rank=2,
+                  **dims)
+    # an MPS stack keeps its row and column chains apart
+    ModelArch(vocab_size=20, embed_dim=12, hidden_dim=12, representation="mps", rank=2, **dims)
+
+
+def test_model_arch_factors_into_more_parts_than_prime_factors():
+    arch = ModelArch(vocab_size=20, embed_dim=12, hidden_dim=12, n_factors=1000)
+    fact = arch.wx_fact()
+    assert fact.row_dims == (1,) * 995 + (2, 2, 2, 2, 3)      # 4H = 48
+    assert fact.col_dims == (1,) * 997 + (2, 2, 3)            # E = 12

@@ -316,10 +316,17 @@ class TestBalancedFactorization:
                 assert len(f) == parts
 
     def test_matches_the_exhaustive_search(self):
+        # every value below 400 has at most 8 prime factors, so there parts up
+        # to 8 cover parts above, at and below that count
         for value in range(1, 2601):
-            for parts in range(1, 5):
+            for parts in range(1, 9 if value < 400 else 5):
                 assert balanced_factorization(value, parts) == \
                     _exhaustive_balanced_factorization(value, parts), (value, parts)
+
+    def test_parts_beyond_the_prime_count_are_leading_ones(self):
+        # 48 = 2^4 * 3; one recursion level per part would overflow the stack
+        assert balanced_factorization(48, 1000) == (1,) * 995 + (2, 2, 2, 2, 3)
+        assert balanced_factorization(1, 3) == (1, 1, 1)
 
     def test_large_value_takes_no_linear_scan(self):
         start = time.perf_counter()

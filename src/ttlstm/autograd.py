@@ -8,39 +8,44 @@ consumed. Every op also works with ``tape=None``, which computes values
 without recording (the inference path). ``lstm_scan`` records a whole
 LSTM recurrence as one record.
 
-The elementwise kernels keep their working set in cache. ``layer_norm``
-and ``cross_entropy`` (forward and adjoint) walk axis 0 in blocks of at
-most ``ROW_BLOCK_BYTES`` (256 KiB) and write into one preallocated output
-plus one block of scratch; their reductions run along the last axis, row
-by row, so blocking leaves every value bitwise unchanged. Sums along axis
-0 (the ``gain`` and ``bias`` gradients) stay unblocked, since blocking
-them would reorder the additions. ``lstm_scan`` allocates its gate,
-cell and normalization buffers once per window (one step's worth without
-a tape) and runs each step's arithmetic in place in them. Its gate
-buffers are gate-major, ``(4, batch, H)`` per step, so each gate's block
-is one contiguous slab: elementwise work on a strided ``(batch, H)``
-column of a ``(batch, 4H)`` row costs about twice as much. The adjoint
-keeps one step's pre-activation gradient in the same layout and writes
-``ax``'s gradient, row-major, over the spent gate rows.
+The elementwise kernels keep their working set in cache. The softmax-NLL
+(forward and adjoint) and the ``W_x`` layer norm inside ``lstm_scan``
+walk axis 0 in blocks of at most ``ROW_BLOCK_BYTES`` (256 KiB) with one
+block of scratch; their reductions run along the last axis, row by row,
+so blocking leaves every value bitwise unchanged. Sums along axis 0 (the
+``gain`` and ``bias`` gradients) stay unblocked, since blocking them
+would reorder the additions. ``lstm_scan`` allocates its gate, cell and
+normalization buffers once per window (one row block's worth without a
+tape) and runs each step's arithmetic in place in them. Its gate buffers
+are gate-major, ``(4, batch, H)`` per step, so each gate's block is one
+contiguous slab: elementwise work on a strided ``(batch, H)`` column of a
+``(batch, 4H)`` row costs about twice as much. The adjoint keeps one
+step's pre-activation gradient in the same layout and writes ``ax``'s
+gradient, row-major, over the spent gate rows.
 
-A taped kernel keeps no full-size array that its adjoint can rebuild
-from what the tape holds anyway, and each rebuild repeats the forward's
-own operations on the same inputs, so it is bitwise:
+Each of a window's two large layers is one record that owns its large
+buffers and writes its adjoint over the ones its backward has spent, and
+a taped kernel keeps no full-size array that its adjoint can rebuild from
+what the tape holds anyway. Each rebuild repeats the forward's own
+operations on the same inputs, so it is bitwise:
 
-- ``layer_norm`` keeps ``x``'s row mean and ``inv_sd``, two ``(rows, ...,
-  1)`` arrays; ``x`` itself is already held by the record that made it.
-  Its ``x`` and ``gain`` pulls rebuild ``xhat`` block by block as ``(x -
-  mean) * inv_sd``.
-- ``cross_entropy`` keeps each row's maximum and log-normalizer; its pull
-  rebuilds the softmax from them.
-- ``lstm_scan`` keeps each step's gate activations, normalized ``W_h``
-  product ``xhat``, ``inv_sd`` and cell state, and the rows each weight
-  multiplied. Its adjoint rebuilds ``tanh(c')`` one step at a time from
-  the kept cell state, and forms the ``gain`` gradient's product in the
+- ``linear_cross_entropy`` (the output layer and its softmax-NLL) keeps
+  its ``(n, V)`` logits, each row's maximum and log-normalizer; its
+  adjoint writes the softmax gradient over the logits and runs the
+  layer's three products on that one buffer. ``cross_entropy``, on
+  logits that may be the caller's, rebuilds the softmax into a fresh
+  array.
+- ``lstm_scan`` writes the ``W_x`` layer norm's output straight into its
+  gate buffer and keeps that norm's row mean and ``inv_sd``; its adjoint
+  rebuilds ``xhat`` from them and the ``W_x`` product, which the record
+  that made it holds anyway. It keeps each step's gate activations,
+  normalized ``W_h`` product ``xhat``, ``inv_sd`` and cell state, and the
+  rows each weight multiplied, rebuilds ``tanh(c')`` one step at a time
+  from the kept cell state, and forms both gain gradients' products in the
   spent ``xhat`` buffer.
 
-``layer_norm`` and ``lstm_scan`` share one standardize and one adjoint,
-which write their row statistics into arrays the caller owns.
+Both layer norms run one standardize and one adjoint, which write their
+row statistics into arrays the caller owns.
 
 A tape is single-owner: do not share one across concurrent forward passes.
 Independent tapes may run in parallel.
@@ -56,7 +61,7 @@ __all__ = [
     "Var", "Parameter", "Tape", "backward", "grad_check",
     "add", "sub", "mul", "matmul", "linear", "reshape", "transpose",
     "gather_rows", "lstm_scan",
-    "scale", "reduce_sum", "layer_norm", "cross_entropy",
+    "scale", "reduce_sum", "cross_entropy", "linear_cross_entropy",
 ]
 
 
@@ -258,11 +263,6 @@ def _row_blocks(shape: tuple[int, ...]) -> list[slice]:
     return [slice(r, min(r + step, n)) for r in range(0, max(n, 1), step)]
 
 
-def _rows(a: np.ndarray, ndim: int, block: slice) -> np.ndarray:
-    """``a``'s part that broadcasts against rows ``block`` of an ``ndim``-D array."""
-    return a[block] if a.ndim == ndim and a.shape[0] != 1 else a
-
-
 def _mean(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``a.mean(axis=-1, keepdims=True)`` written into ``out``: the sum and
     the true divide ``.mean`` runs, without its temporaries."""
@@ -309,52 +309,17 @@ def _standardize_adjoint(gg: np.ndarray, xhat: np.ndarray, inv_sd: np.ndarray,
     return gg
 
 
-def layer_norm(tape, x, gain, bias, eps: float = 1e-5) -> Var:
-    """Standardize over the last axis (population variance), then apply
-    ``gain * xhat + bias``; ``gain``/``bias`` must broadcast to ``x``'s
-    shape. Runs in row blocks. A tape keeps only ``x``'s row mean and
-    ``inv_sd``: the ``x`` and ``gain`` pulls rebuild ``xhat`` from them
-    block by block."""
-    xv, gv, bv = _val(x), _val(gain), _val(bias)
-    if np.broadcast_shapes(xv.shape, gv.shape, bv.shape) != xv.shape:
-        raise ShapeError(f"gain {gv.shape} and bias {bv.shape} do not broadcast to {xv.shape}")
-    keep, nd = tape is not None, xv.ndim
-    blocks = _row_blocks(xv.shape)
-    block = (blocks[0].stop,) + xv.shape[1:]
-    stats = (xv.shape if keep else block)[:-1] + (1,)     # per block without a tape
-    out, xhat = np.empty(xv.shape), np.empty(block)
-    mean, inv_sd = np.empty(stats), np.empty(stats)
-    for b in blocks:
-        o = out[b]
-        n = o.shape[0]
-        r = b if keep else slice(0, n)
-        _standardize(xv[b], eps, xhat[:n], o, mean[r], inv_sd[r])
-        np.multiply(_rows(gv, nd, b), xhat[:n], out=o)
-        o += _rows(bv, nd, b)
-
-    def pull_x(g):
-        dx = np.empty(xv.shape)
-        xh, scratch = np.empty((2,) + block)
-        mean_g, mean_gx = np.empty((2,) + block[:-1] + (1,))
-        for b in blocks:
-            d = np.multiply(g[b], _rows(gv, nd, b), out=dx[b])
-            r = slice(0, d.shape[0])
-            _standardize_adjoint(d, _xhat(xv[b], mean[b], inv_sd[b], xh[r]), inv_sd[b],
-                                 scratch[r], mean_g[r], mean_gx[r])
-        return dx
-
-    def pull_gain(g):
-        gx = np.empty(xv.shape)
-        for b in blocks:
-            block_gx = _xhat(xv[b], mean[b], inv_sd[b], gx[b])
-            block_gx *= g[b]                    # xhat * g, bitwise g * xhat
-        return _unbroadcast(gx, gv.shape)
-
-    return _emit(tape, out, [
-        (x, pull_x),
-        (gain, pull_gain),
-        (bias, lambda g: _unbroadcast(g, bv.shape)),
-    ])
+def _norm_params(pair, hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values of a layer norm's ``(gain, bias)``, each of which must
+    broadcast to ``(4, hidden)`` (else :class:`ShapeError`)."""
+    values = tuple(_val(p) for p in pair)
+    for v in values:
+        try:
+            np.broadcast_to(v, (4, hidden))
+        except ValueError:
+            raise ShapeError(f"layer norm parameter {v.shape} does not broadcast to "
+                             f"{(4, hidden)}") from None
+    return values
 
 
 def _gate_major(a: np.ndarray) -> np.ndarray:
@@ -387,33 +352,54 @@ def _cell_adjoint(gh, dc, act, tc, c_prev, d, u, v):
     dc *= sf
 
 
-def lstm_scan(tape, ax, weights, gain, bias, gate_bias, h0, c0, eps: float = 1e-5):
+def _pulls(adjoint, inputs: list) -> list:
+    """One pull per ``(input, key)`` of a record whose ``adjoint(g)`` returns
+    every input's gradient at once, by key: the first pull to run calls it,
+    and each pull takes its own gradient out of the result."""
+    grads = {}
+
+    def pull(key):
+        def run(g):
+            if not grads:
+                grads.update(adjoint(g))
+            return grads.pop(key)
+        return run
+
+    return [(var, pull(key)) for var, key in inputs]
+
+
+def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0, eps: float = 1e-5):
     """A layer-normalized LSTM recurrence over a window, as one record.
 
-    ``ax`` is the ``(T, batch, 4H)`` normalized input term. Step ``t``
-    forms ``ah = LN(h w_0 w_1 ...)`` per gate block of length H (``gain``,
-    ``bias``), then ``pre = (ax_t + ah) + gate_bias``, and on its (i, f,
-    g, o) blocks ``c' = sigmoid(f) c + sigmoid(i) tanh(g)``, ``h' =
-    sigmoid(o) tanh(c')``. Returns the ``(T, batch, H)`` hidden states as
-    a Var and the last cell state as a plain array. The adjoint runs only
-    the input-gradient chain step by step (cell, layer-norm input adjoint,
-    ``d w^T`` per weight); each weight gradient is then one ``(T batch,
-    d_in)^T @ (T batch, d_out)`` product, and ``gain``, ``bias`` and
-    ``gate_bias`` one reduction each.
+    ``ax`` is the ``(T, batch, 4H)`` product ``W_x x``; ``x_norm`` and
+    ``h_norm`` are the ``(gain, bias)`` pairs of the ``W_x`` and ``W_h``
+    layer norms, each broadcasting to ``(4, H)``. The scan forms ``LN(ax)``
+    per gate block of length H itself, a row block of whole steps at a
+    time, straight into its gate buffer. Step ``t`` then forms ``ah =
+    LN(h w_0 w_1 ...)``, ``pre = (LN(ax)_t + ah) + gate_bias`` and, on its
+    (i, f, g, o) blocks, ``c' = sigmoid(f) c + sigmoid(i) tanh(g)``, ``h' =
+    sigmoid(o) tanh(c')``. Returns the ``(T, batch, H)`` hidden states as a
+    Var and the last cell state as a plain array. The adjoint runs only the
+    input-gradient chain step by step (cell, ``W_h`` layer-norm input
+    adjoint, ``d w^T`` per weight); each weight gradient is then one ``(T
+    batch, d_in)^T @ (T batch, d_out)`` product, each gain, bias and
+    ``gate_bias`` one reduction, and the ``W_x`` layer-norm input adjoint
+    one blocked pass in place over the pre-activation gradient.
 
     A step's gate buffer is gate-major, ``(4, batch, H)``: each of i, f, g
     and o is one contiguous slab and ``[i, f]`` one contiguous pair, so
     the nonlinearities, the cell update and the cell adjoint run on whole
     slabs rather than on strided ``(batch, H)`` columns of a ``(batch,
-    4H)`` row, which cost about twice as much per element. Only the layer
-    norm's ``xhat`` and ``ax_t`` are read through transposed views;
-    ``gain``, ``bias`` and ``gate_bias`` are copied to gate-major slabs
-    once per window. Every element sees the same operations in the same
-    order as in the row layout, so values are unchanged. The adjoint keeps
-    one step's pre-activation gradient gate-major and copies it, row-major,
+    4H)`` row, which cost about twice as much per element. Only ``ax`` and
+    the ``W_h`` layer norm's ``xhat`` are read through transposed views;
+    the ``W_h`` norm's ``gain`` and ``bias`` and ``gate_bias`` are copied
+    to gate-major slabs once per window. Every element sees the same
+    operations in the same order as a ``W_x`` layer norm followed by the
+    scan in the row layout, so values are unchanged. The adjoint keeps one
+    step's pre-activation gradient gate-major and copies it, row-major,
     over the spent gate rows, which become ``ax``'s gradient.
     """
-    axv, gv, bv, gbv = _val(ax), _val(gain), _val(bias), _val(gate_bias)
+    axv, gbv = _val(ax), _val(gate_bias)
     ws, h, c = [_val(w) for w in weights], _val(h0), _val(c0)
     steps, batch, width = axv.shape
     hidden = width // 4
@@ -421,52 +407,65 @@ def lstm_scan(tape, ax, weights, gain, bias, gate_bias, h0, c0, eps: float = 1e-
         raise ShapeError(f"state {h.shape}/{c.shape} does not match gates {axv.shape}")
     if steps == 0 or batch == 0:
         raise ShapeError(f"gates {axv.shape} have no steps or no lanes")
+    (xg, xb), (gv, bv) = _norm_params(x_norm, hidden), _norm_params(h_norm, hidden)
     keep = tape is not None
     blocks = (batch, 4, hidden)
-    kept = steps if keep else 1                 # without a tape, one step's buffers are reused
+    row_blocks = _row_blocks(axv.shape)         # whole steps each
+    span = row_blocks[0].stop
+    kept = steps if keep else span              # without a tape, one row block's buffers are reused
     hs = np.empty((steps, batch, hidden))
-    gates = np.empty((kept, 4, batch, hidden))  # pre-activations, then the (i, f, g, o) activations
-    xhats = np.empty((kept,) + blocks)
+    gates = np.empty((kept, 4, batch, hidden))  # LN(ax), then pre-activations, then (i, f, g, o) activations
+    xhats = np.empty((kept,) + blocks)          # W_h's; a row block's squares for W_x's first
+    x_rows = axv.reshape(steps, *blocks)
+    x_mean, x_inv_sd = np.empty((2, kept, 4, batch, 1))
+    # W_x's gain and bias as (4, 1, H): they broadcast over gate-major rows
+    x_gain, x_bias = (np.broadcast_to(p, (4, hidden))[:, None] for p in (xg, xb))
     mean, inv_sds = np.empty((batch, 4, 1)), np.empty((kept, batch, 4, 1))
     tc = np.empty((batch, hidden))              # tanh(c'), after holding si * tg
-    cs = np.empty((kept + 1 if keep else 1, batch, hidden))    # c entering step 0, then each c'
+    cs = np.empty((steps + 1 if keep else 1, batch, hidden))   # c entering step 0, then each c'
     cs[0] = c
-    ax_gates = axv.reshape(steps, *blocks).transpose(0, 2, 1, 3)     # a view, gate-major
-    # gain, bias and gate_bias broadcast once to gate-major slabs: contiguous
-    # operands make the per-step products and adds about twice as fast
+    # W_h's gain and bias and gate_bias broadcast once to gate-major slabs:
+    # contiguous operands make the per-step products and adds about twice as fast
     gain_gates, bias_gates = (_gate_major(np.broadcast_to(p, blocks)) for p in (gv, bv))
     gate_bias_gates = _gate_major(np.broadcast_to(gbv, (batch, width)).reshape(blocks))
     ins = [[] for _ in ws]                      # per weight: the rows it multiplied
-    for t in range(steps):
-        k = t if keep else 0
-        a = h
-        for j, w in enumerate(ws):
-            if keep:
-                ins[j].append(a)
-            a = a @ w
-        pre, xhat = gates[k], xhats[k]
-        a = a.reshape(blocks)
-        _standardize(a, eps, xhat, a, mean, inv_sds[k])     # the product is spent once centered
-        np.multiply(gain_gates, xhat.transpose(1, 0, 2), out=pre)
-        pre += bias_gates
-        pre += ax_gates[t]
-        pre += gate_bias_gates
-        for z in (pre[:2], pre[3]):             # sigmoid of [i, f], then of o
-            np.negative(z, out=z)
-            np.exp(z, out=z)
-            z += 1.0
-            np.divide(1.0, z, out=z)
-        si, sf, tg, so = pre
-        np.tanh(tg, out=tg)
-        c_prev, c = cs[k], cs[k + 1 if keep else 0]
-        np.multiply(sf, c_prev, out=c)
-        c += np.multiply(si, tg, out=tc)
-        np.tanh(c, out=tc)
-        h = np.multiply(so, tc, out=hs[t])
+    for rb in row_blocks:
+        r = rb if keep else slice(0, rb.stop - rb.start)
+        norm = gates[r]
+        _standardize(x_rows[rb].transpose(0, 2, 1, 3), eps, norm, xhats[r].reshape(norm.shape),
+                     x_mean[r], x_inv_sd[r])
+        norm *= x_gain
+        norm += x_bias
+        for t in range(rb.start, rb.stop):
+            k = t - rb.start + r.start
+            a = h
+            for j, w in enumerate(ws):
+                if keep:
+                    ins[j].append(a)
+                a = a @ w
+            pre, xhat = gates[k], xhats[k]
+            a = a.reshape(blocks)
+            _standardize(a, eps, xhat, a, mean, inv_sds[k])     # the product is spent once centered
+            ah = np.multiply(gain_gates, xhat.transpose(1, 0, 2), out=a.reshape(4, batch, hidden))
+            ah += bias_gates
+            pre += ah
+            pre += gate_bias_gates
+            for z in (pre[:2], pre[3]):             # sigmoid of [i, f], then of o
+                np.negative(z, out=z)
+                np.exp(z, out=z)
+                z += 1.0
+                np.divide(1.0, z, out=z)
+            si, sf, tg, so = pre
+            np.tanh(tg, out=tg)
+            c_prev, c = (cs[t], cs[t + 1]) if keep else (cs[0], cs[0])
+            np.multiply(sf, c_prev, out=c)
+            c += np.multiply(si, tg, out=tc)
+            np.tanh(c, out=tc)
+            h = np.multiply(so, tc, out=hs[t])
 
     def adjoint(g):
-        nonlocal gates, cs
-        d_ax = gates.reshape(axv.shape)         # row t takes ax's gradient once step t's gates are spent
+        nonlocal gates, cs, xhats
+        d_ax = gates.reshape(axv.shape)         # row t takes the gradient of pre once step t's gates are spent
         d_pre = np.empty((4, batch, hidden))    # one step's, gate-major
         d_outs = [np.empty((steps, batch, w.shape[1])) for w in ws]
         dh, dc = np.zeros((batch, hidden)), np.zeros((batch, hidden))
@@ -492,32 +491,51 @@ def lstm_scan(tape, ax, weights, gain, bias, gate_bias, h0, c0, eps: float = 1e-
         d_outs = None               # spent: free them before the reductions
         d_norm = d_ax.reshape(xhats.shape)
         d_gain = np.multiply(xhats, d_norm, out=xhats)     # d_norm * xhats, in the spent xhats
-        grads.update({"ax": d_ax, "gain": _unbroadcast(d_gain, gv.shape),
+        grads.update({"gain": _unbroadcast(d_gain, gv.shape),
                       "bias": _unbroadcast(d_norm, bv.shape),
                       "gate_bias": _unbroadcast(d_ax, gbv.shape)})
+        # W_x's layer norm: its gain and bias sums over the (T batch, 4, H)
+        # rows, unblocked, then its input adjoint in place, a row block at a time
+        rows = (steps * batch, 4, hidden)
+        mean_rows, inv_sd_rows = (s.transpose(0, 2, 1, 3) for s in (x_mean, x_inv_sd))
+        x_xhat = _xhat(x_rows, mean_rows, inv_sd_rows, d_gain).reshape(rows)
+        x_xhat *= d_ax.reshape(rows)                        # xhat * d, in the spent xhats
+        grads.update({"x_gain": _unbroadcast(x_xhat, xg.shape),
+                      "x_bias": _unbroadcast(d_ax.reshape(rows), xb.shape)})
+        d_rows = d_ax.reshape(x_rows.shape)
+        x_scratch = np.empty((span,) + blocks)
+        for rb in row_blocks:
+            d, n = d_rows[rb], rb.stop - rb.start
+            d *= xg
+            _standardize_adjoint(d, _xhat(x_rows[rb], mean_rows[rb], inv_sd_rows[rb], xhats[:n]),
+                                 inv_sd_rows[rb], x_scratch[:n], *np.empty((2, n, batch, 4, 1)))
+        xhats = None
+        grads["ax"] = d_ax
         return grads
 
-    grads = {}
-    def pull(key):
-        def run(g):
-            if not grads:
-                grads.update(adjoint(g))
-            return grads.pop(key)
-        return run
-
-    out = _emit(tape, hs, [(ax, pull("ax")), (gain, pull("gain")), (bias, pull("bias")),
-                           (gate_bias, pull("gate_bias")), (h0, pull("h0")), (c0, pull("c0"))]
-                + [(w, pull(j)) for j, w in enumerate(weights)])
-    return out, cs[-1]
+    inputs = ([(ax, "ax"), (x_norm[0], "x_gain"), (x_norm[1], "x_bias"), (h_norm[0], "gain"),
+               (h_norm[1], "bias"), (gate_bias, "gate_bias"), (h0, "h0"), (c0, "c0")]
+              + [(w, j) for j, w in enumerate(weights)])
+    return _emit(tape, hs, _pulls(adjoint, inputs)), cs[-1]
 
 
-def cross_entropy(tape, logits, targets) -> Var:
-    """Token-mean negative log-likelihood of integer ``targets`` under a
-    softmax over the last axis of 2-D ``logits``: the package's one
-    softmax-NLL. Only the row maxima and log-normalizers outlive the
-    forward; the adjoint recomputes the softmax from them."""
-    lv = _val(logits)
-    targets = np.asarray(targets).reshape(-1)
+def _integer_ids(ids, what: str) -> np.ndarray:
+    """``ids`` as an array, or :class:`VocabError` unless its dtype is an
+    integer one: a float array would be truncated or fail as an index, and
+    a bool array would index as a mask."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise VocabError(f"{what} must be integer ids, got dtype {ids.dtype}")
+    return ids
+
+
+def _softmax_nll(lv: np.ndarray, targets):
+    """The flattened integer ``targets``, the row maxima, the
+    log-normalizers and the token-mean NLL of ``targets`` under a softmax
+    over the last axis of 2-D ``lv``, in row blocks with one block of
+    scratch; :class:`ShapeError`, :class:`VocabError` or
+    :class:`NumericError` on bad input."""
+    targets = _integer_ids(targets, "target ids").reshape(-1)
     if lv.ndim != 2 or targets.shape[0] != lv.shape[0]:
         raise ShapeError(f"logits {lv.shape} incompatible with {targets.shape[0]} targets")
     if lv.shape[0] == 0:
@@ -537,20 +555,54 @@ def cross_entropy(tape, logits, targets) -> Var:
         np.subtract(block, np.max(block, axis=1, keepdims=True, out=row_max[b]), out=shifted)
         picked[b] = shifted[np.arange(block.shape[0]), targets[b]]
         np.log(np.exp(shifted, out=shifted).sum(axis=1, keepdims=True), out=log_z[b])
-    nll = (log_z[:, 0] - picked).mean()
+    return targets, row_max, log_z, (log_z[:, 0] - picked).mean()
 
-    def pull(g):
-        grad = np.empty(lv.shape)
-        factor = float(g) / n
-        for b in blocks:
-            gb = np.subtract(lv[b], row_max[b], out=grad[b])
-            gb -= log_z[b]
-            np.exp(gb, out=gb)
-            gb[np.arange(gb.shape[0]), targets[b]] -= 1.0
-            gb *= factor
-        return grad
 
-    return _emit(tape, np.float64(nll), [(logits, pull)])
+def _softmax_nll_grad(g, lv: np.ndarray, row_max: np.ndarray, log_z: np.ndarray, targets,
+                      out: np.ndarray) -> np.ndarray:
+    """The gradient of :func:`_softmax_nll` times ``g``, ``(softmax - onehot)
+    * g / n``, written block by block into ``out``, which may be ``lv``
+    itself: each block is read once, before it is written."""
+    factor = float(g) / lv.shape[0]
+    for b in _row_blocks(lv.shape):
+        gb = np.subtract(lv[b], row_max[b], out=out[b])
+        gb -= log_z[b]
+        np.exp(gb, out=gb)
+        gb[np.arange(gb.shape[0]), targets[b]] -= 1.0
+        gb *= factor
+    return out
+
+
+def cross_entropy(tape, logits, targets) -> Var:
+    """Token-mean negative log-likelihood of integer ``targets`` under a
+    softmax over the last axis of 2-D ``logits``. Only the row maxima and
+    log-normalizers outlive the forward; the adjoint recomputes the softmax
+    from them into a fresh array, since ``logits`` may be the caller's."""
+    lv = _val(logits)
+    targets, row_max, log_z, nll = _softmax_nll(lv, targets)
+    return _emit(tape, np.float64(nll), [
+        (logits, lambda g: _softmax_nll_grad(g, lv, row_max, log_z, targets, np.empty(lv.shape))),
+    ])
+
+
+def linear_cross_entropy(tape, rows, w, b, targets) -> Var:
+    """``cross_entropy(linear(rows, w, b), targets)`` as one record, with the
+    same values and gradients bitwise. The ``(n, V)`` logits are the
+    record's own: its adjoint writes the softmax gradient over them block
+    by block, then runs ``d @ w^T``, ``rows^T @ d`` and the bias sum on that
+    one buffer and drops it, so a window never holds the logits and their
+    gradient at once."""
+    xv, wv, bv = _val(rows), _val(w), _val(b)
+    lv = linear(None, xv, wv, bv).value
+    targets, row_max, log_z, nll = _softmax_nll(lv, targets)
+
+    def adjoint(g):
+        nonlocal lv
+        d = _softmax_nll_grad(g, lv, row_max, log_z, targets, out=lv)
+        lv = None                   # the record's only reference; d is the last one
+        return {"rows": d @ wv.T, "w": xv.T @ d, "b": _unbroadcast(d, bv.shape)}
+
+    return _emit(tape, np.float64(nll), _pulls(adjoint, [(rows, "rows"), (w, "w"), (b, "b")]))
 
 
 def grad_check(params: list[Var], build_loss, h: float = 1e-5) -> float:

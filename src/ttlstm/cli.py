@@ -311,6 +311,7 @@ def cmd_bench(args) -> int:
         state = None
         for batch in make_batches(ids, arch.batch_size, arch.unroll):
             out = forward_lm(model, batch.inputs, tape=None, state=state)
+            out.logits                  # forms the output layer, so the pass times it
             state = out.state
 
     seconds = []

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autograd import _integer_ids
 from .errors import DomainError, FormatError
 
 __all__ = [
@@ -115,12 +116,13 @@ class BatchStream:
     """Iterator over full ``(batch, unroll)`` windows of a token stream."""
 
     def __init__(self, ids: np.ndarray, batch_size: int, unroll: int):
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = np.asarray(ids)
         if batch_size < 1 or unroll < 1:
             raise DomainError("batch size and unroll length must be >= 1")
         if ids.size < batch_size * (unroll + 1):
             raise DomainError(
                 f"need at least {batch_size * (unroll + 1)} tokens, got {ids.size}")
+        ids = _integer_ids(ids, "token ids").astype(np.int64, copy=False)
         lane_len = ids.size // batch_size
         self.lanes = ids[: lane_len * batch_size].reshape(batch_size, lane_len)
         self.batch_size = batch_size

@@ -24,24 +24,29 @@ H x V matrix.
 ``forward_lm`` runs at sequence level: only what depends on ``h`` stays
 in the time loop. It builds each stack's factor list once and returns
 both, for training's distillation penalty to read. The window's
-embeddings are gathered once in time-major order, ``W_x`` and its layer
-norm run once over all ``T * batch`` rows, and the output projection
-runs once over the stacked hidden states. The recurrence is one
-``autograd.lstm_scan`` record: each step is ``W_h h`` (``h`` times
-``ttrain.transposed`` of the W_h list), its layer norm,
+embeddings are gathered once in time-major order and ``W_x`` runs once
+over all ``T * batch`` rows. The recurrence is one ``autograd.lstm_scan``
+record: it layer-normalizes the ``W_x`` rows (``ln_x``) a block of whole
+steps at a time, straight into its gate buffer, and each step is ``W_h
+h`` (``h`` times ``ttrain.transposed`` of the W_h list), its layer norm,
 ``(ax_t + ah) + gate_bias`` and the cell. That add order is kept on
 purpose: folding the bias into the hoisted rows first changes the
 rounding, and over a long stateful stream the evaluation NLL drifts off
 its recorded references.
 
-There is one softmax, ``autograd.cross_entropy``: ``sequence_nll`` and
-``cross_entropy_perplexity`` both call it.
+``forward_lm`` stops at the stacked hidden states. The output layer and
+its softmax run as one ``autograd.linear_cross_entropy`` record in
+``sequence_nll``, so a training window never holds the ``(batch * T,
+V)`` logits and their gradient at once; ``ForwardResult.logits`` forms
+the logits on first read. There is one softmax-NLL kernel: that record,
+``autograd.cross_entropy`` and ``cross_entropy_perplexity`` all run it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -314,31 +319,33 @@ def build_model(arch: ModelArch, seed: int = 0) -> TTLstmModel:
     return _assemble(arch, arrays, lambda name, fact: stacks[name], seed)
 
 
-def _block_norm(tape, pre: Var, ln: LayerNormParams) -> Var:
-    rows, width = pre.shape
-    blocks = ag.reshape(tape, pre, (rows, 4, width // 4))
-    normed = ag.layer_norm(tape, blocks, ln.gain, ln.bias, LN_EPS)
-    return ag.reshape(tape, normed, (rows, width))
-
-
 @dataclass
 class ForwardResult:
-    logits: np.ndarray                       # (batch, T, V), a view of logit_rows
-    logit_rows: Var                          # (batch * T, V), batch-major rows
+    rows: Var                                # (batch * T, H) hidden states, batch-major
+    window: tuple[int, int]                  # (batch, T)
+    proj: tuple[Var, Var]                    # the output layer's weight and bias
     state: tuple[np.ndarray, np.ndarray]     # detached (h, c)
     factors: tuple[list[Var], list[Var]]     # W_x's and W_h's TTLinear.factors
+
+    @cached_property
+    def logits(self) -> np.ndarray:
+        """The ``(batch, T, V)`` logits, formed on first read with no tape
+        from the output layer's values at that time, then kept: a caller
+        that writes into them reads its writes back."""
+        return ag.linear(None, self.rows, *self.proj).value.reshape(*self.window, -1)
 
 
 def _recurrence(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None,
                 state: tuple[np.ndarray, np.ndarray] | None):
-    """Everything :func:`forward_lm` runs before the output projection:
-    the time-major ``(T, batch, H)`` hidden states as a Var, the last cell
+    """Everything :func:`forward_lm` runs before the output layer: the
+    time-major ``(T, batch, H)`` hidden states as a Var, the last cell
     state and the two stacks' factor lists."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ShapeError(f"token batch must be 2-D, got shape {tokens.shape}")
     if tokens.size == 0:
         raise ShapeError(f"token batch {tokens.shape} has no steps or no lanes")
+    tokens = ag._integer_ids(tokens, "token ids")
     if tokens.min() < 0 or tokens.max() >= model.vocab_size:
         raise VocabError(
             f"token ids must lie in [0, {model.vocab_size}), "
@@ -349,12 +356,10 @@ def _recurrence(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None,
         state = (np.zeros((batch, hidden)), np.zeros((batch, hidden)))
     wx, wh = model.wx.factors(tape), model.wh.factors(tape)
     ax = ag.gather_rows(tape, model.embed, tokens.T.reshape(-1))   # time-major rows
-    ax = apply(tape, ax, wx)
-    ax = _block_norm(tape, ax, model.ln_x)
-    ax = ag.reshape(tape, ax, (steps, batch, 4 * hidden))
-    ln = model.ln_h
-    hs, c = ag.lstm_scan(tape, ax, transposed(tape, wh), ln.gain, ln.bias,
-                         model.gate_bias, *state, LN_EPS)
+    ax = ag.reshape(tape, apply(tape, ax, wx), (steps, batch, 4 * hidden))
+    ln_x, ln_h = model.ln_x, model.ln_h
+    hs, c = ag.lstm_scan(tape, ax, (ln_x.gain, ln_x.bias), transposed(tape, wh),
+                         (ln_h.gain, ln_h.bias), model.gate_bias, *state, LN_EPS)
     return hs, c, (wx, wh)
 
 
@@ -363,27 +368,30 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
     """Unroll the cell over a ``(batch, T)`` token window.
 
     Only the recurrence runs per step. Each stack's factors, the embedding
-    gather, ``W_x`` and its layer norm run once before the loop, the
-    output projection once after it. The initial state is zero unless a
-    carried ``state`` is supplied; the returned state is detached, so
-    gradients never cross window boundaries.
+    gather and ``W_x`` run once before the loop. The result carries the
+    hidden states as batch-major rows for the output layer, which
+    :func:`sequence_nll` runs with the softmax as one record; ``logits``
+    forms them on first read. The initial state is zero unless a carried
+    ``state`` is supplied; the returned state is detached, so gradients
+    never cross window boundaries.
     """
     hs, c, factors = _recurrence(model, tokens, tape, state)
     steps, batch, hidden = hs.shape
     seq = ag.transpose(tape, hs, (1, 0, 2))                         # (batch, T, H)
     rows = ag.reshape(tape, seq, (batch * steps, hidden))
-    logit_rows = ag.linear(tape, rows, model.proj_w, model.proj_b)
-    logits = logit_rows.value.reshape(batch, steps, -1)
-    return ForwardResult(logits, logit_rows, (hs.value[-1].copy(), c.copy()), factors)
+    return ForwardResult(rows, (batch, steps), (model.proj_w, model.proj_b),
+                         (hs.value[-1].copy(), c.copy()), factors)
 
 
 def sequence_nll(tape, result: ForwardResult, targets: np.ndarray) -> Var:
-    """Token-mean negative log-likelihood over all unrolled steps; ``targets``
-    must be ``(batch, T)`` like the window (else :class:`ShapeError`)."""
+    """Token-mean negative log-likelihood over all unrolled steps, the
+    output layer and its softmax as one ``autograd.linear_cross_entropy``
+    record; ``targets`` must be ``(batch, T)`` like the window (else
+    :class:`ShapeError`)."""
     targets = np.asarray(targets)
-    if targets.shape != result.logits.shape[:2]:
-        raise ShapeError(f"targets {targets.shape} for a {result.logits.shape[:2]} window")
-    return ag.cross_entropy(tape, result.logit_rows, targets.reshape(-1))
+    if targets.shape != result.window:
+        raise ShapeError(f"targets {targets.shape} for a {result.window} window")
+    return ag.linear_cross_entropy(tape, result.rows, *result.proj, targets.reshape(-1))
 
 
 def cross_entropy_perplexity(logits: np.ndarray, targets: np.ndarray):

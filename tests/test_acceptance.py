@@ -169,8 +169,8 @@ def test_c05_gradient_checks():
     a = Parameter(rng.normal(size=(3, 4)), "a")
     b = Parameter(rng.normal(size=(4,)), "b")
     mt = Parameter(rng.normal(size=(4, 3)), "m")
-    gain = Parameter(rng.normal(1.0, 0.1, size=(4,)), "g")
-    bias = Parameter(rng.normal(size=(4,)), "bb")
+    gain = Parameter(rng.normal(1.0, 0.1, size=(4, 3)), "g")       # the scan's W_x layer norm
+    bias = Parameter(rng.normal(size=(4, 3)), "bb")
     table = Parameter(rng.normal(size=(6, 3)), "table")
     logits = Parameter(rng.normal(size=(5, 7)), "logits")
     rows = Parameter(rng.normal(size=(12, 4)), "rows")      # ax of a (T=2, B=2, H=3) scan
@@ -178,13 +178,14 @@ def test_c05_gradient_checks():
     ln_gain = Parameter(rng.normal(1.0, 0.1, size=(4, 3)), "ln_g")
     gate_b = Parameter(rng.normal(size=(12,)), "gate_b")
     h0, c0 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+    proj_b = Parameter(rng.normal(size=(3,)), "proj_b")
     checks = [
         ([a, b], lambda t: ag.reduce_sum(t, ag.mul(t, ag.add(t, a, b), ag.sub(t, a, b)))),
         ([a, mt], lambda t: ag.reduce_sum(t, ag.mul(t, ag.matmul(t, a, mt), ag.matmul(t, a, mt)))),
-        ([rows, w_h, ln_gain, gate_b], lambda t: ag.scale(t, ag.reduce_sum(t, ag.lstm_scan(
-            t, ag.reshape(t, ag.transpose(t, rows), (2, 2, 12)), [w_h], ln_gain, np.zeros((4, 3)),
-            gate_b, h0, c0)[0]), 0.5)),
-        ([a, gain, bias], lambda t: ag.reduce_sum(t, ag.mul(t, ag.layer_norm(t, a, gain, bias), ag.layer_norm(t, a, gain, bias)))),
+        ([rows, gain, bias, w_h, ln_gain, gate_b], lambda t: ag.scale(t, ag.reduce_sum(t, ag.lstm_scan(
+            t, ag.reshape(t, ag.transpose(t, rows), (2, 2, 12)), (gain, bias), [w_h],
+            (ln_gain, np.zeros((4, 3))), gate_b, h0, c0)[0]), 0.5)),
+        ([a, mt, proj_b], lambda t: ag.linear_cross_entropy(t, a, mt, proj_b, np.array([0, 2, 1]))),
         ([table], lambda t: ag.reduce_sum(t, ag.mul(t, ag.gather_rows(t, table, np.array([0, 2, 2, 5])),
                                                     ag.gather_rows(t, table, np.array([0, 2, 2, 5]))))),
         ([logits], lambda t: ag.cross_entropy(t, logits, np.array([0, 3, 6, 1, 1]))),

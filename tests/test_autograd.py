@@ -61,16 +61,17 @@ class TestPerOpGradients:
         self.check([table], build)
 
     def test_layer_norm(self):
+        """The ``W_x`` layer norm inside ``lstm_scan``: its input, gain and bias."""
         rng = np.random.default_rng(6)
-        x = _param(rng, (3, 4, 8))
-        gain = Parameter(rng.normal(1.0, 0.2, size=(4, 8)), "gain")
-        bias = Parameter(rng.normal(0.0, 0.2, size=(4, 8)), "bias")
+        args = _scan_args(rng, 3, 2, 8, [32])
+        ax, (x_gain, x_bias) = args[0], args[1]
+        w = rng.normal(size=(3, 2, 8))
 
         def build(t):
-            out = ag.layer_norm(t, x, gain, bias, 1e-5)
-            return ag.reduce_sum(t, ag.mul(t, out, out))
+            hs, _ = ag.lstm_scan(t, *args)
+            return ag.reduce_sum(t, ag.mul(t, hs, w))
 
-        self.check([x, gain, bias], build, tol=1e-5)
+        self.check([ax, x_gain, x_bias], build, tol=1e-5)
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(7)
@@ -127,15 +128,17 @@ class TestLstmScan:
         ax = _param(rng, (steps, batch, 4 * hidden), "ax")
         dims = [hidden] + widths
         weights = [_param(rng, (dims[k], dims[k + 1]), f"w{k}") for k in range(len(widths))]
+        x_gain = Parameter(rng.normal(1.0, 0.2, size=(4, hidden)), "x_gain")
+        x_bias = Parameter(rng.normal(0.0, 0.2, size=(4, hidden)), "x_bias")
         gain = Parameter(rng.normal(1.0, 0.2, size=(4, hidden)), "gain")
         bias = Parameter(rng.normal(0.0, 0.2, size=(4, hidden)), "bias")
         gate_bias = _param(rng, (4 * hidden,), "gate_bias")
         h0, c0 = _param(rng, (batch, hidden), "h0"), _param(rng, (batch, hidden), "c0")
         w = rng.normal(size=(steps, batch, hidden))
-        params = [ax, *weights, gain, bias, gate_bias, h0, c0]
+        params = [ax, x_gain, x_bias, *weights, gain, bias, gate_bias, h0, c0]
 
         def build(t):
-            hs, _ = ag.lstm_scan(t, ax, weights, gain, bias, gate_bias, h0, c0)
+            hs, _ = ag.lstm_scan(t, ax, (x_gain, x_bias), weights, (gain, bias), gate_bias, h0, c0)
             return ag.reduce_sum(t, ag.mul(t, hs, w))
 
         assert grad_check(params, build) < 1e-5
@@ -151,21 +154,24 @@ class TestLstmScan:
         weight = _param(rng, (2, 8), "w")
         gain, bias = Parameter(np.ones((4, 2)), "gain"), Parameter(np.zeros((4, 2)), "bias")
         t = Tape()
-        hs, c = ag.lstm_scan(t, ax, [weight], gain, bias, np.zeros(8),
+        hs, c = ag.lstm_scan(t, ax, (gain, bias), [weight], (gain, bias), np.zeros(8),
                              np.zeros((2, 2)), np.zeros((2, 2)))
         assert len(t) == 1 and hs.shape == (4, 2, 2)
         assert isinstance(c, np.ndarray) and c.shape == (2, 2)
 
     def test_state_must_match_the_gates(self):
         with pytest.raises(ShapeError):
-            ag.lstm_scan(None, np.zeros((3, 2, 8)), [np.zeros((2, 8))], np.ones((4, 2)),
-                         np.zeros((4, 2)), np.zeros(8), np.zeros((2, 3)), np.zeros((2, 3)))
+            ag.lstm_scan(None, np.zeros((3, 2, 8)), _UNIT_NORM, [np.zeros((2, 8))], _UNIT_NORM,
+                         np.zeros(8), np.zeros((2, 3)), np.zeros((2, 3)))
 
     @pytest.mark.parametrize("steps,batch", [(0, 2), (3, 0)], ids=["no-steps", "no-lanes"])
     def test_empty_gates_raise_shape_error(self, steps, batch):
         with pytest.raises(ShapeError):
-            ag.lstm_scan(Tape(), np.zeros((steps, batch, 8)), [np.zeros((2, 8))], np.ones((4, 2)),
-                         np.zeros((4, 2)), np.zeros(8), np.zeros((batch, 2)), np.zeros((batch, 2)))
+            ag.lstm_scan(Tape(), np.zeros((steps, batch, 8)), _UNIT_NORM, [np.zeros((2, 8))],
+                         _UNIT_NORM, np.zeros(8), np.zeros((batch, 2)), np.zeros((batch, 2)))
+
+
+_UNIT_NORM = (np.ones((4, 2)), np.zeros((4, 2)))      # a layer norm's (gain, bias) at H = 2
 
 
 def _reference_layer_norm(xv, gv, bv, g, eps=1e-5):
@@ -197,20 +203,11 @@ def _reference_cross_entropy(lv, targets, seed):
 
 
 def _check_layer_norm(shape, seed, taped):
-    rng = np.random.default_rng(seed)
-    x = Parameter(rng.normal(0.5, 2.0, size=shape), "x")
-    gain = Parameter(rng.normal(1.0, 0.2, size=shape[1:]), "gain")
-    bias = Parameter(rng.normal(0.0, 0.2, size=shape[1:]), "bias")
-    g = rng.normal(size=shape)
-    want, want_dx, want_dgain = _reference_layer_norm(x.value, gain.value, bias.value, g)
-    t = Tape() if taped else None
-    out = ag.layer_norm(t, x, gain, bias, 1e-5)
-    assert out.value.tobytes() == want.tobytes()
-    if taped:
-        backward(t, ag.reduce_sum(t, ag.mul(t, out, g)))     # the output gradient is g
-        assert x.grad.tobytes() == want_dx.tobytes()
-        assert gain.grad.tobytes() == want_dgain.tobytes()
-        assert bias.grad.tobytes() == g.sum(axis=0).tobytes()
+    """The ``W_x`` layer norm of a ``(steps, batch, hidden)`` scan, which
+    ``lstm_scan`` runs in row blocks of whole steps, against the unblocked
+    reference followed by the reference scan."""
+    steps, batch, hidden = shape
+    _check_scan(np.random.default_rng(seed), steps, batch, hidden, [4 * hidden], taped)
 
 
 def _check_cross_entropy(rows, vocab, seed, taped):
@@ -224,6 +221,29 @@ def _check_cross_entropy(rows, vocab, seed, taped):
     if taped:
         backward(t, loss, seed=1.5)
         assert logits.grad.tobytes() == want_grad.tobytes()
+
+
+def _check_linear_cross_entropy(rows, hidden, vocab, seed, taped, loss_grad=1.0):
+    """``linear_cross_entropy`` against ``cross_entropy(linear(...))``: the
+    NLL and, taped, the ``rows``, ``w`` and ``b`` gradients bitwise."""
+    rng = np.random.default_rng(seed)
+    params = [Parameter(rng.normal(size=(rows, hidden)), "rows"),
+              Parameter(rng.normal(scale=2.0, size=(hidden, vocab)), "w"),
+              Parameter(rng.normal(size=(vocab,)), "b")]
+    targets = rng.integers(0, vocab, size=rows)
+    results = []
+    for fused in (False, True):
+        t = Tape() if taped else None
+        loss = (ag.linear_cross_entropy(t, *params, targets) if fused
+                else ag.cross_entropy(t, ag.linear(t, *params), targets))
+        if taped:
+            assert len(t) == 1 if fused else len(t) == 2
+            backward(t, loss, seed=loss_grad)
+        results.append([loss.value] + [p.grad for p in params if taped])
+        for p in params:
+            p.grad = None
+    for want, got in zip(*results):
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStandardize:
@@ -258,13 +278,16 @@ class TestStandardize:
 
 
 class TestRowBlocks:
-    """The row-blocked layer norm and cross-entropy give bitwise the values
+    """The row-blocked layer norm and softmax-NLL give bitwise the values
     of the same operations on the whole array, across several blocks and a
     ragged last one."""
 
     @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
-    @pytest.mark.parametrize("shape", [(301, 4, 160), (1, 4, 160), (3, 4, 8), (9, 70000), (64,)])
+    @pytest.mark.parametrize("shape", [(43, 7, 40), (1, 4, 160), (3, 4, 8), (3, 9, 500), (5, 1, 1)])
     def test_layer_norm_matches_unblocked_reference(self, shape, taped):
+        """``(steps, batch, hidden)``: two blocks of whole steps, the last
+        one ragged; one step; one block of three steps; steps larger than a
+        block; H = 1."""
         _check_layer_norm(shape, 0, taped)
 
     @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
@@ -272,12 +295,20 @@ class TestRowBlocks:
     def test_cross_entropy_matches_unblocked_reference(self, rows, vocab, taped):
         _check_cross_entropy(rows, vocab, rows, taped)
 
+    @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
+    @pytest.mark.parametrize("rows,vocab", [(5, 7), (257, 2000), (3, 40000)],
+                             ids=["under-one-block", "ragged-last-block", "row-per-block"])
+    def test_linear_cross_entropy_is_the_two_records_bitwise(self, rows, vocab, taped):
+        """``backward(seed=3.0)``; the property test below seeds 1."""
+        _check_linear_cross_entropy(rows, 16, vocab, rows, taped, loss_grad=3.0)
+
     @settings(max_examples=25, deadline=None)
     @given(rows=st.integers(1, 80), width=st.integers(1, 6000), seed=st.integers(0, 2 ** 32 - 1),
            taped=st.booleans())
     def test_blocked_kernels_match_reference_for_any_rows_and_width(self, rows, width, seed, taped):
         _check_cross_entropy(rows, width, seed, taped)
-        _check_layer_norm((rows, 2, -(-width // 2)), seed, taped)
+        _check_linear_cross_entropy(rows, 1 + seed % 9, width, seed, taped)
+        _check_layer_norm((1 + rows // 2, 1 + seed % 5, 1 + width // 30), seed, taped)
 
     def test_blocks_tile_axis_zero_within_the_byte_budget(self):
         blocks = ag._row_blocks((301, 4, 160))
@@ -297,8 +328,13 @@ class TestRowBlocks:
             ag.cross_entropy(None, logits, np.zeros(257, dtype=np.int64))
 
     def test_gain_must_broadcast_to_the_input(self):
-        with pytest.raises(ShapeError):
-            ag.layer_norm(None, np.zeros((4, 3)), np.ones((2, 4, 3)), np.zeros(3))
+        """Each of the scan's layer norms takes a gain and bias that
+        broadcast to its ``(4, H)`` gate blocks."""
+        bad = (np.ones((2, 4, 2)), np.zeros(2))
+        for x_norm, h_norm in ((bad, _UNIT_NORM), (_UNIT_NORM, bad)):
+            with pytest.raises(ShapeError):
+                ag.lstm_scan(None, np.zeros((3, 2, 8)), x_norm, [np.zeros((2, 8))], h_norm,
+                             np.zeros(8), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def _traced_peak(call) -> int:
@@ -325,7 +361,7 @@ def _traced_kept(call) -> int:
 class TestKernelMemory:
     """Without a tape the blocked kernels allocate about their output and
     one block of scratch, not whole-array temporaries; with one they keep
-    nothing full-size that their adjoint can rebuild."""
+    nothing full-size that their adjoint can rebuild or write over."""
 
     def test_cross_entropy_peak_is_a_small_share_of_the_logits(self):
         rng = np.random.default_rng(0)
@@ -333,30 +369,60 @@ class TestKernelMemory:
         peak = _traced_peak(lambda: ag.cross_entropy(None, logits, targets))
         assert peak <= 0.25 * logits.nbytes, f"peak {peak} B for {logits.nbytes} B of logits"
 
-    def test_layer_norm_peak_is_about_one_output(self):
-        rng = np.random.default_rng(1)
-        x, gain, bias = rng.normal(size=(300, 4, 160)), np.ones((4, 160)), np.zeros((4, 160))
-        peak = _traced_peak(lambda: ag.layer_norm(None, x, gain, bias))
-        assert peak <= 2.0 * x.nbytes, f"peak {peak} B for a {x.nbytes} B input"
-
-    def test_taped_layer_norm_keeps_row_statistics_not_xhat(self):
-        """Beyond its output a taped call keeps ``x``'s row mean and
-        ``inv_sd`` (about 0.015x the input here), not a full-size ``xhat``."""
-        rng = np.random.default_rng(1)
-        x = Parameter(rng.normal(size=(300, 4, 160)), "x")
-        gain, bias = Parameter(np.ones((4, 160)), "gain"), Parameter(np.zeros((4, 160)), "bias")
+    def test_linear_cross_entropy_and_its_backward_hold_one_logits_array(self):
+        """The adjoint writes the softmax gradient over the record's own
+        logits, so forward plus backward peak at one ``(n, V)`` array plus
+        the ``w`` and ``rows`` gradients; ``cross_entropy(linear(...))``
+        holds the logits and a fresh gradient of their size at once."""
+        rng = np.random.default_rng(5)
+        rows = Parameter(rng.normal(size=(700, 64)), "rows")
+        w = Parameter(rng.normal(scale=0.1, size=(64, 2000)), "w")
+        b = Parameter(np.zeros(2000), "b")
+        targets = rng.integers(0, 2000, size=700)
 
         def run():
             t = Tape()
-            return t, ag.layer_norm(t, x, gain, bias)
+            backward(t, ag.linear_cross_entropy(t, rows, w, b, targets))
 
-        kept = _traced_kept(run) - x.value.nbytes          # the output is x's size
-        assert kept <= 0.1 * x.value.nbytes, f"{kept} B kept for a {x.value.nbytes} B input"
+        peak = _traced_peak(run)
+        logits = 700 * 2000 * 8
+        bound = logits + w.value.nbytes + rows.value.nbytes + ag.ROW_BLOCK_BYTES
+        assert peak <= bound, f"peak {peak} B for {logits} B of logits"
+
+    def test_layer_norm_peak_is_about_one_output(self):
+        """Without a tape the scan's ``W_x`` layer norm writes a row block of
+        whole steps at a time into the gate buffer, so the scan peaks at
+        about its output, the hidden states, plus two row blocks (the gates
+        and the ``xhat`` buffer that first holds the norm's squares) and a
+        few steps (about 7 here); an output of the norm's own would add
+        ``ax``'s bytes, 35 steps."""
+        args = _scan_args(np.random.default_rng(1), 35, 20, 64, [256])
+        step = 20 * 4 * 64 * 8
+        hs = ag.lstm_scan(None, *args)[0].value
+        peak = _traced_peak(lambda: ag.lstm_scan(None, *args))
+        assert peak <= hs.nbytes + 2 * ag.ROW_BLOCK_BYTES + 8 * step, f"peak {peak} B"
+
+    def test_taped_layer_norm_keeps_row_statistics_not_xhat(self):
+        """Beyond the recurrence's own buffers a taped scan keeps, for its
+        ``W_x`` layer norm, ``ax``'s row mean and ``inv_sd`` (about 0.03x
+        ``ax`` here), neither an ``xhat`` nor an output of ``ax``'s size."""
+        steps, batch, hidden = 35, 20, 64
+        args = _scan_args(np.random.default_rng(1), steps, batch, hidden, [256])
+
+        def run():
+            t = Tape()
+            return t, ag.lstm_scan(t, *args)
+
+        nbytes = args[0].value.nbytes
+        window = steps * batch * hidden * 8
+        recurrence = window + 2 * nbytes + (steps + 1) * batch * hidden * 8 + steps * batch * 4 * 8
+        kept = _traced_kept(run) - recurrence
+        assert kept <= 0.1 * nbytes, f"{kept} B kept for a {nbytes} B ax"
 
     def test_taped_scan_keeps_no_per_step_tanh_of_the_cell_state(self):
         """A taped forward keeps the hidden states, the gate activations, the
-        normalized products, the cell states and ``inv_sd``; the adjoint
-        rebuilds ``tanh(c')`` from the kept cell states."""
+        normalized products, the cell states and the three row statistics;
+        the adjoint rebuilds ``tanh(c')`` from the kept cell states."""
         steps, batch, hidden = 35, 20, 64
         args = _scan_args(np.random.default_rng(2), steps, batch, hidden, [256])
 
@@ -367,22 +433,14 @@ class TestKernelMemory:
         kept = _traced_kept(run)
         window = steps * batch * hidden * 8         # one (T, batch, H) buffer
         arrays = (window + 2 * args[0].value.nbytes + (steps + 1) * batch * hidden * 8
-                  + steps * batch * 4 * 8)
+                  + 3 * steps * batch * 4 * 8)
         assert kept - arrays <= 0.25 * window, f"{kept - arrays} B kept beyond the arrays named"
-
-    def test_scan_without_a_tape_keeps_one_step_of_gate_buffers(self):
-        """The eval path allocates the hidden states plus a few steps' worth
-        of buffers (about 9 here); a per-window gate buffer alone would be 35."""
-        args = _scan_args(np.random.default_rng(2), 35, 20, 64, [256])
-        step = 20 * 4 * 64 * 8
-        hs = ag.lstm_scan(None, *args)[0].value
-        peak = _traced_peak(lambda: ag.lstm_scan(None, *args))
-        assert peak <= hs.nbytes + 12 * step, f"peak {peak} B, {hs.nbytes} B of hidden states"
 
     def test_taped_scan_and_backward_peak(self):
         """The adjoint writes ``ax``'s gradient over the spent gate rows
-        instead of a ``(T, batch, 4H)`` buffer of its own, so a forward
-        plus backward peaks at about 4.2x ``ax``'s bytes."""
+        instead of a ``(T, batch, 4H)`` buffer of its own, and the ``W_x``
+        layer norm's adjoint runs in place over it, so a forward plus
+        backward peaks at about 4.2x ``ax``'s bytes."""
         args = _scan_args(np.random.default_rng(3), 35, 20, 64, [256])
         g = np.random.default_rng(4).normal(size=(35, 20, 64))
 
@@ -396,13 +454,17 @@ class TestKernelMemory:
         assert peak <= 4.5 * nbytes, f"peak {peak} B for a {nbytes} B ax"
 
 
-def _reference_scan(axv, ws, gv, bv, gbv, h, c, g, eps=1e-5):
-    """``lstm_scan`` written out step by step with fresh arrays: the hidden
-    states, the last cell state and, for the output gradient ``g``, the
-    gradients of the inputs and of each weight."""
+def _reference_scan(axv, xgv, xbv, ws, gv, bv, gbv, h, c, g, eps=1e-5):
+    """A ``W_x`` layer norm over the ``(T batch, 4, H)`` rows of ``axv``,
+    then the scan written out step by step, both with fresh arrays: the
+    hidden states, the last cell state and, for the output gradient
+    ``g``, the gradients of the inputs and of each weight."""
     steps, batch, width = axv.shape
     hidden = width // 4
     blocks = (batch, 4, hidden)
+    rows = (steps * batch, 4, hidden)
+    normed = _reference_layer_norm(axv.reshape(rows), xgv, xbv, np.zeros(rows), eps)[0]
+    normed = normed.reshape(axv.shape)
 
     def sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))
@@ -417,7 +479,7 @@ def _reference_scan(axv, ws, gv, bv, gbv, h, c, g, eps=1e-5):
         centered = a - a.mean(axis=-1, keepdims=True)
         inv_sd = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
         xhat = centered * inv_sd
-        pre = (axv[t] + (gv * xhat + bv).reshape(batch, width)) + gbv
+        pre = (normed[t] + (gv * xhat + bv).reshape(batch, width)) + gbv
         si, sf = sigmoid(pre[:, :hidden]), sigmoid(pre[:, hidden:2 * hidden])
         tg, so = np.tanh(pre[:, 2 * hidden:3 * hidden]), sigmoid(pre[:, 3 * hidden:])
         c_prev, c = c, sf * c + si * tg
@@ -448,7 +510,10 @@ def _reference_scan(axv, ws, gv, bv, gbv, h, c, g, eps=1e-5):
             d_outs[k][t] = dh
             dh = dh @ ws[k].T
     d_norm = d_pre.reshape(xhats.shape)
-    grads = {"ax": d_pre, "gain": (d_norm * xhats).sum(axis=(0, 1)),
+    _, d_ax, d_x_gain = _reference_layer_norm(axv.reshape(rows), xgv, xbv, d_pre.reshape(rows), eps)
+    grads = {"ax": d_ax.reshape(axv.shape), "x_gain": d_x_gain,
+             "x_bias": d_pre.reshape(rows).sum(axis=0),
+             "gain": (d_norm * xhats).sum(axis=(0, 1)),
              "bias": d_norm.sum(axis=(0, 1)), "gate_bias": d_pre.sum(axis=(0, 1)),
              "h0": dh, "c0": dc}
     for k in range(len(ws)):
@@ -458,23 +523,50 @@ def _reference_scan(axv, ws, gv, bv, gbv, h, c, g, eps=1e-5):
 
 def _scan_args(rng, steps, batch, hidden, widths):
     """``lstm_scan``'s inputs after ``tape``: a ``(steps, batch, 4 hidden)``
-    ``ax``, weights from ``hidden`` through ``widths``, gain, bias, gate
+    ``ax``, its layer norm's gain and bias, weights from ``hidden``
+    through ``widths``, the ``W_h`` layer norm's gain and bias, the gate
     bias and the entering state, all Parameters named as the reference
     scan names their gradients."""
     ax = _param(rng, (steps, batch, 4 * hidden), "ax")
+    x_norm = (Parameter(rng.normal(1.0, 0.2, size=(4, hidden)), "x_gain"),
+              Parameter(rng.normal(0.0, 0.2, size=(4, hidden)), "x_bias"))
     dims = [hidden] + widths
     weights = [Parameter(rng.normal(size=(dims[k], dims[k + 1])) / np.sqrt(dims[k]), f"w{k}")
                for k in range(len(widths))]
-    gain = Parameter(rng.normal(1.0, 0.2, size=(4, hidden)), "gain")
-    bias = Parameter(rng.normal(0.0, 0.2, size=(4, hidden)), "bias")
+    h_norm = (Parameter(rng.normal(1.0, 0.2, size=(4, hidden)), "gain"),
+              Parameter(rng.normal(0.0, 0.2, size=(4, hidden)), "bias"))
     gate_bias = _param(rng, (4 * hidden,), "gate_bias")
     h0, c0 = _param(rng, (batch, hidden), "h0"), _param(rng, (batch, hidden), "c0")
-    return ax, weights, gain, bias, gate_bias, h0, c0
+    return ax, x_norm, weights, h_norm, gate_bias, h0, c0
+
+
+def _check_scan(rng, steps, batch, hidden, widths, taped=True):
+    """``lstm_scan`` against :func:`_reference_scan`: the hidden states and
+    the last cell state bitwise without a tape and, taped, also every
+    gradient."""
+    args = _scan_args(rng, steps, batch, hidden, widths)
+    ax, (x_gain, x_bias), weights, (gain, bias), gate_bias, h0, c0 = args
+    params = [ax, x_gain, x_bias, *weights, gain, bias, gate_bias, h0, c0]
+    g = rng.normal(size=(steps, batch, hidden))
+    want_hs, want_c, want = _reference_scan(
+        ax.value, x_gain.value, x_bias.value, [w.value for w in weights], gain.value,
+        bias.value, gate_bias.value, h0.value, c0.value, g)
+    hs, c = ag.lstm_scan(None, *args)
+    assert hs.value.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
+    if not taped:
+        return
+    t = Tape()
+    hs, c = ag.lstm_scan(t, *args)
+    assert hs.value.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
+    backward(t, ag.reduce_sum(t, ag.mul(t, hs, g)))     # the output gradient is g
+    for p in params:
+        assert p.grad.tobytes() == want[p.name].tobytes(), p.name
 
 
 class TestLstmScanBitwise:
     """``lstm_scan`` with its reused buffers and in-place steps gives bitwise
-    the values and gradients of the same loop on fresh arrays."""
+    the values and gradients of a ``W_x`` layer norm followed by the same
+    loop, on fresh arrays."""
 
     @pytest.mark.parametrize("steps,batch,hidden,widths", [
         (3, 2, 3, [12]), (3, 2, 3, [2, 12]), (1, 3, 5, [20]), (4, 1, 5, [3, 20]),
@@ -482,49 +574,15 @@ class TestLstmScanBitwise:
     ], ids=["one-weight", "two-weights", "one-step", "batch-one", "paper-like-dense",
             "paper-like-pair"])
     def test_matches_a_loop_on_fresh_arrays(self, steps, batch, hidden, widths):
-        rng = np.random.default_rng(steps * batch + len(widths))
-        ax = _param(rng, (steps, batch, 4 * hidden), "ax")
-        dims = [hidden] + widths
-        weights = [Parameter(rng.normal(size=(dims[k], dims[k + 1])) / np.sqrt(dims[k]), f"w{k}")
-                   for k in range(len(widths))]
-        gain = Parameter(rng.normal(1.0, 0.2, size=(4, hidden)), "gain")
-        bias = Parameter(rng.normal(0.0, 0.2, size=(4, hidden)), "bias")
-        gate_bias = _param(rng, (4 * hidden,), "gate_bias")
-        h0, c0 = _param(rng, (batch, hidden), "h0"), _param(rng, (batch, hidden), "c0")
-        g = rng.normal(size=(steps, batch, hidden))
-        want_hs, want_c, want = _reference_scan(
-            ax.value, [w.value for w in weights], gain.value, bias.value, gate_bias.value,
-            h0.value, c0.value, g)
-        args = (ax, weights, gain, bias, gate_bias, h0, c0)
-        hs, c = ag.lstm_scan(None, *args)
-        assert hs.value.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
-        t = Tape()
-        hs, c = ag.lstm_scan(t, *args)
-        assert hs.value.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
-        backward(t, ag.reduce_sum(t, ag.mul(t, hs, g)))     # the output gradient is g
-        for p in [ax, *weights, gain, bias, gate_bias, h0, c0]:
-            assert p.grad.tobytes() == want[p.name].tobytes(), p.name
+        _check_scan(np.random.default_rng(steps * batch + len(widths)), steps, batch, hidden,
+                    widths)
 
     @settings(max_examples=40, deadline=None)
     @given(steps=st.integers(1, 6), batch=st.integers(1, 5), hidden=st.integers(1, 70),
            inner=st.lists(st.integers(1, 70), max_size=2), seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_the_reference_for_any_shape(self, steps, batch, hidden, inner, seed):
         """1-3 weights, any small window; odd widths reach the SIMD tails."""
-        rng = np.random.default_rng(seed)
-        args = _scan_args(rng, steps, batch, hidden, inner + [4 * hidden])
-        ax, weights, gain, bias, gate_bias, h0, c0 = args
-        g = rng.normal(size=(steps, batch, hidden))
-        want_hs, want_c, want = _reference_scan(
-            ax.value, [w.value for w in weights], gain.value, bias.value, gate_bias.value,
-            h0.value, c0.value, g)
-        hs, c = ag.lstm_scan(None, *args)
-        assert hs.value.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
-        t = Tape()
-        hs, c = ag.lstm_scan(t, *args)
-        assert hs.value.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
-        backward(t, ag.reduce_sum(t, ag.mul(t, hs, g)))
-        for p in [ax, *weights, gain, bias, gate_bias, h0, c0]:
-            assert p.grad.tobytes() == want[p.name].tobytes(), p.name
+        _check_scan(np.random.default_rng(seed), steps, batch, hidden, inner + [4 * hidden])
 
 
 class TestBackwardMechanics:

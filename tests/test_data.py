@@ -16,7 +16,7 @@ from ttlstm.data import (
     save_vocab,
     synthetic_corpus,
 )
-from ttlstm.errors import DomainError, FormatError
+from ttlstm.errors import DomainError, FormatError, VocabError
 
 
 class TestBuildVocab:
@@ -143,6 +143,11 @@ class TestMakeBatches:
     def test_insufficient_tokens(self):
         with pytest.raises(DomainError):
             make_batches(np.arange(7), batch_size=2, unroll=3)
+
+    def test_float_ids_raise_vocab_error(self):
+        """They used to be truncated: 0.9 read as id 0, 3.99 as id 3."""
+        with pytest.raises(VocabError):
+            make_batches(np.arange(13) + 0.9, batch_size=2, unroll=3)
 
 
 class TestSyntheticCorpus:

@@ -5,7 +5,7 @@ import pytest
 
 import ttlstm.autograd as ag
 import ttlstm.nn as nn
-from ttlstm.autograd import Parameter, Tape, Var, backward, grad_check
+from ttlstm.autograd import Tape, Var, backward, grad_check
 from ttlstm.errors import ConfigError, NumericError, ShapeError, VocabError
 from ttlstm.nn import (
     LN_EPS,
@@ -20,36 +20,42 @@ from ttlstm.contract import OpCounter, build_factor_pair, cost_model
 from ttlstm.ttrain import ShapeFactorization, apply, new_mpo, new_mps, reconstruct
 
 
-def _ln(v, d, eps=1e-5):
-    """``ag.layer_norm`` on plain values with unit gain and zero bias."""
-    return ag.layer_norm(None, Var(v), Parameter(np.ones(d), "g"), Parameter(np.zeros(d), "b"),
-                         eps).value
+def _ln(v, eps=1e-5):
+    """One vector through ``autograd._standardize``, the standardize both of
+    ``lstm_scan``'s layer norms run: the layer norm at unit gain and zero
+    bias."""
+    v = np.asarray(v, dtype=np.float64)[None]
+    mean, inv_sd = np.empty((2, 1, 1))
+    return ag._standardize(v, eps, np.empty(v.shape), np.empty(v.shape), mean, inv_sd)[0]
 
 
 class TestLayerNorm:
     def test_constant_input_maps_to_zero(self):
-        out = _ln(np.full(8, 3.7), 8)
+        out = _ln(np.full(8, 3.7))
         np.testing.assert_allclose(out, 0.0, atol=1e-9)
 
     def test_closed_form_three_vector(self):
-        out = _ln(np.array([1.0, 2.0, 3.0]), 3, eps=0.0)
+        out = _ln(np.array([1.0, 2.0, 3.0]), eps=0.0)
         np.testing.assert_allclose(out, [-1.224744871391589, 0.0, 1.224744871391589], rtol=1e-12)
 
     def test_output_standardized(self):
         rng = np.random.default_rng(0)
         v = rng.normal(3.0, 2.0, size=64)
-        out = _ln(v, 64, eps=1e-12)
+        out = _ln(v, eps=1e-12)
         assert abs(out.mean()) < 1e-6
         assert abs(out.var() - 1.0) < 1e-6
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=16)
-        np.testing.assert_allclose(_ln(v, 16), _ln(v + 5.0, 16), atol=1e-10)
+        np.testing.assert_allclose(_ln(v), _ln(v + 5.0), atol=1e-10)
 
     def test_shape_mismatch(self):
+        """A gain and bias of 5 entries for gate blocks of H = 4 are refused."""
         with pytest.raises(ValueError):
-            _ln(np.zeros(4), 5)
+            ag.lstm_scan(None, np.zeros((1, 1, 16)), (np.ones(5), np.zeros(5)),
+                         [np.zeros((4, 16))], (np.ones(4), np.zeros(4)), np.zeros(16),
+                         np.zeros((1, 4)), np.zeros((1, 4)))
 
 
 def _tiny_arch(rep="dense", rank=0, v=20, e=8, h=8, factors=2):
@@ -142,6 +148,28 @@ class TestForward:
             forward_lm(model, np.array([[0, 20]]))
         with pytest.raises(VocabError):
             forward_lm(model, np.array([[-1, 3]]))
+
+    def test_float_tokens_raise_vocab_error(self):
+        """They used to fail as an index with ``IndexError``."""
+        model = build_model(_tiny_arch(), seed=1)
+        with pytest.raises(VocabError):
+            forward_lm(model, np.array([[1.0, 3.0]]))
+
+    def test_bool_window_raises_vocab_error(self):
+        """An all-True window of V entries used to index as a mask, which
+        reads the embedding rows of ids 0..V-1."""
+        model = build_model(_tiny_arch(v=6), seed=1)
+        with pytest.raises(VocabError):
+            forward_lm(model, np.ones((2, 3), dtype=bool))
+
+    def test_logits_are_one_array_on_every_read(self):
+        """Formed on first read and kept: a write into them reads back."""
+        model = build_model(_tiny_arch(), seed=1)
+        out = forward_lm(model, np.array([[2, 5, 7], [1, 0, 3]]))
+        logits = out.logits
+        assert out.logits is logits and logits.shape == (2, 3, 20)
+        logits[0, 0, 0] = np.nan
+        assert np.isnan(out.logits[0, 0, 0])
 
     def test_untrained_perplexity_near_vocab_size(self):
         arch = ModelArch(vocab_size=50, embed_dim=16, hidden_dim=16,
@@ -241,6 +269,24 @@ def test_sequence_nll_matches_value_level_perplexity():
     assert abs(float(loss.value) - nll) < 1e-12
 
 
+def test_sequence_nll_forms_no_logits_on_the_result():
+    """The output layer runs inside its record; ``logits`` stays unformed."""
+    model = build_model(_tiny_arch(), seed=31)
+    tokens = np.random.default_rng(32).integers(0, 20, size=(2, 5))
+    out = forward_lm(model, tokens)
+    sequence_nll(None, out, tokens)
+    assert "logits" not in vars(out)
+
+
+def test_sequence_nll_rejects_float_targets():
+    """They used to fail as an index with ``IndexError``."""
+    model = build_model(_tiny_arch(), seed=33)
+    tokens = np.random.default_rng(34).integers(0, 20, size=(2, 5))
+    out = forward_lm(model, tokens)
+    with pytest.raises(VocabError):
+        sequence_nll(None, out, tokens.astype(np.float64))
+
+
 def test_sequence_nll_rejects_targets_of_another_shape():
     """A ``(T, batch)`` array has as many entries as the ``(batch, T)``
     window and used to pair tokens with the wrong logit rows silently."""
@@ -276,7 +322,6 @@ def test_forward_matches_lstm_step_loop_bitwise(rep, rank):
     assert out.state[1].tobytes() == c.tobytes()
     rows = np.stack(hs, axis=1).reshape(-1, 16)
     want = rows @ model.proj_w.value + model.proj_b.value
-    assert out.logit_rows.value.tobytes() == want.tobytes()
     assert out.logits.tobytes() == want.reshape(5, 7, 30).tobytes()
 
 
@@ -318,13 +363,60 @@ def test_backward_frees_the_window_it_consumes(rep, rank):
     assert peak <= 1.5 * before
 
 
+def _desk_window():
+    """A dense desk model (E = H = 64, V = 500) and a batch 20 x unroll 35
+    window's tokens plus one."""
+    arch = ModelArch(vocab_size=500, embed_dim=64, hidden_dim=64, unroll=35, batch_size=20)
+    return build_model(arch, seed=46), np.random.default_rng(47).integers(0, 500, size=(20, 36))
+
+
+def test_untaped_window_keeps_one_row_block_of_gate_buffers():
+    """An untaped desk window peaks at the ``W_x`` product, the hidden
+    states, the scan's two row blocks of buffers and a few steps (about 63
+    steps of ``(batch, 4H)`` rows in all). A ``W_x`` layer-norm output of
+    its own, alive next to the product, put the window at about 79 steps,
+    above this bound."""
+    model, tokens = _desk_window()
+    step = 20 * 4 * 64 * 8
+    product, hs = 35 * step, 35 * 20 * 64 * 8
+    tracemalloc.start()
+    try:
+        forward_lm(model, tokens[:, :-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = product + hs + 2 * ag.ROW_BLOCK_BYTES + 12 * step
+    assert peak <= bound, f"peak {peak / step:.1f} steps, bound {bound / step:.1f}"
+
+
+def test_taped_window_holds_no_separate_layer_norm_output():
+    """A taped desk window keeps the ``W_x`` product (its record holds it),
+    the scan's gate and ``xhat`` buffers (a product's size each) and arrays
+    of H or E columns (hidden states, cell states, batch-major rows,
+    embedding rows): about 4.1 products. The ``W_x`` layer norm writes its
+    output into the gate buffer; an output of its own would add a fifth."""
+    model, tokens = _desk_window()
+    product = 35 * 20 * 4 * 64 * 8
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        forward_lm(model, tokens[:, :-1], tape)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape) > 0
+    assert kept <= 4.25 * product, f"{kept / product:.2f} products kept"
+
+
 def _step_in_numpy(model, wx_x, wh_h, c):
     """One step written out in numpy from the raw products ``W_x x`` and
     ``W_h h`` of a batch of 3 at H = 8, ``(ax + ah) + gate_bias`` in that
     order; returns ``(h', c')``."""
     def norm(pre, ln):
         blocks = pre.reshape(3, 4, 8)
-        return ag.layer_norm(None, Var(blocks), ln.gain, ln.bias, LN_EPS).value.reshape(3, 32)
+        centered = blocks - blocks.mean(axis=-1, keepdims=True)
+        inv_sd = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + LN_EPS)
+        return (ln.gain.value * (centered * inv_sd) + ln.bias.value).reshape(3, 32)
 
     pre = (norm(wx_x, model.ln_x) + norm(wh_h, model.ln_h)) + model.gate_bias.value
     i, f, g, o = (pre[:, k * 8:(k + 1) * 8] for k in range(4))
@@ -371,17 +463,17 @@ def test_scan_recurrent_product_is_prepare_apply(rep, rank):
 def test_apply_counts_rows_times_matvec_ops_and_is_forward_wx(monkeypatch, rep):
     """``ttrain.apply`` over ``TTLinear.factors(None)`` counts exactly
     ``rows x cost_model(...).matvec_ops``, and its rows are bitwise the
-    ``W_x`` rows ``forward_lm`` layer-normalizes."""
+    ``W_x`` rows ``forward_lm``'s scan layer-normalizes."""
     model = build_model(_tiny_arch(rep, rank=3), seed=50)
     tokens = np.random.default_rng(51).integers(0, 20, size=(2, 4))
     normalized = []
-    real_block_norm = nn._block_norm
+    real_scan = ag.lstm_scan
 
-    def spy(tape, pre, ln):
-        normalized.append(pre.value)
-        return real_block_norm(tape, pre, ln)
+    def spy(tape, ax, *args):
+        normalized.append(ax.value)
+        return real_scan(tape, ax, *args)
 
-    monkeypatch.setattr(nn, "_block_norm", spy)
+    monkeypatch.setattr(ag, "lstm_scan", spy)
     forward_lm(model, tokens)
     x = model.embed.value[tokens.T.reshape(-1)]
     counter = OpCounter()

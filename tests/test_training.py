@@ -223,7 +223,7 @@ def test_collect_stack_inputs_runs_no_output_projection(monkeypatch):
     monkeypatch.setattr(ag, "linear", lambda *args: calls.append(args) or linear(*args))
     collect_stack_inputs(model, train_ids, max_windows=2)
     assert calls == []
-    forward_lm(model, next(iter(make_batches(train_ids, 3, 5))).inputs)
+    forward_lm(model, next(iter(make_batches(train_ids, 3, 5))).inputs).logits
     assert len(calls) == 1
 
 

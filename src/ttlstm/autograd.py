@@ -8,6 +8,13 @@ consumed. Every op also works with ``tape=None``, which computes values
 without recording (the inference path). ``lstm_scan`` records a whole
 LSTM recurrence as one record.
 
+The tape holds each Var's gradient slot, not the Var, and a pull that
+needs only an input's shape keeps the shape: an intermediate array that
+no adjoint reads (the product ``reduce_sum`` sums, say) is freed as soon
+as its caller drops it. ``gather_rows``'s pull scatter-adds with one
+fancy-index add per duplicate rank of the ids, each row's additions in
+``np.add.at``'s order, so its bits are ``np.add.at``'s.
+
 The elementwise kernels keep their working set in cache. The softmax-NLL
 (forward and adjoint) and the ``W_x`` layer norm inside ``lstm_scan``
 walk axis 0 in blocks of at most ``ROW_BLOCK_BYTES`` (256 KiB) with one
@@ -65,15 +72,34 @@ __all__ = [
 ]
 
 
+class _Grad:
+    """A Var's gradient slot. The tape holds slots, not Vars, so a record
+    keeps its output's array alive only as long as the caller holds the Var
+    or a later record's pull captured it."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
 class Var:
     """A float64 array plus a gradient slot."""
 
-    __slots__ = ("value", "grad", "name")
+    __slots__ = ("value", "slot", "name")
 
     def __init__(self, value, name: str | None = None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self.slot = _Grad()
         self.name = name
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.slot.grad = g
 
     @property
     def shape(self):
@@ -101,11 +127,11 @@ class Tape:
     __slots__ = ("_records",)
 
     def __init__(self):
-        # each record: (output Var, [(input Var, pull(grad) -> grad), ...])
-        self._records: list[tuple[Var, list]] = []
+        # each record: (output slot, [(input slot, pull(grad) -> grad), ...])
+        self._records: list[tuple[_Grad, list]] = []
 
     def record(self, out: Var, pulls: list):
-        self._records.append((out, pulls))
+        self._records.append((out.slot, [(v.slot, p) for v, p in pulls]))
 
     def __len__(self):
         return len(self._records)
@@ -130,9 +156,9 @@ def backward(tape: Tape, loss: Var, seed: float = 1.0):
         g = out.grad
         if g is None:
             continue
-        for var, pull in pulls:
+        for slot, pull in pulls:
             contrib = pull(g)
-            var.grad = contrib if var.grad is None else var.grad + contrib
+            slot.grad = contrib if slot.grad is None else slot.grad + contrib
 
 
 def _val(x) -> np.ndarray:
@@ -158,17 +184,19 @@ def _emit(tape: Tape | None, value: np.ndarray, pulls: list) -> Var:
 
 def add(tape, a, b) -> Var:
     av, bv = _val(a), _val(b)
+    a_shape, b_shape = av.shape, bv.shape
     return _emit(tape, av + bv, [
-        (a, lambda g: _unbroadcast(g, av.shape)),
-        (b, lambda g: _unbroadcast(g, bv.shape)),
+        (a, lambda g: _unbroadcast(g, a_shape)),
+        (b, lambda g: _unbroadcast(g, b_shape)),
     ])
 
 
 def sub(tape, a, b) -> Var:
     av, bv = _val(a), _val(b)
+    a_shape, b_shape = av.shape, bv.shape
     return _emit(tape, av - bv, [
-        (a, lambda g: _unbroadcast(g, av.shape)),
-        (b, lambda g: _unbroadcast(-g, bv.shape)),
+        (a, lambda g: _unbroadcast(g, a_shape)),
+        (b, lambda g: _unbroadcast(-g, b_shape)),
     ])
 
 
@@ -212,8 +240,8 @@ def linear(tape, x, w, b) -> Var:
 
 def reshape(tape, a, shape) -> Var:
     av = _val(a)
-    shape = tuple(int(s) for s in shape)
-    return _emit(tape, av.reshape(shape), [(a, lambda g: g.reshape(av.shape))])
+    shape, a_shape = tuple(int(s) for s in shape), av.shape
+    return _emit(tape, av.reshape(shape), [(a, lambda g: g.reshape(a_shape))])
 
 
 def transpose(tape, a, axes=None) -> Var:
@@ -225,15 +253,32 @@ def transpose(tape, a, axes=None) -> Var:
     return _emit(tape, av.transpose(axes), [(a, lambda g: g.transpose(inverse))])
 
 
+def _scatter_add(z: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``np.add.at(z, ids, rows)`` for 1-D ``ids`` indexing axis 0 of ``z``,
+    as one fancy-index add per duplicate rank: layer ``k`` adds each id's
+    ``k``-th occurrence, so each row of ``z`` takes its additions in the
+    order ``np.add.at`` gives them, and its bits."""
+    ids = np.where(ids < 0, ids + z.shape[0], ids)      # one key per row
+    order = np.argsort(ids, kind="stable")
+    first = np.ones(ids.size, dtype=bool)               # where each id's run starts in order
+    first[1:] = ids[order[1:]] != ids[order[:-1]]
+    rank = np.arange(ids.size) - np.flatnonzero(first)[np.cumsum(first) - 1]
+    by_rank = order[np.argsort(rank, kind="stable")]
+    for layer in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
+        z[ids[layer]] += rows[layer]
+    return z
+
+
 def gather_rows(tape, table, ids) -> Var:
-    """Row lookup ``table[ids]``; gradients scatter-add back."""
+    """Row lookup ``table[ids]``; gradients scatter-add back, each row's
+    bitwise as ``np.add.at`` gives it."""
     tv = _val(table)
     ids = np.asarray(ids)
+    t_shape = tv.shape
 
     def pull(g):
-        z = np.zeros_like(tv)
-        np.add.at(z, ids, g)
-        return z
+        flat = ids.reshape(-1)
+        return _scatter_add(np.zeros(t_shape), flat, g.reshape(flat.size, *t_shape[1:]))
 
     return _emit(tape, tv[ids], [(table, pull)])
 
@@ -246,7 +291,8 @@ def scale(tape, a, c: float) -> Var:
 
 def reduce_sum(tape, a) -> Var:
     av = _val(a)
-    return _emit(tape, av.sum(), [(a, lambda g: np.full_like(av, float(g)))])
+    a_shape = av.shape
+    return _emit(tape, av.sum(), [(a, lambda g: np.full(a_shape, float(g)))])
 
 
 ROW_BLOCK_BYTES = 1 << 18

@@ -24,15 +24,19 @@ with ``c = Trace[W* S W*^T]``, where ``o`` is the elementwise product.
 :class:`KdTarget` holds no array beyond the teacher's own: ``W*`` itself,
 ``S`` and the number ``c``, whose build costs ``N M^2 / 2`` multiply-adds
 once per training run (``W*^T W*`` is symmetric); for ``kdw`` (``S = I``)
-``c`` is ``||W*||_F^2``. Each window computes ``S G`` once for both
-terms, then costs ``N M r + r N r + r M^2 + r M r`` multiply-adds and
-builds no ``N x M`` array, where the dense :func:`kd_penalty` on
-``F G^T`` pays ``N r M`` for the product and ``N M^2`` more for ``kda``:
-at ``(50,52) x (25,26)`` rank 109 that is 268.9M against 1,282.7M per
-stack. :func:`factored_kd_penalty` computes it. Precision: the three
-terms nearly cancel as ``W -> W*``, so its absolute rounding error is
-about ``eps * c`` rather than ``eps`` times the penalty; far from the
-teacher the two forms agree to rounding.
+``c`` is ``||W*||_F^2``. :func:`factored_kd_penalty` computes it as one
+tape record with a hand-written adjoint. Its forward costs ``r M^2 + N M r
++ N r^2 + r^2 M`` multiply-adds per window (``kdw`` skips the ``r M^2``
+products with ``S``), and so does its adjoint; neither builds an ``N x M``
+array. At ``(50,52) x (25,26)`` rank 109 that is 268.9M forward and
+268.9M backward per stack, where the dense :func:`kd_penalty` on ``F
+G^T`` pays ``N r M`` for the product and ``N M^2`` more for ``kda``,
+1,282.7M forward. Each ``N M r`` product is formed with ``r`` rows and
+``N`` or ``M`` columns: OpenBLAS runs a product with 109 output columns
+about 30% slower than its transpose. Precision: the three terms nearly
+cancel as ``W -> W*``, so its absolute rounding error is about ``eps *
+c`` rather than ``eps`` times the penalty; far from the teacher the two
+forms agree to rounding.
 """
 
 from __future__ import annotations
@@ -148,12 +152,19 @@ def kd_penalty(tape, teacher_w: np.ndarray, student_w: Var, lam: float,
 class KdTarget:
     """What the factored penalty of one stack needs from the teacher: the
     teacher's own ``w = W*`` (``N x M``, not a copy), ``c = Trace[W* S W*^T]``
-    and ``s`` (``None`` for the identity). Built once per training run by
-    :meth:`build`."""
+    and ``s`` (``None`` for the identity), which must be exactly symmetric
+    (else :class:`DomainError`). Built once per training run by
+    :meth:`build`, which symmetrizes ``s``."""
 
     w: np.ndarray
     c: float
     s: np.ndarray | None
+
+    def __post_init__(self):
+        # the factored penalty takes S as its own transpose
+        if self.s is not None and not np.array_equal(self.s, self.s.T):
+            raise DomainError("KdTarget.s must be exactly symmetric; KdTarget.build "
+                              "symmetrizes an asymmetric covariance")
 
     @classmethod
     def build(cls, teacher_w: np.ndarray,
@@ -174,19 +185,44 @@ class KdTarget:
 
 def factored_kd_penalty(tape, target: KdTarget, f: Var, g_t: Var, lam: float) -> Var:
     """:func:`kd_penalty` of the stack ``W = F G^T`` from its factor pair
-    ``[F, G^T]`` (``ttrain.factor_pair``), without forming ``W``.
+    ``[F, G^T]`` (``ttrain.factor_pair``), without forming ``W``, as one
+    record.
 
     Equal to ``kd_penalty(tape, W*, F G^T, lam, S)`` up to rounding;
-    gradients flow into ``f`` and ``g_t``.
+    gradients flow into ``f`` and ``g_t``. The forward forms ``(S G)^T =
+    G^T S``, ``T^T = (S G)^T W*^T``, ``F^T F`` and ``K = (S G)^T G``; the
+    record keeps ``T^T`` and the two ``r x r`` arrays, and its adjoint
+    returns ``dF = 2 lam g (F K - T)`` and ``dG^T = 2 lam g (F^T F G^T -
+    F^T W*) S``. Each ``N M r`` product is formed with ``r`` rows and a
+    wide output, which BLAS runs faster than its narrow transpose.
     """
-    if (f.shape[0], g_t.shape[1]) != target.w.shape or f.shape[1] != g_t.shape[0]:
-        raise ShapeError(f"factor pair {f.shape}, {g_t.shape} vs target {target.w.shape}")
-    g = ag.transpose(tape, g_t)
-    s_g = g if target.s is None else ag.matmul(tape, target.s, g)
-    cross = ag.reduce_sum(tape, ag.mul(tape, f, ag.matmul(tape, target.w, s_g)))
-    gram = ag.mul(tape, ag.matmul(tape, ag.transpose(tape, f), f), ag.matmul(tape, g_t, s_g))
-    quad = ag.sub(tape, ag.reduce_sum(tape, gram), ag.scale(tape, cross, 2.0))
-    return ag.scale(tape, ag.add(tape, quad, target.c), float(lam))
+    fv, gtv = ag._val(f), ag._val(g_t)
+    w, s = target.w, target.s
+    if (fv.shape[0], gtv.shape[1]) != w.shape or fv.shape[1] != gtv.shape[0]:
+        raise ShapeError(f"factor pair {fv.shape}, {gtv.shape} vs target {w.shape}")
+    lam = float(lam)
+    sg_t = gtv if s is None else gtv @ s        # (S G)^T, r x M; S is symmetric
+    t_t = sg_t @ w.T                            # T^T = (W* S G)^T, r x N
+    ftf = fv.T @ fv
+    k = sg_t @ gtv.T                            # G^T S G, r x r
+    quad = (ftf * k).sum() - 2.0 * np.einsum("ij,ji->", fv, t_t)     # sum F o T, no temporary
+
+    def adjoint(g):
+        nonlocal t_t
+        two_lam_g = 2.0 * lam * float(g)
+        d_f = fv @ k                            # N x r and C-ordered, like F
+        d_f -= t_t.T
+        d_f *= two_lam_g
+        t_t = None
+        d_g_t = fv.T @ w                        # F^T W*, r x M
+        np.subtract(ftf @ gtv, d_g_t, out=d_g_t)
+        if s is not None:
+            d_g_t = d_g_t @ s
+        d_g_t *= two_lam_g
+        return {"f": d_f, "g_t": d_g_t}
+
+    return ag._emit(tape, np.float64(lam * (quad + target.c)),
+                    ag._pulls(adjoint, [(f, "f"), (g_t, "g_t")]))
 
 
 def total_loss(tape, ce: Var, penalty: Var | None) -> Var:

@@ -48,13 +48,22 @@ class TrainConfig:
 
 
 class _Sgd:
+    """``p.value -= lr * p.grad``, a row block at a time (``autograd``'s
+    blocks of at most 256 KiB), with ``lr * p.grad`` formed in one scratch
+    buffer that every block reuses: bitwise the plain update, with no
+    full-size temporary per parameter and the scratch in cache."""
+
     def __init__(self, cfg: TrainConfig):
         self.lr = cfg.lr
 
     def step(self, params):
-        for p in params:
-            if p.grad is not None:
-                p.value -= self.lr * p.grad
+        work = [(p.value, p.grad, ag._row_blocks(p.grad.shape))
+                for p in params if p.grad is not None]
+        scratch = np.empty(max((g[blocks[0]].size for _, g, blocks in work), default=0))
+        for value, g, blocks in work:
+            for rows in blocks:
+                gb = g[rows]
+                value[rows] -= np.multiply(self.lr, gb, out=scratch[:gb.size].reshape(gb.shape))
 
 
 class _Adam:

@@ -60,6 +60,23 @@ class TestPerOpGradients:
 
         self.check([table], build)
 
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.one_of(
+        st.lists(st.integers(-6, 5), min_size=1, max_size=40),      # repeats, negative ids
+        st.integers(-6, 5).map(lambda i: [i]),                      # a single id
+        st.tuples(st.integers(-6, 5), st.integers(1, 40)).map(lambda p: [p[0]] * p[1]),
+    ), width=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_gather_rows_pull_is_add_at_bitwise(self, ids, width, seed):
+        rng = np.random.default_rng(seed)
+        table = Parameter(rng.normal(size=(6, width)), "table")
+        ids = np.array(ids) if len(ids) % 2 else np.array(ids).reshape(2, -1)   # 1-D or 2-D
+        g = rng.normal(size=ids.shape + (width,))
+        tape = Tape()
+        backward(tape, ag.reduce_sum(tape, ag.mul(tape, ag.gather_rows(tape, table, ids), g)))
+        want = np.zeros((6, width))
+        np.add.at(want, ids, g)
+        assert table.grad.tobytes() == want.tobytes()
+
     def test_layer_norm(self):
         """The ``W_x`` layer norm inside ``lstm_scan``: its input, gain and bias."""
         rng = np.random.default_rng(6)

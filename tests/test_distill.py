@@ -133,6 +133,26 @@ class TestKdPenalty:
 
         assert grad_check(lin.parameters(), build) < 1e-5
 
+    @pytest.mark.parametrize("mode", ["kdw", "kda"])
+    def test_taped_penalty_keeps_no_quad(self, mode):
+        # the pulls need diff (and diff S for kda), each N x M; the
+        # elementwise product they sum is freed once summed
+        rng = np.random.default_rng(18)
+        n, m = 600, 200
+        w_star, w = rng.normal(size=(n, m)), Var(rng.normal(size=(n, m)))
+        cov = accumulate_covariance(rng.normal(size=(300, m))).matrix if mode == "kda" else None
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            pen = kd_penalty(tape, w_star, w, 0.5, cov)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = 2 if mode == "kda" else 1
+        assert kept < (arrays + 0.5) * n * m * 8
+        backward(tape, pen)
+        assert w.grad.shape == (n, m)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             kd_penalty(None, np.zeros((2, 2)), Var(np.zeros((3, 2))), 1.0)
@@ -170,6 +190,17 @@ def _mps_student(case, seed=21):
 
 def _factored(tape, lin, target, lam):
     return factored_kd_penalty(tape, target, *lin.factors(tape), lam)
+
+
+def _op_graph(tape, lin, target, lam):
+    """The factored penalty built from autograd ops, one per term."""
+    f, g_t = lin.factors(tape)
+    g = ag.transpose(tape, g_t)
+    s_g = g if target.s is None else ag.matmul(tape, target.s, g)
+    cross = ag.reduce_sum(tape, ag.mul(tape, f, ag.matmul(tape, target.w, s_g)))
+    gram = ag.mul(tape, ag.matmul(tape, ag.transpose(tape, f), f), ag.matmul(tape, g_t, s_g))
+    quad = ag.sub(tape, ag.reduce_sum(tape, gram), ag.scale(tape, cross, 2.0))
+    return ag.scale(tape, ag.add(tape, quad, target.c), float(lam))
 
 
 def _value_and_grads(lin, build):
@@ -228,25 +259,84 @@ class TestFactoredKdPenalty:
 
     @pytest.mark.parametrize("case", FACTORED_CASES)
     def test_kdw_penalty_is_bitwise_the_teacher_times_g(self, case):
-        # kdw's cross term as Sum F o (A G) with A = W*, the form that kept
-        # a separate A; holding W* itself must not move a bit
+        # the cross term multiplies the target's W*, which is the teacher's
+        # own array; a target holding a copy must give the same bytes
         lin, w_star, _ = _mps_student(case)
-
-        def a_times_g(tape):
-            f, g_t = lin.factors(tape)
-            g = ag.transpose(tape, g_t)
-            cross = ag.reduce_sum(tape, ag.mul(tape, f, ag.matmul(tape, w_star, g)))
-            gram = ag.mul(tape, ag.matmul(tape, ag.transpose(tape, f), f),
-                          ag.matmul(tape, g_t, g))
-            quad = ag.sub(tape, ag.reduce_sum(tape, gram), ag.scale(tape, cross, 2.0))
-            return ag.scale(tape, ag.add(tape, quad, float(np.vdot(w_star, w_star))), 0.73)
-
-        want, want_grads = _value_and_grads(lin, a_times_g)
         target = KdTarget.build(w_star)
+        copied = KdTarget(w_star.copy(), target.c, None)
+        want, want_grads = _value_and_grads(lin, lambda t: _factored(t, lin, copied, 0.73))
         got, got_grads = _value_and_grads(lin, lambda t: _factored(t, lin, target, 0.73))
         assert got == want
         for g, w in zip(got_grads, want_grads):
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("case", FACTORED_CASES)
+    @pytest.mark.parametrize("mode", ["kdw", "kda"])
+    def test_matches_the_op_by_op_graph(self, case, mode):
+        # the closed-form record against the same expansion built from
+        # autograd ops, which it replaced: equal but for float reassociation
+        lin, w_star, cov = _mps_student(case)
+        target = KdTarget.build(w_star, cov if mode == "kda" else None)
+        want, want_grads = _value_and_grads(lin, lambda t: _op_graph(t, lin, target, 0.73))
+        got, got_grads = _value_and_grads(lin, lambda t: _factored(t, lin, target, 0.73))
+        assert abs(got - want) <= 1e-12 * abs(want)
+        for p, g, w in zip(lin.parameters(), got_grads, want_grads):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), p.name
+
+    @pytest.mark.parametrize("mode", ["kdw", "kda"])
+    def test_one_record_per_stack(self, mode):
+        lin, w_star, cov = _mps_student("n=m=3")
+        target = KdTarget.build(w_star, cov if mode == "kda" else None)
+        tape = Tape()
+        factors = lin.factors(tape)
+        before = len(tape)
+        factored_kd_penalty(tape, target, *factors, 0.73)
+        assert len(tape) == before + 1
+
+    @pytest.mark.parametrize("mode", ["kdw", "kda"])
+    def test_backward_seed_scales_the_gradients(self, mode):
+        lin, w_star, cov = _mps_student("n=m=2, c07 data")
+        target = KdTarget.build(w_star, cov if mode == "kda" else None)
+        grads = []
+        for seed in (1.0, 3.0):
+            tape = Tape()
+            pen = _factored(tape, lin, target, 0.73)
+            for p in lin.parameters():
+                p.grad = None
+            backward(tape, pen, seed=seed)
+            grads.append([p.grad.copy() for p in lin.parameters()])
+        for one, three in zip(*grads):
+            np.testing.assert_allclose(three, 3.0 * one, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("mode", ["kdw", "kda"])
+    def test_taped_record_forms_and_keeps_no_stack_sized_array(self, mode):
+        # the record keeps T^T (r x N) and two r x r arrays; an N x M array
+        # would take N M 8 bytes
+        rng = np.random.default_rng(17)
+        n, m, r = 1200, 300, 5
+        w_star = rng.normal(size=(n, m))
+        cov = accumulate_covariance(rng.normal(size=(400, m))).matrix
+        target = KdTarget.build(w_star, cov if mode == "kda" else None)
+        f, g_t = Var(rng.normal(size=(n, r))), Var(rng.normal(size=(r, m)))
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            pen = factored_kd_penalty(tape, target, f, g_t, 0.73)
+            kept = tracemalloc.get_traced_memory()[0]
+            backward(tape, pen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 * r * n * 8
+        assert peak < n * m * 8 / 4
+
+    def test_target_refuses_an_asymmetric_covariance(self):
+        w_star, cov = _c07_data()
+        cov = cov.copy()
+        cov[0, 1] += 1.0
+        with pytest.raises(DomainError):
+            KdTarget(w_star, 0.0, cov)
+        assert np.array_equal(KdTarget.build(w_star, cov).s, (cov + cov.T) / 2.0)
 
     def test_asymmetric_weight_matches_dense_penalty(self):
         # the trace sees only the symmetric part of S; so does the target

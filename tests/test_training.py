@@ -157,6 +157,25 @@ class TestOptimizerMechanics:
             for a, b in zip(before, model.parameters()):
                 np.testing.assert_array_equal(a, b.value)
 
+    def test_sgd_step_is_bitwise_the_plain_update(self):
+        # parameters of one row block and of several (a ragged last one),
+        # a non-contiguous gradient and a parameter without a gradient
+        rng = np.random.default_rng(5)
+        params = [Parameter(rng.normal(size=shape), f"p{k}")
+                  for k, shape in enumerate([(3, 4), (40,), (5, 6, 2), (2,), (300, 250),
+                                             (7, 3, 3000)])]
+        stepper = training._Sgd(TrainConfig(lr=0.37))
+        for _ in range(3):
+            for p in params:
+                p.grad = rng.normal(size=p.value.shape)
+            params[0].grad = rng.normal(size=(4, 3)).T
+            params[3].grad = None
+            want = [p.value - 0.37 * p.grad if p.grad is not None else p.value.copy()
+                    for p in params]
+            stepper.step(params)
+            for p, w in zip(params, want):
+                assert p.value.tobytes() == w.tobytes()
+
     def test_clip_rescales_to_bound(self):
         p = Parameter(np.zeros(4), "p")
         p.grad = np.full(4, 10.0)

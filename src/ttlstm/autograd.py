@@ -21,8 +21,9 @@ walk axis 0 in blocks of at most ``ROW_BLOCK_BYTES`` (256 KiB) with one
 block of scratch; their reductions run along the last axis, row by row,
 so blocking leaves every value bitwise unchanged. Sums along axis 0 (the
 ``gain`` and ``bias`` gradients) stay unblocked, since blocking them
-would reorder the additions. ``lstm_scan`` allocates its gate, cell and
-normalization buffers once per window (one row block's worth without a
+would reorder the additions; ``lstm_scan`` forms its three bias
+gradients from one such sum. It allocates its gate, cell, normalization
+and product buffers once per window (one row block's worth without a
 tape) and runs each step's arithmetic in place in them. Its gate buffers
 are gate-major, ``(4, batch, H)`` per step, so each gate's block is one
 contiguous slab: elementwise work on a strided ``(batch, H)`` column of a
@@ -45,11 +46,13 @@ operations on the same inputs, so it is bitwise:
 - ``lstm_scan`` writes the ``W_x`` layer norm's output straight into its
   gate buffer and keeps that norm's row mean and ``inv_sd``; its adjoint
   rebuilds ``xhat`` from them and the ``W_x`` product, which the record
-  that made it holds anyway. It keeps each step's gate activations,
-  normalized ``W_h`` product ``xhat``, ``inv_sd`` and cell state, and the
-  rows each weight multiplied, rebuilds ``tanh(c')`` one step at a time
-  from the kept cell state, and forms both gain gradients' products in the
-  spent ``xhat`` buffer.
+  that made it holds anyway, once per row block. It keeps each step's
+  gate activations, normalized ``W_h`` product ``xhat``, ``inv_sd`` and
+  cell state, and the rows each weight multiplied in the buffers the
+  forward wrote them to (the hidden states, and one per later weight), so
+  each weight gradient is one product on them with no copy. It rebuilds
+  ``tanh(c')`` one step at a time from the kept cell state, and forms
+  both gain gradients' products in the spent ``xhat`` buffer.
 
 Both layer norms run one standardize and one adjoint, which write their
 row statistics into arrays the caller owns.
@@ -355,16 +358,15 @@ def _standardize_adjoint(gg: np.ndarray, xhat: np.ndarray, inv_sd: np.ndarray,
     return gg
 
 
-def _norm_params(pair, hidden: int) -> tuple[np.ndarray, np.ndarray]:
-    """The values of a layer norm's ``(gain, bias)``, each of which must
-    broadcast to ``(4, hidden)`` (else :class:`ShapeError`)."""
-    values = tuple(_val(p) for p in pair)
+def _broadcastable(params, shape: tuple[int, ...]) -> list[np.ndarray]:
+    """The values of ``params``, each of which must broadcast to ``shape``
+    (else :class:`ShapeError`)."""
+    values = [_val(p) for p in params]
     for v in values:
         try:
-            np.broadcast_to(v, (4, hidden))
+            np.broadcast_to(v, shape)
         except ValueError:
-            raise ShapeError(f"layer norm parameter {v.shape} does not broadcast to "
-                             f"{(4, hidden)}") from None
+            raise ShapeError(f"parameter {v.shape} does not broadcast to {shape}") from None
     return values
 
 
@@ -419,18 +421,29 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0, eps: float =
 
     ``ax`` is the ``(T, batch, 4H)`` product ``W_x x``; ``x_norm`` and
     ``h_norm`` are the ``(gain, bias)`` pairs of the ``W_x`` and ``W_h``
-    layer norms, each broadcasting to ``(4, H)``. The scan forms ``LN(ax)``
-    per gate block of length H itself, a row block of whole steps at a
-    time, straight into its gate buffer. Step ``t`` then forms ``ah =
-    LN(h w_0 w_1 ...)``, ``pre = (LN(ax)_t + ah) + gate_bias`` and, on its
-    (i, f, g, o) blocks, ``c' = sigmoid(f) c + sigmoid(i) tanh(g)``, ``h' =
-    sigmoid(o) tanh(c')``. Returns the ``(T, batch, H)`` hidden states as a
-    Var and the last cell state as a plain array. The adjoint runs only the
-    input-gradient chain step by step (cell, ``W_h`` layer-norm input
-    adjoint, ``d w^T`` per weight); each weight gradient is then one ``(T
-    batch, d_in)^T @ (T batch, d_out)`` product, each gain, bias and
-    ``gate_bias`` one reduction, and the ``W_x`` layer-norm input adjoint
-    one blocked pass in place over the pre-activation gradient.
+    layer norms, each broadcasting to ``(4, H)``, and ``gate_bias``
+    broadcasts to ``(4H,)``. The scan forms ``LN(ax)`` per gate block of
+    length H itself, a row block of whole steps at a time, straight into
+    its gate buffer. Step ``t`` then forms ``ah = LN(h w_0 w_1 ...)``,
+    ``pre = (LN(ax)_t + ah) + gate_bias`` and, on its (i, f, g, o) blocks,
+    ``c' = sigmoid(f) c + sigmoid(i) tanh(g)``, ``h' = sigmoid(o)
+    tanh(c')``. Returns the ``(T, batch, H)`` hidden states as a Var and
+    the last cell state as a plain array.
+
+    The scan keeps the rows each weight multiplies in its own buffers: the
+    hidden-state buffer holds the entering state as row 0, so ``w_0``'s
+    rows are all but its last row, and each later weight's rows are the
+    ``(T, batch, d)`` buffer its predecessor's product is written into.
+    The adjoint runs only the input-gradient chain step by step (cell,
+    ``W_h`` layer-norm input adjoint, ``d w^T`` per weight); each weight
+    gradient is then one ``(T batch, d_in)^T @ (T batch, d_out)`` product
+    on the kept rows, each gain one reduction, and the three biases (both
+    layer norms' and ``gate_bias``) one ``(4, H)`` sum of the
+    pre-activation gradient, each bias taking its own copy. The ``W_x``
+    layer norm's adjoint rebuilds its ``xhat`` once per row block, writes
+    ``xhat * d`` over the spent ``W_h`` ``xhat`` buffer for the ``x_gain``
+    sum, and runs its input adjoint on the same ``xhat``, in place over
+    the pre-activation gradient.
 
     A step's gate buffer is gate-major, ``(4, batch, H)``: each of i, f, g
     and o is one contiguous slab and ``[i, f]`` one contiguous pair, so
@@ -445,21 +458,24 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0, eps: float =
     step's pre-activation gradient gate-major and copies it, row-major,
     over the spent gate rows, which become ``ax``'s gradient.
     """
-    axv, gbv = _val(ax), _val(gate_bias)
-    ws, h, c = [_val(w) for w in weights], _val(h0), _val(c0)
+    axv, ws, h, c = _val(ax), [_val(w) for w in weights], _val(h0), _val(c0)
     steps, batch, width = axv.shape
     hidden = width // 4
     if width % 4 or h.shape != (batch, hidden) or c.shape != h.shape:
         raise ShapeError(f"state {h.shape}/{c.shape} does not match gates {axv.shape}")
     if steps == 0 or batch == 0:
         raise ShapeError(f"gates {axv.shape} have no steps or no lanes")
-    (xg, xb), (gv, bv) = _norm_params(x_norm, hidden), _norm_params(h_norm, hidden)
+    xg, xb, gv, bv = _broadcastable([*x_norm, *h_norm], (4, hidden))
+    gbv, = _broadcastable([gate_bias], (width,))
     keep = tape is not None
     blocks = (batch, 4, hidden)
     row_blocks = _row_blocks(axv.shape)         # whole steps each
     span = row_blocks[0].stop
     kept = steps if keep else span              # without a tape, one row block's buffers are reused
-    hs = np.empty((steps, batch, hidden))
+    hs = np.empty((steps + 1, batch, hidden))   # h entering step 0, then each h': w_0's rows
+    hs[0] = h
+    mids = [np.empty((kept, batch, w.shape[1])) for w in ws[:-1]]  # each later weight's rows
+    last = np.empty((batch, width))             # the last product, then ah
     gates = np.empty((kept, 4, batch, hidden))  # LN(ax), then pre-activations, then (i, f, g, o) activations
     xhats = np.empty((kept,) + blocks)          # W_h's; a row block's squares for W_x's first
     x_rows = axv.reshape(steps, *blocks)
@@ -474,7 +490,6 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0, eps: float =
     # contiguous operands make the per-step products and adds about twice as fast
     gain_gates, bias_gates = (_gate_major(np.broadcast_to(p, blocks)) for p in (gv, bv))
     gate_bias_gates = _gate_major(np.broadcast_to(gbv, (batch, width)).reshape(blocks))
-    ins = [[] for _ in ws]                      # per weight: the rows it multiplied
     for rb in row_blocks:
         r = rb if keep else slice(0, rb.stop - rb.start)
         norm = gates[r]
@@ -484,11 +499,9 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0, eps: float =
         norm += x_bias
         for t in range(rb.start, rb.stop):
             k = t - rb.start + r.start
-            a = h
-            for j, w in enumerate(ws):
-                if keep:
-                    ins[j].append(a)
-                a = a @ w
+            a = hs[t]
+            for w, out in zip(ws, [m[k] for m in mids] + [last]):
+                a = np.matmul(a, w, out=out)
             pre, xhat = gates[k], xhats[k]
             a = a.reshape(blocks)
             _standardize(a, eps, xhat, a, mean, inv_sds[k])     # the product is spent once centered
@@ -507,10 +520,10 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0, eps: float =
             np.multiply(sf, c_prev, out=c)
             c += np.multiply(si, tg, out=tc)
             np.tanh(c, out=tc)
-            h = np.multiply(so, tc, out=hs[t])
+            np.multiply(so, tc, out=hs[t + 1])
 
     def adjoint(g):
-        nonlocal gates, cs, xhats
+        nonlocal gates, cs, xhats, mids
         d_ax = gates.reshape(axv.shape)         # row t takes the gradient of pre once step t's gates are spent
         d_pre = np.empty((4, batch, hidden))    # one step's, gate-major
         d_outs = [np.empty((steps, batch, w.shape[1])) for w in ws]
@@ -527,34 +540,35 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0, eps: float =
             _standardize_adjoint(np.multiply(d, gv, out=dh.reshape(blocks)),
                                  xhats[t], inv_sds[t], scratch, mean_g, mean_gx)
             for j in reversed(range(len(ws))):
-                dh = dh @ ws[j].T
-                if j:
-                    d_outs[j - 1][t] = dh
+                dh = np.matmul(dh, ws[j].T, out=d_outs[j - 1][t] if j else None)
         gates = cs = None           # spent: free them before the products below
         grads = {"h0": dh, "c0": dc}
-        for j in range(len(ws)):    # (T batch, d_in)^T @ (T batch, d_out)
-            grads[j] = np.tensordot(np.stack(ins[j]), d_outs[j], ([0, 1], [0, 1]))
-        d_outs = None               # spent: free them before the reductions
-        d_norm = d_ax.reshape(xhats.shape)
-        d_gain = np.multiply(xhats, d_norm, out=xhats)     # d_norm * xhats, in the spent xhats
-        grads.update({"gain": _unbroadcast(d_gain, gv.shape),
-                      "bias": _unbroadcast(d_norm, bv.shape),
-                      "gate_bias": _unbroadcast(d_ax, gbv.shape)})
-        # W_x's layer norm: its gain and bias sums over the (T batch, 4, H)
-        # rows, unblocked, then its input adjoint in place, a row block at a time
+        for j, (x, d) in enumerate(zip([hs[:-1], *mids], d_outs)):
+            # (T batch, d_in)^T @ (T batch, d_out) by np.dot: on 1 x 1 operands
+            # matmul's own loop adds a -0.0 product to +0.0 and drops its sign
+            grads[j] = np.dot(x.reshape(-1, x.shape[2]).T, d.reshape(-1, d.shape[2]))
+        mids = d_outs = None        # spent: free them before the reductions
         rows = (steps * batch, 4, hidden)
+        d_sum = d_ax.reshape(rows).sum(axis=0)              # the three biases' one sum
+        d_gain = np.multiply(xhats, d_ax.reshape(xhats.shape), out=xhats)   # in the spent xhats
+        grads.update({"gain": _unbroadcast(d_gain, gv.shape),
+                      "bias": _unbroadcast(d_sum, bv.shape),
+                      "x_bias": _unbroadcast(d_sum.copy(), xb.shape),
+                      "gate_bias": _unbroadcast(d_sum.flatten(), gbv.shape)})
+        # W_x's layer norm, a row block at a time: xhat once into the block's
+        # scratch, xhat * d over the spent xhats for the unblocked x_gain sum,
+        # then the input adjoint on the same xhat, in place over d
         mean_rows, inv_sd_rows = (s.transpose(0, 2, 1, 3) for s in (x_mean, x_inv_sd))
-        x_xhat = _xhat(x_rows, mean_rows, inv_sd_rows, d_gain).reshape(rows)
-        x_xhat *= d_ax.reshape(rows)                        # xhat * d, in the spent xhats
-        grads.update({"x_gain": _unbroadcast(x_xhat, xg.shape),
-                      "x_bias": _unbroadcast(d_ax.reshape(rows), xb.shape)})
         d_rows = d_ax.reshape(x_rows.shape)
-        x_scratch = np.empty((span,) + blocks)
+        x_xhat, x_scratch = np.empty((2, span) + blocks)
         for rb in row_blocks:
             d, n = d_rows[rb], rb.stop - rb.start
+            xhat = _xhat(x_rows[rb], mean_rows[rb], inv_sd_rows[rb], x_xhat[:n])
+            np.multiply(xhat, d, out=xhats[rb])
             d *= xg
-            _standardize_adjoint(d, _xhat(x_rows[rb], mean_rows[rb], inv_sd_rows[rb], xhats[:n]),
-                                 inv_sd_rows[rb], x_scratch[:n], *np.empty((2, n, batch, 4, 1)))
+            _standardize_adjoint(d, xhat, inv_sd_rows[rb], x_scratch[:n],
+                                 *np.empty((2, n, batch, 4, 1)))
+        grads["x_gain"] = _unbroadcast(xhats.reshape(rows), xg.shape)
         xhats = None
         grads["ax"] = d_ax
         return grads
@@ -562,7 +576,7 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0, eps: float =
     inputs = ([(ax, "ax"), (x_norm[0], "x_gain"), (x_norm[1], "x_bias"), (h_norm[0], "gain"),
                (h_norm[1], "bias"), (gate_bias, "gate_bias"), (h0, "h0"), (c0, "c0")]
               + [(w, j) for j, w in enumerate(weights)])
-    return _emit(tape, hs, _pulls(adjoint, inputs)), cs[-1]
+    return _emit(tape, hs[1:], _pulls(adjoint, inputs)), cs[-1]
 
 
 def _integer_ids(ids, what: str) -> np.ndarray:
@@ -595,10 +609,13 @@ def _softmax_nll(lv: np.ndarray, targets):
     row_max, log_z, picked = np.empty((n, 1)), np.empty((n, 1)), np.empty(n)
     for b in blocks:
         block = lv[b]
-        if not np.all(np.isfinite(block)):
+        # max and min carry a NaN through and reach +inf and -inf: the row
+        # maxima and the block's minimum are finite exactly when the block is
+        top = np.max(block, axis=1, keepdims=True, out=row_max[b])
+        if not (np.isfinite(top.max()) and np.isfinite(block.min())):
             raise NumericError("non-finite logits")
         shifted = scratch[:block.shape[0]]
-        np.subtract(block, np.max(block, axis=1, keepdims=True, out=row_max[b]), out=shifted)
+        np.subtract(block, top, out=shifted)
         picked[b] = shifted[np.arange(block.shape[0]), targets[b]]
         np.log(np.exp(shifted, out=shifted).sum(axis=1, keepdims=True), out=log_z[b])
     return targets, row_max, log_z, (log_z[:, 0] - picked).mean()

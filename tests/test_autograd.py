@@ -187,6 +187,28 @@ class TestLstmScan:
             ag.lstm_scan(Tape(), np.zeros((steps, batch, 8)), _UNIT_NORM, [np.zeros((2, 8))],
                          _UNIT_NORM, np.zeros(8), np.zeros((batch, 2)), np.zeros((batch, 2)))
 
+    def test_gate_bias_must_broadcast_to_one_gate_row(self):
+        """``gate_bias`` is one ``(4H,)`` row for every step and lane; a
+        per-lane ``(batch, 4H)`` bias is refused."""
+        with pytest.raises(ShapeError):
+            ag.lstm_scan(None, np.zeros((3, 2, 8)), _UNIT_NORM, [np.zeros((2, 8))], _UNIT_NORM,
+                         np.zeros((2, 8)), np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_the_three_bias_gradients_are_one_sum_in_three_buffers(self):
+        """Both layer norms' biases and ``gate_bias`` take the same sum of the
+        pre-activation gradient, bitwise, each in an array of its own, so an
+        in-place optimizer step never scales one buffer twice."""
+        rng = np.random.default_rng(8)
+        args = _scan_args(rng, 5, 3, 4, [16])
+        _, (_, x_bias), _, (_, bias), gate_bias, _, _ = args
+        t = Tape()
+        hs, _ = ag.lstm_scan(t, *args)
+        backward(t, ag.reduce_sum(t, ag.mul(t, hs, rng.normal(size=(5, 3, 4)))))
+        grads = [x_bias.grad, bias.grad, gate_bias.grad]
+        for k, a in enumerate(grads):
+            for b in grads[k + 1:]:
+                assert a.tobytes() == b.tobytes() and not np.shares_memory(a, b)
+
 
 _UNIT_NORM = (np.ones((4, 2)), np.zeros((4, 2)))      # a layer norm's (gain, bias) at H = 2
 
@@ -469,6 +491,27 @@ class TestKernelMemory:
         peak = _traced_peak(run)
         nbytes = args[0].value.nbytes
         assert peak <= 4.5 * nbytes, f"peak {peak} B for a {nbytes} B ax"
+
+    def test_scan_backward_copies_no_multiplied_rows(self):
+        """Each weight's rows are the scan's own buffers (the hidden states,
+        then one per later weight) and its gradient one product on views of
+        them, so a backward allocates the per-weight ``d_out`` buffers and
+        the gradients but no copy of the rows. Copying the ``(T, batch,
+        512)`` rows the second weight multiplied (a stack, then the
+        transposed copy ``tensordot`` makes) adds about their bytes again."""
+        steps, batch, hidden, inner = 35, 20, 16, 512
+        rng = np.random.default_rng(6)
+        args = _scan_args(rng, steps, batch, hidden, [inner, 4 * hidden])
+        ax, x_norm, weights, h_norm, gate_bias, h0, c0 = args
+        t = Tape()
+        hs, _ = ag.lstm_scan(t, *args)
+        loss = ag.reduce_sum(t, ag.mul(t, hs, rng.normal(size=(steps, batch, hidden))))
+        peak = _traced_peak(lambda: backward(t, loss))
+        rows = steps * batch * inner * 8
+        d_outs = rows + ax.value.nbytes
+        grads = sum(p.value.nbytes for p in [*x_norm, *weights, *h_norm, gate_bias, h0, c0, hs])
+        beyond = peak - d_outs - grads
+        assert beyond <= 0.5 * rows, f"{beyond} B beyond the arrays named"
 
 
 def _reference_scan(axv, xgv, xbv, ws, gv, bv, gbv, h, c, g, eps=1e-5):

@@ -6,7 +6,8 @@ pops the records, last first, accumulating vector-Jacobian products into
 arrays and intermediate gradients are freed as it goes and the tape is
 consumed. Every op also works with ``tape=None``, which computes values
 without recording (the inference path). ``lstm_scan`` records a whole
-LSTM recurrence as one record.
+LSTM recurrence as one record, and ``linear_cross_entropy`` the output
+layer with its softmax-NLL.
 
 The tape holds each Var's gradient slot, not the Var, and a pull that
 needs only an input's shape keeps the shape: an intermediate array that
@@ -37,12 +38,10 @@ a taped kernel keeps no full-size array that its adjoint can rebuild from
 what the tape holds anyway. Each rebuild repeats the forward's own
 operations on the same inputs, so it is bitwise:
 
-- ``linear_cross_entropy`` (the output layer and its softmax-NLL) keeps
-  its ``(n, V)`` logits, each row's maximum and log-normalizer; its
-  adjoint writes the softmax gradient over the logits and runs the
-  layer's three products on that one buffer. ``cross_entropy``, on
-  logits that may be the caller's, rebuilds the softmax into a fresh
-  array.
+- ``linear_cross_entropy`` (the output layer and its softmax-NLL, the
+  only record that runs either) keeps its ``(n, V)`` logits, each row's
+  maximum and log-normalizer; its adjoint writes the softmax gradient
+  over the logits and runs the layer's three products on that one buffer.
 - ``lstm_scan`` writes the ``W_x`` layer norm's output straight into its
   gate buffer and keeps that norm's row mean and ``inv_sd``; its adjoint
   rebuilds ``xhat`` from them and the ``W_x`` product, which the record
@@ -69,9 +68,8 @@ from .errors import DomainError, NumericError, ShapeError, StateError, VocabErro
 
 __all__ = [
     "Var", "Parameter", "Tape", "backward", "grad_check",
-    "add", "sub", "mul", "matmul", "linear", "reshape", "transpose",
-    "gather_rows", "lstm_scan",
-    "scale", "reduce_sum", "cross_entropy", "linear_cross_entropy",
+    "add", "sub", "mul", "matmul", "reshape", "transpose",
+    "gather_rows", "lstm_scan", "scale", "reduce_sum", "linear_cross_entropy",
 ]
 
 
@@ -227,18 +225,14 @@ def matmul(tape, a, b) -> Var:
     ])
 
 
-def linear(tape, x, w, b) -> Var:
-    """``x @ w + b``; the same values as ``add(matmul(x, w), b)``, with the
-    bias added in place so the product is the only output array."""
-    xv, wv, bv = _val(x), _val(w), _val(b)
+def _linear(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """The output layer's logits ``x @ w + b``: the same values as
+    ``add(matmul(x, w), b)``, with the bias added in place so the product
+    is the only array."""
     _check_matmul(xv, wv)
     out = xv @ wv
     out += bv
-    return _emit(tape, out, [
-        (x, lambda g: g @ wv.T),
-        (w, lambda g: xv.T @ g),
-        (b, lambda g: _unbroadcast(g, bv.shape)),
-    ])
+    return out
 
 
 def reshape(tape, a, shape) -> Var:
@@ -299,6 +293,7 @@ def reduce_sum(tape, a) -> Var:
 
 
 ROW_BLOCK_BYTES = 1 << 18
+LN_EPS = 1e-5           # the layer norms' variance floor
 
 
 def _row_blocks(shape: tuple[int, ...]) -> list[slice]:
@@ -358,18 +353,6 @@ def _standardize_adjoint(gg: np.ndarray, xhat: np.ndarray, inv_sd: np.ndarray,
     return gg
 
 
-def _broadcastable(params, shape: tuple[int, ...]) -> list[np.ndarray]:
-    """The values of ``params``, each of which must broadcast to ``shape``
-    (else :class:`ShapeError`)."""
-    values = [_val(p) for p in params]
-    for v in values:
-        try:
-            np.broadcast_to(v, shape)
-        except ValueError:
-            raise ShapeError(f"parameter {v.shape} does not broadcast to {shape}") from None
-    return values
-
-
 def _gate_major(a: np.ndarray) -> np.ndarray:
     """A contiguous ``(4, batch, H)`` copy of a ``(batch, 4, H)`` array."""
     return np.ascontiguousarray(a.transpose(1, 0, 2))
@@ -416,19 +399,20 @@ def _pulls(adjoint, inputs: list) -> list:
     return [(var, pull(key)) for var, key in inputs]
 
 
-def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0, eps: float = 1e-5):
+def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0):
     """A layer-normalized LSTM recurrence over a window, as one record.
 
     ``ax`` is the ``(T, batch, 4H)`` product ``W_x x``; ``x_norm`` and
     ``h_norm`` are the ``(gain, bias)`` pairs of the ``W_x`` and ``W_h``
-    layer norms, each broadcasting to ``(4, H)``, and ``gate_bias``
-    broadcasts to ``(4H,)``. The scan forms ``LN(ax)`` per gate block of
-    length H itself, a row block of whole steps at a time, straight into
-    its gate buffer. Step ``t`` then forms ``ah = LN(h w_0 w_1 ...)``,
-    ``pre = (LN(ax)_t + ah) + gate_bias`` and, on its (i, f, g, o) blocks,
-    ``c' = sigmoid(f) c + sigmoid(i) tanh(g)``, ``h' = sigmoid(o)
-    tanh(c')``. Returns the ``(T, batch, H)`` hidden states as a Var and
-    the last cell state as a plain array.
+    layer norms, each ``(4, H)``, and ``gate_bias`` is ``(4H,)`` (else
+    :class:`ShapeError`); both norms use the variance floor ``LN_EPS``.
+    The scan forms ``LN(ax)`` per gate block of length H itself, a row
+    block of whole steps at a time, straight into its gate buffer. Step
+    ``t`` then forms ``ah = LN(h w_0 w_1 ...)``, ``pre = (LN(ax)_t + ah) +
+    gate_bias`` and, on its (i, f, g, o) blocks, ``c' = sigmoid(f) c +
+    sigmoid(i) tanh(g)``, ``h' = sigmoid(o) tanh(c')``. Returns the ``(T,
+    batch, H)`` hidden states as a Var and the last cell state as a plain
+    array.
 
     The scan keeps the rows each weight multiplies in its own buffers: the
     hidden-state buffer holds the entering state as row 0, so ``w_0``'s
@@ -465,8 +449,10 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0, eps: float =
         raise ShapeError(f"state {h.shape}/{c.shape} does not match gates {axv.shape}")
     if steps == 0 or batch == 0:
         raise ShapeError(f"gates {axv.shape} have no steps or no lanes")
-    xg, xb, gv, bv = _broadcastable([*x_norm, *h_norm], (4, hidden))
-    gbv, = _broadcastable([gate_bias], (width,))
+    xg, xb, gv, bv, gbv = (_val(p) for p in (*x_norm, *h_norm, gate_bias))
+    if any(p.shape != (4, hidden) for p in (xg, xb, gv, bv)) or gbv.shape != (width,):
+        raise ShapeError(f"norm parameters {[p.shape for p in (xg, xb, gv, bv)]} and gate bias "
+                         f"{gbv.shape} must be (4, {hidden}) and ({width},)")
     keep = tape is not None
     blocks = (batch, 4, hidden)
     row_blocks = _row_blocks(axv.shape)         # whole steps each
@@ -481,7 +467,7 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0, eps: float =
     x_rows = axv.reshape(steps, *blocks)
     x_mean, x_inv_sd = np.empty((2, kept, 4, batch, 1))
     # W_x's gain and bias as (4, 1, H): they broadcast over gate-major rows
-    x_gain, x_bias = (np.broadcast_to(p, (4, hidden))[:, None] for p in (xg, xb))
+    x_gain, x_bias = xg[:, None], xb[:, None]
     mean, inv_sds = np.empty((batch, 4, 1)), np.empty((kept, batch, 4, 1))
     tc = np.empty((batch, hidden))              # tanh(c'), after holding si * tg
     cs = np.empty((steps + 1 if keep else 1, batch, hidden))   # c entering step 0, then each c'
@@ -493,8 +479,8 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0, eps: float =
     for rb in row_blocks:
         r = rb if keep else slice(0, rb.stop - rb.start)
         norm = gates[r]
-        _standardize(x_rows[rb].transpose(0, 2, 1, 3), eps, norm, xhats[r].reshape(norm.shape),
-                     x_mean[r], x_inv_sd[r])
+        _standardize(x_rows[rb].transpose(0, 2, 1, 3), LN_EPS, norm,
+                     xhats[r].reshape(norm.shape), x_mean[r], x_inv_sd[r])
         norm *= x_gain
         norm += x_bias
         for t in range(rb.start, rb.stop):
@@ -504,7 +490,7 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0, eps: float =
                 a = np.matmul(a, w, out=out)
             pre, xhat = gates[k], xhats[k]
             a = a.reshape(blocks)
-            _standardize(a, eps, xhat, a, mean, inv_sds[k])     # the product is spent once centered
+            _standardize(a, LN_EPS, xhat, a, mean, inv_sds[k])  # the product is spent once centered
             ah = np.multiply(gain_gates, xhat.transpose(1, 0, 2), out=a.reshape(4, batch, hidden))
             ah += bias_gates
             pre += ah
@@ -551,10 +537,8 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0, eps: float =
         rows = (steps * batch, 4, hidden)
         d_sum = d_ax.reshape(rows).sum(axis=0)              # the three biases' one sum
         d_gain = np.multiply(xhats, d_ax.reshape(xhats.shape), out=xhats)   # in the spent xhats
-        grads.update({"gain": _unbroadcast(d_gain, gv.shape),
-                      "bias": _unbroadcast(d_sum, bv.shape),
-                      "x_bias": _unbroadcast(d_sum.copy(), xb.shape),
-                      "gate_bias": _unbroadcast(d_sum.flatten(), gbv.shape)})
+        grads.update({"gain": _unbroadcast(d_gain, gv.shape), "bias": d_sum,
+                      "x_bias": d_sum.copy(), "gate_bias": d_sum.flatten()})
         # W_x's layer norm, a row block at a time: xhat once into the block's
         # scratch, xhat * d over the spent xhats for the unblocked x_gain sum,
         # then the input adjoint on the same xhat, in place over d
@@ -599,7 +583,7 @@ def _softmax_nll(lv: np.ndarray, targets):
     if lv.ndim != 2 or targets.shape[0] != lv.shape[0]:
         raise ShapeError(f"logits {lv.shape} incompatible with {targets.shape[0]} targets")
     if lv.shape[0] == 0:
-        raise ShapeError("cross_entropy of zero rows")
+        raise ShapeError("softmax-NLL of zero rows")
     if targets.min() < 0 or targets.max() >= lv.shape[1]:
         raise VocabError(f"target ids must lie in [0, {lv.shape[1]}), "
                          f"got range [{targets.min()}, {targets.max()}]")
@@ -636,27 +620,16 @@ def _softmax_nll_grad(g, lv: np.ndarray, row_max: np.ndarray, log_z: np.ndarray,
     return out
 
 
-def cross_entropy(tape, logits, targets) -> Var:
-    """Token-mean negative log-likelihood of integer ``targets`` under a
-    softmax over the last axis of 2-D ``logits``. Only the row maxima and
-    log-normalizers outlive the forward; the adjoint recomputes the softmax
-    from them into a fresh array, since ``logits`` may be the caller's."""
-    lv = _val(logits)
-    targets, row_max, log_z, nll = _softmax_nll(lv, targets)
-    return _emit(tape, np.float64(nll), [
-        (logits, lambda g: _softmax_nll_grad(g, lv, row_max, log_z, targets, np.empty(lv.shape))),
-    ])
-
-
 def linear_cross_entropy(tape, rows, w, b, targets) -> Var:
-    """``cross_entropy(linear(rows, w, b), targets)`` as one record, with the
-    same values and gradients bitwise. The ``(n, V)`` logits are the
-    record's own: its adjoint writes the softmax gradient over them block
-    by block, then runs ``d @ w^T``, ``rows^T @ d`` and the bias sum on that
-    one buffer and drops it, so a window never holds the logits and their
-    gradient at once."""
+    """Token-mean negative log-likelihood of integer ``targets`` under a
+    softmax over the last axis of the logits ``rows @ w + b``: the output
+    layer and its softmax-NLL as one record, the only one that runs either.
+    The ``(n, V)`` logits are the record's own: its adjoint writes the
+    softmax gradient over them block by block, then runs ``d @ w^T``,
+    ``rows^T @ d`` and the bias sum on that one buffer and drops it, so a
+    window never holds the logits and their gradient at once."""
     xv, wv, bv = _val(rows), _val(w), _val(b)
-    lv = linear(None, xv, wv, bv).value
+    lv = _linear(xv, wv, bv)
     targets, row_max, log_z, nll = _softmax_nll(lv, targets)
 
     def adjoint(g):

@@ -296,9 +296,9 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     import numpy as np
 
-    from .data import encode_stream, make_batches
+    from .data import encode_stream
     from .modelfile import RunRecord, append_records
-    from .nn import forward_lm
+    from .training import evaluate
 
     runs, discard = int(args.runs), int(args.discard)
     if not 0 <= discard < runs:
@@ -306,18 +306,10 @@ def cmd_bench(args) -> int:
     model, vocab, _ = _load_model_and_vocab(args.model)
     ids = encode_stream(_read_corpus(args.corpus), vocab)
     arch = model.arch
-
-    def one_pass():
-        state = None
-        for batch in make_batches(ids, arch.batch_size, arch.unroll):
-            out = forward_lm(model, batch.inputs, tape=None, state=state)
-            out.logits                  # forms the output layer, so the pass times it
-            state = out.state
-
     seconds = []
     for _ in range(runs):
         start = time.perf_counter()
-        one_pass()
+        evaluate(model, ids)        # one pass: the recurrence, the output layer and its softmax-NLL
         seconds.append(time.perf_counter() - start)
     kept = np.array(seconds[discard:])
     mean, sd = float(kept.mean()), float(kept.std(ddof=1)) if kept.size > 1 else 0.0
@@ -423,7 +415,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--corpus", required=True)
     common(p_eval)
 
-    p_bench = sub.add_parser("bench", help="time full forward passes")
+    p_bench = sub.add_parser("bench", help="time full evaluation passes")
     p_bench.add_argument("--model", required=True)
     p_bench.add_argument("--corpus", required=True)
     p_bench.add_argument("--runs", type=int, default=12)

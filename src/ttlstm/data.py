@@ -67,10 +67,13 @@ def build_vocab(text: str, max_size: int) -> Vocab:
 
 
 def encode_stream(text: str, vocab: Vocab) -> np.ndarray:
-    """One id per token with an end-of-sentence id after each non-empty line."""
+    r"""One id per token with an end-of-sentence id after each non-empty line.
+    Lines end only at ``\n``, ``\r\n`` and ``\r``, as universal-newline
+    reading gives them; other separators such as ``\f``, ``\x85`` or
+    ``\u2028`` are whitespace between tokens, as in :func:`build_vocab`."""
     get, unk, eos = vocab._token_to_id.get, vocab.unk_id, vocab.eos_id
     ids: list[int] = []
-    for line in text.splitlines():
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         tokens = line.split()
         if not tokens:
             continue

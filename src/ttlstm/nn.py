@@ -17,9 +17,9 @@ A stack's product ``x W^T`` is ``ttrain.apply`` over that list.
 Gate order in the stacked rows is fixed as (i, f, g, o): input, forget,
 cell candidate, output. Layer normalization is applied separately to the
 ``W_x x`` and ``W_h h`` pre-activations, per gate block of length H, each
-with its own gain and bias and the fixed variance floor ``LN_EPS``; the
-cell state is not normalized. The output projection is a dense, untied
-H x V matrix.
+with its own gain and bias and the fixed variance floor
+``autograd.LN_EPS``; the cell state is not normalized. The output
+projection is a dense, untied H x V matrix.
 
 ``forward_lm`` runs at sequence level: only what depends on ``h`` stays
 in the time loop. It builds each stack's factor list once and returns
@@ -37,9 +37,11 @@ its recorded references.
 ``forward_lm`` stops at the stacked hidden states. The output layer and
 its softmax run as one ``autograd.linear_cross_entropy`` record in
 ``sequence_nll``, so a training window never holds the ``(batch * T,
-V)`` logits and their gradient at once; ``ForwardResult.logits`` forms
-the logits on first read. There is one softmax-NLL kernel: that record,
-``autograd.cross_entropy`` and ``cross_entropy_perplexity`` all run it.
+V)`` logits and their gradient at once. Training, ``training.evaluate``
+and every command that scores windows run that record; only
+``perfbench``'s eval loop reads ``ForwardResult.logits`` and scores them
+with ``cross_entropy_perplexity``, which runs the same softmax-NLL kernel
+on them without a record.
 """
 
 from __future__ import annotations
@@ -84,13 +86,12 @@ __all__ = [
 ]
 
 GATE_ORDER = ("i", "f", "g", "o")
-LN_EPS = 1e-5
 
 
 @dataclass
 class LayerNormParams:
     """Learned gain and bias for per-block standardization; the variance
-    floor is ``LN_EPS``."""
+    floor is ``autograd.LN_EPS``."""
 
     gain: Var
     bias: Var
@@ -331,8 +332,10 @@ class ForwardResult:
     def logits(self) -> np.ndarray:
         """The ``(batch, T, V)`` logits, formed on first read with no tape
         from the output layer's values at that time, then kept: a caller
-        that writes into them reads its writes back."""
-        return ag.linear(None, self.rows, *self.proj).value.reshape(*self.window, -1)
+        that writes into them reads its writes back. Only ``perfbench``
+        reads them, for its eval loop and its corruption test."""
+        w, b = self.proj
+        return ag._linear(self.rows.value, w.value, b.value).reshape(*self.window, -1)
 
 
 def _recurrence(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None,
@@ -359,7 +362,7 @@ def _recurrence(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None,
     ax = ag.reshape(tape, apply(tape, ax, wx), (steps, batch, 4 * hidden))
     ln_x, ln_h = model.ln_x, model.ln_h
     hs, c = ag.lstm_scan(tape, ax, (ln_x.gain, ln_x.bias), transposed(tape, wh),
-                         (ln_h.gain, ln_h.bias), model.gate_bias, *state, LN_EPS)
+                         (ln_h.gain, ln_h.bias), model.gate_bias, *state)
     return hs, c, (wx, wh)
 
 
@@ -370,10 +373,9 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
     Only the recurrence runs per step. Each stack's factors, the embedding
     gather and ``W_x`` run once before the loop. The result carries the
     hidden states as batch-major rows for the output layer, which
-    :func:`sequence_nll` runs with the softmax as one record; ``logits``
-    forms them on first read. The initial state is zero unless a carried
-    ``state`` is supplied; the returned state is detached, so gradients
-    never cross window boundaries.
+    :func:`sequence_nll` runs with the softmax as one record. The initial
+    state is zero unless a carried ``state`` is supplied; the returned
+    state is detached, so gradients never cross window boundaries.
     """
     hs, c, factors = _recurrence(model, tokens, tape, state)
     steps, batch, hidden = hs.shape
@@ -395,12 +397,13 @@ def sequence_nll(tape, result: ForwardResult, targets: np.ndarray) -> Var:
 
 
 def cross_entropy_perplexity(logits: np.ndarray, targets: np.ndarray):
-    """Token-mean NLL under a softmax over the last axis, and its exp;
-    ``autograd.cross_entropy`` on the logits flattened to rows; ``targets``
-    must be ``logits.shape[:-1]`` (else :class:`ShapeError`). Only
-    ``perfbench`` calls it."""
+    """Token-mean NLL under a softmax over the last axis, and its exp: the
+    softmax-NLL kernel of ``autograd.linear_cross_entropy`` on the logits
+    flattened to rows, with no record; ``targets`` must be
+    ``logits.shape[:-1]`` (else :class:`ShapeError`). Only ``perfbench``
+    calls it, for its eval loop and its corruption test."""
     logits, targets = np.asarray(logits, dtype=np.float64), np.asarray(targets)
     if targets.shape != logits.shape[:-1]:
         raise ShapeError(f"targets {targets.shape} for logits {logits.shape}")
-    nll = float(ag.cross_entropy(None, logits.reshape(-1, logits.shape[-1]), targets).value)
+    nll = float(ag._softmax_nll(logits.reshape(-1, logits.shape[-1]), targets)[3])
     return nll, float(np.exp(nll))

@@ -80,8 +80,9 @@ class _Adam:
             if p.grad is None:
                 continue
             key = id(p)
-            m = self.m.setdefault(key, np.zeros_like(p.value))
-            v = self.v.setdefault(key, np.zeros_like(p.value))
+            if key not in self.m:       # the moments, made once on first use
+                self.m[key], self.v[key] = np.zeros_like(p.value), np.zeros_like(p.value)
+            m, v = self.m[key], self.v[key]
             m *= self.b1
             m += (1 - self.b1) * p.grad
             v *= self.b2

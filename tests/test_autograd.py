@@ -8,12 +8,20 @@ from hypothesis import strategies as st
 import ttlstm.autograd as ag
 from ttlstm.autograd import Parameter, Tape, Var, backward, grad_check
 from ttlstm.errors import DomainError, NumericError, ShapeError, StateError, VocabError
-from ttlstm.nn import TTLinear
+from ttlstm.nn import TTLinear, cross_entropy_perplexity
 from ttlstm.ttrain import MpsTrain, ShapeFactorization, new_mps
 
 
 def _param(rng, shape, name="p"):
     return Parameter(rng.normal(size=shape), name)
+
+
+def _logits_nll(tape, logits, targets) -> Var:
+    """The softmax-NLL of ``logits`` as the output-layer record on identity
+    rows and a zero bias: ``I_n @ L + 0`` is ``L`` bitwise, so the value is
+    the kernel's on ``L`` and ``L``'s gradient is the logits gradient."""
+    n, vocab = np.shape(ag._val(logits))
+    return ag.linear_cross_entropy(tape, np.eye(n), logits, np.zeros(vocab), targets)
 
 
 class TestPerOpGradients:
@@ -94,18 +102,18 @@ class TestPerOpGradients:
         rng = np.random.default_rng(7)
         logits = _param(rng, (6, 5))
         targets = np.array([0, 1, 4, 2, 2, 3])
-        self.check([logits], lambda t: ag.cross_entropy(t, logits, targets), tol=1e-6)
+        self.check([logits], lambda t: _logits_nll(t, logits, targets), tol=1e-6)
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_cross_entropy_rejects_out_of_range_targets(self, bad):
         logits = np.array([[0.5, -1.0, 2.0], [1.5, 0.0, -0.5]])
         with pytest.raises(VocabError):
-            ag.cross_entropy(None, logits, np.array([0, bad]))
+            cross_entropy_perplexity(logits, np.array([0, bad]))
 
     @pytest.mark.parametrize("tape", [None, Tape()], ids=["no-tape", "tape"])
     def test_cross_entropy_of_zero_rows_raises_shape_error(self, tape):
         with pytest.raises(ShapeError):
-            ag.cross_entropy(tape, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+            _logits_nll(tape, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
     @pytest.mark.parametrize("rows,vocab,spread", [(1, 1, 1.0), (7, 11, 0.1), (40, 300, 50.0)])
     def test_cross_entropy_matches_reference_bitwise(self, rows, vocab, spread):
@@ -114,7 +122,7 @@ class TestPerOpGradients:
         targets = rng.integers(0, vocab, size=rows)
         seed = 2.5
         t = Tape()
-        loss = ag.cross_entropy(t, logits, targets)
+        loss = _logits_nll(t, logits, targets)
         backward(t, loss, seed=seed)
         # reference in this operation order: log-softmax, then its exp
         lv, picked = logits.value, np.arange(rows)
@@ -125,14 +133,15 @@ class TestPerOpGradients:
         assert float(loss.value) == float(-log_p[picked, targets].mean())
         np.testing.assert_array_equal(logits.grad, grad * (seed / rows))
 
-
     def test_linear(self):
+        """The output layer's logits, which ``linear_cross_entropy`` forms,
+        are ``matmul`` then ``add`` bitwise."""
         rng = np.random.default_rng(14)
-        x, w, b = _param(rng, (3, 4), "x"), _param(rng, (4, 2), "w"), _param(rng, (2,), "b")
-        self.check([x, w, b], lambda t: ag.reduce_sum(t, ag.mul(t, ag.linear(t, x, w, b),
-                                                                ag.linear(t, x, w, b))))
+        x, w, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=(2,))
         two_ops = ag.add(None, ag.matmul(None, x, w), b).value
-        assert ag.linear(None, x, w, b).value.tobytes() == two_ops.tobytes()
+        assert ag._linear(x, w, b).tobytes() == two_ops.tobytes()
+        with pytest.raises(ShapeError):
+            ag._linear(x, w.T, b)
 
 
 class TestLstmScan:
@@ -255,7 +264,7 @@ def _check_cross_entropy(rows, vocab, seed, taped):
     targets = rng.integers(0, vocab, size=rows)
     want, want_grad = _reference_cross_entropy(logits.value, targets, 1.5)
     t = Tape() if taped else None
-    loss = ag.cross_entropy(t, logits, targets)
+    loss = _logits_nll(t, logits, targets)
     assert float(loss.value) == float(want)
     if taped:
         backward(t, loss, seed=1.5)
@@ -263,26 +272,27 @@ def _check_cross_entropy(rows, vocab, seed, taped):
 
 
 def _check_linear_cross_entropy(rows, hidden, vocab, seed, taped, loss_grad=1.0):
-    """``linear_cross_entropy`` against ``cross_entropy(linear(...))``: the
-    NLL and, taped, the ``rows``, ``w`` and ``b`` gradients bitwise."""
+    """``linear_cross_entropy`` against the logits ``x @ w`` plus ``b`` in
+    place, ``_reference_cross_entropy`` on them and the three products of
+    the logits gradient: the NLL and, taped, the ``rows``, ``w`` and ``b``
+    gradients bitwise."""
     rng = np.random.default_rng(seed)
     params = [Parameter(rng.normal(size=(rows, hidden)), "rows"),
               Parameter(rng.normal(scale=2.0, size=(hidden, vocab)), "w"),
               Parameter(rng.normal(size=(vocab,)), "b")]
     targets = rng.integers(0, vocab, size=rows)
-    results = []
-    for fused in (False, True):
-        t = Tape() if taped else None
-        loss = (ag.linear_cross_entropy(t, *params, targets) if fused
-                else ag.cross_entropy(t, ag.linear(t, *params), targets))
-        if taped:
-            assert len(t) == 1 if fused else len(t) == 2
-            backward(t, loss, seed=loss_grad)
-        results.append([loss.value] + [p.grad for p in params if taped])
-        for p in params:
-            p.grad = None
-    for want, got in zip(*results):
-        assert got.tobytes() == want.tobytes()
+    xv, wv, bv = (p.value for p in params)
+    logits = xv @ wv
+    logits += bv
+    want, d = _reference_cross_entropy(logits, targets, loss_grad)
+    t = Tape() if taped else None
+    loss = ag.linear_cross_entropy(t, *params, targets)
+    assert loss.value.tobytes() == np.float64(want).tobytes()
+    if taped:
+        assert len(t) == 1
+        backward(t, loss, seed=loss_grad)
+        for p, grad in zip(params, (d @ wv.T, xv.T @ d, d.sum(axis=0))):
+            assert p.grad.tobytes() == grad.tobytes()
 
 
 class TestStandardize:
@@ -337,7 +347,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
     @pytest.mark.parametrize("rows,vocab", [(5, 7), (257, 2000), (3, 40000)],
                              ids=["under-one-block", "ragged-last-block", "row-per-block"])
-    def test_linear_cross_entropy_is_the_two_records_bitwise(self, rows, vocab, taped):
+    def test_linear_cross_entropy_matches_unblocked_reference(self, rows, vocab, taped):
         """``backward(seed=3.0)``; the property test below seeds 1."""
         _check_linear_cross_entropy(rows, 16, vocab, rows, taped, loss_grad=3.0)
 
@@ -364,7 +374,7 @@ class TestRowBlocks:
         assert ag._row_blocks(logits.shape)[-1].start > 0
         logits[-1, 1999] = bad
         with pytest.raises(NumericError):
-            ag.cross_entropy(None, logits, np.zeros(257, dtype=np.int64))
+            cross_entropy_perplexity(logits, np.zeros(257, dtype=np.int64))
 
     def test_gain_must_broadcast_to_the_input(self):
         """Each of the scan's layer norms takes a gain and bias that
@@ -405,14 +415,14 @@ class TestKernelMemory:
     def test_cross_entropy_peak_is_a_small_share_of_the_logits(self):
         rng = np.random.default_rng(0)
         logits, targets = rng.normal(size=(300, 2000)), rng.integers(0, 2000, size=300)
-        peak = _traced_peak(lambda: ag.cross_entropy(None, logits, targets))
+        peak = _traced_peak(lambda: cross_entropy_perplexity(logits, targets))
         assert peak <= 0.25 * logits.nbytes, f"peak {peak} B for {logits.nbytes} B of logits"
 
     def test_linear_cross_entropy_and_its_backward_hold_one_logits_array(self):
         """The adjoint writes the softmax gradient over the record's own
         logits, so forward plus backward peak at one ``(n, V)`` array plus
-        the ``w`` and ``rows`` gradients; ``cross_entropy(linear(...))``
-        holds the logits and a fresh gradient of their size at once."""
+        the ``w`` and ``rows`` gradients, never the logits and a fresh
+        gradient of their size at once."""
         rng = np.random.default_rng(5)
         rows = Parameter(rng.normal(size=(700, 64)), "rows")
         w = Parameter(rng.normal(scale=0.1, size=(64, 2000)), "w")
@@ -692,7 +702,7 @@ class TestBackwardMechanics:
             a.grad = None
             t = Tape()
             l1 = ag.reduce_sum(t, ag.mul(t, a, a))
-            l2 = ag.cross_entropy(t, a, np.array([0, 2, 1]))
+            l2 = _logits_nll(t, a, np.array([0, 2, 1]))
             loss = ag.add(t, ag.scale(t, l1, ca), ag.scale(t, l2, cb))
             backward(t, loss)
             return a.grad.copy()

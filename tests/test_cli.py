@@ -18,8 +18,9 @@ from ttlstm.cli import MAX_FACTORS, MAX_SIZE, main, read_config
 from ttlstm.distill import DistillConfig, TeacherWeights, accumulate_covariance
 from ttlstm.errors import FormatError
 from ttlstm.modelfile import MAGIC, load_model, save_model
-from ttlstm.nn import ModelArch, TTLinear, build_model
-from ttlstm.training import TrainConfig, collect_stack_inputs, stack_covariances, train_model
+from ttlstm.nn import ForwardResult, ModelArch, TTLinear, build_model
+from ttlstm.training import (TrainConfig, collect_stack_inputs, evaluate, stack_covariances,
+                             train_model)
 from ttlstm.ttrain import new_mps, storage_count
 
 
@@ -127,6 +128,30 @@ def test_bench_aggregates_exactly_runs_minus_discard(workdir, teacher):
     rows = _records(records)
     assert rows[-1]["metric"] == "forward_seconds"
     assert float(rows[-1]["value"]) > 0
+
+
+def test_no_loop_or_command_reads_the_logits(tmp_path, monkeypatch):
+    """Evaluation, a training epoch, ``eval`` and ``bench`` score windows
+    through ``sequence_nll``'s output-layer record; none of them forms
+    ``ForwardResult.logits``."""
+    def unread(self):
+        raise AssertionError("ForwardResult.logits was read")
+
+    monkeypatch.setattr(ForwardResult, "logits", property(unread))
+    text = synthetic_corpus(600, vocab_size=40, seed=23)
+    vocab = build_vocab(text, 42)
+    ids = encode_stream(text, vocab)
+    model = build_model(ModelArch(vocab_size=vocab.size, embed_dim=12, hidden_dim=12,
+                                  representation="mps", rank=4, unroll=8, batch_size=4), seed=1)
+    evaluate(model, ids)
+    train_model(model, ids[:400], ids[400:], TrainConfig(epochs=1))
+    path, corpus = tmp_path / "m.ttlm", tmp_path / "test.txt"
+    save_model(model, path)
+    save_vocab(vocab, f"{path}.vocab")
+    corpus.write_text(text, encoding="utf-8")
+    assert main(["eval", "--model", str(path), "--corpus", str(corpus)]) == 0
+    assert main(["bench", "--model", str(path), "--corpus", str(corpus),
+                 "--runs", "2", "--discard", "1"]) == 0
 
 
 def test_bench_rejects_runs_not_exceeding_discard(workdir, teacher):

@@ -72,6 +72,19 @@ class TestEncodeStream:
         np.testing.assert_array_equal(encode_stream("a\n\n\nb\n", vocab),
                                       encode_stream("a\nb\n", vocab))
 
+    @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_only_file_line_ends_end_a_sentence(self, sep):
+        """A separator that ``str.splitlines`` breaks at but universal-newline
+        reading does not is whitespace between tokens, as in ``build_vocab``;
+        ``\\r\\n`` and ``\\r`` end a line like ``\\n``."""
+        vocab = build_vocab(f"a{sep}b\n", 4)
+        assert vocab.size == 4
+        np.testing.assert_array_equal(encode_stream(f"a{sep}b\n", vocab),
+                                      encode_stream("a b\n", vocab))
+        np.testing.assert_array_equal(encode_stream("a\r\nb\rc", vocab),
+                                      encode_stream("a\nb\nc\n", vocab))
+
 
 class TestVocabFile:
     def test_round_trip_bitwise(self, tmp_path):

@@ -5,10 +5,9 @@ import pytest
 
 import ttlstm.autograd as ag
 import ttlstm.nn as nn
-from ttlstm.autograd import Tape, Var, backward, grad_check
+from ttlstm.autograd import LN_EPS, Tape, Var, backward, grad_check
 from ttlstm.errors import ConfigError, NumericError, ShapeError, VocabError
 from ttlstm.nn import (
-    LN_EPS,
     ModelArch,
     TTLinear,
     build_model,

@@ -157,6 +157,22 @@ class TestOptimizerMechanics:
             for a, b in zip(before, model.parameters()):
                 np.testing.assert_array_equal(a, b.value)
 
+    def test_adam_allocates_its_moments_once(self, monkeypatch):
+        """The first step makes each parameter's two moments; later steps
+        allocate none."""
+        rng = np.random.default_rng(6)
+        params = [Parameter(rng.normal(size=shape), f"p{k}")
+                  for k, shape in enumerate([(3, 4), (40,)])]
+        stepper = training._Adam(TrainConfig(optimizer="adam", lr=0.01))
+        zeros_like, calls = np.zeros_like, []
+        monkeypatch.setattr(np, "zeros_like", lambda *a, **k: calls.append(a) or zeros_like(*a, **k))
+        for step in range(2):
+            calls.clear()
+            for p in params:
+                p.grad = rng.normal(size=p.value.shape)
+            stepper.step(params)
+            assert len(calls) == (2 * len(params) if step == 0 else 0)
+
     def test_sgd_step_is_bitwise_the_plain_update(self):
         # parameters of one row block and of several (a ragged last one),
         # a non-contiguous gradient and a parameter without a gradient
@@ -238,8 +254,8 @@ def test_collect_stack_inputs_runs_no_output_projection(monkeypatch):
     vocab, train_ids, _ = _setup(n_tokens=1200)
     model = build_model(_arch(vocab, "mps", 3, unroll=5, batch=3), seed=8)
     calls = []
-    linear = ag.linear
-    monkeypatch.setattr(ag, "linear", lambda *args: calls.append(args) or linear(*args))
+    linear = ag._linear
+    monkeypatch.setattr(ag, "_linear", lambda *args: calls.append(args) or linear(*args))
     collect_stack_inputs(model, train_ids, max_windows=2)
     assert calls == []
     forward_lm(model, next(iter(make_batches(train_ids, 3, 5))).inputs).logits

@@ -405,5 +405,5 @@ def cross_entropy_perplexity(logits: np.ndarray, targets: np.ndarray):
     logits, targets = np.asarray(logits, dtype=np.float64), np.asarray(targets)
     if targets.shape != logits.shape[:-1]:
         raise ShapeError(f"targets {targets.shape} for logits {logits.shape}")
-    nll = float(ag._softmax_nll(logits.reshape(-1, logits.shape[-1]), targets)[3])
-    return nll, float(np.exp(nll))
+    *_, nll = ag._softmax_nll(logits.reshape(-1, logits.shape[-1]), targets)
+    return float(nll), float(np.exp(nll))

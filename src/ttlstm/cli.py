@@ -65,14 +65,15 @@ _CONFIG_DEFAULTS: dict[str, str] = {
 
 
 def read_config(path) -> tuple[dict[str, str], str]:
-    """Parse ``key=value`` lines (``#`` starts a comment); unknown or repeated keys are rejected."""
+    r"""Parse ``key=value`` lines (``#`` starts a comment); unknown or repeated keys are rejected.
+    Lines end only at ``\n``, ``\r\n`` and ``\r``, as universal-newline reading gives them."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -289,7 +290,7 @@ def cmd_eval(args) -> int:
             command="eval", metric="test_perplexity", value=ppl,
             representation=model.arch.representation, rank=model.arch.rank,
             compression_rate=model.gate_compression_rate(),
-            lam=float(manifest.get("distill_lambda", "0") or 0))])
+            lam=float(manifest.get("distill_lambda", "0")))])
     return 0
 
 

@@ -71,9 +71,20 @@ def _stack_manifest(prefix: str, lin: TTLinear) -> dict[str, str]:
     return out
 
 
+def _check_lambda(value: str, offset: int | None = None):
+    try:
+        finite = math.isfinite(float(value))
+    except ValueError:
+        finite = False
+    if not finite:
+        raise FormatError(f"distill_lambda={value!r} is not a finite number", offset)
+
+
 def save_model(model: TTLstmModel, path, vocab_sha256: str = "",
                train_meta: dict | None = None):
-    """Write the model file; bitwise reproducible for identical parameters."""
+    """Write the model file; bitwise reproducible for identical parameters.
+    A manifest value holding ``\\n``, or a ``distill_lambda`` that is not a
+    finite number, raises :class:`FormatError`: the load would refuse it."""
     arch = model.arch
     manifest: dict[str, str] = {
         "format_version": str(FORMAT_VERSION),
@@ -96,6 +107,11 @@ def save_model(model: TTLstmModel, path, vocab_sha256: str = "",
     tensors = [(p.name, p.value) for p in model.parameters()]
     manifest["tensors"] = ";".join(
         f"{name}:{'x'.join(str(d) for d in arr.shape)}" for name, arr in tensors)
+    for key, value in manifest.items():
+        if "\n" in value:
+            raise FormatError(f"manifest value {key}={value!r} holds a line break")
+    if "distill_lambda" in manifest:
+        _check_lambda(manifest["distill_lambda"])
     text = "".join(f"{k}={v}\n" for k, v in sorted(manifest.items()))
     blob = text.encode("utf-8")
     with open(path, "wb") as fh:
@@ -112,7 +128,7 @@ def _parse_manifest(blob: bytes, base_offset: int) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise FormatError("manifest is not valid UTF-8", base_offset) from exc
     manifest: dict[str, str] = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):      # not splitlines: a value may hold \x85 or \f
         if not line:
             continue
         if "=" not in line:
@@ -137,6 +153,8 @@ def _parse_manifest(blob: bytes, base_offset: int) -> dict[str, str]:
         raise FormatError(f"unsupported format version {manifest['format_version']}", base_offset)
     if manifest["gate_order"] != ",".join(GATE_ORDER):
         raise FormatError(f"unsupported gate order {manifest['gate_order']!r}", base_offset)
+    if "distill_lambda" in manifest:
+        _check_lambda(manifest["distill_lambda"], base_offset)
     return manifest
 
 

@@ -48,22 +48,18 @@ class TrainConfig:
 
 
 class _Sgd:
-    """``p.value -= lr * p.grad``, a row block at a time (``autograd``'s
-    blocks of at most 256 KiB), with ``lr * p.grad`` formed in one scratch
-    buffer that every block reuses: bitwise the plain update, with no
-    full-size temporary per parameter and the scratch in cache."""
+    """``p.value -= lr * p.grad``, bitwise, with ``lr * p.grad`` formed in
+    the gradient itself: no temporary per parameter. The step consumes the
+    gradients (afterwards ``p.grad`` holds ``lr`` times what it held), so
+    no two gradients may share memory, as after ``backward``."""
 
     def __init__(self, cfg: TrainConfig):
         self.lr = cfg.lr
 
     def step(self, params):
-        work = [(p.value, p.grad, ag._row_blocks(p.grad.shape))
-                for p in params if p.grad is not None]
-        scratch = np.empty(max((g[blocks[0]].size for _, g, blocks in work), default=0))
-        for value, g, blocks in work:
-            for rows in blocks:
-                gb = g[rows]
-                value[rows] -= np.multiply(self.lr, gb, out=scratch[:gb.size].reshape(gb.shape))
+        for p in params:
+            if p.grad is not None:
+                p.value -= np.multiply(p.grad, self.lr, out=p.grad)
 
 
 class _Adam:
@@ -93,7 +89,10 @@ class _Adam:
 
 
 def clip_gradients(params, clip: float) -> float:
-    """Scale all grads so their global 2-norm is at most ``clip``."""
+    """Scale all grads in place so their global 2-norm is at most ``clip``;
+    return the norm before scaling. Each ``p.grad`` keeps its array, so no
+    two of them may share memory (``backward`` gives every parameter a
+    gradient of its own)."""
     total = 0.0
     for p in params:
         if p.grad is not None:
@@ -103,9 +102,7 @@ def clip_gradients(params, clip: float) -> float:
         factor = clip / norm
         for p in params:
             if p.grad is not None:
-                # out-of-place: a grad may share storage with an upstream
-                # gradient buffer through view-returning adjoints
-                p.grad = p.grad * factor
+                p.grad *= factor
     return norm
 
 
@@ -175,6 +172,10 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
     :class:`DomainError` before any window runs. A non-finite loss or
     gradient norm raises :class:`NumericError` in the window where it
     appears, and the failing epoch is never reported.
+    Clipping and the SGD step scale the gradients ``backward`` made in
+    place, which relies on no two of them sharing memory; after a window,
+    ``p.grad`` is no longer the window's gradient (SGD leaves ``lr`` times
+    the clipped gradient there).
     """
     distill = cfg.distill
     if distill.active and teacher is None:

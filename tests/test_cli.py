@@ -14,9 +14,9 @@ import pytest
 
 from ttlstm.contract import cost_model, pick_rank
 from ttlstm.data import build_vocab, encode_stream, load_vocab, save_vocab, synthetic_corpus
-from ttlstm.cli import MAX_FACTORS, MAX_SIZE, main, read_config
+from ttlstm.cli import _CONFIG_DEFAULTS, MAX_FACTORS, MAX_SIZE, main, read_config
 from ttlstm.distill import DistillConfig, TeacherWeights, accumulate_covariance
-from ttlstm.errors import FormatError
+from ttlstm.errors import ConfigError, FormatError
 from ttlstm.modelfile import MAGIC, load_model, save_model
 from ttlstm.nn import ForwardResult, ModelArch, TTLinear, build_model
 from ttlstm.training import (TrainConfig, collect_stack_inputs, evaluate, stack_covariances,
@@ -189,6 +189,71 @@ def test_readme_config_example_parses_with_its_comments(tmp_path):
     assert (values["representation"], values["rank"], values["distill"]) == ("mps", "19", "none")
     proc = run_cli("info", "--config", cfg)
     assert proc.stdout.startswith("matrix,kind,")
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                 "\u2029"],
+                         ids=["vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps"])
+def test_config_separators_other_than_line_ends_stay_in_the_line(tmp_path, sep):
+    """``lr=0.5<sep>epochs=3`` is one line: ``lr`` holds the rest and
+    ``epochs`` keeps its default, as ``data.encode_stream`` reads a line."""
+    cfg = tmp_path / "sep.cfg"
+    cfg.write_text(f"lr=0.5{sep}epochs=3\nseed=4\n", encoding="utf-8")
+    values, _ = read_config(cfg)
+    assert values["lr"] == f"0.5{sep}epochs=3"
+    assert (values["epochs"], values["seed"]) == (_CONFIG_DEFAULTS["epochs"], "4")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_config_lines_end_at_each_line_end(tmp_path, end):
+    cfg = tmp_path / "ends.cfg"
+    cfg.write_bytes(end.join(["lr=0.5  # comment", "epochs=3", "wat=1", ""]).encode())
+    with pytest.raises(ConfigError, match=r"ends.cfg:3: unknown config key 'wat'"):
+        read_config(cfg)
+    cfg.write_bytes(end.join(["lr=0.5  # comment", "epochs=3", ""]).encode())
+    values, _ = read_config(cfg)
+    assert (values["lr"], values["epochs"]) == ("0.5", "3")
+
+
+def _model_with_lambda(folder, value):
+    """A small saved model, its vocabulary and a corpus, with the manifest
+    line ``distill_lambda=<value>`` written past ``save_model``'s checks."""
+    text = synthetic_corpus(600, vocab_size=40, seed=23)
+    vocab = build_vocab(text, 42)
+    model = build_model(ModelArch(vocab_size=vocab.size, embed_dim=8, hidden_dim=8,
+                                  unroll=4, batch_size=2), seed=1)
+    path, corpus = folder / "m.ttlm", folder / "test.txt"
+    save_model(model, path, train_meta={"distill_lambda": "0.25"})
+    raw = path.read_bytes()
+    head = len(MAGIC) + 8
+    (size,) = struct.unpack("<Q", raw[len(MAGIC):head])
+    manifest = raw[head:head + size].replace(b"distill_lambda=0.25\n",
+                                             f"distill_lambda={value}\n".encode())
+    path.write_bytes(MAGIC + struct.pack("<Q", len(manifest)) + manifest + raw[head + size:])
+    save_vocab(vocab, f"{path}.vocab")
+    corpus.write_text(text, encoding="utf-8")
+    return path, corpus
+
+
+@pytest.mark.parametrize("value", ["abc", "", "nan", "1e400"])
+def test_eval_of_a_model_with_a_non_numeric_lambda_exits_3(tmp_path, capsys, value):
+    path, corpus = _model_with_lambda(tmp_path, value)
+    records = tmp_path / "records.csv"
+    assert main(["eval", "--model", str(path), "--corpus", str(corpus),
+                 "--records", str(records)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and not records.exists()
+    assert err.startswith("format error:") and "distill_lambda" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_eval_records_the_manifest_lambda(tmp_path, capsys):
+    path, corpus = _model_with_lambda(tmp_path, "1e-06")
+    records = tmp_path / "records.csv"
+    assert main(["eval", "--model", str(path), "--corpus", str(corpus),
+                 "--records", str(records)]) == 0
+    rows = _records(records)
+    assert [(row["command"], row["lambda"]) for row in rows] == [("eval", "1e-06")]
 
 
 def test_info_dense_rate_is_one(workdir):

@@ -382,3 +382,50 @@ def test_one_manifest_line_edit_loads_or_raises_format_error(saved_kinds, data):
         load_model(path)
     except FormatError:
         pass
+
+
+# the separators ``str.splitlines`` breaks at besides ``\n`` and ``\r\n``
+_OTHER_LINE_BREAKS = {"cr": "\r", "vt": "\v", "ff": "\f", "fs": "\x1c", "gs": "\x1d",
+                      "rs": "\x1e", "nel": "\x85", "ls": "\u2028", "ps": "\u2029"}
+
+
+@pytest.mark.parametrize("sep", list(_OTHER_LINE_BREAKS.values()), ids=list(_OTHER_LINE_BREAKS))
+def test_manifest_values_round_trip_any_separator_but_newline(tmp_path, sep):
+    """Only ``\\n`` ends a manifest line, so a value holding another of
+    ``str.splitlines``' separators loads back unchanged."""
+    path = tmp_path / "m.ttlm"
+    model = build_model(_arch(), seed=2)
+    meta = {"lr": f"1.0{sep}2", "clip": f"0.5{sep}", "optimizer": f"{sep}sgd"}
+    save_model(model, path, vocab_sha256=f"ab{sep}cd", train_meta=meta)
+    loaded, manifest = load_model(path)
+    assert {key: manifest[key] for key in meta} == meta
+    assert manifest["vocab_sha256"] == f"ab{sep}cd"
+    for a, b in zip(model.parameters(), loaded.parameters()):
+        assert a.value.tobytes() == b.value.tobytes()
+
+
+@pytest.mark.parametrize("where", ["lr", "vocab_sha256"])
+@pytest.mark.parametrize("value", ["0.5\n", "0.5\nepochs=3", "\r\n"])
+def test_save_refuses_a_manifest_value_with_a_newline(tmp_path, where, value):
+    path = tmp_path / "m.ttlm"
+    kwargs = ({"vocab_sha256": value} if where == "vocab_sha256"
+              else {"train_meta": {where: value}})
+    with pytest.raises(FormatError, match="line break"):
+        save_model(build_model(_arch(), seed=2), path, **kwargs)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", ["", "abc", "nan", "inf", "-inf", "1e400"])
+def test_distill_lambda_that_is_not_a_finite_number_is_a_format_error(tmp_path, value):
+    path = tmp_path / "m.ttlm"
+    model = build_model(_arch(), seed=2)
+    with pytest.raises(FormatError, match="distill_lambda"):
+        save_model(model, path, train_meta={"distill_lambda": value})
+    assert not path.exists()
+    save_model(model, path, train_meta={"distill_lambda": "0.25"})
+    lines, blobs = _manifest_lines(path.read_bytes())
+    lines = [f"distill_lambda={value}" if line.startswith("distill_lambda=") else line
+             for line in lines]
+    path.write_bytes(_with_manifest(lines, blobs))
+    with pytest.raises(FormatError, match="distill_lambda"):
+        load_model(path)

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,6 +211,47 @@ class TestOptimizerMechanics:
         params[1].grad = params[1].grad[::-1]       # a non-contiguous view
         want = np.sqrt(sum(np.sum(p.grad ** 2) for p in params))
         assert abs(clip_gradients(params, 1e12) - want) <= 1e-12 * want
+
+    def test_clip_scales_each_gradient_in_place(self):
+        """A firing clip keeps every ``p.grad`` object and leaves it bitwise
+        ``g * (clip / norm)``."""
+        rng = np.random.default_rng(7)
+        params = [Parameter(np.zeros(shape), f"p{k}")
+                  for k, shape in enumerate([(7, 5), (13,), (3, 4, 2)])]
+        for p in params:
+            p.grad = rng.normal(size=p.value.shape) * 10
+        grads = [p.grad for p in params]
+        want = [g.copy() for g in grads]
+        norm = clip_gradients(params, 0.5)
+        assert norm > 0.5
+        for p, g, w in zip(params, grads, want):
+            assert p.grad is g
+            assert g.tobytes() == (w * (0.5 / norm)).tobytes()
+
+    def test_clip_and_sgd_step_allocate_no_gradient_sized_array(self):
+        """A firing clip and an SGD step scale the gradients in place: the
+        traced peak stays below a tenth of one gradient, and the parameters
+        are bitwise ``value - lr * clipped``."""
+        rng = np.random.default_rng(8)
+        params = [Parameter(rng.normal(size=shape), f"p{k}")
+                  for k, shape in enumerate([(300, 2000), (2000,), (7, 3, 50)])]
+        for p in params:
+            p.grad = rng.normal(size=p.value.shape)
+        stepper = training._Sgd(TrainConfig(lr=0.37))
+        want = [p.value.copy() for p in params]
+        grads = [p.grad.copy() for p in params]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            norm = clip_gradients(params, 1.0)
+            stepper.step(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert norm > 1.0
+        assert peak < 0.1 * params[0].grad.nbytes
+        for p, v, g in zip(params, want, grads):
+            assert p.value.tobytes() == (v - 0.37 * (g * (1.0 / norm))).tobytes()
 
     def test_lr_halves_on_validation_stall(self):
         vocab, train_ids, valid_ids = _setup(n_tokens=1500)
@@ -423,3 +467,34 @@ class TestPenaltyDispatch:
         cov_h = np.eye(cov_h_dim) if cov_h_dim else np.ones(12)
         with pytest.raises(ConfigError, match="cov_x" if cov_x_dim != 12 else "cov_h"):
             train_model(student, ids, valid_ids, cfg, teacher=teacher, cov_x=cov_x, cov_h=cov_h)
+
+
+@pytest.mark.parametrize("mode", ["none", "kdw", "kda"])
+@pytest.mark.parametrize("rep,n_factors", [("dense", 2), ("mps", 1), ("mps", 2), ("mps", 3),
+                                           ("mpo", 2), ("mpo", 3)])
+def test_window_gradients_own_writeable_memory(rep, n_factors, mode):
+    """``clip_gradients`` and ``_Sgd`` scale gradients in place, so after one
+    window's ``backward`` no two parameter gradients share memory, none
+    shares a parameter's value, and every one is writeable."""
+    vocab, train_ids, _ = _setup()
+    teacher_model = build_model(_arch(vocab), seed=5)
+    xs, hs = collect_stack_inputs(teacher_model, train_ids, max_windows=2)
+    cov_x, cov_h = accumulate_covariance(xs).matrix, accumulate_covariance(hs).matrix
+    arch = ModelArch(vocab_size=vocab.size, embed_dim=12, hidden_dim=12, representation=rep,
+                     n_factors=n_factors, rank=0 if rep == "dense" else 3, unroll=8,
+                     batch_size=4)
+    model = build_model(arch, seed=9)
+    distill = DistillConfig(mode, 0.05)
+    penalties = (_window_penalties(model, TeacherWeights.from_model(teacher_model),
+                                   cov_x, cov_h, distill) if distill.active else None)
+    batch = next(iter(make_batches(train_ids, 4, 8)))
+    model.zero_grads()
+    tape = Tape()
+    loss, _, _ = training._window_loss(model, tape, batch, penalties, None)
+    ag.backward(tape, loss)
+    params = model.parameters()
+    assert all(p.grad is not None and p.grad.flags.writeable for p in params)
+    for p, q in itertools.combinations(params, 2):
+        assert not np.shares_memory(p.grad, q.grad), (p.name, q.name)
+    for p, q in itertools.product(params, repeat=2):
+        assert not np.shares_memory(p.grad, q.value), (p.name, q.name)

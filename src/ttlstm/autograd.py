@@ -6,8 +6,8 @@ pops the records, last first, accumulating vector-Jacobian products into
 arrays and intermediate gradients are freed as it goes and the tape is
 consumed. Every op also works with ``tape=None``, which computes values
 without recording (the inference path). ``lstm_scan`` records a whole
-LSTM recurrence as one record, and ``linear_cross_entropy`` the output
-layer with its softmax-NLL.
+LSTM recurrence, its input product included, as one record, and
+``linear_cross_entropy`` the output layer with its softmax-NLL.
 
 The tape holds each Var's gradient slot, not the Var, and a pull that
 needs only an input's shape keeps the shape: an intermediate array that
@@ -23,14 +23,16 @@ block of scratch; their reductions run along the last axis, row by row,
 so blocking leaves every value bitwise unchanged. Sums along axis 0 (the
 ``gain`` and ``bias`` gradients) stay unblocked, since blocking them
 would reorder the additions; ``lstm_scan`` forms its three bias
-gradients from one such sum. It allocates its gate, cell, normalization
-and product buffers once per window (one row block's worth without a
-tape) and runs each step's arithmetic in place in them. Its gate buffers
-are gate-major, ``(4, batch, H)`` per step, so each gate's block is one
-contiguous slab: elementwise work on a strided ``(batch, H)`` column of a
-``(batch, 4H)`` row costs about twice as much. The adjoint keeps one
-step's pre-activation gradient in the same layout and writes ``ax``'s
-gradient, row-major, over the spent gate rows.
+gradients from one such sum. It forms the ``W_x`` product ``ax`` of the
+window's rows itself, straight into its ``xhat`` buffer, allocates its
+gate, cell, normalization and product buffers once per window (one row
+block's worth without a tape, except the ``xhat`` buffer) and runs each
+step's arithmetic in place in them. Its gate buffers are gate-major, ``(4,
+batch, H)`` per step, so each gate's block is one contiguous slab:
+elementwise work on a strided ``(batch, H)`` column of a ``(batch, 4H)``
+row costs about twice as much. The adjoint keeps one step's
+pre-activation gradient in the same layout and writes ``ax``'s gradient,
+row-major, over the spent gate rows.
 
 Each of a window's two large layers is one record that owns its large
 buffers and writes its adjoint over the ones its backward has spent, and
@@ -42,14 +44,18 @@ operations on the same inputs, so it is bitwise:
   only record that runs either) keeps its ``(n, V)`` logits, each row's
   maximum and log-normalizer; its adjoint writes the softmax gradient
   over the logits and runs the layer's three products on that one buffer.
-- ``lstm_scan`` writes the ``W_x`` layer norm's output straight into its
-  gate buffer and keeps that norm's row mean and ``inv_sd``; its adjoint
-  rebuilds ``xhat`` from them and the ``W_x`` product, which the record
-  that made it holds anyway, once per row block. It keeps each step's
-  gate activations, normalized ``W_h`` product ``xhat``, ``inv_sd`` and
-  cell state, and the rows each weight multiplied in the buffers the
-  forward wrote them to (the hidden states, and one per later weight), so
-  each weight gradient is one product on them with no copy. It rebuilds
+- ``lstm_scan`` forms the ``W_x`` product in its ``xhat`` buffer, writes
+  the ``W_x`` layer norm's output straight into its gate buffer and keeps
+  that norm's row mean and ``inv_sd``; each step's ``W_h`` ``xhat`` then
+  overwrites that step's spent product rows, so the product is not kept.
+  Its adjoint forms the product again from the kept rows, with the
+  forward's call, into a spent ``(T, batch, 4H)`` gradient buffer, and
+  rebuilds ``xhat`` from it once per row block, so at its peak the
+  adjoint holds three arrays of the product's size. It keeps each step's gate
+  activations, normalized ``W_h`` product ``xhat``, ``inv_sd`` and cell
+  state, and the rows each weight multiplied in the buffers the forward
+  wrote them to (the hidden states, and one per later weight), so each
+  weight gradient is one product on them with no copy. It rebuilds
   ``tanh(c')`` one step at a time from the kept cell state, and forms
   both gain gradients' products in the spent ``xhat`` buffer.
 
@@ -399,35 +405,54 @@ def _pulls(adjoint, inputs: list) -> list:
     return [(var, pull(key)) for var, key in inputs]
 
 
-def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0):
+def _check_chain(ws: list, d_in: int, d_out: int, what: str):
+    """:class:`ShapeError` unless ``ws`` is a non-empty list of 2-D factors
+    whose product takes ``d_in`` columns to ``d_out``."""
+    shapes = [w.shape for w in ws]
+    if (not ws or any(len(s) != 2 for s in shapes)
+            or [d_in] + [s[1] for s in shapes] != [s[0] for s in shapes] + [d_out]):
+        raise ShapeError(f"{what} factors {shapes} do not take {d_in} columns to {d_out}")
+
+
+def lstm_scan(tape, rows, x_weights, x_norm, weights, h_norm, gate_bias, h0, c0):
     """A layer-normalized LSTM recurrence over a window, as one record.
 
-    ``ax`` is the ``(T, batch, 4H)`` product ``W_x x``; ``x_norm`` and
-    ``h_norm`` are the ``(gain, bias)`` pairs of the ``W_x`` and ``W_h``
-    layer norms, each ``(4, H)``, and ``gate_bias`` is ``(4H,)`` (else
-    :class:`ShapeError`); both norms use the variance floor ``LN_EPS``.
-    The scan forms ``LN(ax)`` per gate block of length H itself, a row
-    block of whole steps at a time, straight into its gate buffer. Step
-    ``t`` then forms ``ah = LN(h w_0 w_1 ...)``, ``pre = (LN(ax)_t + ah) +
-    gate_bias`` and, on its (i, f, g, o) blocks, ``c' = sigmoid(f) c +
-    sigmoid(i) tanh(g)``, ``h' = sigmoid(o) tanh(c')``. Returns the ``(T,
-    batch, H)`` hidden states as a Var and the last cell state as a plain
-    array.
+    ``rows`` are the ``(T batch, E)`` time-major rows ``W_x`` multiplies
+    (row ``t batch + b`` is lane ``b``'s input at step ``t``, ``batch``
+    taken from ``h0``) and ``x_weights`` the factors ``W_x`` applies to
+    them, ``rows x_0 x_1 ...`` being ``ax``, the ``(T batch, 4H)`` product
+    ``W_x x``; ``weights`` are ``W_h``'s factors, applied the same way to
+    ``h``. ``x_norm`` and ``h_norm`` are the ``(gain, bias)`` pairs of the
+    ``W_x`` and ``W_h`` layer norms, each ``(4, H)``, and ``gate_bias`` is
+    ``(4H,)``; both norms use the variance floor ``LN_EPS``. Any other
+    shape, or a factor list that is empty or does not chain, is a
+    :class:`ShapeError`. The scan forms ``ax`` with ``matmul``'s calls,
+    the last one straight into its ``xhat`` buffer, and ``LN(ax)`` per gate
+    block of length H, a row block of whole steps at a time, into its gate
+    buffer. Step ``t`` then forms ``ah = LN(h w_0 w_1 ...)``, ``pre =
+    (LN(ax)_t + ah) + gate_bias`` and, on its (i, f, g, o) blocks, ``c' =
+    sigmoid(f) c + sigmoid(i) tanh(g)``, ``h' = sigmoid(o) tanh(c')``, and
+    writes its ``W_h`` ``xhat`` over its spent rows of ``ax``. Returns the
+    ``(T, batch, H)`` hidden states as a Var and the last cell state as a
+    plain array.
 
     The scan keeps the rows each weight multiplies in its own buffers: the
     hidden-state buffer holds the entering state as row 0, so ``w_0``'s
     rows are all but its last row, and each later weight's rows are the
-    ``(T, batch, d)`` buffer its predecessor's product is written into.
-    The adjoint runs only the input-gradient chain step by step (cell,
-    ``W_h`` layer-norm input adjoint, ``d w^T`` per weight); each weight
-    gradient is then one ``(T batch, d_in)^T @ (T batch, d_out)`` product
-    on the kept rows, each gain one reduction, and the three biases (both
-    layer norms' and ``gate_bias``) one ``(4, H)`` sum of the
-    pre-activation gradient, each bias taking its own copy. The ``W_x``
-    layer norm's adjoint rebuilds its ``xhat`` once per row block, writes
-    ``xhat * d`` over the spent ``W_h`` ``xhat`` buffer for the ``x_gain``
-    sum, and runs its input adjoint on the same ``xhat``, in place over
-    the pre-activation gradient.
+    ``(T, batch, d)`` buffer its predecessor's product is written into;
+    ``W_x``'s are ``rows`` and its own earlier products. The adjoint runs
+    only the input-gradient chain step by step (cell, ``W_h`` layer-norm
+    input adjoint, ``d w^T`` per weight); each ``W_h`` weight gradient is
+    then one ``(T batch, d_in)^T @ (T batch, d_out)`` product on the kept
+    rows, each gain one reduction, and the three biases (both layer norms'
+    and ``gate_bias``) one ``(4, H)`` sum of the pre-activation gradient,
+    each bias taking its own copy. The adjoint then forms ``ax`` again,
+    with the forward's call, into the spent last ``d_out`` buffer; the
+    ``W_x`` layer norm's adjoint rebuilds its ``xhat`` from it once per
+    row block, writes ``xhat * d`` over the spent ``W_h`` ``xhat`` buffer
+    for the ``x_gain`` sum, and runs its input adjoint on the same
+    ``xhat``, in place over the pre-activation gradient. Last, ``W_x``'s
+    factors run ``matmul``'s own adjoint, ``d @ w^T`` and ``x^T @ d``.
 
     A step's gate buffer is gate-major, ``(4, batch, H)``: each of i, f, g
     and o is one contiguous slab and ``[i, f]`` one contiguous pair, so
@@ -437,25 +462,39 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0):
     the ``W_h`` layer norm's ``xhat`` are read through transposed views;
     the ``W_h`` norm's ``gain`` and ``bias`` and ``gate_bias`` are copied
     to gate-major slabs once per window. Every element sees the same
-    operations in the same order as a ``W_x`` layer norm followed by the
-    scan in the row layout, so values are unchanged. The adjoint keeps one
-    step's pre-activation gradient gate-major and copies it, row-major,
-    over the spent gate rows, which become ``ax``'s gradient.
+    operations in the same order as a ``W_x`` product and layer norm
+    followed by the scan in the row layout, so values are unchanged. The
+    adjoint keeps one step's pre-activation gradient gate-major and copies
+    it, row-major, over the spent gate rows, which become ``ax``'s
+    gradient.
     """
-    axv, ws, h, c = _val(ax), [_val(w) for w in weights], _val(h0), _val(c0)
-    steps, batch, width = axv.shape
-    hidden = width // 4
-    if width % 4 or h.shape != (batch, hidden) or c.shape != h.shape:
-        raise ShapeError(f"state {h.shape}/{c.shape} does not match gates {axv.shape}")
-    if steps == 0 or batch == 0:
-        raise ShapeError(f"gates {axv.shape} have no steps or no lanes")
+    xv, h, c = _val(rows), _val(h0), _val(c0)
+    x_ws, ws = [_val(w) for w in x_weights], [_val(w) for w in weights]
+    if h.ndim != 2 or c.shape != h.shape:
+        raise ShapeError(f"state {h.shape}/{c.shape} must be two equal (batch, H) arrays")
+    batch, hidden = h.shape
+    width = 4 * hidden
+    if xv.ndim != 2 or batch == 0 or xv.shape[0] % batch:
+        raise ShapeError(f"rows {xv.shape} are not T * {batch} time-major rows")
+    steps = xv.shape[0] // batch
+    if steps == 0:
+        raise ShapeError(f"rows {xv.shape} have no steps")
+    _check_chain(x_ws, xv.shape[1], width, "W_x")
+    _check_chain(ws, hidden, width, "W_h")
     xg, xb, gv, bv, gbv = (_val(p) for p in (*x_norm, *h_norm, gate_bias))
     if any(p.shape != (4, hidden) for p in (xg, xb, gv, bv)) or gbv.shape != (width,):
         raise ShapeError(f"norm parameters {[p.shape for p in (xg, xb, gv, bv)]} and gate bias "
                          f"{gbv.shape} must be (4, {hidden}) and ({width},)")
     keep = tape is not None
     blocks = (batch, 4, hidden)
-    row_blocks = _row_blocks(axv.shape)         # whole steps each
+    x_ins = [xv]                                # the rows each W_x factor multiplies
+    for w in x_ws[:-1]:
+        x_ins.append(x_ins[-1] @ w)
+    xhats = np.empty((steps,) + blocks)         # ax, then its squares, then W_h's xhat step by step
+    np.matmul(x_ins[-1], x_ws[-1], out=xhats.reshape(-1, width))
+    if not keep:
+        rows = xv = x_ins = None                # spent: without a tape nothing reads them again
+    row_blocks = _row_blocks((steps,) + blocks)  # whole steps each
     span = row_blocks[0].stop
     kept = steps if keep else span              # without a tape, one row block's buffers are reused
     hs = np.empty((steps + 1, batch, hidden))   # h entering step 0, then each h': w_0's rows
@@ -463,8 +502,6 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0):
     mids = [np.empty((kept, batch, w.shape[1])) for w in ws[:-1]]  # each later weight's rows
     last = np.empty((batch, width))             # the last product, then ah
     gates = np.empty((kept, 4, batch, hidden))  # LN(ax), then pre-activations, then (i, f, g, o) activations
-    xhats = np.empty((kept,) + blocks)          # W_h's; a row block's squares for W_x's first
-    x_rows = axv.reshape(steps, *blocks)
     x_mean, x_inv_sd = np.empty((2, kept, 4, batch, 1))
     # W_x's gain and bias as (4, 1, H): they broadcast over gate-major rows
     x_gain, x_bias = xg[:, None], xb[:, None]
@@ -478,9 +515,9 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0):
     gate_bias_gates = _gate_major(np.broadcast_to(gbv, (batch, width)).reshape(blocks))
     for rb in row_blocks:
         r = rb if keep else slice(0, rb.stop - rb.start)
-        norm = gates[r]
-        _standardize(x_rows[rb].transpose(0, 2, 1, 3), LN_EPS, norm,
-                     xhats[r].reshape(norm.shape), x_mean[r], x_inv_sd[r])
+        norm, x_block = gates[r], xhats[rb].transpose(0, 2, 1, 3)
+        # ax is spent once centered, so its rows take the squares
+        _standardize(x_block, LN_EPS, norm, x_block, x_mean[r], x_inv_sd[r])
         norm *= x_gain
         norm += x_bias
         for t in range(rb.start, rb.stop):
@@ -488,7 +525,7 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0):
             a = hs[t]
             for w, out in zip(ws, [m[k] for m in mids] + [last]):
                 a = np.matmul(a, w, out=out)
-            pre, xhat = gates[k], xhats[k]
+            pre, xhat = gates[k], xhats[t]
             a = a.reshape(blocks)
             _standardize(a, LN_EPS, xhat, a, mean, inv_sds[k])  # the product is spent once centered
             ah = np.multiply(gain_gates, xhat.transpose(1, 0, 2), out=a.reshape(4, batch, hidden))
@@ -510,7 +547,8 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0):
 
     def adjoint(g):
         nonlocal gates, cs, xhats, mids
-        d_ax = gates.reshape(axv.shape)         # row t takes the gradient of pre once step t's gates are spent
+        # step t's gate rows take the gradient of its pre once they are spent
+        d_ax = gates.reshape(steps * batch, width)
         d_pre = np.empty((4, batch, hidden))    # one step's, gate-major
         d_outs = [np.empty((steps, batch, w.shape[1])) for w in ws]
         dh, dc = np.zeros((batch, hidden)), np.zeros((batch, hidden))
@@ -520,7 +558,7 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0):
         for t in reversed(range(steps)):
             np.tanh(cs[t + 1], out=tc)          # the forward's tanh(c') on the kept c'
             _cell_adjoint(np.add(g[t], dh, out=gh), dc, gates[t], tc, cs[t], d_pre, u, v)
-            d = d_ax[t].reshape(blocks)
+            d = gates[t].reshape(blocks)
             np.copyto(d, d_pre.transpose(1, 0, 2))
             dh = d_outs[-1][t]
             _standardize_adjoint(np.multiply(d, gv, out=dh.reshape(blocks)),
@@ -532,10 +570,13 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0):
         for j, (x, d) in enumerate(zip([hs[:-1], *mids], d_outs)):
             # (T batch, d_in)^T @ (T batch, d_out) by np.dot: on 1 x 1 operands
             # matmul's own loop adds a -0.0 product to +0.0 and drops its sign
-            grads[j] = np.dot(x.reshape(-1, x.shape[2]).T, d.reshape(-1, d.shape[2]))
+            grads["h", j] = np.dot(x.reshape(-1, x.shape[2]).T, d.reshape(-1, d.shape[2]))
+        # ax again, with the forward's call, into the spent last d_out
+        x_rows = np.matmul(x_ins[-1], x_ws[-1], out=d_outs[-1].reshape(-1, width))
+        x_rows = x_rows.reshape((steps,) + blocks)
         mids = d_outs = None        # spent: free them before the reductions
-        rows = (steps * batch, 4, hidden)
-        d_sum = d_ax.reshape(rows).sum(axis=0)              # the three biases' one sum
+        norm_rows = (steps * batch, 4, hidden)
+        d_sum = d_ax.reshape(norm_rows).sum(axis=0)         # the three biases' one sum
         d_gain = np.multiply(xhats, d_ax.reshape(xhats.shape), out=xhats)   # in the spent xhats
         grads.update({"gain": _unbroadcast(d_gain, gv.shape), "bias": d_sum,
                       "x_bias": d_sum.copy(), "gate_bias": d_sum.flatten()})
@@ -552,14 +593,20 @@ def lstm_scan(tape, ax, x_norm, weights, h_norm, gate_bias, h0, c0):
             d *= xg
             _standardize_adjoint(d, xhat, inv_sd_rows[rb], x_scratch[:n],
                                  *np.empty((2, n, batch, 4, 1)))
-        grads["x_gain"] = _unbroadcast(xhats.reshape(rows), xg.shape)
-        xhats = None
-        grads["ax"] = d_ax
+        grads["x_gain"] = _unbroadcast(xhats.reshape(norm_rows), xg.shape)
+        xhats = x_rows = None
+        # W_x's factors last first, with matmul's pulls: d @ w^T and x^T @ d
+        d = d_ax
+        for j in reversed(range(len(x_ws))):
+            grads["x", j] = x_ins[j].T @ d
+            d = d @ x_ws[j].T
+        grads["rows"] = d
         return grads
 
-    inputs = ([(ax, "ax"), (x_norm[0], "x_gain"), (x_norm[1], "x_bias"), (h_norm[0], "gain"),
+    inputs = ([(rows, "rows"), (x_norm[0], "x_gain"), (x_norm[1], "x_bias"), (h_norm[0], "gain"),
                (h_norm[1], "bias"), (gate_bias, "gate_bias"), (h0, "h0"), (c0, "c0")]
-              + [(w, j) for j, w in enumerate(weights)])
+              + [(w, ("x", j)) for j, w in enumerate(x_weights)]
+              + [(w, ("h", j)) for j, w in enumerate(weights)])
     return _emit(tape, hs[1:], _pulls(adjoint, inputs)), cs[-1]
 
 

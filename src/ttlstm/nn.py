@@ -24,15 +24,16 @@ projection is a dense, untied H x V matrix.
 ``forward_lm`` runs at sequence level: only what depends on ``h`` stays
 in the time loop. It builds each stack's factor list once and returns
 both, for training's distillation penalty to read. The window's
-embeddings are gathered once in time-major order and ``W_x`` runs once
-over all ``T * batch`` rows. The recurrence is one ``autograd.lstm_scan``
-record: it layer-normalizes the ``W_x`` rows (``ln_x``) a block of whole
-steps at a time, straight into its gate buffer, and each step is ``W_h
-h`` (``h`` times ``ttrain.transposed`` of the W_h list), its layer norm,
-``(ax_t + ah) + gate_bias`` and the cell. That add order is kept on
-purpose: folding the bias into the hoisted rows first changes the
-rounding, and over a long stateful stream the evaluation NLL drifts off
-its recorded references.
+embeddings are gathered once in time-major order, and the recurrence is
+one ``autograd.lstm_scan`` record that takes them with
+``ttrain.transposed`` of both lists. Inside it ``W_x`` runs once over all
+``T * batch`` rows (the products ``ttrain.apply`` runs), its layer norm
+(``ln_x``) a block of whole steps at a time, straight into the gate
+buffer, and each step is ``W_h h`` (``h`` times the transposed W_h
+list), its layer norm, ``(ax_t + ah) + gate_bias`` and the cell. That
+add order is kept on purpose: folding the bias into the hoisted rows
+first changes the rounding, and over a long stateful stream the
+evaluation NLL drifts off its recorded references.
 
 ``forward_lm`` stops at the stacked hidden states. The output layer and
 its softmax run as one ``autograd.linear_cross_entropy`` record in
@@ -353,16 +354,19 @@ def _recurrence(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None,
         raise VocabError(
             f"token ids must lie in [0, {model.vocab_size}), "
             f"got range [{tokens.min()}, {tokens.max()}]")
-    batch, steps = tokens.shape
-    hidden = model.arch.hidden_dim
+    batch, hidden = tokens.shape[0], model.arch.hidden_dim
     if state is None:
         state = (np.zeros((batch, hidden)), np.zeros((batch, hidden)))
+    if any(np.shape(s) != (batch, hidden) for s in state):
+        raise ShapeError(f"state {[np.shape(s) for s in state]} for {batch} lanes of H = {hidden}")
     wx, wh = model.wx.factors(tape), model.wh.factors(tape)
-    ax = ag.gather_rows(tape, model.embed, tokens.T.reshape(-1))   # time-major rows
-    ax = ag.reshape(tape, apply(tape, ax, wx), (steps, batch, 4 * hidden))
     ln_x, ln_h = model.ln_x, model.ln_h
-    hs, c = ag.lstm_scan(tape, ax, (ln_x.gain, ln_x.bias), transposed(tape, wh),
-                         (ln_h.gain, ln_h.bias), model.gate_bias, *state)
+    # the time-major embedding rows go straight to the scan, which without a
+    # tape drops them once W_x has multiplied them: no name here, and no
+    # argument tuple a * call would build, holds them
+    hs, c = ag.lstm_scan(tape, ag.gather_rows(tape, model.embed, tokens.T.reshape(-1)),
+                         transposed(tape, wx), (ln_x.gain, ln_x.bias), transposed(tape, wh),
+                         (ln_h.gain, ln_h.bias), model.gate_bias, state[0], state[1])
     return hs, c, (wx, wh)
 
 
@@ -371,11 +375,12 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
     """Unroll the cell over a ``(batch, T)`` token window.
 
     Only the recurrence runs per step. Each stack's factors, the embedding
-    gather and ``W_x`` run once before the loop. The result carries the
-    hidden states as batch-major rows for the output layer, which
-    :func:`sequence_nll` runs with the softmax as one record. The initial
-    state is zero unless a carried ``state`` is supplied; the returned
-    state is detached, so gradients never cross window boundaries.
+    gather and ``W_x`` (inside the scan) run once before the loop. The
+    result carries the hidden states as batch-major rows for the output
+    layer, which :func:`sequence_nll` runs with the softmax as one record.
+    The initial state is zero unless a carried ``state`` is supplied (two
+    ``(batch, H)`` arrays, else :class:`ShapeError`); the returned state
+    is detached, so gradients never cross window boundaries.
     """
     hs, c, factors = _recurrence(model, tokens, tape, state)
     steps, batch, hidden = hs.shape

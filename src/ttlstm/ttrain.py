@@ -22,9 +22,10 @@ to left as a whole and then unfuses its paired indices
 (:func:`dense_matrix`). ``reconstruct``, ``build_factor_pair`` and
 ``mpo_matvec`` in :mod:`contract`, and ``TTLinear.factors`` and
 ``dense_var`` in :mod:`nn` all call them; a window calls them once per stack.
-A stack's product ``x W^T`` is :func:`apply`, which ``forward_lm``'s
-``W_x``, ``TTLinear.prepare``, ``mps_matvec`` and ``mpo_matvec`` all run;
-``lstm_scan`` multiplies by the same :func:`transposed` factors.
+A stack's product ``x W^T`` is :func:`apply`, which ``TTLinear.prepare``,
+``mps_matvec`` and ``mpo_matvec`` run. ``forward_lm`` does not call it:
+``lstm_scan`` multiplies both stacks' rows by their :func:`transposed`
+factors itself, with the same products.
 """
 
 from __future__ import annotations

@@ -173,7 +173,8 @@ def test_c05_gradient_checks():
     bias = Parameter(rng.normal(size=(4, 3)), "bb")
     table = Parameter(rng.normal(size=(6, 3)), "table")
     logits = Parameter(rng.normal(size=(5, 7)), "logits")
-    rows = Parameter(rng.normal(size=(12, 4)), "rows")      # ax of a (T=2, B=2, H=3) scan
+    rows = Parameter(rng.normal(size=(3, 4)), "rows")   # T B = 4 rows of E = 3, transposed
+    w_x = Parameter(rng.normal(size=(3, 12)), "w_x")
     w_h = Parameter(rng.normal(size=(3, 12)), "w_h")
     ln_gain = Parameter(rng.normal(1.0, 0.1, size=(4, 3)), "ln_g")
     gate_b = Parameter(rng.normal(size=(12,)), "gate_b")
@@ -182,9 +183,9 @@ def test_c05_gradient_checks():
     checks = [
         ([a, b], lambda t: ag.reduce_sum(t, ag.mul(t, ag.add(t, a, b), ag.sub(t, a, b)))),
         ([a, mt], lambda t: ag.reduce_sum(t, ag.mul(t, ag.matmul(t, a, mt), ag.matmul(t, a, mt)))),
-        ([rows, gain, bias, w_h, ln_gain, gate_b], lambda t: ag.scale(t, ag.reduce_sum(t, ag.lstm_scan(
-            t, ag.reshape(t, ag.transpose(t, rows), (2, 2, 12)), (gain, bias), [w_h],
-            (ln_gain, np.zeros((4, 3))), gate_b, h0, c0)[0]), 0.5)),
+        ([rows, w_x, gain, bias, w_h, ln_gain, gate_b], lambda t: ag.scale(t, ag.reduce_sum(
+            t, ag.lstm_scan(t, ag.reshape(t, ag.transpose(t, rows), (4, 3)), [w_x], (gain, bias),
+                            [w_h], (ln_gain, np.zeros((4, 3))), gate_b, h0, c0)[0]), 0.5)),
         ([a, mt, proj_b], lambda t: ag.linear_cross_entropy(t, a, mt, proj_b, np.array([0, 2, 1]))),
         ([table], lambda t: ag.reduce_sum(t, ag.mul(t, ag.gather_rows(t, table, np.array([0, 2, 2, 5])),
                                                     ag.gather_rows(t, table, np.array([0, 2, 2, 5]))))),

@@ -86,17 +86,18 @@ class TestPerOpGradients:
         assert table.grad.tobytes() == want.tobytes()
 
     def test_layer_norm(self):
-        """The ``W_x`` layer norm inside ``lstm_scan``: its input, gain and bias."""
+        """The ``W_x`` product and layer norm inside ``lstm_scan``: its rows,
+        factors, gain and bias."""
         rng = np.random.default_rng(6)
-        args = _scan_args(rng, 3, 2, 8, [32])
-        ax, (x_gain, x_bias) = args[0], args[1]
+        args = _scan_args(rng, 3, 2, 8, [32], x_dims=(3, 2))
+        rows, x_weights, (x_gain, x_bias) = args[:3]
         w = rng.normal(size=(3, 2, 8))
 
         def build(t):
             hs, _ = ag.lstm_scan(t, *args)
             return ag.reduce_sum(t, ag.mul(t, hs, w))
 
-        self.check([ax, x_gain, x_bias], build, tol=1e-5)
+        self.check([rows, *x_weights, x_gain, x_bias], build, tol=1e-5)
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(7)
@@ -149,9 +150,12 @@ class TestLstmScan:
 
     @pytest.mark.parametrize("widths", [[12], [2, 12]], ids=["one-weight", "two-weights"])
     def test_grad_check_with_carried_state(self, widths):
+        """One or two factors in each stack; ``W_x`` takes 2 columns to 12."""
         steps, batch, hidden = 3, 2, 3
         rng = np.random.default_rng(len(widths))
-        ax = _param(rng, (steps, batch, 4 * hidden), "ax")
+        rows = _param(rng, (steps * batch, 2), "rows")
+        x_dims = [2] + widths
+        x_weights = [_param(rng, (x_dims[k], x_dims[k + 1]), f"x{k}") for k in range(len(widths))]
         dims = [hidden] + widths
         weights = [_param(rng, (dims[k], dims[k + 1]), f"w{k}") for k in range(len(widths))]
         x_gain = Parameter(rng.normal(1.0, 0.2, size=(4, hidden)), "x_gain")
@@ -161,10 +165,11 @@ class TestLstmScan:
         gate_bias = _param(rng, (4 * hidden,), "gate_bias")
         h0, c0 = _param(rng, (batch, hidden), "h0"), _param(rng, (batch, hidden), "c0")
         w = rng.normal(size=(steps, batch, hidden))
-        params = [ax, x_gain, x_bias, *weights, gain, bias, gate_bias, h0, c0]
+        params = [rows, *x_weights, x_gain, x_bias, *weights, gain, bias, gate_bias, h0, c0]
 
         def build(t):
-            hs, _ = ag.lstm_scan(t, ax, (x_gain, x_bias), weights, (gain, bias), gate_bias, h0, c0)
+            hs, _ = ag.lstm_scan(t, rows, x_weights, (x_gain, x_bias), weights, (gain, bias),
+                                 gate_bias, h0, c0)
             return ag.reduce_sum(t, ag.mul(t, hs, w))
 
         assert grad_check(params, build) < 1e-5
@@ -176,32 +181,80 @@ class TestLstmScan:
 
     def test_one_record_and_a_plain_last_cell_state(self):
         rng = np.random.default_rng(5)
-        ax = _param(rng, (4, 2, 8), "ax")
+        rows, x_weight = _param(rng, (8, 3), "rows"), _param(rng, (3, 8), "x")
         weight = _param(rng, (2, 8), "w")
         gain, bias = Parameter(np.ones((4, 2)), "gain"), Parameter(np.zeros((4, 2)), "bias")
         t = Tape()
-        hs, c = ag.lstm_scan(t, ax, (gain, bias), [weight], (gain, bias), np.zeros(8),
-                             np.zeros((2, 2)), np.zeros((2, 2)))
+        hs, c = ag.lstm_scan(t, rows, [x_weight], (gain, bias), [weight], (gain, bias),
+                             np.zeros(8), np.zeros((2, 2)), np.zeros((2, 2)))
         assert len(t) == 1 and hs.shape == (4, 2, 2)
         assert isinstance(c, np.ndarray) and c.shape == (2, 2)
 
     def test_state_must_match_the_gates(self):
+        """A state of H = 3 needs 12 gate columns; ``W_x`` gives 8."""
         with pytest.raises(ShapeError):
-            ag.lstm_scan(None, np.zeros((3, 2, 8)), _UNIT_NORM, [np.zeros((2, 8))], _UNIT_NORM,
-                         np.zeros(8), np.zeros((2, 3)), np.zeros((2, 3)))
+            _scan_at_h2(None, h0=np.zeros((2, 3)), c0=np.zeros((2, 3)))
 
     @pytest.mark.parametrize("steps,batch", [(0, 2), (3, 0)], ids=["no-steps", "no-lanes"])
     def test_empty_gates_raise_shape_error(self, steps, batch):
         with pytest.raises(ShapeError):
-            ag.lstm_scan(Tape(), np.zeros((steps, batch, 8)), _UNIT_NORM, [np.zeros((2, 8))],
-                         _UNIT_NORM, np.zeros(8), np.zeros((batch, 2)), np.zeros((batch, 2)))
+            _scan_at_h2(Tape(), rows=np.zeros((steps * batch, 3)), h0=np.zeros((batch, 2)),
+                        c0=np.zeros((batch, 2)))
 
     def test_gate_bias_must_broadcast_to_one_gate_row(self):
         """``gate_bias`` is one ``(4H,)`` row for every step and lane; a
         per-lane ``(batch, 4H)`` bias is refused."""
         with pytest.raises(ShapeError):
-            ag.lstm_scan(None, np.zeros((3, 2, 8)), _UNIT_NORM, [np.zeros((2, 8))], _UNIT_NORM,
-                         np.zeros((2, 8)), np.zeros((2, 2)), np.zeros((2, 2)))
+            _scan_at_h2(None, gate_bias=np.zeros((2, 8)))
+
+    @pytest.mark.parametrize("tape", [None, Tape()], ids=["no-tape", "tape"])
+    @pytest.mark.parametrize("bad", [
+        dict(rows=np.zeros((3, 2, 3))),                         # the rows not 2-D
+        dict(rows=np.zeros((5, 3))),                            # 5 rows are not T * 2
+        dict(x_weights=[np.zeros((3, 4)), np.zeros((5, 8))]),   # 4 columns into a 5-row factor
+        dict(x_weights=[np.zeros((4, 8))]),                     # 3 columns into a 4-row factor
+        dict(x_weights=[np.zeros((3, 6))]),                     # 6 gate columns for H = 2
+        dict(x_weights=[]),
+    ], ids=["rows-not-2d", "rows-not-t-times-batch", "x-factors-do-not-chain",
+            "x-factor-does-not-take-the-rows", "x-product-is-not-4h", "no-x-factors"])
+    def test_bad_rows_or_wx_factors_raise_shape_error(self, bad, tape):
+        """The rows and ``W_x`` factors fail with the package's
+        :class:`ShapeError` before any product, not with numpy's own error."""
+        with pytest.raises(ShapeError):
+            _scan_at_h2(tape, **bad)
+
+    def test_wx_gradients_are_those_of_a_product_formed_before_the_scan(self):
+        """The scan's own ``W_x`` product and its adjoint give bitwise the
+        gradients of a gather, one ``ag.matmul`` per transposed factor of an
+        MPS pair ``[F, G^T]`` and a scan of that product (through an
+        identity factor, whose product and pull keep every bit): the
+        embedding, factor and layer-norm gradients, over two row blocks."""
+        rng = np.random.default_rng(12)
+        steps, batch, hidden, embed, rank = 35, 20, 16, 24, 5
+        table = _param(rng, (50, embed), "embedding")
+        f, g_t = _param(rng, (4 * hidden, rank), "F"), _param(rng, (rank, embed), "G^T")
+        ids = rng.integers(0, 50, size=steps * batch)
+        _, _, x_norm, weights, h_norm, gate_bias, h0, c0 = _scan_args(
+            rng, steps, batch, hidden, [4 * hidden])
+        out_grad = rng.normal(size=(steps, batch, hidden))
+        params = [table, f, g_t, *x_norm, *weights, *h_norm, gate_bias, h0, c0]
+        assert len(ag._row_blocks((steps, batch, 4 * hidden))) == 2
+
+        def gradients(in_scan):
+            for p in params:
+                p.grad = None
+            t = Tape()
+            rows = ag.gather_rows(t, table, ids)
+            factors = [ag.transpose(t, g_t), ag.transpose(t, f)]    # x G, then (x G) F^T
+            if not in_scan:
+                rows = ag.matmul(t, ag.matmul(t, rows, factors[0]), factors[1])
+                factors = [np.eye(4 * hidden)]
+            hs, _ = ag.lstm_scan(t, rows, factors, x_norm, weights, h_norm, gate_bias, h0, c0)
+            backward(t, ag.reduce_sum(t, ag.mul(t, hs, out_grad)))
+            return [p.grad.copy() for p in params]
+
+        for got, want, p in zip(gradients(True), gradients(False), params):
+            assert got.tobytes() == want.tobytes(), p.name
 
     def test_the_three_bias_gradients_are_one_sum_in_three_buffers(self):
         """Both layer norms' biases and ``gate_bias`` take the same sum of the
@@ -209,7 +262,7 @@ class TestLstmScan:
         in-place optimizer step never scales one buffer twice."""
         rng = np.random.default_rng(8)
         args = _scan_args(rng, 5, 3, 4, [16])
-        _, (_, x_bias), _, (_, bias), gate_bias, _, _ = args
+        _, _, (_, x_bias), _, (_, bias), gate_bias, _, _ = args
         t = Tape()
         hs, _ = ag.lstm_scan(t, *args)
         backward(t, ag.reduce_sum(t, ag.mul(t, hs, rng.normal(size=(5, 3, 4)))))
@@ -220,6 +273,16 @@ class TestLstmScan:
 
 
 _UNIT_NORM = (np.ones((4, 2)), np.zeros((4, 2)))      # a layer norm's (gain, bias) at H = 2
+
+
+def _scan_at_h2(tape, **changes):
+    """``lstm_scan`` on zeros at T = 3, batch 2, E = 3 and H = 2, one
+    factor per stack, with ``changes`` replacing any of its inputs."""
+    args = dict(rows=np.zeros((6, 3)), x_weights=[np.zeros((3, 8))], x_norm=_UNIT_NORM,
+                weights=[np.zeros((2, 8))], h_norm=_UNIT_NORM, gate_bias=np.zeros(8),
+                h0=np.zeros((2, 2)), c0=np.zeros((2, 2)))
+    args.update(changes)
+    return ag.lstm_scan(tape, **args)
 
 
 def _reference_layer_norm(xv, gv, bv, g, eps=1e-5):
@@ -382,8 +445,7 @@ class TestRowBlocks:
         bad = (np.ones((2, 4, 2)), np.zeros(2))
         for x_norm, h_norm in ((bad, _UNIT_NORM), (_UNIT_NORM, bad)):
             with pytest.raises(ShapeError):
-                ag.lstm_scan(None, np.zeros((3, 2, 8)), x_norm, [np.zeros((2, 8))], h_norm,
-                             np.zeros(8), np.zeros((2, 2)), np.zeros((2, 2)))
+                _scan_at_h2(None, x_norm=x_norm, h_norm=h_norm)
 
 
 def _traced_peak(call) -> int:
@@ -439,30 +501,33 @@ class TestKernelMemory:
         assert peak <= bound, f"peak {peak} B for {logits} B of logits"
 
     def test_layer_norm_peak_is_about_one_output(self):
-        """Without a tape the scan's ``W_x`` layer norm writes a row block of
-        whole steps at a time into the gate buffer, so the scan peaks at
-        about its output, the hidden states, plus two row blocks (the gates
-        and the ``xhat`` buffer that first holds the norm's squares) and a
-        few steps (about 7 here); an output of the norm's own would add
-        ``ax``'s bytes, 35 steps."""
-        args = _scan_args(np.random.default_rng(1), 35, 20, 64, [256])
+        """Without a tape the scan forms the ``W_x`` product, 35 steps of
+        ``(batch, 4H)`` rows, in its ``xhat`` buffer, and its layer norm
+        writes a row block of whole steps at a time into the gate buffer, so
+        the scan peaks at about the product, its output (the hidden states),
+        one row block (the gates) and a few steps (about 7 here); an output
+        of the norm's own would add the product's bytes again, and an
+        ``xhat`` buffer of its own another row block."""
+        args = _scan_args(np.random.default_rng(1), 35, 20, 64, [256], x_dims=(64,))
         step = 20 * 4 * 64 * 8
         hs = ag.lstm_scan(None, *args)[0].value
         peak = _traced_peak(lambda: ag.lstm_scan(None, *args))
-        assert peak <= hs.nbytes + 2 * ag.ROW_BLOCK_BYTES + 8 * step, f"peak {peak} B"
+        product = 35 * step
+        assert peak <= product + hs.nbytes + ag.ROW_BLOCK_BYTES + 8 * step, f"peak {peak} B"
 
     def test_taped_layer_norm_keeps_row_statistics_not_xhat(self):
         """Beyond the recurrence's own buffers a taped scan keeps, for its
         ``W_x`` layer norm, ``ax``'s row mean and ``inv_sd`` (about 0.03x
-        ``ax`` here), neither an ``xhat`` nor an output of ``ax``'s size."""
+        ``ax`` here), neither an ``xhat`` nor an output of ``ax``'s size;
+        ``ax`` itself is formed in the scan's ``xhat`` buffer."""
         steps, batch, hidden = 35, 20, 64
-        args = _scan_args(np.random.default_rng(1), steps, batch, hidden, [256])
+        args = _scan_args(np.random.default_rng(1), steps, batch, hidden, [256], x_dims=(64,))
 
         def run():
             t = Tape()
             return t, ag.lstm_scan(t, *args)
 
-        nbytes = args[0].value.nbytes
+        nbytes = steps * batch * 4 * hidden * 8     # ax, the W_x product
         window = steps * batch * hidden * 8
         recurrence = window + 2 * nbytes + (steps + 1) * batch * hidden * 8 + steps * batch * 4 * 8
         kept = _traced_kept(run) - recurrence
@@ -473,7 +538,7 @@ class TestKernelMemory:
         normalized products, the cell states and the three row statistics;
         the adjoint rebuilds ``tanh(c')`` from the kept cell states."""
         steps, batch, hidden = 35, 20, 64
-        args = _scan_args(np.random.default_rng(2), steps, batch, hidden, [256])
+        args = _scan_args(np.random.default_rng(2), steps, batch, hidden, [256], x_dims=(64,))
 
         def run():
             t = Tape()
@@ -481,7 +546,8 @@ class TestKernelMemory:
 
         kept = _traced_kept(run)
         window = steps * batch * hidden * 8         # one (T, batch, H) buffer
-        arrays = (window + 2 * args[0].value.nbytes + (steps + 1) * batch * hidden * 8
+        product = 4 * window                        # ax, the W_x product
+        arrays = (window + 2 * product + (steps + 1) * batch * hidden * 8
                   + 3 * steps * batch * 4 * 8)
         assert kept - arrays <= 0.25 * window, f"{kept - arrays} B kept beyond the arrays named"
 
@@ -489,8 +555,9 @@ class TestKernelMemory:
         """The adjoint writes ``ax``'s gradient over the spent gate rows
         instead of a ``(T, batch, 4H)`` buffer of its own, and the ``W_x``
         layer norm's adjoint runs in place over it, so a forward plus
-        backward peaks at about 4.2x ``ax``'s bytes."""
-        args = _scan_args(np.random.default_rng(3), 35, 20, 64, [256])
+        backward peaks at about 4.4x ``ax``'s bytes, ``ax`` itself (the
+        ``W_x`` product the scan forms) included."""
+        args = _scan_args(np.random.default_rng(3), 35, 20, 64, [256], x_dims=(64,))
         g = np.random.default_rng(4).normal(size=(35, 20, 64))
 
         def run():
@@ -499,8 +566,29 @@ class TestKernelMemory:
             backward(t, ag.reduce_sum(t, ag.mul(t, hs, g)))
 
         peak = _traced_peak(run)
-        nbytes = args[0].value.nbytes
-        assert peak <= 4.5 * nbytes, f"peak {peak} B for a {nbytes} B ax"
+        nbytes = 35 * 20 * 4 * 64 * 8               # ax, the W_x product
+        assert peak <= 4.5 * nbytes + nbytes, f"peak {peak} B for a {nbytes} B ax"
+
+    def test_taped_scan_holds_three_window_arrays_not_four(self):
+        """At its peak a taped scan's adjoint holds three ``(T, batch, 4H)``
+        arrays: the gate buffer (the pre-activation gradient by then), the
+        ``W_h`` ``xhat`` buffer and the last ``d_out``, into which it forms
+        ``ax`` again for the ``W_x`` layer norm's rebuild. Forward plus
+        backward, the product's formation included, peaks at about 4.4x
+        ``ax``'s bytes; keeping ``ax`` from forward to backward as a fourth
+        array, as a product formed before the scan did, peaked at about
+        5.4x."""
+        args = _scan_args(np.random.default_rng(3), 35, 20, 64, [256], x_dims=(64,))
+        g = np.random.default_rng(4).normal(size=(35, 20, 64))
+
+        def run():
+            t = Tape()
+            hs, _ = ag.lstm_scan(t, *args)
+            backward(t, ag.reduce_sum(t, ag.mul(t, hs, g)))
+
+        peak = _traced_peak(run)
+        nbytes = 35 * 20 * 4 * 64 * 8               # ax, the W_x product
+        assert peak <= 4.75 * nbytes, f"peak {peak / nbytes:.2f}x a {nbytes} B ax"
 
     def test_scan_backward_copies_no_multiplied_rows(self):
         """Each weight's rows are the scan's own buffers (the hidden states,
@@ -512,25 +600,33 @@ class TestKernelMemory:
         steps, batch, hidden, inner = 35, 20, 16, 512
         rng = np.random.default_rng(6)
         args = _scan_args(rng, steps, batch, hidden, [inner, 4 * hidden])
-        ax, x_norm, weights, h_norm, gate_bias, h0, c0 = args
+        x, x_weights, x_norm, weights, h_norm, gate_bias, h0, c0 = args
         t = Tape()
         hs, _ = ag.lstm_scan(t, *args)
         loss = ag.reduce_sum(t, ag.mul(t, hs, rng.normal(size=(steps, batch, hidden))))
         peak = _traced_peak(lambda: backward(t, loss))
         rows = steps * batch * inner * 8
-        d_outs = rows + ax.value.nbytes
-        grads = sum(p.value.nbytes for p in [*x_norm, *weights, *h_norm, gate_bias, h0, c0, hs])
+        d_outs = rows + steps * batch * 4 * hidden * 8
+        grads = sum(p.value.nbytes for p in [x, *x_weights, *x_norm, *weights, *h_norm, gate_bias,
+                                             h0, c0, hs])
         beyond = peak - d_outs - grads
         assert beyond <= 0.5 * rows, f"{beyond} B beyond the arrays named"
 
 
-def _reference_scan(axv, xgv, xbv, ws, gv, bv, gbv, h, c, g, eps=1e-5):
-    """A ``W_x`` layer norm over the ``(T batch, 4, H)`` rows of ``axv``,
-    then the scan written out step by step, both with fresh arrays: the
-    hidden states, the last cell state and, for the output gradient
-    ``g``, the gradients of the inputs and of each weight."""
-    steps, batch, width = axv.shape
-    hidden = width // 4
+def _reference_scan(xv, xws, xgv, xbv, ws, gv, bv, gbv, h, c, g, eps=1e-5):
+    """The ``W_x`` product ``ax`` of the rows ``xv``, one ``@`` per factor
+    as ``matmul`` runs it, a ``W_x`` layer norm over its ``(T batch, 4,
+    H)`` rows, then the scan written out step by step, all with fresh
+    arrays: the hidden states, the last cell state and, for the output
+    gradient ``g``, the gradients of the inputs and of each weight (the
+    ``W_x`` factors' by ``matmul``'s pulls)."""
+    batch, hidden = h.shape
+    width = 4 * hidden
+    x_ins = [xv]
+    for w in xws:
+        x_ins.append(x_ins[-1] @ w)
+    axv = x_ins.pop().reshape(-1, batch, width)
+    steps = axv.shape[0]
     blocks = (batch, 4, hidden)
     rows = (steps * batch, 4, hidden)
     normed = _reference_layer_norm(axv.reshape(rows), xgv, xbv, np.zeros(rows), eps)[0]
@@ -581,46 +677,59 @@ def _reference_scan(axv, xgv, xbv, ws, gv, bv, gbv, h, c, g, eps=1e-5):
             dh = dh @ ws[k].T
     d_norm = d_pre.reshape(xhats.shape)
     _, d_ax, d_x_gain = _reference_layer_norm(axv.reshape(rows), xgv, xbv, d_pre.reshape(rows), eps)
-    grads = {"ax": d_ax.reshape(axv.shape), "x_gain": d_x_gain,
+    d = d_ax.reshape(steps * batch, width)
+    grads = {"x_gain": d_x_gain,
              "x_bias": d_pre.reshape(rows).sum(axis=0),
              "gain": (d_norm * xhats).sum(axis=(0, 1)),
              "bias": d_norm.sum(axis=(0, 1)), "gate_bias": d_pre.sum(axis=(0, 1)),
              "h0": dh, "c0": dc}
     for k in range(len(ws)):
         grads[f"w{k}"] = np.tensordot(np.stack(ins[k]), d_outs[k], ([0, 1], [0, 1]))
+    for k in reversed(range(len(xws))):
+        grads[f"x{k}"] = x_ins[k].T @ d
+        d = d @ xws[k].T
+    grads["rows"] = d
     return hs, c, grads
 
 
-def _scan_args(rng, steps, batch, hidden, widths):
-    """``lstm_scan``'s inputs after ``tape``: a ``(steps, batch, 4 hidden)``
-    ``ax``, its layer norm's gain and bias, weights from ``hidden``
-    through ``widths``, the ``W_h`` layer norm's gain and bias, the gate
-    bias and the entering state, all Parameters named as the reference
-    scan names their gradients."""
-    ax = _param(rng, (steps, batch, 4 * hidden), "ax")
+def _chain(rng, dims, prefix):
+    """Factors taking ``dims[0]`` columns through ``dims[1:]``, scaled by
+    their input width, named ``prefix`` and their index."""
+    return [Parameter(rng.normal(size=(dims[k], dims[k + 1])) / np.sqrt(dims[k]), f"{prefix}{k}")
+            for k in range(len(dims) - 1)]
+
+
+def _scan_args(rng, steps, batch, hidden, widths, x_dims=(5,)):
+    """``lstm_scan``'s inputs after ``tape``: ``steps * batch`` time-major
+    rows of ``x_dims[0]`` columns, ``W_x`` factors from them through
+    ``x_dims[1:]`` to ``4 hidden``, its layer norm's gain and bias,
+    ``W_h`` factors from ``hidden`` through ``widths``, the ``W_h`` layer
+    norm's gain and bias, the gate bias and the entering state, all
+    Parameters named as the reference scan names their gradients."""
+    rows = _param(rng, (steps * batch, x_dims[0]), "rows")
+    x_weights = _chain(rng, [*x_dims, 4 * hidden], "x")
     x_norm = (Parameter(rng.normal(1.0, 0.2, size=(4, hidden)), "x_gain"),
               Parameter(rng.normal(0.0, 0.2, size=(4, hidden)), "x_bias"))
-    dims = [hidden] + widths
-    weights = [Parameter(rng.normal(size=(dims[k], dims[k + 1])) / np.sqrt(dims[k]), f"w{k}")
-               for k in range(len(widths))]
+    weights = _chain(rng, [hidden] + widths, "w")
     h_norm = (Parameter(rng.normal(1.0, 0.2, size=(4, hidden)), "gain"),
               Parameter(rng.normal(0.0, 0.2, size=(4, hidden)), "bias"))
     gate_bias = _param(rng, (4 * hidden,), "gate_bias")
     h0, c0 = _param(rng, (batch, hidden), "h0"), _param(rng, (batch, hidden), "c0")
-    return ax, x_norm, weights, h_norm, gate_bias, h0, c0
+    return rows, x_weights, x_norm, weights, h_norm, gate_bias, h0, c0
 
 
-def _check_scan(rng, steps, batch, hidden, widths, taped=True):
+def _check_scan(rng, steps, batch, hidden, widths, taped=True, x_dims=(5,)):
     """``lstm_scan`` against :func:`_reference_scan`: the hidden states and
     the last cell state bitwise without a tape and, taped, also every
     gradient."""
-    args = _scan_args(rng, steps, batch, hidden, widths)
-    ax, (x_gain, x_bias), weights, (gain, bias), gate_bias, h0, c0 = args
-    params = [ax, x_gain, x_bias, *weights, gain, bias, gate_bias, h0, c0]
+    args = _scan_args(rng, steps, batch, hidden, widths, x_dims)
+    rows, x_weights, (x_gain, x_bias), weights, (gain, bias), gate_bias, h0, c0 = args
+    params = [rows, *x_weights, x_gain, x_bias, *weights, gain, bias, gate_bias, h0, c0]
     g = rng.normal(size=(steps, batch, hidden))
     want_hs, want_c, want = _reference_scan(
-        ax.value, x_gain.value, x_bias.value, [w.value for w in weights], gain.value,
-        bias.value, gate_bias.value, h0.value, c0.value, g)
+        rows.value, [w.value for w in x_weights], x_gain.value, x_bias.value,
+        [w.value for w in weights], gain.value, bias.value, gate_bias.value, h0.value,
+        c0.value, g)
     hs, c = ag.lstm_scan(None, *args)
     assert hs.value.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
     if not taped:
@@ -638,21 +747,25 @@ class TestLstmScanBitwise:
     the values and gradients of a ``W_x`` layer norm followed by the same
     loop, on fresh arrays."""
 
-    @pytest.mark.parametrize("steps,batch,hidden,widths", [
-        (3, 2, 3, [12]), (3, 2, 3, [2, 12]), (1, 3, 5, [20]), (4, 1, 5, [3, 20]),
-        (35, 20, 64, [256]), (35, 20, 64, [16, 256]),
+    @pytest.mark.parametrize("steps,batch,hidden,widths,x_dims", [
+        (3, 2, 3, [12], (5,)), (3, 2, 3, [2, 12], (5, 2)), (1, 3, 5, [20], (7,)),
+        (4, 1, 5, [3, 20], (6, 3)), (35, 20, 64, [256], (64,)), (35, 20, 64, [16, 256], (64, 16)),
     ], ids=["one-weight", "two-weights", "one-step", "batch-one", "paper-like-dense",
             "paper-like-pair"])
-    def test_matches_a_loop_on_fresh_arrays(self, steps, batch, hidden, widths):
+    def test_matches_a_loop_on_fresh_arrays(self, steps, batch, hidden, widths, x_dims):
         _check_scan(np.random.default_rng(steps * batch + len(widths)), steps, batch, hidden,
-                    widths)
+                    widths, x_dims=x_dims)
 
     @settings(max_examples=40, deadline=None)
     @given(steps=st.integers(1, 6), batch=st.integers(1, 5), hidden=st.integers(1, 70),
-           inner=st.lists(st.integers(1, 70), max_size=2), seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_the_reference_for_any_shape(self, steps, batch, hidden, inner, seed):
-        """1-3 weights, any small window; odd widths reach the SIMD tails."""
-        _check_scan(np.random.default_rng(seed), steps, batch, hidden, inner + [4 * hidden])
+           inner=st.lists(st.integers(1, 70), max_size=2),
+           x_dims=st.lists(st.integers(1, 70), min_size=1, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_reference_for_any_shape(self, steps, batch, hidden, inner, x_dims, seed):
+        """1-3 weights in each stack, any small window; odd widths reach the
+        SIMD tails."""
+        _check_scan(np.random.default_rng(seed), steps, batch, hidden, inner + [4 * hidden],
+                    x_dims=x_dims)
 
 
 class TestBackwardMechanics:

@@ -395,6 +395,16 @@ class TestPenaltyDispatch:
         training._window_loss(student, Tape(), batch, penalties, None)
         assert calls == builds
 
+    def test_a_kda_mps_window_records_29_ops(self):
+        """A CE + kda window of an MPS student records 29 ops: the scan forms
+        the ``W_x`` product from the gathered rows itself, where a ``matmul``
+        per factor of the pair and a ``reshape`` made it 32."""
+        student, ids, _, cfg, teacher, cov_x, cov_h = _kd_setup("mps", 3, "kda", 1)
+        penalties = _window_penalties(student, teacher, cov_x, cov_h, cfg.distill)
+        tape = Tape()
+        training._window_loss(student, tape, next(iter(make_batches(ids, 4, 8))), penalties, None)
+        assert len(tape) == 29
+
     @pytest.mark.parametrize("rep", ["mps", "mpo"])
     def test_window_loss_with_kda_penalty_passes_grad_check(self, rep):
         """Finite differences over a whole ``_window_loss``, CE plus the kda

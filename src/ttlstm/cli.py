@@ -433,14 +433,15 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
-    threads = str(max(1, args.threads))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        # numpy loads lazily inside the commands, so assigning here takes
-        # effect and overrides a value already in the environment
-        os.environ[var] = threads
     handlers = {"train": cmd_train, "eval": cmd_eval, "bench": cmd_bench, "info": cmd_info}
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            # numpy loads lazily inside the commands, so assigning here takes
+            # effect and overrides a value already in the environment
+            os.environ[var] = str(args.threads)
         _check_output_dirs(args)
         return handlers[args.command](args)
     except (ConfigError, DomainError, OSError) as exc:

@@ -41,6 +41,7 @@ forms agree to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,8 @@ class DistillConfig:
     def __post_init__(self):
         if self.mode not in ("none", "kdw", "kda"):
             raise ConfigError(f"unknown distillation mode {self.mode!r}")
-        if self.lam < 0:
-            raise DomainError("lambda must be >= 0")
+        if not 0 <= self.lam < math.inf:     # NaN fails every comparison
+            raise DomainError(f"lambda must be finite and >= 0, got {self.lam!r}")
 
     @property
     def active(self) -> bool:

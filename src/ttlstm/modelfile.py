@@ -11,7 +11,11 @@ Model file layout:
                  index fastest, in exactly the declared tensor order
 
 Every tensor blob is ``8 * element_count`` bytes, so a save/load round
-trip is bitwise. Unknown manifest keys are rejected.
+trip is bitwise. A file loads only if its manifest is the one
+``save_model`` writes for the model its tensors build, plus optional
+training provenance keys: every other key, value, spelling or line order
+raises :class:`FormatError`, so every file that loads re-saves
+byte-identical.
 
 Run records are plain CSV with a single header row and dot-decimal
 numbers; files are append-only.
@@ -38,13 +42,8 @@ __all__ = ["MAGIC", "save_model", "load_model", "RunRecord",
 MAGIC = b"TTLM1\n"
 FORMAT_VERSION = 1
 
-_SCALAR_KEYS = {
-    "format_version", "vocab_size", "embed_dim", "hidden_dim", "unroll",
-    "batch_size", "gate_order", "seed", "vocab_sha256", "tensors",
-    "init_kind", "optimizer", "lr", "epochs", "clip", "distill_mode",
-    "distill_lambda",
-}
-_STACK_KEYS = {"kind", "row_dims", "col_dims", "row_ranks", "col_ranks", "ranks"}
+# training provenance: written when ``save_model`` is given it, never required
+_TRAIN_KEYS = {"optimizer", "lr", "epochs", "clip", "distill_mode", "distill_lambda"}
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -71,20 +70,9 @@ def _stack_manifest(prefix: str, lin: TTLinear) -> dict[str, str]:
     return out
 
 
-def _check_lambda(value: str, offset: int | None = None):
-    try:
-        finite = math.isfinite(float(value))
-    except ValueError:
-        finite = False
-    if not finite:
-        raise FormatError(f"distill_lambda={value!r} is not a finite number", offset)
-
-
-def save_model(model: TTLstmModel, path, vocab_sha256: str = "",
-               train_meta: dict | None = None):
-    """Write the model file; bitwise reproducible for identical parameters.
-    A manifest value holding ``\\n``, or a ``distill_lambda`` that is not a
-    finite number, raises :class:`FormatError`: the load would refuse it."""
+def _manifest(model: TTLstmModel, vocab_sha256: str, train_meta: dict) -> dict[str, str]:
+    """The manifest ``save_model`` writes for ``model``: the one statement
+    of the schema, which ``load_model`` holds every file to."""
     arch = model.arch
     manifest: dict[str, str] = {
         "format_version": str(FORMAT_VERSION),
@@ -100,26 +88,42 @@ def save_model(model: TTLstmModel, path, vocab_sha256: str = "",
     }
     manifest.update(_stack_manifest("wx", model.wx))
     manifest.update(_stack_manifest("wh", model.wh))
-    for key, value in (train_meta or {}).items():
-        if key not in _SCALAR_KEYS:
+    for key, value in train_meta.items():
+        if key not in _TRAIN_KEYS:
             raise FormatError(f"train_meta key {key!r} is not a manifest key")
         manifest[key] = str(value)
-    tensors = [(p.name, p.value) for p in model.parameters()]
     manifest["tensors"] = ";".join(
-        f"{name}:{'x'.join(str(d) for d in arr.shape)}" for name, arr in tensors)
+        f"{p.name}:{'x'.join(str(d) for d in p.value.shape)}" for p in model.parameters())
     for key, value in manifest.items():
         if "\n" in value:
             raise FormatError(f"manifest value {key}={value!r} holds a line break")
-    if "distill_lambda" in manifest:
-        _check_lambda(manifest["distill_lambda"])
-    text = "".join(f"{k}={v}\n" for k, v in sorted(manifest.items()))
-    blob = text.encode("utf-8")
+    try:
+        finite = math.isfinite(float(manifest.get("distill_lambda", 0)))
+    except ValueError:
+        finite = False
+    if not finite:
+        raise FormatError(f"distill_lambda={manifest['distill_lambda']!r} is not a finite number")
+    return manifest
+
+
+def _manifest_text(manifest: dict[str, str]) -> bytes:
+    return "".join(f"{k}={v}\n" for k, v in sorted(manifest.items())).encode("utf-8")
+
+
+def save_model(model: TTLstmModel, path, vocab_sha256: str = "",
+               train_meta: dict | None = None):
+    """Write the model file; bitwise reproducible for identical parameters.
+    ``train_meta`` holds provenance keys only (optimizer, lr, epochs, clip,
+    distill_mode, distill_lambda). A manifest value holding ``\\n``, or a
+    ``distill_lambda`` that is not a finite number, raises
+    :class:`FormatError`: the load would refuse it."""
+    blob = _manifest_text(_manifest(model, vocab_sha256, train_meta or {}))
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for _, arr in tensors:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
+        for p in model.parameters():
+            fh.write(np.ascontiguousarray(p.value, dtype="<f8").data)
 
 
 def _parse_manifest(blob: bytes, base_offset: int) -> dict[str, str]:
@@ -137,24 +141,11 @@ def _parse_manifest(blob: bytes, base_offset: int) -> dict[str, str]:
         if key in manifest:
             raise FormatError(f"duplicate manifest key {key!r}", base_offset)
         manifest[key] = value
-    for key in manifest:
-        if key in _SCALAR_KEYS:
-            continue
-        prefix, _, rest = key.partition("_")
-        if prefix in ("wx", "wh") and rest in _STACK_KEYS:
-            continue
-        raise FormatError(f"unknown manifest key {key!r}", base_offset)
-    for required in ("format_version", "vocab_size", "embed_dim", "hidden_dim", "unroll",
-                     "batch_size", "gate_order", "init_kind", "seed", "vocab_sha256",
-                     "tensors", "wx_kind", "wh_kind"):
+    for required in ("format_version", "tensors"):
         if required not in manifest:
             raise FormatError(f"missing manifest key {required!r}", base_offset)
     if manifest["format_version"] != str(FORMAT_VERSION):
         raise FormatError(f"unsupported format version {manifest['format_version']}", base_offset)
-    if manifest["gate_order"] != ",".join(GATE_ORDER):
-        raise FormatError(f"unsupported gate order {manifest['gate_order']!r}", base_offset)
-    if "distill_lambda" in manifest:
-        _check_lambda(manifest["distill_lambda"], base_offset)
     return manifest
 
 
@@ -186,39 +177,31 @@ def _arch_from_manifest(man: dict[str, str]) -> ModelArch:
     )
 
 
-def _rebuild_stack(prefix: str, man: dict[str, str], tensors: dict[str, np.ndarray],
+def _rebuild_stack(prefix: str, kind: str, tensors: dict[str, np.ndarray],
                    fact: ShapeFactorization) -> TTLinear:
-    """The stack from the tensors declared under ``{prefix}.``, in order;
-    ``load_model`` checks their names against the ones ``TTLinear`` gives.
-    The stack's manifest keys must be exactly the ones its kind writes."""
-    kind = man[f"{prefix}_kind"]
+    """The ``kind`` stack from the tensors declared under ``{prefix}.``, in
+    order; ``MpsTrain`` and ``MpoTrain`` validate the chains they form."""
     arrays = [arr for name, arr in tensors.items() if name.startswith(f"{prefix}.")]
     if kind == "dense":
         shape = (fact.n_rows, fact.n_cols)
         if len(arrays) != 1 or arrays[0].shape != shape:
             raise FormatError(f"{prefix} declares {[a.shape for a in arrays]}, "
                               f"architecture needs one {shape} weight")
-        lin = TTLinear.dense(arrays[0], name=prefix)
-    elif kind == "mps":
-        lin = TTLinear.from_train(MpsTrain(fact, arrays[:fact.n], arrays[fact.n:]), name=prefix)
-    else:
-        lin = TTLinear.from_train(MpoTrain(fact, arrays), name=prefix)
-    written = _stack_manifest(prefix, lin)
-    for key in man:
-        if key.startswith(f"{prefix}_") and key not in written:
-            raise FormatError(f"{kind} stacks do not write {key}")
-    # validates the chains against the declared ranks
-    for key, value in written.items():
-        if man[key] != value:
-            raise FormatError(f"{key}={man[key]} disagrees with the stored cores ({value})")
-    return lin
+        return TTLinear.dense(arrays[0], name=prefix)
+    if kind == "mps":
+        return TTLinear.from_train(MpsTrain(fact, arrays[:fact.n], arrays[fact.n:]), name=prefix)
+    return TTLinear.from_train(MpoTrain(fact, arrays), name=prefix)
 
 
 def load_model(path) -> tuple[TTLstmModel, dict[str, str]]:
     """Read a model file back; inverse of :func:`save_model` (bitwise).
 
-    Each tensor is read straight into its own array, so a load holds
-    about one copy of the file at its peak."""
+    The framing, the tensor declarations and blobs, and the shapes are
+    checked while the model is built; the manifest must then be exactly
+    the one :func:`save_model` writes for that model and the file's
+    provenance keys, else :class:`FormatError` names the first key that
+    differs. Each tensor is read straight into its own array, so a load
+    holds about one copy of the file at its peak."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(len(MAGIC) + 8)
@@ -231,7 +214,8 @@ def load_model(path) -> tuple[TTLstmModel, dict[str, str]]:
         man_end = head_end + man_len
         if size < man_end:
             raise FormatError("truncated manifest", size)
-        manifest = _parse_manifest(fh.read(man_len), head_end)
+        blob = fh.read(man_len)
+        manifest = _parse_manifest(blob, head_end)
 
         declared: list[tuple[str, tuple[int, ...]]] = []
         for item in manifest["tensors"].split(";"):
@@ -264,16 +248,23 @@ def load_model(path) -> tuple[TTLstmModel, dict[str, str]]:
     try:
         arch = _arch_from_manifest(manifest)
         model = _assemble(arch, tensors,
-                          lambda prefix, fact: _rebuild_stack(prefix, manifest, tensors, fact),
+                          lambda prefix, fact: _rebuild_stack(prefix, arch.representation,
+                                                              tensors, fact),
                           int(manifest["seed"]))
+        expected = _manifest(model, manifest["vocab_sha256"],
+                             {k: v for k, v in manifest.items() if k in _TRAIN_KEYS})
     except FormatError:
         raise
     except KeyError as exc:
         raise FormatError(f"missing manifest key or tensor {exc.args[0]!r}", man_end) from exc
     except ValueError as exc:
         raise FormatError(f"inconsistent manifest: {exc}", man_end) from exc
-    if [name for name, _ in declared] != [p.name for p in model.parameters()]:
-        raise FormatError("declared tensors differ from the ones the architecture stores", head_end)
+    for key in sorted(manifest.keys() | expected.keys()):
+        if manifest.get(key) != expected.get(key):
+            raise FormatError(f"manifest key {key!r} reads {manifest.get(key)!r}; the model its "
+                              f"tensors build writes {expected.get(key)!r}", head_end)
+    if blob != _manifest_text(expected):
+        raise FormatError("manifest lines are not one per key in sorted order", head_end)
     return model, manifest
 
 

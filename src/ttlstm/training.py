@@ -16,6 +16,7 @@ Training and evaluation score windows with the same ``nn.sequence_nll``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from .autograd import Tape
 from .data import make_batches
 from .distill import (DistillConfig, KdTarget, TeacherWeights, accumulate_covariance,
                       factored_kd_penalty, kd_penalty, total_loss)
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DomainError, NumericError
 from .nn import TTLinear, TTLstmModel, _recurrence, forward_lm, sequence_nll
 
 __all__ = ["TrainConfig", "EpochStats", "train_model", "evaluate", "stack_covariances",
@@ -43,8 +44,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.epochs < 1 or self.lr <= 0 or self.clip <= 0:
-            raise ConfigError("epochs, lr and clip must be positive")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral):
+            raise ConfigError(f"epochs must be an integer, got {self.epochs!r}")
+        # the negated form also refuses NaN, which compares false either way
+        if not (self.epochs >= 1 and 0 < self.lr < math.inf and 0 < self.clip < math.inf):
+            raise ConfigError("epochs, lr and clip must be positive, lr and clip finite")
 
 
 class _Sgd:
@@ -277,5 +281,7 @@ def collect_stack_inputs(model: TTLstmModel, ids: np.ndarray,
     of ``model`` over the stream: embedded inputs (for W_x) and the hidden
     states entering each step (for W_h). Each window runs the stateful
     recurrence of ``forward_lm`` without its output projection."""
+    if max_windows is not None and max_windows < 1:
+        raise DomainError(f"max_windows must be at least 1, got {max_windows}")
     xs, hs = zip(*_stack_input_windows(model, ids, max_windows))
     return np.concatenate(xs, axis=0), np.concatenate(hs, axis=0)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 import re
 import struct
 import subprocess
@@ -518,6 +519,17 @@ def test_threads_flag_overrides_preset_blas_environment(workdir):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "2 2 0"
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_threads_below_one_exits_2(workdir, monkeypatch, capsys, threads):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # main exports --threads; undone after the test
+    assert main(["info", "--config", str(workdir / "dense.cfg"), "--threads", str(threads)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and "--threads" in err
+    assert "OMP_NUM_THREADS" not in os.environ
 
 
 @pytest.mark.parametrize("command", ["eval", "train", "bench", "info"])

@@ -406,5 +406,6 @@ def test_distill_config_validation():
     assert not DistillConfig("kdw", 0.0).active
     with pytest.raises(ConfigError):
         DistillConfig("soft-labels", 1.0)
-    with pytest.raises(DomainError):
-        DistillConfig("kdw", -1.0)
+    for lam in (-1.0, np.nan, np.inf):      # a NaN lambda would switch distillation off
+        with pytest.raises(DomainError):
+            DistillConfig("kdw", lam)

@@ -358,14 +358,16 @@ def saved_kinds(tmp_path_factory):
 
 _MANIFEST_VALUES = ["", "-1", "0", "1", "2", "3", "8", "1,,2", "1,3,3", "4,8", "nan", "inf",
                     "1.5", "x", "dense", "mps", "mpo", "99999999999999999999",
-                    "12345678901234567890", "-99999999999999999999"]
+                    "12345678901234567890", "-99999999999999999999", "01", "+8", " 4"]
+_PROVENANCE_KEYS = ("optimizer", "lr", "epochs", "clip", "distill_mode", "distill_lambda")
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_one_manifest_line_edit_loads_or_raises_format_error(saved_kinds, data):
     """Dropping, duplicating or rewriting one manifest line of a dense, MPS
-    or MPO file either loads or raises ``FormatError``, never another error."""
+    or MPO file either loads or raises ``FormatError``, never another error;
+    a file that loads re-saves byte-identical."""
     path, files = saved_kinds
     lines, blobs = _manifest_lines(files[data.draw(st.sampled_from(sorted(files)), label="rep")])
     k = data.draw(st.integers(0, len(lines) - 1), label="line")
@@ -377,11 +379,51 @@ def test_one_manifest_line_edit_loads_or_raises_format_error(saved_kinds, data):
     else:
         key = lines[k].split("=", 1)[0]
         lines[k] = f"{key}={data.draw(st.sampled_from(_MANIFEST_VALUES), label='value')}"
-    path.write_bytes(_with_manifest(lines, blobs))
+    edited = _with_manifest(lines, blobs)
+    path.write_bytes(edited)
     try:
-        load_model(path)
+        model, manifest = load_model(path)
     except FormatError:
-        pass
+        return
+    save_model(model, path, vocab_sha256=manifest["vocab_sha256"],
+               train_meta={k: manifest[k] for k in _PROVENANCE_KEYS if k in manifest})
+    assert path.read_bytes() == edited
+
+
+@pytest.mark.parametrize("line", ["seed=01", "embed_dim=+8", "unroll= 4", "vocab_size=0017"])
+@pytest.mark.parametrize("rep,rank", [("dense", 0), ("mps", 3), ("mpo", 2)])
+def test_a_number_spelled_otherwise_than_the_save_raises_format_error(tmp_path, rep, rank, line):
+    """A value that parses to the saved number but is not the text
+    ``save_model`` writes for it would re-save differently: the load
+    refuses it and names the key."""
+    path = tmp_path / "m.ttlm"
+    save_model(build_model(_arch(rep, rank), seed=1), path)
+    lines, blobs = _manifest_lines(path.read_bytes())
+    key, value = line.split("=")
+    assert f"{key}={int(value)}" in lines
+    path.write_bytes(_with_manifest([line if old.startswith(f"{key}=") else old
+                                     for old in lines], blobs))
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    assert repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("edit", ["swap", "blank", "no-final-newline"])
+def test_a_manifest_not_in_the_saved_form_raises_format_error(saved_kinds, edit):
+    """The same keys and values in another order, or with a blank line, or
+    without the final newline, are not what ``save_model`` writes."""
+    path, files = saved_kinds
+    lines, blobs = _manifest_lines(files["mps"])
+    if edit == "swap":
+        lines[0], lines[1] = lines[1], lines[0]
+    elif edit == "blank":
+        lines.insert(3, "")
+    manifest = "".join(f"{line}\n" for line in lines).encode()
+    if edit == "no-final-newline":
+        manifest = manifest[:-1]
+    path.write_bytes(MAGIC + struct.pack("<Q", len(manifest)) + manifest + blobs)
+    with pytest.raises(FormatError, match="sorted order"):
+        load_model(path)
 
 
 # the separators ``str.splitlines`` breaks at besides ``\n`` and ``\r\n``

@@ -294,6 +294,28 @@ def test_collect_stack_inputs_matches_per_step_loop(rep, rank):
     assert hs.tobytes() == np.concatenate(want_h).tobytes()
 
 
+@pytest.mark.parametrize("max_windows", [0, -1])
+def test_collect_stack_inputs_needs_at_least_one_window(max_windows):
+    vocab, train_ids, _ = _setup(n_tokens=1200)
+    model = build_model(_arch(vocab, unroll=5, batch=3), seed=8)
+    with pytest.raises(DomainError, match="max_windows"):
+        collect_stack_inputs(model, train_ids, max_windows=max_windows)
+
+
+@pytest.mark.parametrize("key,value", [("lr", np.nan), ("lr", np.inf), ("clip", np.nan),
+                                       ("clip", np.inf), ("epochs", 1.5), ("epochs", 2.0),
+                                       ("epochs", True), ("epochs", "2")])
+def test_train_config_refuses_values_it_cannot_run(key, value):
+    """A NaN clip would never clip (``norm > nan`` is false) and a float
+    epoch count fails only inside ``train_model``: both are refused up front."""
+    with pytest.raises(ConfigError):
+        TrainConfig(**{key: value})
+
+
+def test_train_config_takes_a_numpy_integer_epoch_count():
+    assert TrainConfig(epochs=np.int64(2)).epochs == 2
+
+
 def test_collect_stack_inputs_runs_no_output_projection(monkeypatch):
     vocab, train_ids, _ = _setup(n_tokens=1200)
     model = build_model(_arch(vocab, "mps", 3, unroll=5, batch=3), seed=8)

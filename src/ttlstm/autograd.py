@@ -7,7 +7,10 @@ arrays and intermediate gradients are freed as it goes and the tape is
 consumed. Every op also works with ``tape=None``, which computes values
 without recording (the inference path). ``lstm_scan`` records a whole
 LSTM recurrence, its input product included, as one record, and
-``linear_cross_entropy`` the output layer with its softmax-NLL.
+``linear_cross_entropy`` the output layer with its softmax-NLL. The scan
+takes each gate stack's factor list as ``TTLinear.factors`` builds it,
+``[F, G^T]`` or ``[W]``, and multiplies by the ``.T`` views of its
+arrays, so a window records no transpose of them.
 
 The tape holds each Var's gradient slot, not the Var, and a pull that
 needs only an input's shape keeps the shape: an intermediate array that
@@ -303,14 +306,12 @@ LN_EPS = 1e-5           # the layer norms' variance floor
 
 
 def _row_blocks(shape: tuple[int, ...]) -> list[slice]:
-    """Slices that split axis 0 of an array of ``shape`` into blocks of at
-    most ``ROW_BLOCK_BYTES`` (one row at least), the last one ragged. A 1-D
-    array is one block: its only axis is the one reductions run over."""
+    """Slices that split axis 0 of an array of ``shape``, at least 2-D with
+    at least one row, into blocks of at most ``ROW_BLOCK_BYTES`` (one row
+    at least), the last one ragged."""
     n = shape[0]
-    if len(shape) < 2:
-        return [slice(0, n)]
     step = max(1, ROW_BLOCK_BYTES // max(1, 8 * int(np.prod(shape[1:]))))
-    return [slice(r, min(r + step, n)) for r in range(0, max(n, 1), step)]
+    return [slice(r, min(r + step, n)) for r in range(0, n, step)]
 
 
 def _mean(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -405,31 +406,37 @@ def _pulls(adjoint, inputs: list) -> list:
     return [(var, pull(key)) for var, key in inputs]
 
 
-def _check_chain(ws: list, d_in: int, d_out: int, what: str):
-    """:class:`ShapeError` unless ``ws`` is a non-empty list of 2-D factors
-    whose product takes ``d_in`` columns to ``d_out``."""
-    shapes = [w.shape for w in ws]
-    if (not ws or any(len(s) != 2 for s in shapes)
-            or [d_in] + [s[1] for s in shapes] != [s[0] for s in shapes] + [d_out]):
-        raise ShapeError(f"{what} factors {shapes} do not take {d_in} columns to {d_out}")
+def _check_chain(factors: list, d_in: int, d_out: int, what: str):
+    """:class:`ShapeError` unless ``factors`` is a non-empty list of 2-D
+    arrays whose product is a ``(d_out, d_in)`` matrix; the message names
+    their shapes in the order given."""
+    shapes = [_val(f).shape for f in factors]
+    if (not factors or any(len(s) != 2 for s in shapes)
+            or [d_out] + [s[1] for s in shapes] != [s[0] for s in shapes] + [d_in]):
+        raise ShapeError(f"{what} factors {shapes} do not multiply to a ({d_out}, {d_in}) matrix")
 
 
-def lstm_scan(tape, rows, x_weights, x_norm, weights, h_norm, gate_bias, h0, c0):
+def lstm_scan(tape, rows, x_factors, x_norm, h_factors, h_norm, gate_bias, h0, c0):
     """A layer-normalized LSTM recurrence over a window, as one record.
 
     ``rows`` are the ``(T batch, E)`` time-major rows ``W_x`` multiplies
     (row ``t batch + b`` is lane ``b``'s input at step ``t``, ``batch``
-    taken from ``h0``) and ``x_weights`` the factors ``W_x`` applies to
-    them, ``rows x_0 x_1 ...`` being ``ax``, the ``(T batch, 4H)`` product
-    ``W_x x``; ``weights`` are ``W_h``'s factors, applied the same way to
-    ``h``. ``x_norm`` and ``h_norm`` are the ``(gain, bias)`` pairs of the
-    ``W_x`` and ``W_h`` layer norms, each ``(4, H)``, and ``gate_bias`` is
-    ``(4H,)``; both norms use the variance floor ``LN_EPS``. Any other
-    shape, or a factor list that is empty or does not chain, is a
-    :class:`ShapeError`. The scan forms ``ax`` with ``matmul``'s calls,
-    the last one straight into its ``xhat`` buffer, and ``LN(ax)`` per gate
-    block of length H, a row block of whole steps at a time, into its gate
-    buffer. Step ``t`` then forms ``ah = LN(h w_0 w_1 ...)``, ``pre =
+    taken from ``h0``). ``x_factors`` and ``h_factors`` are the factor lists
+    of ``W_x`` (``4H x E``) and ``W_h`` (``4H x H``) as ``TTLinear.factors``
+    returns them, ``[F, G^T]`` or ``[W]``, whose product is the stack. The
+    scan multiplies batch-first rows by the ``.T`` views of a list's
+    arrays, last factor first: with ``x_0, x_1, ...`` those views of
+    ``W_x``'s list in that order, ``rows x_0 x_1 ...`` is ``ax``, the ``(T
+    batch, 4H)`` product ``x W_x^T``, and with ``w_0, w_1, ...`` those of
+    ``W_h``'s, ``h w_0 w_1 ...`` is ``h W_h^T``. ``x_norm`` and ``h_norm``
+    are the ``(gain, bias)`` pairs of the ``W_x`` and ``W_h`` layer norms,
+    each ``(4, H)``, and ``gate_bias`` is ``(4H,)``; both norms use the
+    variance floor ``LN_EPS``. Any other shape, or a factor list that is
+    empty or whose product is not the stack's shape, is a
+    :class:`ShapeError` naming the factors' shapes as passed. The scan
+    forms ``ax`` with ``matmul``'s calls, the last one straight into its
+    ``xhat`` buffer, and ``LN(ax)`` per gate block of length H, a row
+    block of whole steps at a time, into its gate buffer. Step ``t`` then forms ``ah = LN(h w_0 w_1 ...)``, ``pre =
     (LN(ax)_t + ah) + gate_bias`` and, on its (i, f, g, o) blocks, ``c' =
     sigmoid(f) c + sigmoid(i) tanh(g)``, ``h' = sigmoid(o) tanh(c')``, and
     writes its ``W_h`` ``xhat`` over its spent rows of ``ax``. Returns the
@@ -444,7 +451,8 @@ def lstm_scan(tape, rows, x_weights, x_norm, weights, h_norm, gate_bias, h0, c0)
     only the input-gradient chain step by step (cell, ``W_h`` layer-norm
     input adjoint, ``d w^T`` per weight); each ``W_h`` weight gradient is
     then one ``(T batch, d_in)^T @ (T batch, d_out)`` product on the kept
-    rows, each gain one reduction, and the three biases (both layer norms'
+    rows, returned as its ``.T`` view in the factor's own orientation, each
+    gain one reduction, and the three biases (both layer norms'
     and ``gate_bias``) one ``(4, H)`` sum of the pre-activation gradient,
     each bias taking its own copy. The adjoint then forms ``ax`` again,
     with the forward's call, into the spent last ``d_out`` buffer; the
@@ -452,14 +460,16 @@ def lstm_scan(tape, rows, x_weights, x_norm, weights, h_norm, gate_bias, h0, c0)
     row block, writes ``xhat * d`` over the spent ``W_h`` ``xhat`` buffer
     for the ``x_gain`` sum, and runs its input adjoint on the same
     ``xhat``, in place over the pre-activation gradient. Last, ``W_x``'s
-    factors run ``matmul``'s own adjoint, ``d @ w^T`` and ``x^T @ d``.
+    factors run ``matmul``'s own adjoint, ``d @ w^T`` and ``x^T @ d``, the
+    latter again returned as its ``.T`` view.
 
     A step's gate buffer is gate-major, ``(4, batch, H)``: each of i, f, g
     and o is one contiguous slab and ``[i, f]`` one contiguous pair, so
     the nonlinearities, the cell update and the cell adjoint run on whole
     slabs rather than on strided ``(batch, H)`` columns of a ``(batch,
-    4H)`` row, which cost about twice as much per element. Only ``ax`` and
-    the ``W_h`` layer norm's ``xhat`` are read through transposed views;
+    4H)`` row, which cost about twice as much per element. Of the scan's
+    own buffers only ``ax`` and the ``W_h`` layer norm's ``xhat`` are read
+    through transposed views;
     the ``W_h`` norm's ``gain`` and ``bias`` and ``gate_bias`` are copied
     to gate-major slabs once per window. Every element sees the same
     operations in the same order as a ``W_x`` product and layer norm
@@ -469,7 +479,6 @@ def lstm_scan(tape, rows, x_weights, x_norm, weights, h_norm, gate_bias, h0, c0)
     gradient.
     """
     xv, h, c = _val(rows), _val(h0), _val(c0)
-    x_ws, ws = [_val(w) for w in x_weights], [_val(w) for w in weights]
     if h.ndim != 2 or c.shape != h.shape:
         raise ShapeError(f"state {h.shape}/{c.shape} must be two equal (batch, H) arrays")
     batch, hidden = h.shape
@@ -479,8 +488,10 @@ def lstm_scan(tape, rows, x_weights, x_norm, weights, h_norm, gate_bias, h0, c0)
     steps = xv.shape[0] // batch
     if steps == 0:
         raise ShapeError(f"rows {xv.shape} have no steps")
-    _check_chain(x_ws, xv.shape[1], width, "W_x")
-    _check_chain(ws, hidden, width, "W_h")
+    _check_chain(x_factors, xv.shape[1], width, "W_x")
+    _check_chain(h_factors, hidden, width, "W_h")
+    # batch-first rows are multiplied by each factor's transpose, last factor first
+    x_ws, ws = ([_val(f).T for f in reversed(fs)] for fs in (x_factors, h_factors))
     xg, xb, gv, bv, gbv = (_val(p) for p in (*x_norm, *h_norm, gate_bias))
     if any(p.shape != (4, hidden) for p in (xg, xb, gv, bv)) or gbv.shape != (width,):
         raise ShapeError(f"norm parameters {[p.shape for p in (xg, xb, gv, bv)]} and gate bias "
@@ -570,7 +581,7 @@ def lstm_scan(tape, rows, x_weights, x_norm, weights, h_norm, gate_bias, h0, c0)
         for j, (x, d) in enumerate(zip([hs[:-1], *mids], d_outs)):
             # (T batch, d_in)^T @ (T batch, d_out) by np.dot: on 1 x 1 operands
             # matmul's own loop adds a -0.0 product to +0.0 and drops its sign
-            grads["h", j] = np.dot(x.reshape(-1, x.shape[2]).T, d.reshape(-1, d.shape[2]))
+            grads["h", j] = np.dot(x.reshape(-1, x.shape[2]).T, d.reshape(-1, d.shape[2])).T
         # ax again, with the forward's call, into the spent last d_out
         x_rows = np.matmul(x_ins[-1], x_ws[-1], out=d_outs[-1].reshape(-1, width))
         x_rows = x_rows.reshape((steps,) + blocks)
@@ -598,15 +609,15 @@ def lstm_scan(tape, rows, x_weights, x_norm, weights, h_norm, gate_bias, h0, c0)
         # W_x's factors last first, with matmul's pulls: d @ w^T and x^T @ d
         d = d_ax
         for j in reversed(range(len(x_ws))):
-            grads["x", j] = x_ins[j].T @ d
+            grads["x", j] = (x_ins[j].T @ d).T
             d = d @ x_ws[j].T
         grads["rows"] = d
         return grads
 
     inputs = ([(rows, "rows"), (x_norm[0], "x_gain"), (x_norm[1], "x_bias"), (h_norm[0], "gain"),
                (h_norm[1], "bias"), (gate_bias, "gate_bias"), (h0, "h0"), (c0, "c0")]
-              + [(w, ("x", j)) for j, w in enumerate(x_weights)]
-              + [(w, ("h", j)) for j, w in enumerate(weights)])
+              + [(f, ("x", j)) for j, f in enumerate(reversed(x_factors))]
+              + [(f, ("h", j)) for j, f in enumerate(reversed(h_factors))])
     return _emit(tape, hs[1:], _pulls(adjoint, inputs)), cs[-1]
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error (also an argument outside its
 domain, such as a corpus too short for one window, and a file that cannot
-be read or written), 3 file-format error,
+be read or written; an output path that names a directory, or lies in one
+that does not exist, exits 2 before any work), 3 file-format error,
 4 numeric failure. All commands accept ``--threads`` (default 1); the
 thread count is exported to the BLAS layer before numpy loads, which is
 why the heavy imports below live inside the command handlers.
@@ -189,14 +190,17 @@ def _split_ids(ids, valid_fraction: float):
 
 
 def _check_output_dirs(args) -> None:
-    """Fail before any work if the directory of an output file (``--out``,
-    ``--records``) does not exist."""
-    for key in ("out", "records"):
-        path = getattr(args, key, None)
-        if path is not None:
-            folder = os.path.dirname(str(path)) or "."
-            if not os.path.isdir(folder):
-                raise ConfigError(f"cannot write {path}: no directory {folder}")
+    """Fail before any work if an output file (``--out``, the ``.vocab``
+    file next to it, ``--records``) names an existing directory or lies in
+    a directory that does not exist."""
+    out = getattr(args, "out", None)
+    paths = ([out, _vocab_path(out)] if out is not None else []) + [args.records]
+    for path in (str(p) for p in paths if p is not None):
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"cannot write {path}: no directory {folder}")
 
 
 def cmd_train(args) -> int:

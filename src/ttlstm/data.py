@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import _integer_ids
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, ShapeError
 
 __all__ = [
     "UNK_TOKEN", "EOS_TOKEN", "Vocab", "build_vocab", "encode_stream",
@@ -120,6 +120,8 @@ class BatchStream:
 
     def __init__(self, ids: np.ndarray, batch_size: int, unroll: int):
         ids = np.asarray(ids)
+        if ids.ndim != 1:
+            raise ShapeError(f"token ids must be one 1-D stream, got shape {ids.shape}")
         if batch_size < 1 or unroll < 1:
             raise DomainError("batch size and unroll length must be >= 1")
         if ids.size < batch_size * (unroll + 1):

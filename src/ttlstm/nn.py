@@ -25,12 +25,13 @@ projection is a dense, untied H x V matrix.
 in the time loop. It builds each stack's factor list once and returns
 both, for training's distillation penalty to read. The window's
 embeddings are gathered once in time-major order, and the recurrence is
-one ``autograd.lstm_scan`` record that takes them with
-``ttrain.transposed`` of both lists. Inside it ``W_x`` runs once over all
-``T * batch`` rows (the products ``ttrain.apply`` runs), its layer norm
-(``ln_x``) a block of whole steps at a time, straight into the gate
-buffer, and each step is ``W_h h`` (``h`` times the transposed W_h
-list), its layer norm, ``(ax_t + ah) + gate_bias`` and the cell. That
+one ``autograd.lstm_scan`` record that takes them with both factor lists
+unchanged. Inside it ``W_x`` runs once over all ``T * batch`` rows (the
+products ``ttrain.apply`` runs: the rows times each factor's transpose,
+last factor first), its layer norm (``ln_x``) a block of whole steps at a
+time, straight into the gate buffer, and each step is ``W_h h`` (``h``
+times the W_h factors' transposes the same way), its layer norm,
+``(ax_t + ah) + gate_bias`` and the cell. That
 add order is kept on purpose: folding the bias into the hoisted rows
 first changes the rounding, and over a long stateful stream the
 evaluation NLL drifts off its recorded references.
@@ -68,7 +69,6 @@ from .ttrain import (
     new_mpo,
     new_mps,
     reconstruct,
-    transposed,
     uniform_mpo_ranks,
     uniform_mps_ranks,
 )
@@ -365,8 +365,8 @@ def _recurrence(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None,
     # tape drops them once W_x has multiplied them: no name here, and no
     # argument tuple a * call would build, holds them
     hs, c = ag.lstm_scan(tape, ag.gather_rows(tape, model.embed, tokens.T.reshape(-1)),
-                         transposed(tape, wx), (ln_x.gain, ln_x.bias), transposed(tape, wh),
-                         (ln_h.gain, ln_h.bias), model.gate_bias, state[0], state[1])
+                         wx, (ln_x.gain, ln_x.bias), wh, (ln_h.gain, ln_h.bias),
+                         model.gate_bias, state[0], state[1])
     return hs, c, (wx, wh)
 
 

@@ -24,8 +24,8 @@ to left as a whole and then unfuses its paired indices
 ``dense_var`` in :mod:`nn` all call them; a window calls them once per stack.
 A stack's product ``x W^T`` is :func:`apply`, which ``TTLinear.prepare``,
 ``mps_matvec`` and ``mpo_matvec`` run. ``forward_lm`` does not call it:
-``lstm_scan`` multiplies both stacks' rows by their :func:`transposed`
-factors itself, with the same products.
+``lstm_scan`` takes both stacks' factor lists as they are and multiplies
+their rows by the factors' transposes itself, with the same products.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "collapse_right",
     "factor_pair",
     "dense_matrix",
-    "transposed",
     "apply",
     "check_capacity",
     "reconstruct",
@@ -402,20 +401,14 @@ def dense_matrix(tape, fact: ShapeFactorization, cores, counter=None) -> Var:
     return ag.reshape(tape, tensor, (fact.n_rows, fact.n_cols))
 
 
-def transposed(tape, factors) -> list[Var]:
-    """The transposes of a factor list, last factor first: what a
-    batch-first ``x`` is multiplied by, ``[G, F^T]`` for a pair ``[F, G^T]``
-    and ``[W^T]`` for ``[W]``."""
-    return [ag.transpose(tape, f) for f in reversed(factors)]
-
-
 def apply(tape, x, factors, counter=None) -> Var:
     """``x W^T`` for batch-first rows ``x``, with ``W`` the product of
-    ``factors`` (``[F, G^T]`` or ``[W]``), through the :func:`transposed`
-    factors: ``rows * r * (M + N)`` multiply-adds for a pair, ``rows * N * M``
-    for a matrix, counted into ``counter`` as in :func:`factor_pair`."""
-    for t in transposed(tape, factors):
-        x = _matmul(tape, x, t, counter)
+    ``factors`` (``[F, G^T]`` or ``[W]``): ``x`` times each factor's
+    transpose, last factor first, ``x G F^T`` for a pair. That is ``rows *
+    r * (M + N)`` multiply-adds for a pair, ``rows * N * M`` for a matrix,
+    counted into ``counter`` as in :func:`factor_pair`."""
+    for f in reversed(factors):
+        x = _matmul(tape, x, ag.transpose(tape, f), counter)
     return x
 
 

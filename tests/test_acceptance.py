@@ -174,8 +174,8 @@ def test_c05_gradient_checks():
     table = Parameter(rng.normal(size=(6, 3)), "table")
     logits = Parameter(rng.normal(size=(5, 7)), "logits")
     rows = Parameter(rng.normal(size=(3, 4)), "rows")   # T B = 4 rows of E = 3, transposed
-    w_x = Parameter(rng.normal(size=(3, 12)), "w_x")
-    w_h = Parameter(rng.normal(size=(3, 12)), "w_h")
+    w_x = Parameter(np.ascontiguousarray(rng.normal(size=(3, 12)).T), "w_x")   # W_x, 4H x E
+    w_h = Parameter(np.ascontiguousarray(rng.normal(size=(3, 12)).T), "w_h")   # W_h, 4H x H
     ln_gain = Parameter(rng.normal(1.0, 0.1, size=(4, 3)), "ln_g")
     gate_b = Parameter(rng.normal(size=(12,)), "gate_b")
     h0, c0 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))

@@ -155,9 +155,11 @@ class TestLstmScan:
         rng = np.random.default_rng(len(widths))
         rows = _param(rng, (steps * batch, 2), "rows")
         x_dims = [2] + widths
-        x_weights = [_param(rng, (x_dims[k], x_dims[k + 1]), f"x{k}") for k in range(len(widths))]
+        x_weights = _as_factors([rng.normal(size=(x_dims[k], x_dims[k + 1]))
+                                 for k in range(len(widths))], "x")
         dims = [hidden] + widths
-        weights = [_param(rng, (dims[k], dims[k + 1]), f"w{k}") for k in range(len(widths))]
+        weights = _as_factors([rng.normal(size=(dims[k], dims[k + 1]))
+                               for k in range(len(widths))], "w")
         x_gain = Parameter(rng.normal(1.0, 0.2, size=(4, hidden)), "x_gain")
         x_bias = Parameter(rng.normal(0.0, 0.2, size=(4, hidden)), "x_bias")
         gain = Parameter(rng.normal(1.0, 0.2, size=(4, hidden)), "gain")
@@ -181,8 +183,8 @@ class TestLstmScan:
 
     def test_one_record_and_a_plain_last_cell_state(self):
         rng = np.random.default_rng(5)
-        rows, x_weight = _param(rng, (8, 3), "rows"), _param(rng, (3, 8), "x")
-        weight = _param(rng, (2, 8), "w")
+        rows, x_weight = _param(rng, (8, 3), "rows"), _param(rng, (8, 3), "x")
+        weight = _param(rng, (8, 2), "w")
         gain, bias = Parameter(np.ones((4, 2)), "gain"), Parameter(np.zeros((4, 2)), "bias")
         t = Tape()
         hs, c = ag.lstm_scan(t, rows, [x_weight], (gain, bias), [weight], (gain, bias),
@@ -211,10 +213,10 @@ class TestLstmScan:
     @pytest.mark.parametrize("bad", [
         dict(rows=np.zeros((3, 2, 3))),                         # the rows not 2-D
         dict(rows=np.zeros((5, 3))),                            # 5 rows are not T * 2
-        dict(x_weights=[np.zeros((3, 4)), np.zeros((5, 8))]),   # 4 columns into a 5-row factor
-        dict(x_weights=[np.zeros((4, 8))]),                     # 3 columns into a 4-row factor
-        dict(x_weights=[np.zeros((3, 6))]),                     # 6 gate columns for H = 2
-        dict(x_weights=[]),
+        dict(x_factors=[np.zeros((8, 5)), np.zeros((4, 3))]),   # 4 columns into a 5-row factor
+        dict(x_factors=[np.zeros((8, 4))]),                     # 3 columns into a 4-row factor
+        dict(x_factors=[np.zeros((6, 3))]),                     # 6 gate columns for H = 2
+        dict(x_factors=[]),
     ], ids=["rows-not-2d", "rows-not-t-times-batch", "x-factors-do-not-chain",
             "x-factor-does-not-take-the-rows", "x-product-is-not-4h", "no-x-factors"])
     def test_bad_rows_or_wx_factors_raise_shape_error(self, bad, tape):
@@ -223,12 +225,25 @@ class TestLstmScan:
         with pytest.raises(ShapeError):
             _scan_at_h2(tape, **bad)
 
+    @pytest.mark.parametrize("tape", [None, Tape()], ids=["no-tape", "tape"])
+    @pytest.mark.parametrize("key,what,columns", [("x_factors", "W_x", 3), ("h_factors", "W_h", 2)])
+    def test_a_chain_that_does_not_fit_names_the_shapes_as_passed(self, key, what, columns, tape):
+        """A pair ``[F, G^T]`` whose inner ranks differ (4 against 5) is a
+        :class:`ShapeError` that names the factors' shapes in the order and
+        orientation the caller passed them, not the transposes the scan
+        multiplies by."""
+        with pytest.raises(ShapeError) as err:
+            _scan_at_h2(tape, **{key: [np.zeros((8, 4)), np.zeros((5, columns))]})
+        assert str(err.value) == (f"{what} factors [(8, 4), (5, {columns})] do not multiply "
+                                  f"to a (8, {columns}) matrix")
+
     def test_wx_gradients_are_those_of_a_product_formed_before_the_scan(self):
-        """The scan's own ``W_x`` product and its adjoint give bitwise the
-        gradients of a gather, one ``ag.matmul`` per transposed factor of an
-        MPS pair ``[F, G^T]`` and a scan of that product (through an
-        identity factor, whose product and pull keep every bit): the
-        embedding, factor and layer-norm gradients, over two row blocks."""
+        """The scan's own ``W_x`` product and its adjoint, on an MPS pair
+        ``[F, G^T]`` passed as it is, give bitwise the gradients of a
+        gather, one ``ag.matmul`` per transposed factor of the pair and a
+        scan of that product (through an identity factor, whose product and
+        pull keep every bit): the embedding, factor and layer-norm
+        gradients, over two row blocks."""
         rng = np.random.default_rng(12)
         steps, batch, hidden, embed, rank = 35, 20, 16, 24, 5
         table = _param(rng, (50, embed), "embedding")
@@ -245,9 +260,10 @@ class TestLstmScan:
                 p.grad = None
             t = Tape()
             rows = ag.gather_rows(t, table, ids)
-            factors = [ag.transpose(t, g_t), ag.transpose(t, f)]    # x G, then (x G) F^T
+            factors = [f, g_t]
             if not in_scan:
-                rows = ag.matmul(t, ag.matmul(t, rows, factors[0]), factors[1])
+                g, f_t = ag.transpose(t, g_t), ag.transpose(t, f)
+                rows = ag.matmul(t, ag.matmul(t, rows, g), f_t)     # x G, then (x G) F^T
                 factors = [np.eye(4 * hidden)]
             hs, _ = ag.lstm_scan(t, rows, factors, x_norm, weights, h_norm, gate_bias, h0, c0)
             backward(t, ag.reduce_sum(t, ag.mul(t, hs, out_grad)))
@@ -278,8 +294,8 @@ _UNIT_NORM = (np.ones((4, 2)), np.zeros((4, 2)))      # a layer norm's (gain, bi
 def _scan_at_h2(tape, **changes):
     """``lstm_scan`` on zeros at T = 3, batch 2, E = 3 and H = 2, one
     factor per stack, with ``changes`` replacing any of its inputs."""
-    args = dict(rows=np.zeros((6, 3)), x_weights=[np.zeros((3, 8))], x_norm=_UNIT_NORM,
-                weights=[np.zeros((2, 8))], h_norm=_UNIT_NORM, gate_bias=np.zeros(8),
+    args = dict(rows=np.zeros((6, 3)), x_factors=[np.zeros((8, 3))], x_norm=_UNIT_NORM,
+                h_factors=[np.zeros((8, 2))], h_norm=_UNIT_NORM, gate_bias=np.zeros(8),
                 h0=np.zeros((2, 2)), c0=np.zeros((2, 2)))
     args.update(changes)
     return ag.lstm_scan(tape, **args)
@@ -614,12 +630,16 @@ class TestKernelMemory:
 
 
 def _reference_scan(xv, xws, xgv, xbv, ws, gv, bv, gbv, h, c, g, eps=1e-5):
-    """The ``W_x`` product ``ax`` of the rows ``xv``, one ``@`` per factor
-    as ``matmul`` runs it, a ``W_x`` layer norm over its ``(T batch, 4,
-    H)`` rows, then the scan written out step by step, all with fresh
-    arrays: the hidden states, the last cell state and, for the output
-    gradient ``g``, the gradients of the inputs and of each weight (the
-    ``W_x`` factors' by ``matmul``'s pulls)."""
+    """The ``W_x`` product ``ax`` of the rows ``xv``, one ``@`` per array
+    of ``xws`` as ``matmul`` runs it, a ``W_x`` layer norm over its ``(T
+    batch, 4, H)`` rows, then the scan written out step by step with one
+    ``@`` per array of ``ws``, all with fresh arrays: the hidden states, the
+    last cell state and, for the output gradient ``g``, the gradients of
+    the inputs and of each factor. ``xws`` and ``ws`` are the arrays the
+    rows are multiplied by, the ``.T`` views of a stack's factors, last
+    factor first; each factor's gradient is the transpose of its view's
+    (``W_x``'s by ``matmul``'s pulls), keyed by its place in the stack's
+    list."""
     batch, hidden = h.shape
     width = 4 * hidden
     x_ins = [xv]
@@ -684,26 +704,35 @@ def _reference_scan(xv, xws, xgv, xbv, ws, gv, bv, gbv, h, c, g, eps=1e-5):
              "bias": d_norm.sum(axis=(0, 1)), "gate_bias": d_pre.sum(axis=(0, 1)),
              "h0": dh, "c0": dc}
     for k in range(len(ws)):
-        grads[f"w{k}"] = np.tensordot(np.stack(ins[k]), d_outs[k], ([0, 1], [0, 1]))
+        grads[f"w{len(ws) - 1 - k}"] = np.tensordot(np.stack(ins[k]), d_outs[k], ([0, 1], [0, 1])).T
     for k in reversed(range(len(xws))):
-        grads[f"x{k}"] = x_ins[k].T @ d
+        grads[f"x{len(xws) - 1 - k}"] = (x_ins[k].T @ d).T
         d = d @ xws[k].T
     grads["rows"] = d
     return hs, c, grads
 
 
+def _as_factors(mats, prefix):
+    """The factors, in a stack's orientation, whose ``.T`` views, last
+    factor first, are ``mats``: contiguous copies, so that ``grad_check``'s
+    in-place perturbation reaches them, named ``prefix`` and their place in
+    the list."""
+    return [Parameter(np.ascontiguousarray(m.T), f"{prefix}{k}")
+            for k, m in enumerate(reversed(mats))]
+
+
 def _chain(rng, dims, prefix):
-    """Factors taking ``dims[0]`` columns through ``dims[1:]``, scaled by
-    their input width, named ``prefix`` and their index."""
-    return [Parameter(rng.normal(size=(dims[k], dims[k + 1])) / np.sqrt(dims[k]), f"{prefix}{k}")
-            for k in range(len(dims) - 1)]
+    """A stack's factors whose transposes take ``dims[0]`` columns through
+    ``dims[1:]``, each scaled by the width it takes (:func:`_as_factors`)."""
+    return _as_factors([rng.normal(size=(dims[k], dims[k + 1])) / np.sqrt(dims[k])
+                        for k in range(len(dims) - 1)], prefix)
 
 
 def _scan_args(rng, steps, batch, hidden, widths, x_dims=(5,)):
     """``lstm_scan``'s inputs after ``tape``: ``steps * batch`` time-major
-    rows of ``x_dims[0]`` columns, ``W_x`` factors from them through
-    ``x_dims[1:]`` to ``4 hidden``, its layer norm's gain and bias,
-    ``W_h`` factors from ``hidden`` through ``widths``, the ``W_h`` layer
+    rows of ``x_dims[0]`` columns, ``W_x`` factors (:func:`_chain`) from
+    them through ``x_dims[1:]`` to ``4 hidden``, its layer norm's gain and
+    bias, ``W_h`` factors from ``hidden`` through ``widths``, the ``W_h`` layer
     norm's gain and bias, the gate bias and the entering state, all
     Parameters named as the reference scan names their gradients."""
     rows = _param(rng, (steps * batch, x_dims[0]), "rows")
@@ -727,9 +756,9 @@ def _check_scan(rng, steps, batch, hidden, widths, taped=True, x_dims=(5,)):
     params = [rows, *x_weights, x_gain, x_bias, *weights, gain, bias, gate_bias, h0, c0]
     g = rng.normal(size=(steps, batch, hidden))
     want_hs, want_c, want = _reference_scan(
-        rows.value, [w.value for w in x_weights], x_gain.value, x_bias.value,
-        [w.value for w in weights], gain.value, bias.value, gate_bias.value, h0.value,
-        c0.value, g)
+        rows.value, [w.value.T for w in reversed(x_weights)], x_gain.value, x_bias.value,
+        [w.value.T for w in reversed(weights)], gain.value, bias.value, gate_bias.value,
+        h0.value, c0.value, g)
     hs, c = ag.lstm_scan(None, *args)
     assert hs.value.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
     if not taped:

@@ -736,6 +736,38 @@ def test_output_into_a_missing_directory_exits_2_before_any_work(workdir, teache
     assert proc.stderr.startswith("config error:") and str(missing) in proc.stderr
 
 
+@pytest.mark.parametrize("command,flag,target", [
+    ("train", "--out", "folder"), ("train", "--out", "folder/"), ("train", "--out", "vocab"),
+    ("train", "--records", "folder"), ("eval", "--records", "folder"),
+    ("bench", "--records", "folder"), ("info", "--records", "folder"),
+], ids=["train-out", "train-out-slash", "train-out-vocab", "train-records", "eval-records",
+        "bench-records", "info-records"])
+def test_output_path_naming_a_directory_exits_2_before_any_work(workdir, teacher, tmp_path,
+                                                                command, flag, target):
+    """An output path that names an existing directory (``--out``, with or
+    without a trailing separator, the ``.vocab`` file next to it, or
+    ``--records``) exits 2 before any work: no epoch, perplexity or CSV line
+    on stdout, and no file written next to it or inside it."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    (tmp_path / "model.ttlm.vocab").mkdir()
+    path = {"folder": str(folder), "folder/": str(folder) + os.sep,
+            "vocab": str(tmp_path / "model.ttlm")}[target]
+    if command == "train":
+        argv = ["train", "--config", workdir / "dense.cfg", "--corpus", workdir / "corpus.txt",
+                "--out", path if flag == "--out" else tmp_path / "x.ttlm"]
+    else:
+        argv = [command, "--model", teacher] + (["--corpus", workdir / "test.txt"]
+                                                if command != "info" else [])
+    if flag == "--records":
+        argv += ["--records", path]
+    before = sorted(tmp_path.rglob("*"))
+    proc = run_cli(*argv, expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error:") and "is a directory" in proc.stderr
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 _ALWAYS_WRITTEN = ["format_version", "vocab_size", "embed_dim", "hidden_dim", "unroll",
                    "batch_size", "gate_order", "init_kind", "seed", "vocab_sha256", "tensors",
                    "wx_kind", "wh_kind"]

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ttlstm.data import (
     save_vocab,
     synthetic_corpus,
 )
-from ttlstm.errors import DomainError, FormatError, VocabError
+from ttlstm.errors import DomainError, FormatError, ShapeError, VocabError
 
 
 class TestBuildVocab:
@@ -161,6 +162,14 @@ class TestMakeBatches:
         """They used to be truncated: 0.9 read as id 0, 3.99 as id 3."""
         with pytest.raises(VocabError):
             make_batches(np.arange(13) + 0.9, batch_size=2, unroll=3)
+
+    def test_ids_that_are_not_one_stream_raise_shape_error(self):
+        """With batch 4 a ``(3, 101)`` array used to fail inside numpy's
+        reshape, and a ``(3, 100)`` one was flattened into four lanes that
+        cross its rows."""
+        for shape in ((3, 101), (3, 100)):
+            with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+                make_batches(np.zeros(shape, dtype=np.int64), batch_size=4, unroll=5)
 
 
 class TestSyntheticCorpus:

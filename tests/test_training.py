@@ -417,15 +417,17 @@ class TestPenaltyDispatch:
         training._window_loss(student, Tape(), batch, penalties, None)
         assert calls == builds
 
-    def test_a_kda_mps_window_records_29_ops(self):
-        """A CE + kda window of an MPS student records 29 ops: the scan forms
-        the ``W_x`` product from the gathered rows itself, where a ``matmul``
-        per factor of the pair and a ``reshape`` made it 32."""
+    def test_a_kda_mps_window_records_25_ops(self):
+        """A CE + kda window of an MPS student records 25 ops: the scan takes
+        both stacks' factor pairs as ``TTLinear.factors`` builds them, where a
+        transpose record per factor made it 29, and it forms the ``W_x``
+        product from the gathered rows itself, where a ``matmul`` per factor
+        of the pair and a ``reshape`` made it 32."""
         student, ids, _, cfg, teacher, cov_x, cov_h = _kd_setup("mps", 3, "kda", 1)
         penalties = _window_penalties(student, teacher, cov_x, cov_h, cfg.distill)
         tape = Tape()
         training._window_loss(student, tape, next(iter(make_batches(ids, 4, 8))), penalties, None)
-        assert len(tape) == 29
+        assert len(tape) == 25
 
     @pytest.mark.parametrize("rep", ["mps", "mpo"])
     def test_window_loss_with_kda_penalty_passes_grad_check(self, rep):

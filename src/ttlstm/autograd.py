@@ -721,9 +721,9 @@ def grad_check(params: list[Var], build_loss, h: float = 1e-5) -> float:
     analytic = [np.zeros_like(p.value) if p.grad is None else p.grad.copy() for p in params]
     worst = 0.0
     for p, ga in zip(params, analytic):
-        flat = p.value.reshape(-1)
+        flat = p.value.flat         # writes reach p.value, also when it is a view
         gflat = ga.reshape(-1)
-        for k in range(flat.size):
+        for k in range(p.value.size):
             orig = flat[k]
             flat[k] = orig + h
             up = float(build_loss(None).value)

@@ -14,6 +14,18 @@ the one for W_h over teacher-produced hidden states, in a preliminary
 teacher pass over the training stream (``training.stack_covariances``,
 which returns the two ``S`` arrays that the penalties take).
 
+One record per stack. :func:`stack_penalty` takes the factor list
+``TTLinear.factors`` builds for the window and records the penalty as one
+tape record with a hand-written adjoint, whatever the stack kind.
+
+Dense penalty. A dense or MPO stack's list is ``[W]``. The record forms
+``D = W - W*`` and ``P = D S`` once (``P = D`` for ``kdw``), returns
+``lambda sum D o P`` and keeps only ``P``; its adjoint returns ``2 lambda g
+P``. For ``kda`` the forward costs ``N M^2`` multiply-adds and the adjoint
+none beyond scaling ``P``, where an op-by-op graph (sub, matmul by ``S``,
+mul, sum, scale) forms ``D S`` twice, once forward and once in the
+matmul's adjoint.
+
 Factored penalty. An MPS student keeps its stack as the factor pair
 ``W = F G^T`` (``F`` is ``N x r``, ``G^T`` is ``r x M``), and expanding
 the trace gives
@@ -24,19 +36,18 @@ with ``c = Trace[W* S W*^T]``, where ``o`` is the elementwise product.
 :class:`KdTarget` holds no array beyond the teacher's own: ``W*`` itself,
 ``S`` and the number ``c``, whose build costs ``N M^2 / 2`` multiply-adds
 once per training run (``W*^T W*`` is symmetric); for ``kdw`` (``S = I``)
-``c`` is ``||W*||_F^2``. :func:`factored_kd_penalty` computes it as one
-tape record with a hand-written adjoint. Its forward costs ``r M^2 + N M r
-+ N r^2 + r^2 M`` multiply-adds per window (``kdw`` skips the ``r M^2``
-products with ``S``), and so does its adjoint; neither builds an ``N x M``
-array. At ``(50,52) x (25,26)`` rank 109 that is 268.9M forward and
-268.9M backward per stack, where the dense :func:`kd_penalty` on ``F
-G^T`` pays ``N r M`` for the product and ``N M^2`` more for ``kda``,
-1,282.7M forward. Each ``N M r`` product is formed with ``r`` rows and
-``N`` or ``M`` columns: OpenBLAS runs a product with 109 output columns
-about 30% slower than its transpose. Precision: the three terms nearly
-cancel as ``W -> W*``, so its absolute rounding error is about ``eps *
-c`` rather than ``eps`` times the penalty; far from the teacher the two
-forms agree to rounding.
+``c`` is ``||W*||_F^2``. On ``[F, G^T]`` the record's forward costs ``r
+M^2 + N M r + N r^2 + r^2 M`` multiply-adds per window (``kdw`` skips the
+``r M^2`` products with ``S``), and so does its adjoint; neither builds an
+``N x M`` array. At ``(50,52) x (25,26)`` rank 109 that is 268.9M forward
+and 268.9M backward per stack, where the dense record on ``F G^T`` pays
+``N r M`` for the product and ``N M^2`` more for ``kda``, 1,282.7M
+forward. Each ``N M r`` product is formed with ``r`` rows and ``N`` or
+``M`` columns: OpenBLAS runs a product with 109 output columns about 30%
+slower than its transpose. Precision: the three terms nearly cancel as
+``W -> W*``, so its absolute rounding error is about ``eps * c`` rather
+than ``eps`` times the penalty; far from the teacher the two forms agree
+to rounding.
 """
 
 from __future__ import annotations
@@ -57,8 +68,8 @@ __all__ = [
     "KdTarget",
     "TeacherWeights",
     "accumulate_covariance",
-    "factored_kd_penalty",
     "kd_penalty",
+    "stack_penalty",
     "total_loss",
 ]
 
@@ -127,42 +138,20 @@ def accumulate_covariance(rows: np.ndarray) -> DataCovariance:
     return DataCovariance(matrix, rows.shape[0], mean)
 
 
-def kd_penalty(tape, teacher_w: np.ndarray, student_w: Var, lam: float,
-               cov: np.ndarray | None = None) -> Var:
-    """Differentiable distillation penalty on one stack.
-
-    ``cov=None`` is the identity (weight matching); otherwise the penalty
-    weights the difference by the ``M x M`` covariance array. Gradients
-    flow into whatever produced ``student_w`` (typically the train cores).
-    """
-    teacher_w = np.asarray(teacher_w, dtype=np.float64)
-    if teacher_w.shape != student_w.shape:
-        raise ShapeError(f"teacher {teacher_w.shape} vs student {student_w.shape}")
-    diff = ag.sub(tape, teacher_w, student_w)
-    if cov is None:
-        quad = ag.mul(tape, diff, diff)
-    else:
-        s = np.asarray(cov, dtype=np.float64)
-        if s.shape != (teacher_w.shape[1], teacher_w.shape[1]):
-            raise ShapeError(f"covariance {s.shape} does not match stack columns")
-        quad = ag.mul(tape, diff, ag.matmul(tape, diff, s))
-    return ag.scale(tape, ag.reduce_sum(tape, quad), float(lam))
-
-
 @dataclass(frozen=True)
 class KdTarget:
-    """What the factored penalty of one stack needs from the teacher: the
-    teacher's own ``w = W*`` (``N x M``, not a copy), ``c = Trace[W* S W*^T]``
-    and ``s`` (``None`` for the identity), which must be exactly symmetric
-    (else :class:`DomainError`). Built once per training run by
-    :meth:`build`, which symmetrizes ``s``."""
+    """What the penalty of one stack needs from the teacher: the teacher's
+    own ``w = W*`` (``N x M``, not a copy), ``c = Trace[W* S W*^T]`` (read
+    by the factored form only) and ``s`` (``None`` for the identity), which
+    must be exactly symmetric (else :class:`DomainError`). Built once per
+    training run by :meth:`build`, which symmetrizes ``s``."""
 
     w: np.ndarray
     c: float
     s: np.ndarray | None
 
     def __post_init__(self):
-        # the factored penalty takes S as its own transpose
+        # both penalty forms take S as its own transpose
         if self.s is not None and not np.array_equal(self.s, self.s.T):
             raise DomainError("KdTarget.s must be exactly symmetric; KdTarget.build "
                               "symmetrizes an asymmetric covariance")
@@ -184,24 +173,39 @@ class KdTarget:
         return cls(w_star, float(np.vdot(s, w_star.T @ w_star)), s)
 
 
-def factored_kd_penalty(tape, target: KdTarget, f: Var, g_t: Var, lam: float) -> Var:
-    """:func:`kd_penalty` of the stack ``W = F G^T`` from its factor pair
-    ``[F, G^T]`` (``ttrain.factor_pair``), without forming ``W``, as one
-    record.
+def stack_penalty(tape, target: KdTarget, factors: list[Var], lam: float) -> Var:
+    """The penalty ``lam Tr[(W - W*) S (W - W*)^T]`` of one stack from the
+    factor list ``TTLinear.factors`` builds, as one tape record; gradients
+    flow into the factors.
 
-    Equal to ``kd_penalty(tape, W*, F G^T, lam, S)`` up to rounding;
-    gradients flow into ``f`` and ``g_t``. The forward forms ``(S G)^T =
-    G^T S``, ``T^T = (S G)^T W*^T``, ``F^T F`` and ``K = (S G)^T G``; the
-    record keeps ``T^T`` and the two ``r x r`` arrays, and its adjoint
+    ``[W]`` (dense and MPO): the forward forms ``D = W - W*`` and ``P = D S``
+    once (``P = D`` for ``kdw``) and returns ``lam sum D o P``; the record
+    keeps only ``P``, and its adjoint returns ``2 lam g P``. It does not
+    read ``target.c``.
+
+    ``[F, G^T]`` (MPS, ``ttrain.factor_pair``) never forms ``W``: the
+    forward forms ``(S G)^T = G^T S``, ``T^T = (S G)^T W*^T``, ``F^T F`` and
+    ``K = (S G)^T G`` and returns ``lam (c - 2 sum F o T + sum F^T F o K)``;
+    the record keeps ``T^T`` and the two ``r x r`` arrays, and its adjoint
     returns ``dF = 2 lam g (F K - T)`` and ``dG^T = 2 lam g (F^T F G^T -
     F^T W*) S``. Each ``N M r`` product is formed with ``r`` rows and a
     wide output, which BLAS runs faster than its narrow transpose.
     """
-    fv, gtv = ag._val(f), ag._val(g_t)
     w, s = target.w, target.s
+    lam = float(lam)
+    if len(factors) == 1:
+        (m,) = factors
+        mv = ag._val(m)
+        if mv.shape != w.shape:
+            raise ShapeError(f"stack {mv.shape} vs target {w.shape}")
+        d = mv - w
+        p = d if s is None else d @ s
+        return ag._emit(tape, np.float64(lam * (d * p).sum()),
+                        [(m, lambda g: np.multiply(p, 2.0 * lam * float(g), out=p))])
+    f, g_t = factors
+    fv, gtv = ag._val(f), ag._val(g_t)
     if (fv.shape[0], gtv.shape[1]) != w.shape or fv.shape[1] != gtv.shape[0]:
         raise ShapeError(f"factor pair {fv.shape}, {gtv.shape} vs target {w.shape}")
-    lam = float(lam)
     sg_t = gtv if s is None else gtv @ s        # (S G)^T, r x M; S is symmetric
     t_t = sg_t @ w.T                            # T^T = (W* S G)^T, r x N
     ftf = fv.T @ fv
@@ -224,6 +228,21 @@ def factored_kd_penalty(tape, target: KdTarget, f: Var, g_t: Var, lam: float) ->
 
     return ag._emit(tape, np.float64(lam * (quad + target.c)),
                     ag._pulls(adjoint, [(f, "f"), (g_t, "g_t")]))
+
+
+def kd_penalty(tape, teacher_w: np.ndarray, student_w: Var, lam: float,
+               cov: np.ndarray | None = None) -> Var:
+    """Differentiable distillation penalty on one stack from its dense
+    matrix: :func:`stack_penalty` on ``[student_w]``.
+
+    ``cov=None`` is the identity (weight matching); otherwise the penalty
+    weights the difference by the ``M x M`` covariance array. Gradients
+    flow into whatever produced ``student_w`` (typically the train cores).
+    """
+    teacher_w = np.asarray(teacher_w, dtype=np.float64)
+    if teacher_w.shape != student_w.shape:
+        raise ShapeError(f"teacher {teacher_w.shape} vs student {student_w.shape}")
+    return stack_penalty(tape, KdTarget.build(teacher_w, cov), [student_w], lam)
 
 
 def total_loss(tape, ce: Var, penalty: Var | None) -> Var:

@@ -25,9 +25,9 @@ from . import autograd as ag
 from .autograd import Tape
 from .data import make_batches
 from .distill import (DistillConfig, KdTarget, TeacherWeights, accumulate_covariance,
-                      factored_kd_penalty, kd_penalty, total_loss)
+                      stack_penalty, total_loss)
 from .errors import ConfigError, DomainError, NumericError
-from .nn import TTLinear, TTLstmModel, _recurrence, forward_lm, sequence_nll
+from .nn import TTLstmModel, _recurrence, forward_lm, sequence_nll
 
 __all__ = ["TrainConfig", "EpochStats", "train_model", "evaluate", "stack_covariances",
            "collect_stack_inputs", "clip_gradients"]
@@ -139,24 +139,15 @@ def evaluate(model: TTLstmModel, ids: np.ndarray):
     return nll, float(np.exp(nll))
 
 
-def _stack_penalty(stack: TTLinear, teacher_w: np.ndarray, cov, lam: float):
-    """``(tape, factors) -> penalty Var`` for one gate stack, on the factor
-    list ``forward_lm`` built for the window: the factored penalty on an MPS
-    pair ``[F, G^T]`` from a :class:`KdTarget` built here once per call
-    (``W*`` itself, ``S`` and ``Tr[W* S W*^T]``; no ``N x M`` copy),
-    ``kd_penalty`` on a dense or MPO stack's one factor ``[W]``."""
-    if stack.kind == "mps":
-        target = KdTarget.build(teacher_w, cov)
-        return lambda tape, factors: factored_kd_penalty(tape, target, *factors, lam)
-    return lambda tape, factors: kd_penalty(tape, teacher_w, factors[0], lam, cov)
-
-
-def _window_loss(model, tape, batch, penalties, state):
+def _window_loss(model, tape, batch, targets, lam, state):
+    """CE over the window plus, with ``targets`` (one :class:`KdTarget` per
+    stack), each stack's penalty on the factor list ``forward_lm`` built."""
     out = forward_lm(model, batch.inputs, tape, state=state)
     ce = sequence_nll(tape, out, batch.targets)
     penalty = None
-    if penalties:
-        penalty = ag.add(tape, *(pen(tape, f) for pen, f in zip(penalties, out.factors)))
+    if targets:
+        penalty = ag.add(tape, *(stack_penalty(tape, t, f, lam)
+                                 for t, f in zip(targets, out.factors)))
     return total_loss(tape, ce, penalty), float(ce.value), out.state
 
 
@@ -169,8 +160,9 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
     ``cfg.distill``; ``cov_x``/``cov_h`` supply the activation covariance
     arrays for ``kda`` mode (:func:`stack_covariances`), ``E x E`` and
     ``H x H`` (else :class:`ConfigError`).
-    The penalty reads the window's factors from ``forward_lm``: the factored
-    form on an MPS pair, ``kd_penalty`` on a dense or MPO ``[W]`` (:mod:`distill`).
+    Each stack's penalty is one ``distill.stack_penalty`` record on the
+    window's factor list from ``forward_lm``, ``[F, G^T]`` or ``[W]``, against
+    a :class:`KdTarget` built once per stack per call.
     ``epoch_callback`` receives the :class:`EpochStats` of each completed
     epoch. A stream of either split shorter than one window raises
     :class:`DomainError` before any window runs. A non-finite loss or
@@ -197,11 +189,10 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
         if teacher.wx.shape != (model.wx.out_dim, model.wx.in_dim) or \
            teacher.wh.shape != (model.wh.out_dim, model.wh.in_dim):
             raise ConfigError("teacher stacks do not match the student architecture")
-    penalties = None
+    targets = None
     if distill.active:
         sx, sh = (cov_x, cov_h) if kda else (None, None)
-        penalties = (_stack_penalty(model.wx, teacher.wx, sx, distill.lam),
-                     _stack_penalty(model.wh, teacher.wh, sh, distill.lam))
+        targets = (KdTarget.build(teacher.wx, sx), KdTarget.build(teacher.wh, sh))
     arch = model.arch
     stream = make_batches(train_ids, arch.batch_size, arch.unroll)
     make_batches(valid_ids, arch.batch_size, arch.unroll)     # fail before training, not after
@@ -217,7 +208,7 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
         for batch in stream:
             model.zero_grads()
             tape = Tape()
-            loss, ce_value, state = _window_loss(model, tape, batch, penalties, state)
+            loss, ce_value, state = _window_loss(model, tape, batch, targets, distill.lam, state)
             if not np.isfinite(loss.value):
                 raise NumericError(f"non-finite loss in epoch {epoch}")
             ag.backward(tape, loss)

@@ -3,7 +3,8 @@
 These deliberately avoid the library's contraction code paths: entries are
 computed with explicit Python loops over ``itertools.product`` enumerations
 (which visit multi-indices in exactly the big-endian colexicographic order
-the package uses).
+the package uses). The distillation oracle is built from generic autograd
+ops, not from ``distill``'s records.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 
 import numpy as np
 
+import ttlstm.autograd as ag
 from ttlstm.ttrain import InitScheme, MpoTrain, MpsTrain, ShapeFactorization, new_mpo, new_mps
 
 
@@ -82,3 +84,12 @@ def random_mpo(rng: np.random.Generator, max_factor=4, max_parts=3, max_rank=4) 
     fact = ShapeFactorization(rows, cols)
     ranks = (1,) + tuple(int(rng.integers(1, max_rank + 1)) for _ in range(n - 1)) + (1,)
     return new_mpo(fact, ranks, InitScheme(), seed=int(rng.integers(2**31)))
+
+
+def five_op_kd_penalty(tape, w_star, w, lam, cov=None):
+    """``lam Tr[(W* - W) S (W* - W)^T]`` as a graph of five autograd ops:
+    sub, matmul by ``S`` (skipped for ``cov=None``), mul, reduce_sum, scale.
+    ``S`` is used as given, asymmetric or not."""
+    diff = ag.sub(tape, w_star, w)
+    weighted = diff if cov is None else ag.matmul(tape, diff, cov)
+    return ag.scale(tape, ag.reduce_sum(tape, ag.mul(tape, diff, weighted)), float(lam))

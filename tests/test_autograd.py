@@ -863,6 +863,14 @@ class TestBackwardMechanics:
         constant = Var(np.ones(3))
         assert grad_check([], lambda t: ag.reduce_sum(t, ag.mul(t, constant, constant))) == 0.0
 
+    def test_grad_check_perturbs_a_parameter_that_is_a_view(self):
+        # a .T value is not contiguous: a perturbation written to a reshaped
+        # copy would never reach the loss, and every difference would read 0
+        a = Parameter(np.arange(6.0).reshape(2, 3).T, "a")
+        assert not a.value.flags.c_contiguous
+        assert grad_check([a], lambda t: ag.reduce_sum(t, ag.mul(t, a, a))) < 1e-6
+        np.testing.assert_array_equal(a.value, np.arange(6.0).reshape(2, 3).T)
+
 
 class TestTrainGradients:
     def test_all_ones_rank_one_core_grads(self):

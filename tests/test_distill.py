@@ -2,21 +2,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import five_op_kd_penalty
 import ttlstm.autograd as ag
-from ttlstm.autograd import Tape, Var, backward, grad_check
+from ttlstm.autograd import Parameter, Tape, Var, backward, grad_check
 from ttlstm.distill import (
     LAMBDA_GRID,
     DistillConfig,
     KdTarget,
     accumulate_covariance,
-    factored_kd_penalty,
     kd_penalty,
+    stack_penalty,
     total_loss,
 )
 from ttlstm.errors import ConfigError, DomainError, NumericError, ShapeError
 from ttlstm.nn import TTLinear
-from ttlstm.ttrain import ShapeFactorization, new_mps
+from ttlstm.ttrain import ShapeFactorization, new_mpo, new_mps
 
 
 class TestAccumulateCovariance:
@@ -135,8 +138,8 @@ class TestKdPenalty:
 
     @pytest.mark.parametrize("mode", ["kdw", "kda"])
     def test_taped_penalty_keeps_no_quad(self, mode):
-        # the pulls need diff (and diff S for kda), each N x M; the
-        # elementwise product they sum is freed once summed
+        # the record keeps P = (W - W*) S, or W - W* for kdw, one N x M
+        # array; W - W* and the elementwise product are freed once summed
         rng = np.random.default_rng(18)
         n, m = 600, 200
         w_star, w = rng.normal(size=(n, m)), Var(rng.normal(size=(n, m)))
@@ -148,8 +151,7 @@ class TestKdPenalty:
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        arrays = 2 if mode == "kda" else 1
-        assert kept < (arrays + 0.5) * n * m * 8
+        assert kept < 1.5 * n * m * 8
         backward(tape, pen)
         assert w.grad.shape == (n, m)
 
@@ -189,7 +191,7 @@ def _mps_student(case, seed=21):
 
 
 def _factored(tape, lin, target, lam):
-    return factored_kd_penalty(tape, target, *lin.factors(tape), lam)
+    return stack_penalty(tape, target, lin.factors(tape), lam)
 
 
 def _op_graph(tape, lin, target, lam):
@@ -221,7 +223,7 @@ class TestFactoredKdPenalty:
         lam = 0.73
         target = KdTarget.build(w_star, s)
         want, want_grads = _value_and_grads(
-            lin, lambda t: kd_penalty(t, w_star, lin.dense_var(t), lam, s))
+            lin, lambda t: five_op_kd_penalty(t, w_star, lin.dense_var(t), lam, s))
         got, got_grads = _value_and_grads(lin, lambda t: _factored(t, lin, target, lam))
         assert abs(got - want) <= 1e-10 * abs(want)
         for p, g, w in zip(lin.parameters(), got_grads, want_grads):
@@ -290,7 +292,7 @@ class TestFactoredKdPenalty:
         tape = Tape()
         factors = lin.factors(tape)
         before = len(tape)
-        factored_kd_penalty(tape, target, *factors, 0.73)
+        stack_penalty(tape, target, factors, 0.73)
         assert len(tape) == before + 1
 
     @pytest.mark.parametrize("mode", ["kdw", "kda"])
@@ -321,7 +323,7 @@ class TestFactoredKdPenalty:
         tape = Tape()
         tracemalloc.start()
         try:
-            pen = factored_kd_penalty(tape, target, f, g_t, 0.73)
+            pen = stack_penalty(tape, target, [f, g_t], 0.73)
             kept = tracemalloc.get_traced_memory()[0]
             backward(tape, pen)
             peak = tracemalloc.get_traced_memory()[1]
@@ -342,7 +344,7 @@ class TestFactoredKdPenalty:
         # the trace sees only the symmetric part of S; so does the target
         lin, w_star, _ = _mps_student("n=m=2, c07 data")
         s = np.random.default_rng(15).normal(size=(5, 5))
-        want = float(kd_penalty(None, w_star, lin.dense_var(None), 1.0, s).value)
+        want = float(five_op_kd_penalty(None, w_star, lin.dense_var(None), 1.0, s).value)
         got = float(_factored(None, lin, KdTarget.build(w_star, s), 1.0).value)
         assert abs(got - want) <= 1e-10 * abs(want)
 
@@ -368,6 +370,78 @@ class TestFactoredKdPenalty:
             KdTarget.build(w_star, np.eye(6))
         with pytest.raises(ShapeError):
             _factored(None, lin, KdTarget.build(w_star.T), 1.0)
+
+
+class TestDenseRecord:
+    """``stack_penalty`` on ``[W]``, the one factor of a dense or MPO stack."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 9), m=st.integers(1, 9), rows=st.integers(1, 12),
+           kda=st.booleans(), lam=st.floats(1e-3, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_value_and_gradient_are_the_activation_sum_and_2_lam_d_s(self, n, m, rows, kda,
+                                                                     lam, seed):
+        # lam sum_i ||(W - W*) x_i||^2 with S = sum_i x_i x_i^T; kdw is S = I,
+        # the x_i the unit vectors
+        rng = np.random.default_rng(seed)
+        w_star, w = rng.normal(size=(n, m)), Var(rng.normal(size=(n, m)))
+        xs = rng.normal(size=(rows, m)) if kda else np.eye(m)
+        target = KdTarget.build(w_star, xs.T @ xs if kda else None)
+        tape = Tape()
+        pen = stack_penalty(tape, target, [w], lam)
+        backward(tape, pen)
+        d = w.value - w_star
+        s = np.eye(m) if target.s is None else target.s
+        want = lam * sum(np.sum((d @ x) ** 2) for x in xs)
+        # rounding bounds: the sum of |D| |x_i| squared, and |D| |S| per entry
+        assert abs(float(pen.value) - want) <= 1e-12 * lam * np.sum((np.abs(d) @ np.abs(xs).T) ** 2)
+        want_grad = 2.0 * lam * d @ s
+        bound = 1e-12 * 2.0 * lam * (np.abs(d) @ np.abs(s))
+        assert np.all(np.abs(w.grad - want_grad) <= bound)
+
+    @pytest.mark.parametrize("mode", ["kdw", "kda"])
+    def test_matches_the_five_op_graph(self, mode):
+        # value bitwise in both modes (W - W* is exactly -(W* - W)), the kdw
+        # gradient bitwise ((2 lam g) D is exactly 2 (lam g D)); the kda
+        # gradient forms (lam g D) S against (2 lam g) (D S): reassociation.
+        # The record never reads c, so a NaN there changes nothing.
+        rng = np.random.default_rng(19)
+        w_star, w = rng.normal(size=(40, 30)), Parameter(rng.normal(size=(40, 30)), "w")
+        cov = accumulate_covariance(rng.normal(size=(50, 30))).matrix if mode == "kda" else None
+        target = KdTarget(w_star, np.nan, KdTarget.build(w_star, cov).s)
+        got = []
+        for build in (lambda t: five_op_kd_penalty(t, w_star, w, 0.73, cov),
+                      lambda t: stack_penalty(t, target, [w], 0.73)):
+            tape = Tape()
+            pen = build(tape)
+            w.grad = None
+            backward(tape, pen, seed=1.7)
+            got.append((float(pen.value), w.grad.copy()))
+        (want, want_grad), (value, grad) = got
+        assert value == want
+        if mode == "kdw":
+            assert grad.tobytes() == want_grad.tobytes()
+        assert np.max(np.abs(grad - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))
+
+    @pytest.mark.parametrize("mode", ["kdw", "kda"])
+    def test_grad_check_through_an_mpo_dense_matrix(self, mode):
+        fact = ShapeFactorization((2, 3), (3, 2))
+        lin = TTLinear.from_train(new_mpo(fact, (1, 3, 1), seed=23), name="w")
+        rng = np.random.default_rng(24)
+        w_star = rng.normal(size=(6, 6))
+        cov = accumulate_covariance(rng.normal(size=(20, 6))).matrix if mode == "kda" else None
+        target = KdTarget.build(w_star, cov)
+        assert lin.kind == "mpo" and len(lin.factors(None)) == 1
+        assert grad_check(lin.parameters(),
+                          lambda t: stack_penalty(t, target, lin.factors(t), 0.31)) < 1e-5
+
+    def test_one_record_and_shape_mismatch(self):
+        rng = np.random.default_rng(25)
+        w_star, w = rng.normal(size=(4, 3)), Var(rng.normal(size=(4, 3)))
+        tape = Tape()
+        stack_penalty(tape, KdTarget.build(w_star), [w], 0.5)
+        assert len(tape) == 1
+        with pytest.raises(ShapeError, match=r"stack \(4, 3\) vs target \(3, 4\)"):
+            stack_penalty(None, KdTarget.build(w_star.T), [w], 0.5)
 
 
 class TestTotalLoss:

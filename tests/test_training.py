@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import five_op_kd_penalty
 import ttlstm.autograd as ag
 from ttlstm.autograd import Parameter, Tape, grad_check
 from ttlstm.data import build_vocab, encode_stream, make_batches, synthetic_corpus
-from ttlstm.distill import (DistillConfig, TeacherWeights, accumulate_covariance, kd_penalty,
+from ttlstm.distill import (DistillConfig, KdTarget, TeacherWeights, accumulate_covariance,
                             total_loss)
 from ttlstm.errors import ConfigError, DomainError, NumericError
 import ttlstm.nn as nn
@@ -367,13 +368,15 @@ def _kd_setup(rep, rank, mode, n_windows=2):
 
 
 def _dense_penalty_replay(model, ids, cfg, teacher, cov_x, cov_h):
-    """``train_model``'s SGD windows with ``kd_penalty`` on each stack's
-    dense matrix, taken from the window's factor list (``W``, or ``F G^T``
-    for an MPS pair): the penalty dense and MPO stacks pay, and the one
-    every stack kind paid before the factored form."""
+    """``train_model``'s SGD windows with the five-op graph of
+    ``conftest.five_op_kd_penalty`` on each stack's dense matrix, taken from
+    the window's factor list (``W``, or ``F G^T`` for an MPS pair): the
+    penalty every stack kind paid before the one-record forms. Returns the
+    parameters and each stack's penalty value per window."""
     params = model.parameters()
     sx, sh = (cov_x, cov_h) if cfg.distill.mode == "kda" else (None, None)
     state = None
+    values = []
     for batch in make_batches(ids, model.arch.batch_size, model.arch.unroll):
         model.zero_grads()
         tape = Tape()
@@ -381,21 +384,21 @@ def _dense_penalty_replay(model, ids, cfg, teacher, cov_x, cov_h):
         ce = sequence_nll(tape, out, batch.targets)
         lam = cfg.distill.lam
         wx, wh = (fs[0] if len(fs) == 1 else ag.matmul(tape, *fs) for fs in out.factors)
-        penalty = ag.add(tape, kd_penalty(tape, teacher.wx, wx, lam, sx),
-                         kd_penalty(tape, teacher.wh, wh, lam, sh))
-        ag.backward(tape, total_loss(tape, ce, penalty))
+        pens = (five_op_kd_penalty(tape, teacher.wx, wx, lam, sx),
+                five_op_kd_penalty(tape, teacher.wh, wh, lam, sh))
+        values += [float(pen.value) for pen in pens]
+        ag.backward(tape, total_loss(tape, ce, ag.add(tape, *pens)))
         clip_gradients(params, cfg.clip)
         for p in params:
             p.value -= cfg.lr * p.grad
         state = out.state
-    return [p.value for p in params]
+    return [p.value for p in params], values
 
 
-def _window_penalties(model, teacher, cov_x, cov_h, distill):
-    """The per-stack penalties ``train_model`` builds for ``distill``."""
+def _window_targets(teacher, cov_x, cov_h, distill):
+    """The per-stack targets ``train_model`` builds for ``distill``."""
     sx, sh = (cov_x, cov_h) if distill.mode == "kda" else (None, None)
-    return (training._stack_penalty(model.wx, teacher.wx, sx, distill.lam),
-            training._stack_penalty(model.wh, teacher.wh, sh, distill.lam))
+    return KdTarget.build(teacher.wx, sx), KdTarget.build(teacher.wh, sh)
 
 
 class TestPenaltyDispatch:
@@ -406,7 +409,7 @@ class TestPenaltyDispatch:
         one ``factor_pair`` per MPS stack, one ``dense_matrix`` per MPO
         stack, for a whole CE + kda window."""
         student, ids, _, cfg, teacher, cov_x, cov_h = _kd_setup(rep, 3, "kda", 1)
-        penalties = _window_penalties(student, teacher, cov_x, cov_h, cfg.distill)
+        targets = _window_targets(teacher, cov_x, cov_h, cfg.distill)
         calls = {name: 0 for name in builds}
         for name in builds:
             def spy(*args, _real=getattr(nn, name), _name=name, **kwargs):
@@ -414,20 +417,26 @@ class TestPenaltyDispatch:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(nn, name, spy)
         batch = next(iter(make_batches(ids, 4, 8)))
-        training._window_loss(student, Tape(), batch, penalties, None)
+        training._window_loss(student, Tape(), batch, targets, cfg.distill.lam, None)
         assert calls == builds
 
-    def test_a_kda_mps_window_records_25_ops(self):
-        """A CE + kda window of an MPS student records 25 ops: the scan takes
-        both stacks' factor pairs as ``TTLinear.factors`` builds them, where a
-        transpose record per factor made it 29, and it forms the ``W_x``
-        product from the gathered rows itself, where a ``matmul`` per factor
-        of the pair and a ``reshape`` made it 32."""
-        student, ids, _, cfg, teacher, cov_x, cov_h = _kd_setup("mps", 3, "kda", 1)
-        penalties = _window_penalties(student, teacher, cov_x, cov_h, cfg.distill)
+    @pytest.mark.parametrize("rep,records", [("mps", 25), ("mpo", 23), ("dense", 9)])
+    def test_a_kda_window_records_a_fixed_number_of_ops(self, rep, records):
+        """A CE + kda window records 25 ops for an MPS student, 23 for an MPO
+        one and 9 for a dense one. Each stack's penalty is one record
+        whatever its kind, where a five-op graph per dense or MPO stack made
+        31 and 17. The scan takes both stacks' factor lists as
+        ``TTLinear.factors`` builds them, where a transpose record per factor
+        made an MPS window 29, and it forms the ``W_x`` product from the
+        gathered rows itself, where a ``matmul`` per factor of the pair and a
+        ``reshape`` made it 32."""
+        student, ids, _, cfg, teacher, cov_x, cov_h = _kd_setup(
+            rep, 0 if rep == "dense" else 3, "kda", 1)
+        targets = _window_targets(teacher, cov_x, cov_h, cfg.distill)
         tape = Tape()
-        training._window_loss(student, tape, next(iter(make_batches(ids, 4, 8))), penalties, None)
-        assert len(tape) == 25
+        batch = next(iter(make_batches(ids, 4, 8)))
+        training._window_loss(student, tape, batch, targets, cfg.distill.lam, None)
+        assert len(tape) == records
 
     @pytest.mark.parametrize("rep", ["mps", "mpo"])
     def test_window_loss_with_kda_penalty_passes_grad_check(self, rep):
@@ -443,10 +452,10 @@ class TestPenaltyDispatch:
         teacher = TeacherWeights(rng.normal(scale=0.5, size=(16, 4)),
                                  rng.normal(scale=0.5, size=(16, 4)))
         cov = accumulate_covariance(rng.normal(size=(30, 4))).matrix
-        penalties = _window_penalties(model, teacher, cov, cov, DistillConfig("kda", 0.05))
+        targets = _window_targets(teacher, cov, cov, DistillConfig("kda", 0.05))
 
         def build(tape):
-            return training._window_loss(model, tape, batch, penalties, state)[0]
+            return training._window_loss(model, tape, batch, targets, 0.05, state)[0]
 
         assert grad_check(model.parameters(), build) < 1e-4
 
@@ -475,23 +484,54 @@ class TestPenaltyDispatch:
         assert (builds[0] is None) == (mode == "kdw")
 
     @staticmethod
-    def _trained_and_replayed(rep, rank, mode):
+    def _trained_and_replayed(monkeypatch, rep, rank, mode):
+        """Parameters after ``train_model`` and after the five-op replay from
+        the same start, and each run's penalty values, stack by stack."""
         student, ids, valid_ids, cfg, teacher, cov_x, cov_h = _kd_setup(rep, rank, mode)
         initial = [p.value.copy() for p in student.parameters()]
+        values = []
+
+        def spy(*args, _real=training.stack_penalty):
+            pen = _real(*args)
+            values.append(float(pen.value))
+            return pen
+
+        monkeypatch.setattr(training, "stack_penalty", spy)
         train_model(student, ids, valid_ids, cfg, teacher=teacher, cov_x=cov_x, cov_h=cov_h)
         trained = [p.value.copy() for p in student.parameters()]
         for p, v in zip(student.parameters(), initial):
             p.value[...] = v
-        return trained, _dense_penalty_replay(student, ids, cfg, teacher, cov_x, cov_h)
+        replayed, replay_values = _dense_penalty_replay(student, ids, cfg, teacher, cov_x, cov_h)
+        return trained, replayed, values, replay_values
 
     @pytest.mark.parametrize("rep,rank", [("dense", 0), ("mpo", 3)])
-    def test_dense_and_mpo_students_keep_the_dense_penalty_bitwise(self, rep, rank):
-        for got, want in zip(*self._trained_and_replayed(rep, rank, "kda")):
-            assert got.tobytes() == want.tobytes()
+    def test_dense_and_mpo_students_keep_the_dense_penalty_bitwise(self, monkeypatch, rep,
+                                                                   rank):
+        """The one-record penalty on ``[W]`` gives the five-op graph's value
+        bitwise. ``kdw`` training keeps its bits; ``kda`` reassociates the
+        gradient, ``(2 lam g) (D S)`` against ``(lam g D) S``, so its
+        parameters, and penalties after the first window, agree to 1e-10."""
+        for mode in ("kdw", "kda"):
+            trained, replayed, values, replay_values = self._trained_and_replayed(
+                monkeypatch, rep, rank, mode)
+            assert len(values) == len(replay_values) == 4
+            if mode == "kdw":
+                assert values == replay_values
+                for got, want in zip(trained, replayed):
+                    assert got.tobytes() == want.tobytes()
+            else:
+                assert values[:2] == replay_values[:2]
+                np.testing.assert_allclose(values, replay_values, rtol=1e-10)
+                for got, want in zip(trained, replayed):
+                    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("mode", ["kdw", "kda"])
-    def test_mps_student_trains_like_the_dense_penalty(self, mode):
-        for got, want in zip(*self._trained_and_replayed("mps", 3, mode)):
+    def test_mps_student_trains_like_the_dense_penalty(self, monkeypatch, mode):
+        trained, replayed, values, replay_values = self._trained_and_replayed(
+            monkeypatch, "mps", 3, mode)
+        np.testing.assert_allclose(values, replay_values, rtol=1e-10)
+        for got, want in zip(trained, replayed):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("cov_x_dim,cov_h_dim", [(5, 12), (12, 5), (12, 0)])
@@ -519,12 +559,12 @@ def test_window_gradients_own_writeable_memory(rep, n_factors, mode):
                      batch_size=4)
     model = build_model(arch, seed=9)
     distill = DistillConfig(mode, 0.05)
-    penalties = (_window_penalties(model, TeacherWeights.from_model(teacher_model),
-                                   cov_x, cov_h, distill) if distill.active else None)
+    targets = (_window_targets(TeacherWeights.from_model(teacher_model), cov_x, cov_h, distill)
+               if distill.active else None)
     batch = next(iter(make_batches(train_ids, 4, 8)))
     model.zero_grads()
     tape = Tape()
-    loss, _, _ = training._window_loss(model, tape, batch, penalties, None)
+    loss, _, _ = training._window_loss(model, tape, batch, targets, distill.lam, None)
     ag.backward(tape, loss)
     params = model.parameters()
     assert all(p.grad is not None and p.grad.flags.writeable for p in params)

@@ -113,6 +113,9 @@ def _dims(cfg: dict[str, str], key: str):
                           f"got {cfg[key]!r}") from None
 
 
+_DIMS_KEYS = ("wx_row_dims", "wx_col_dims", "wh_row_dims", "wh_col_dims")
+
+
 def _build_arch(cfg: dict[str, str], vocab_size: int):
     from .contract import pick_rank
     from .nn import ModelArch
@@ -123,8 +126,7 @@ def _build_arch(cfg: dict[str, str], vocab_size: int):
         hidden_dim=_number(cfg, "hidden_dim"), representation=rep,
         n_factors=_number(cfg, "factors"), init=cfg["init"],
         unroll=_number(cfg, "unroll"), batch_size=_number(cfg, "batch_size"),
-        wx_row_dims=_dims(cfg, "wx_row_dims"), wx_col_dims=_dims(cfg, "wx_col_dims"),
-        wh_row_dims=_dims(cfg, "wh_row_dims"), wh_col_dims=_dims(cfg, "wh_col_dims"),
+        **{key: _dims(cfg, key) for key in _DIMS_KEYS},
     )
     for key in ("vocab_size", "embed_dim", "hidden_dim"):
         if fields[key] > MAX_SIZE:
@@ -133,6 +135,13 @@ def _build_arch(cfg: dict[str, str], vocab_size: int):
     if not 1 <= fields["n_factors"] <= MAX_FACTORS:
         raise ConfigError(f"config key 'factors' must lie in [1, {MAX_FACTORS}], "
                           f"got {fields['n_factors']}")
+    # a dense stack has no cores to factor or draw: these keys off their
+    # ModelArch defaults would go unread
+    ignored = [key for key, field in (("factors", "n_factors"), ("init", "init"),
+                                      *((k, k) for k in _DIMS_KEYS))
+               if rep == "dense" and fields[field] != getattr(ModelArch, field)]
+    if ignored:
+        raise ConfigError(f"a dense model ignores config keys {', '.join(map(repr, ignored))}")
     rank, target = _number(cfg, "rank"), _number(cfg, "target_rate", float)
     if rep == "dense" and (rank or target):
         raise ConfigError("a dense model takes neither 'rank' nor 'target_rate'")

@@ -179,9 +179,10 @@ def stack_penalty(tape, target: KdTarget, factors: list[Var], lam: float) -> Var
     flow into the factors.
 
     ``[W]`` (dense and MPO): the forward forms ``D = W - W*`` and ``P = D S``
-    once (``P = D`` for ``kdw``) and returns ``lam sum D o P``; the record
-    keeps only ``P``, and its adjoint returns ``2 lam g P``. It does not
-    read ``target.c``.
+    once (``P = D`` for ``kdw``) and returns ``lam sum D o P``, with
+    ``D o P`` formed in ``D``'s memory for ``kda``, so the forward never
+    holds more than two ``N x M`` arrays; the record keeps only ``P``, and
+    its adjoint returns ``2 lam g P``. It does not read ``target.c``.
 
     ``[F, G^T]`` (MPS, ``ttrain.factor_pair``) never forms ``W``: the
     forward forms ``(S G)^T = G^T S``, ``T^T = (S G)^T W*^T``, ``F^T F`` and
@@ -200,7 +201,9 @@ def stack_penalty(tape, target: KdTarget, factors: list[Var], lam: float) -> Var
             raise ShapeError(f"stack {mv.shape} vs target {w.shape}")
         d = mv - w
         p = d if s is None else d @ s
-        return ag._emit(tape, np.float64(lam * (d * p).sum()),
+        # kda forms D o P in D's memory; for kdw P is D, which the record keeps
+        quad = (d * d).sum() if s is None else np.multiply(d, p, out=d).sum()
+        return ag._emit(tape, np.float64(lam * quad),
                         [(m, lambda g: np.multiply(p, 2.0 * lam * float(g), out=p))])
     f, g_t = factors
     fv, gtv = ag._val(f), ag._val(g_t)

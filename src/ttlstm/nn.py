@@ -339,37 +339,6 @@ class ForwardResult:
         return ag._linear(self.rows.value, w.value, b.value).reshape(*self.window, -1)
 
 
-def _recurrence(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None,
-                state: tuple[np.ndarray, np.ndarray] | None):
-    """Everything :func:`forward_lm` runs before the output layer: the
-    time-major ``(T, batch, H)`` hidden states as a Var, the last cell
-    state and the two stacks' factor lists."""
-    tokens = np.asarray(tokens)
-    if tokens.ndim != 2:
-        raise ShapeError(f"token batch must be 2-D, got shape {tokens.shape}")
-    if tokens.size == 0:
-        raise ShapeError(f"token batch {tokens.shape} has no steps or no lanes")
-    tokens = ag._integer_ids(tokens, "token ids")
-    if tokens.min() < 0 or tokens.max() >= model.vocab_size:
-        raise VocabError(
-            f"token ids must lie in [0, {model.vocab_size}), "
-            f"got range [{tokens.min()}, {tokens.max()}]")
-    batch, hidden = tokens.shape[0], model.arch.hidden_dim
-    if state is None:
-        state = (np.zeros((batch, hidden)), np.zeros((batch, hidden)))
-    if any(np.shape(s) != (batch, hidden) for s in state):
-        raise ShapeError(f"state {[np.shape(s) for s in state]} for {batch} lanes of H = {hidden}")
-    wx, wh = model.wx.factors(tape), model.wh.factors(tape)
-    ln_x, ln_h = model.ln_x, model.ln_h
-    # the time-major embedding rows go straight to the scan, which without a
-    # tape drops them once W_x has multiplied them: no name here, and no
-    # argument tuple a * call would build, holds them
-    hs, c = ag.lstm_scan(tape, ag.gather_rows(tape, model.embed, tokens.T.reshape(-1)),
-                         wx, (ln_x.gain, ln_x.bias), wh, (ln_h.gain, ln_h.bias),
-                         model.gate_bias, state[0], state[1])
-    return hs, c, (wx, wh)
-
-
 def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
                state: tuple[np.ndarray, np.ndarray] | None = None) -> ForwardResult:
     """Unroll the cell over a ``(batch, T)`` token window.
@@ -382,12 +351,33 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
     ``(batch, H)`` arrays, else :class:`ShapeError`); the returned state
     is detached, so gradients never cross window boundaries.
     """
-    hs, c, factors = _recurrence(model, tokens, tape, state)
-    steps, batch, hidden = hs.shape
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2:
+        raise ShapeError(f"token batch must be 2-D, got shape {tokens.shape}")
+    if tokens.size == 0:
+        raise ShapeError(f"token batch {tokens.shape} has no steps or no lanes")
+    tokens = ag._integer_ids(tokens, "token ids")
+    if tokens.min() < 0 or tokens.max() >= model.vocab_size:
+        raise VocabError(
+            f"token ids must lie in [0, {model.vocab_size}), "
+            f"got range [{tokens.min()}, {tokens.max()}]")
+    (batch, steps), hidden = tokens.shape, model.arch.hidden_dim
+    if state is None:
+        state = (np.zeros((batch, hidden)), np.zeros((batch, hidden)))
+    if any(np.shape(s) != (batch, hidden) for s in state):
+        raise ShapeError(f"state {[np.shape(s) for s in state]} for {batch} lanes of H = {hidden}")
+    wx, wh = model.wx.factors(tape), model.wh.factors(tape)
+    ln_x, ln_h = model.ln_x, model.ln_h
+    # the time-major embedding rows go straight to the scan, which without a
+    # tape drops them once W_x has multiplied them: no name here, and no
+    # argument tuple a * call would build, holds them
+    hs, c = ag.lstm_scan(tape, ag.gather_rows(tape, model.embed, tokens.T.reshape(-1)),
+                         wx, (ln_x.gain, ln_x.bias), wh, (ln_h.gain, ln_h.bias),
+                         model.gate_bias, state[0], state[1])
     seq = ag.transpose(tape, hs, (1, 0, 2))                         # (batch, T, H)
     rows = ag.reshape(tape, seq, (batch * steps, hidden))
     return ForwardResult(rows, (batch, steps), (model.proj_w, model.proj_b),
-                         (hs.value[-1].copy(), c.copy()), factors)
+                         (hs.value[-1].copy(), c.copy()), (wx, wh))
 
 
 def sequence_nll(tape, result: ForwardResult, targets: np.ndarray) -> Var:

@@ -15,6 +15,7 @@ Training and evaluation score windows with the same ``nn.sequence_nll``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .data import make_batches
 from .distill import (DistillConfig, KdTarget, TeacherWeights, accumulate_covariance,
                       stack_penalty, total_loss)
 from .errors import ConfigError, DomainError, NumericError
-from .nn import TTLstmModel, _recurrence, forward_lm, sequence_nll
+from .nn import TTLstmModel, forward_lm, sequence_nll
 
 __all__ = ["TrainConfig", "EpochStats", "train_model", "evaluate", "stack_covariances",
            "collect_stack_inputs", "clip_gradients"]
@@ -121,17 +122,26 @@ class EpochStats:
     grad_norm: float
 
 
+def _untaped_windows(model: TTLstmModel, ids: np.ndarray):
+    """Walk the stream's windows in order, in the model's own batch and
+    unroll, with no tape and the state carried from zero: yield
+    ``(batch, entering state, forward_lm result)`` per window."""
+    arch = model.arch
+    state = tuple(np.zeros((2, arch.batch_size, arch.hidden_dim)))     # (h, c)
+    for batch in make_batches(ids, arch.batch_size, arch.unroll):
+        result = forward_lm(model, batch.inputs, None, state)
+        yield batch, state, result
+        state = result.state
+
+
 def evaluate(model: TTLstmModel, ids: np.ndarray):
-    """Token-mean NLL and perplexity over the stream in the model's own
-    batch and unroll, stateful across windows. Remainder tokens beyond the
-    lane layout are dropped."""
-    stream = make_batches(ids, model.arch.batch_size, model.arch.unroll)
-    state = None
+    """Token-mean NLL and perplexity over the stream, each window scored
+    by ``sequence_nll`` on the untaped walk that ``stack_covariances``
+    also runs: the model's own batch and unroll, stateful across windows.
+    Remainder tokens beyond the lane layout are dropped."""
     total_nll = 0.0
     total_tokens = 0
-    for batch in stream:
-        out = forward_lm(model, batch.inputs, tape=None, state=state)
-        state = out.state
+    for batch, _, out in _untaped_windows(model, ids):
         nll = float(sequence_nll(None, out, batch.targets).value)
         total_nll += nll * batch.targets.size
         total_tokens += batch.targets.size
@@ -235,23 +245,16 @@ def train_model(model: TTLstmModel, train_ids: np.ndarray, valid_ids: np.ndarray
 
 def _stack_input_windows(model: TTLstmModel, ids: np.ndarray,
                          max_windows: int | None = None):
-    """Yield, window by window, the rows W_x and W_h multiply during a
-    forward pass of ``model`` over the stream: ``(x_rows, h_rows)``."""
-    arch = model.arch
-    stream = make_batches(ids, arch.batch_size, arch.unroll)
-    state = (np.zeros((arch.batch_size, arch.hidden_dim)),
-             np.zeros((arch.batch_size, arch.hidden_dim)))
-    for w, batch in enumerate(stream):
-        if max_windows is not None and w >= max_windows:
-            break
+    """Yield, window by window, the rows W_x and W_h multiply during the
+    untaped walk of ``model`` over the stream, at most ``max_windows``
+    windows of it: ``(x_rows, h_rows)``."""
+    hidden = model.arch.hidden_dim
+    for batch, (h, _), out in itertools.islice(_untaped_windows(model, ids), max_windows):
         x_rows = model.embed.value[batch.inputs.reshape(-1)]
-        out, c, _ = _recurrence(model, batch.inputs, None, state)
-        seq = out.value                                      # (T, batch, H)
+        seq = out.rows.value.reshape(*out.window, hidden).transpose(1, 0, 2)   # (T, batch, H)
         # W_h multiplies the state entering each step: the carried state,
         # then every step's output but the last; rows time-major
-        h_rows = np.concatenate([state[0][None], seq[:-1]]).reshape(-1, arch.hidden_dim)
-        state = (seq[-1], c)
-        yield x_rows, h_rows
+        yield x_rows, np.concatenate([h[None], seq[:-1]]).reshape(-1, hidden)
 
 
 def stack_covariances(model: TTLstmModel, ids: np.ndarray):
@@ -270,8 +273,10 @@ def collect_stack_inputs(model: TTLstmModel, ids: np.ndarray,
                          max_windows: int | None = None):
     """Gather the vectors each gate stack multiplies during a forward pass
     of ``model`` over the stream: embedded inputs (for W_x) and the hidden
-    states entering each step (for W_h). Each window runs the stateful
-    recurrence of ``forward_lm`` without its output projection."""
+    states entering each step (for W_h). The stream is walked as
+    :func:`evaluate` walks it, one ``forward_lm`` per window with the state
+    carried, with no output projection, and no window past ``max_windows``
+    runs."""
     if max_windows is not None and max_windows < 1:
         raise DomainError(f"max_windows must be at least 1, got {max_windows}")
     xs, hs = zip(*_stack_input_windows(model, ids, max_windows))

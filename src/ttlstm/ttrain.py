@@ -19,8 +19,8 @@ pair (:func:`factor_pair`): the row chain collapses left to right into
 (``r x M``), and its dense matrix is ``F G^T``, which costs the pair's
 ``build_ops`` plus ``N r M`` multiply-adds. An MPO chain collapses right
 to left as a whole and then unfuses its paired indices
-(:func:`dense_matrix`). ``reconstruct``, ``build_factor_pair`` and
-``mpo_matvec`` in :mod:`contract`, and ``TTLinear.factors`` and
+(:func:`dense_matrix`). :func:`reconstruct` here, ``build_factor_pair``
+and ``mpo_matvec`` in :mod:`contract`, and ``TTLinear.factors`` and
 ``dense_var`` in :mod:`nn` all call them; a window calls them once per stack.
 A stack's product ``x W^T`` is :func:`apply`, which ``TTLinear.prepare``,
 ``mps_matvec`` and ``mpo_matvec`` run. ``forward_lm`` does not call it:

@@ -692,6 +692,34 @@ def test_conflicting_rank_keys_exit_2(tmp_path, rep, extra):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("extra,named", [("init=flat-uniform\n", ["init"]),
+                                         ("factors=3\n", ["factors"]),
+                                         ("wx_row_dims=4,12\n", ["wx_row_dims"]),
+                                         ("init=flat-gaussian\nwh_col_dims=3,4\n",
+                                          ["init", "wh_col_dims"])])
+def test_dense_config_key_the_model_ignores_exits_2(workdir, tmp_path, extra, named):
+    """A dense stack has no cores to factor or draw: a config that sets
+    ``factors``, ``init`` or a factor dims key off its default is refused
+    before any work, each such key named."""
+    cfg = tmp_path / "ignored.cfg"
+    cfg.write_text((workdir / "dense.cfg").read_text() + extra)
+    out = tmp_path / "x.ttlm"
+    for argv in (["info", "--config", cfg],
+                 ["train", "--config", cfg, "--corpus", workdir / "corpus.txt", "--out", out]):
+        proc = run_cli(*argv, expect=2)
+        assert proc.stderr.startswith("config error:") and proc.stdout == ""
+        assert all(repr(key) in proc.stderr for key in named)
+    assert not out.exists() and not Path(f"{out}.vocab").exists()
+
+
+def test_dense_config_keys_at_their_defaults_are_accepted(workdir, tmp_path):
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text((workdir / "dense.cfg").read_text()
+                   + "factors=2\ninit=gaussian-variance-matched\nwx_row_dims=\n")
+    rows = list(csv.DictReader(io.StringIO(run_cli("info", "--config", cfg).stdout)))
+    assert [row["kind"] for row in rows] == ["dense", "dense"]
+
+
 @pytest.mark.parametrize("key", ["vocab_size", "embed_dim", "hidden_dim"])
 def test_config_size_above_the_bound_exits_2(tmp_path, key):
     sizes = {"vocab_size": 100, "embed_dim": 12, "hidden_dim": 12, key: 10**20}

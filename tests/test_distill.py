@@ -155,6 +155,23 @@ class TestKdPenalty:
         backward(tape, pen)
         assert w.grad.shape == (n, m)
 
+    @pytest.mark.parametrize("mode", ["kdw", "kda"])
+    def test_forward_peak_is_two_stack_arrays(self, mode):
+        # the forward holds D = W - W* and P = D S (P = D for kdw); D o P is
+        # formed in D's memory, not in a third N x M array
+        rng = np.random.default_rng(19)
+        n, m = 600, 200
+        w = Var(rng.normal(size=(n, m)))
+        cov = accumulate_covariance(rng.normal(size=(300, m))).matrix if mode == "kda" else None
+        target = KdTarget.build(rng.normal(size=(n, m)), cov)
+        tracemalloc.start()
+        try:
+            stack_penalty(Tape(), target, [w], 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * n * m * 8
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             kd_penalty(None, np.zeros((2, 2)), Var(np.zeros((3, 2))), 1.0)

@@ -317,6 +317,31 @@ def test_train_config_takes_a_numpy_integer_epoch_count():
     assert TrainConfig(epochs=np.int64(2)).epochs == 2
 
 
+def test_each_untaped_walk_runs_one_scan_per_window(monkeypatch):
+    """``collect_stack_inputs``, ``stack_covariances`` and ``evaluate`` walk
+    the stream with one untaped ``forward_lm`` per window: a limit of k
+    windows runs exactly k scans, and a whole walk one per window."""
+    vocab, train_ids, _ = _setup(n_tokens=1200)
+    model = build_model(_arch(vocab, "mps", 3, unroll=5, batch=3), seed=8)
+    n_windows = len(make_batches(train_ids, 3, 5))
+    tapes = []
+    scan = ag.lstm_scan
+    monkeypatch.setattr(ag, "lstm_scan",
+                        lambda tape, *args: tapes.append(tape) or scan(tape, *args))
+
+    def scans(walk):
+        tapes.clear()
+        walk()
+        assert all(tape is None for tape in tapes)
+        return len(tapes)
+
+    for k in (1, 2, 3):
+        assert scans(lambda: collect_stack_inputs(model, train_ids, max_windows=k)) == k
+    assert n_windows > 3
+    assert scans(lambda: training.stack_covariances(model, train_ids)) == n_windows
+    assert scans(lambda: evaluate(model, train_ids)) == n_windows
+
+
 def test_collect_stack_inputs_runs_no_output_projection(monkeypatch):
     vocab, train_ids, _ = _setup(n_tokens=1200)
     model = build_model(_arch(vocab, "mps", 3, unroll=5, batch=3), seed=8)

@@ -23,6 +23,7 @@ its memory does not grow with the split.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import os
@@ -191,8 +192,6 @@ def _load_model_and_vocab(path):
 
 
 def _split_ids(ids, valid_fraction: float):
-    if not 0.0 < valid_fraction < 1.0:
-        raise ConfigError(f"config key 'valid_fraction' must lie in (0, 1), got {valid_fraction}")
     cut = int(round(ids.size * (1.0 - valid_fraction)))
     cut = max(1, min(ids.size - 1, cut))
     return ids[:cut], ids[cut:]
@@ -224,6 +223,16 @@ def cmd_train(args) -> int:
                        else (_number(cfg, "seed"), "config key 'seed'"))
     if seed < 0:
         raise ConfigError(f"{seed_from} must be >= 0, got {seed}")
+    # every check that reads only the config runs before any file is read;
+    # the vocabulary size, which may come from the teacher, is set after
+    arch = _build_arch(cfg, vocab_size=1)
+    valid_fraction = _number(cfg, "valid_fraction", float)
+    if not 0.0 < valid_fraction < 1.0:
+        raise ConfigError(f"config key 'valid_fraction' must lie in (0, 1), got {valid_fraction}")
+    distill = DistillConfig(cfg["distill"], _number(cfg, "lambda", float))
+    train_cfg = TrainConfig(
+        optimizer=cfg["optimizer"], lr=_number(cfg, "lr", float),
+        epochs=_number(cfg, "epochs"), clip=_number(cfg, "clip", float), distill=distill)
     text = _read_corpus(args.corpus)
 
     teacher = None
@@ -235,17 +244,13 @@ def cmd_train(args) -> int:
         vocab = build_vocab(text, _number(cfg, "vocab_size"))
 
     ids = encode_stream(text, vocab)
-    train_ids, valid_ids = _split_ids(ids, _number(cfg, "valid_fraction", float))
-    arch = _build_arch(cfg, vocab.size)
+    train_ids, valid_ids = _split_ids(ids, valid_fraction)
+    arch = dataclasses.replace(arch, vocab_size=vocab.size)
     if teacher is not None:
         if (arch.embed_dim, arch.hidden_dim) != (teacher.arch.embed_dim, teacher.arch.hidden_dim):
             raise ConfigError("teacher and student embed/hidden dimensions differ")
     model = build_model(arch, seed=seed)
 
-    distill = DistillConfig(cfg["distill"], _number(cfg, "lambda", float))
-    train_cfg = TrainConfig(
-        optimizer=cfg["optimizer"], lr=_number(cfg, "lr", float),
-        epochs=_number(cfg, "epochs"), clip=_number(cfg, "clip", float), distill=distill)
     cov_x = cov_h = None
     if distill.mode == "kda" and distill.active and teacher is not None:
         cov_x, cov_h = stack_covariances(teacher, train_ids)

@@ -154,21 +154,90 @@ _VOWELS = ("a", "e", "i", "o", "u", "ai", "ea", "ou")
 _CODAS = ("", "", "n", "r", "s", "t", "l", "m")
 
 
+def _bounded(raw: np.ndarray, table) -> list:
+    """``table[rng.integers(len(table))]`` for each raw 32-bit word, or
+    ``None`` where numpy's bounded draw rejects the word and takes the next
+    one: Lemire's multiply-shift, "Fast Random Integer Generation in an
+    Interval" (2019)."""
+    n = len(table)
+    scaled = raw * n
+    kept = (scaled & 0xFFFFFFFF) >= (2**32 - n) % n
+    return np.array([*table, None], dtype=object)[np.where(kept, scaled >> 32, n)].tolist()
+
+
 def _word_list(count: int, rng: np.random.Generator) -> list[str]:
+    """``count`` distinct words. Each is a syllable count in [1, 3], an
+    onset and a vowel per syllable and a coda after the last, every one a
+    bounded ``rng.integers`` draw that takes one 32-bit word per try. The
+    raw words come in bulk; then the state is rewound and advanced by the
+    words used, so words and state are those of one call per draw."""
+    start = rng.bit_generator.state
+    syllables: list = []
+    onsets: list = []
+    vowels: list = []
+    codas: list = []
     words: list[str] = []
     seen = set()
+    used = 0
     while len(words) < count:
-        syllables = rng.integers(1, 4)
-        word = "".join(
-            _ONSETS[rng.integers(len(_ONSETS))]
-            + _VOWELS[rng.integers(len(_VOWELS))]
-            + (_CODAS[rng.integers(len(_CODAS))] if s == syllables - 1 else "")
-            for s in range(syllables)
-        )
+        try:
+            # raw word i is the next draw; None marks a rejected one
+            i = used
+            while syllables[i] is None:
+                i += 1
+            parts = []
+            for _ in range(syllables[i]):
+                i += 1
+                while onsets[i] is None:
+                    i += 1
+                parts.append(onsets[i])
+                i += 1
+                while vowels[i] is None:
+                    i += 1
+                parts.append(vowels[i])
+            i += 1
+            while codas[i] is None:
+                i += 1
+            parts.append(codas[i])
+            used = i + 1
+        except IndexError:
+            # the word runs past the raw words drawn so far: draw more (a
+            # word takes six on average) and build it again
+            raw = rng.integers(0, 1 << 32, size=8 * (count - len(words)), dtype=np.uint64)
+            syllables += _bounded(raw, (1, 2, 3))
+            onsets += _bounded(raw, _ONSETS)
+            vowels += _bounded(raw, _VOWELS)
+            codas += _bounded(raw, _CODAS)
+            continue
+        word = "".join(parts)
         if word not in seen:
             seen.add(word)
             words.append(word)
+    rng.bit_generator.state = start
+    rng.integers(0, 1 << 32, size=used, dtype=np.uint64)
     return words
+
+
+def _successor_table(vocab_size: int, rng: np.random.Generator) -> list[list[int]]:
+    """Per word, five distinct successors in [0, V) as numpy's sampler
+    without replacement draws them. Each row is Floyd's sampler, draws in
+    [0, j] for j = V-5 … V-1, with ``j`` taken where the row already holds
+    the draw, then a shuffle that swaps position i with a draw in [0, i]
+    for i = 4 … 1 (Bentley & Floyd, "A sample of brilliance", 1987). All
+    rows' draws are one ``integers`` call on an array of bounds, which
+    draws each element as the sampler does, rejections included."""
+    highs = np.r_[np.arange(vocab_size - 4, vocab_size + 1), 5, 4, 3, 2]
+    draws = rng.integers(0, np.tile(highs, (vocab_size, 1)))
+    rows = draws[:, :5]
+    for t in range(1, 5):
+        held = (rows[:, :t] == rows[:, t:t + 1]).any(axis=1)
+        rows[held, t] = vocab_size - 5 + t
+    every = np.arange(vocab_size)
+    for i, j in zip(range(4, 0, -1), draws[:, 5:].T):
+        swapped = rows[every, j]
+        rows[every, j] = rows[:, i]
+        rows[:, i] = swapped
+    return rows.tolist()
 
 
 def synthetic_corpus(n_tokens: int, vocab_size: int = 500, seed: int = 0) -> str:
@@ -181,21 +250,23 @@ def synthetic_corpus(n_tokens: int, vocab_size: int = 500, seed: int = 0) -> str
     of any third-party content.
 
     The draw order is a compatibility contract, pinned by the corpus
-    digests in the tests and by the benchmark's recorded NLLs: after the
-    word list and the successor table, each sentence draws one integer
-    (its length) and then ``length`` doubles. The first double picks the
-    start word and each later one a successor branch, through the
-    inverse CDF that ``Generator.choice(p=...)`` uses, so the text is the
-    one a per-token ``choice`` loop would write.
+    digests in the tests and by the benchmark's recorded NLLs. First come
+    the word list (per word one bounded integer for the syllable count,
+    then per syllable one for the onset and one for the vowel, and one
+    for the coda) and the successor table (per word the draws of numpy's
+    five-of-V sample without replacement). Both are drawn in bulk, raw
+    32-bit words and one broadcast ``integers`` call, and give the words,
+    the table and the generator state of one numpy call per draw. Then
+    each sentence draws one integer (its length) and ``length`` doubles.
+    The first double picks the start word and each later one a successor
+    branch, through the inverse CDF that ``Generator.choice`` uses with
+    ``p``, so the text is the one a per-token ``choice`` loop would write.
     """
     if n_tokens < 1 or vocab_size < 5:
         raise DomainError("need at least one token and five word types")
     rng = np.random.default_rng(seed)
     words = _word_list(vocab_size, rng)
-    successors = np.array([
-        rng.choice(vocab_size, size=5, replace=False)
-        for _ in range(vocab_size)
-    ]).tolist()
+    successors = _successor_table(vocab_size, rng)
     weights = np.array([0.45, 0.25, 0.15, 0.10, 0.05])
     weights /= weights.sum()
     # Zipf-ish start-word distribution

@@ -712,6 +712,26 @@ def test_dense_config_key_the_model_ignores_exits_2(workdir, tmp_path, extra, na
     assert not out.exists() and not Path(f"{out}.vocab").exists()
 
 
+@pytest.mark.parametrize("extra,named", [("init=flat-uniform\n", "'init'"),
+                                         ("valid_fraction=1.5\n", "'valid_fraction'"),
+                                         ("distill=kdx\n", "'kdx'"),
+                                         ("clip=-1\n", "clip")])
+def test_train_config_error_exits_2_before_the_teacher_is_read(workdir, tmp_path, extra,
+                                                               named):
+    """A config error is found before ``--corpus`` or ``--teacher`` is read:
+    with a teacher file that is not a model it exits 2, not the format
+    error's 3."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text((workdir / "dense.cfg").read_text() + extra)
+    not_a_model = tmp_path / "teacher.ttlm"
+    not_a_model.write_text("not a model\n")
+    out = tmp_path / "x.ttlm"
+    proc = run_cli("train", "--config", cfg, "--corpus", workdir / "corpus.txt",
+                   "--teacher", not_a_model, "--out", out, expect=2)
+    assert proc.stderr.startswith("config error:") and named in proc.stderr
+    assert proc.stdout == "" and not out.exists() and not Path(f"{out}.vocab").exists()
+
+
 def test_dense_config_keys_at_their_defaults_are_accepted(workdir, tmp_path):
     cfg = tmp_path / "defaults.cfg"
     cfg.write_text((workdir / "dense.cfg").read_text()

@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttlstm.data import (
+    _CODAS,
+    _ONSETS,
+    _VOWELS,
     EOS_TOKEN,
     UNK_TOKEN,
+    _successor_table,
     _word_list,
     build_vocab,
     encode_stream,
@@ -229,13 +233,120 @@ class TestSyntheticCorpus:
         assert avg < 15
 
 
+class TestBulkDraws:
+    """The word list and the successor table come from bulk draws; each
+    must give the output and the generator state of one numpy call per
+    draw, whether PCG64's half-word buffer starts empty or full."""
+
+    @settings(deadline=None)
+    @given(count=st.integers(5, 2000), seed=st.integers(0, 2**32 - 1),
+           predrawn=st.integers(0, 1))
+    def test_word_list_matches_one_call_per_draw(self, count, seed, predrawn):
+        bulk, scalar = _generators(seed, predrawn)
+        assert _word_list(count, bulk) == _per_draw_word_list(count, scalar)
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+
+    @settings(deadline=None)
+    @given(vocab_size=st.integers(5, 12000), seed=st.integers(0, 2**32 - 1),
+           predrawn=st.integers(0, 1))
+    def test_successor_table_matches_one_sample_per_row(self, vocab_size, seed, predrawn):
+        bulk, scalar = _generators(seed, predrawn)
+        assert _successor_table(vocab_size, bulk) == _per_row_successor_table(vocab_size, scalar)
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("predrawn", [0, 1])
+    def test_five_word_types(self, predrawn):
+        """At V = 5 each row's first draw lies in [0, 0] and takes no word."""
+        bulk, scalar = _generators(0, predrawn)
+        assert _word_list(5, bulk) == _per_draw_word_list(5, scalar)
+        assert _successor_table(5, bulk) == _per_row_successor_table(5, scalar)
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+
+    def test_successor_table_through_a_rejected_draw(self):
+        """From seed 8 the rows at V = 10000 take 9V + 1 raw words: numpy's
+        bounded draw rejects one word and takes the next."""
+        bulk, scalar = _generators(8, 0)
+        assert _successor_table(10000, bulk) == _per_row_successor_table(10000, scalar)
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+        raw, _ = _generators(8, 9 * 10000 + 1)
+        assert raw.bit_generator.state == bulk.bit_generator.state
+
+    def test_word_list_through_rejected_draws(self):
+        """The raw word 0 is rejected for the syllable count (a draw in
+        [1, 3]) and 2**31 for an onset (one of 22)."""
+        planted = (0, 2**31, 2**31)
+        probe = _generator_drawing_next(*planted)
+        assert probe.integers(0, 1 << 32, size=3, dtype=np.uint64).tolist() == list(planted)
+        probe = _generator_drawing_next(*planted)
+        assert probe.integers(1, 4) == 2        # took the first two words
+        probe.integers(len(_ONSETS))
+        assert probe.bit_generator.state["has_uint32"] == 1     # took two more
+        bulk, scalar = _generator_drawing_next(*planted), _generator_drawing_next(*planted)
+        assert _word_list(300, bulk) == _per_draw_word_list(300, scalar)
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
+def _generators(seed: int, predrawn: int):
+    """Two equal generators that have drawn ``predrawn`` 32-bit words."""
+    pair = []
+    for _ in range(2):
+        rng = np.random.default_rng(seed)
+        rng.integers(0, 1 << 32, size=predrawn, dtype=np.uint64)
+        pair.append(rng)
+    return pair
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _generator_drawing_next(first: int, second: int, third: int) -> np.random.Generator:
+    """A PCG64 generator whose next three 32-bit draws are the given words:
+    the first waits in the half-word buffer, the other two are the low and
+    high halves of the next 64-bit output. That output is planted by the
+    state that steps to it: PCG64 outputs the xor of its two state halves,
+    rotated right by the top six bits."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    inc, high = state["state"]["inc"], state["state"]["state"] >> 64
+    rot, out = high >> 58, second | third << 32
+    xored = (out << rot | out >> (64 - rot)) & (2**64 - 1)
+    stepped = high << 64 | (xored ^ high)
+    state["state"]["state"] = (stepped - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    state["has_uint32"], state["uinteger"] = 1, first
+    rng.bit_generator.state = state
+    return rng
+
+
+def _per_draw_word_list(count: int, rng: np.random.Generator) -> list[str]:
+    """The word list as one scalar ``rng.integers`` per draw: the reference
+    whose words and random stream ``_word_list`` must reproduce."""
+    words: list[str] = []
+    seen = set()
+    while len(words) < count:
+        syllables = rng.integers(1, 4)
+        word = "".join(
+            _ONSETS[rng.integers(len(_ONSETS))]
+            + _VOWELS[rng.integers(len(_VOWELS))]
+            + (_CODAS[rng.integers(len(_CODAS))] if s == syllables - 1 else "")
+            for s in range(syllables)
+        )
+        if word not in seen:
+            seen.add(word)
+            words.append(word)
+    return words
+
+
+def _per_row_successor_table(vocab_size: int, rng: np.random.Generator) -> list[list[int]]:
+    return np.array([rng.choice(vocab_size, size=5, replace=False)
+                     for _ in range(vocab_size)]).tolist()
+
+
 def _choice_loop_corpus(n_tokens: int, vocab_size: int, seed: int) -> str:
     """The generator as a per-token ``Generator.choice`` loop: the reference
     whose random stream and text ``synthetic_corpus`` must reproduce."""
     rng = np.random.default_rng(seed)
-    words = _word_list(vocab_size, rng)
-    successors = np.array([rng.choice(vocab_size, size=5, replace=False)
-                           for _ in range(vocab_size)])
+    words = _per_draw_word_list(vocab_size, rng)
+    successors = _per_row_successor_table(vocab_size, rng)
     weights = np.array([0.45, 0.25, 0.15, 0.10, 0.05])
     weights /= weights.sum()
     start_p = 1.0 / np.arange(1, vocab_size + 1, dtype=np.float64)

@@ -233,10 +233,11 @@ def cmd_train(args) -> int:
     train_cfg = TrainConfig(
         optimizer=cfg["optimizer"], lr=_number(cfg, "lr", float),
         epochs=_number(cfg, "epochs"), clip=_number(cfg, "clip", float), distill=distill)
+    if distill.active and not args.teacher:
+        raise ConfigError("distillation requires a teacher (--teacher)")
     text = _read_corpus(args.corpus)
 
-    teacher = None
-    teacher_weights = None
+    teacher = teacher_weights = None
     if args.teacher:
         teacher, vocab, _ = _load_model_and_vocab(args.teacher)
         teacher_weights = TeacherWeights.from_model(teacher, source=str(args.teacher))
@@ -252,7 +253,7 @@ def cmd_train(args) -> int:
     model = build_model(arch, seed=seed)
 
     cov_x = cov_h = None
-    if distill.mode == "kda" and distill.active and teacher is not None:
+    if distill.mode == "kda" and distill.active:
         cov_x, cov_h = stack_covariances(teacher, train_ids)
     del teacher     # the student needs only its weights and the covariances
 

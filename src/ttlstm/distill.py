@@ -33,10 +33,11 @@ the trace gives
     lambda * (c - 2 sum F o (W* (S G)) + sum (F^T F) o (G^T S G))
 
 with ``c = Trace[W* S W*^T]``, where ``o`` is the elementwise product.
-:class:`KdTarget` holds no array beyond the teacher's own: ``W*`` itself,
-``S`` and the number ``c``, whose build costs ``N M^2 / 2`` multiply-adds
-once per training run (``W*^T W*`` is symmetric); for ``kdw`` (``S = I``)
-``c`` is ``||W*||_F^2``. On ``[F, G^T]`` the record's forward costs ``r
+:class:`KdTarget` holds no array beyond the teacher's own: ``W*`` itself
+and ``S``. It derives the number ``c`` from them on first read, which
+costs ``N M^2 / 2`` multiply-adds once per training run (``W*^T W*`` is
+symmetric) and runs only for this form; for ``kdw`` (``S = I``) ``c`` is
+``||W*||_F^2``. On ``[F, G^T]`` the record's forward costs ``r
 M^2 + N M r + N r^2 + r^2 M`` multiply-adds per window (``kdw`` skips the
 ``r M^2`` products with ``S``), and so does its adjoint; neither builds an
 ``N x M`` array. At ``(50,52) x (25,26)`` rank 109 that is 268.9M forward
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,13 +143,12 @@ def accumulate_covariance(rows: np.ndarray) -> DataCovariance:
 @dataclass(frozen=True)
 class KdTarget:
     """What the penalty of one stack needs from the teacher: the teacher's
-    own ``w = W*`` (``N x M``, not a copy), ``c = Trace[W* S W*^T]`` (read
-    by the factored form only) and ``s`` (``None`` for the identity), which
-    must be exactly symmetric (else :class:`DomainError`). Built once per
-    training run by :meth:`build`, which symmetrizes ``s``."""
+    own ``w = W*`` (``N x M``, not a copy) and ``s`` (``None`` for the
+    identity), which must be exactly symmetric (else :class:`DomainError`).
+    ``c`` is derived from them on first read. Built once per training run
+    by :meth:`build`, which symmetrizes ``s``."""
 
     w: np.ndarray
-    c: float
     s: np.ndarray | None
 
     def __post_init__(self):
@@ -156,12 +157,20 @@ class KdTarget:
             raise DomainError("KdTarget.s must be exactly symmetric; KdTarget.build "
                               "symmetrizes an asymmetric covariance")
 
+    @cached_property
+    def c(self) -> float:
+        """``Trace[W* S W*^T]`` (``||W*||_F^2`` for the identity), formed on
+        first read and kept; only the factored form reads it."""
+        # Trace[W* S W*^T] = sum S o (W*^T W*); numpy runs w.T @ w as a BLAS syrk
+        w, s = self.w, self.s
+        return float(np.vdot(w, w) if s is None else np.vdot(s, w.T @ w))
+
     @classmethod
     def build(cls, teacher_w: np.ndarray,
               cov: np.ndarray | None = None) -> "KdTarget":
         w_star = np.asarray(teacher_w, dtype=np.float64)
         if cov is None:
-            return cls(w_star, float(np.vdot(w_star, w_star)), None)
+            return cls(w_star, None)
         s = np.asarray(cov, dtype=np.float64)
         if s.shape != (w_star.shape[1], w_star.shape[1]):
             raise ShapeError(f"covariance {s.shape} does not match stack columns")
@@ -169,8 +178,7 @@ class KdTarget:
         # expansion's cross term needs it; a symmetric S is kept as it is
         if not np.array_equal(s, s.T):
             s = (s + s.T) / 2.0
-        # Trace[W* S W*^T] = sum S o (W*^T W*); numpy runs w.T @ w as a BLAS syrk
-        return cls(w_star, float(np.vdot(s, w_star.T @ w_star)), s)
+        return cls(w_star, s)
 
 
 def stack_penalty(tape, target: KdTarget, factors: list[Var], lam: float) -> Var:
@@ -182,7 +190,8 @@ def stack_penalty(tape, target: KdTarget, factors: list[Var], lam: float) -> Var
     once (``P = D`` for ``kdw``) and returns ``lam sum D o P``, with
     ``D o P`` formed in ``D``'s memory for ``kda``, so the forward never
     holds more than two ``N x M`` arrays; the record keeps only ``P``, and
-    its adjoint returns ``2 lam g P``. It does not read ``target.c``.
+    its adjoint returns ``2 lam g P``. It does not read ``target.c``, so it
+    never forms ``c``.
 
     ``[F, G^T]`` (MPS, ``ttrain.factor_pair``) never forms ``W``: the
     forward forms ``(S G)^T = G^T S``, ``T^T = (S G)^T W*^T``, ``F^T F`` and
@@ -241,10 +250,8 @@ def kd_penalty(tape, teacher_w: np.ndarray, student_w: Var, lam: float,
     ``cov=None`` is the identity (weight matching); otherwise the penalty
     weights the difference by the ``M x M`` covariance array. Gradients
     flow into whatever produced ``student_w`` (typically the train cores).
+    Shapes are checked by :meth:`KdTarget.build` and :func:`stack_penalty`.
     """
-    teacher_w = np.asarray(teacher_w, dtype=np.float64)
-    if teacher_w.shape != student_w.shape:
-        raise ShapeError(f"teacher {teacher_w.shape} vs student {student_w.shape}")
     return stack_penalty(tape, KdTarget.build(teacher_w, cov), [student_w], lam)
 
 

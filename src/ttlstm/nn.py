@@ -36,14 +36,18 @@ add order is kept on purpose: folding the bias into the hoisted rows
 first changes the rounding, and over a long stateful stream the
 evaluation NLL drifts off its recorded references.
 
-``forward_lm`` stops at the stacked hidden states. The output layer and
-its softmax run as one ``autograd.linear_cross_entropy`` record in
-``sequence_nll``, so a training window never holds the ``(batch * T,
-V)`` logits and their gradient at once. Training, ``training.evaluate``
-and every command that scores windows run that record; only
-``perfbench``'s eval loop reads ``ForwardResult.logits`` and scores them
-with ``cross_entropy_perplexity``, which runs the same softmax-NLL kernel
-on them without a record.
+``forward_lm`` stops at the scan's own time-major ``(T, batch, H)``
+hidden states, which the teacher pass of ``kda`` distillation reads as
+they are. Only the output layer needs them batch-major, as ``(batch *
+T, H)`` rows: ``sequence_nll`` forms those rows (a ``transpose`` and a
+``reshape``, on the tape when there is one) and runs the output layer
+and its softmax as one ``autograd.linear_cross_entropy`` record, so a
+training window never holds the ``(batch * T, V)`` logits and their
+gradient at once. Training, ``training.evaluate`` and every command
+that scores windows run that record; only ``perfbench``'s eval loop
+reads ``ForwardResult.logits`` (the same rows through the output layer,
+with no tape) and scores them with ``cross_entropy_perplexity``, which
+runs the same softmax-NLL kernel on them without a record.
 """
 
 from __future__ import annotations
@@ -323,11 +327,15 @@ def build_model(arch: ModelArch, seed: int = 0) -> TTLstmModel:
 
 @dataclass
 class ForwardResult:
-    rows: Var                                # (batch * T, H) hidden states, batch-major
-    window: tuple[int, int]                  # (batch, T)
+    hs: Var                                  # (T, batch, H) hidden states, the scan's own
     proj: tuple[Var, Var]                    # the output layer's weight and bias
     state: tuple[np.ndarray, np.ndarray]     # detached (h, c)
     factors: tuple[list[Var], list[Var]]     # W_x's and W_h's TTLinear.factors
+
+    def _rows(self, tape) -> Var:
+        """The hidden states as the output layer's ``(batch * T, H)``
+        batch-major rows: a ``transpose`` and a ``reshape`` on ``tape``."""
+        return ag.reshape(tape, ag.transpose(tape, self.hs, (1, 0, 2)), (-1, self.hs.shape[2]))
 
     @cached_property
     def logits(self) -> np.ndarray:
@@ -336,7 +344,8 @@ class ForwardResult:
         that writes into them reads its writes back. Only ``perfbench``
         reads them, for its eval loop and its corruption test."""
         w, b = self.proj
-        return ag._linear(self.rows.value, w.value, b.value).reshape(*self.window, -1)
+        logits = ag._linear(self._rows(None).value, w.value, b.value)
+        return logits.reshape(*self.hs.shape[1::-1], -1)
 
 
 def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
@@ -345,8 +354,9 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
 
     Only the recurrence runs per step. Each stack's factors, the embedding
     gather and ``W_x`` (inside the scan) run once before the loop. The
-    result carries the hidden states as batch-major rows for the output
-    layer, which :func:`sequence_nll` runs with the softmax as one record.
+    result carries the scan's ``(T, batch, H)`` hidden states as they are;
+    :func:`sequence_nll` lays them out batch-major for the output layer,
+    which it runs with the softmax as one record.
     The initial state is zero unless a carried ``state`` is supplied (two
     ``(batch, H)`` arrays, else :class:`ShapeError`); the returned state
     is detached, so gradients never cross window boundaries.
@@ -361,7 +371,7 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
         raise VocabError(
             f"token ids must lie in [0, {model.vocab_size}), "
             f"got range [{tokens.min()}, {tokens.max()}]")
-    (batch, steps), hidden = tokens.shape, model.arch.hidden_dim
+    batch, hidden = tokens.shape[0], model.arch.hidden_dim
     if state is None:
         state = (np.zeros((batch, hidden)), np.zeros((batch, hidden)))
     if any(np.shape(s) != (batch, hidden) for s in state):
@@ -374,21 +384,20 @@ def forward_lm(model: TTLstmModel, tokens: np.ndarray, tape: Tape | None = None,
     hs, c = ag.lstm_scan(tape, ag.gather_rows(tape, model.embed, tokens.T.reshape(-1)),
                          wx, (ln_x.gain, ln_x.bias), wh, (ln_h.gain, ln_h.bias),
                          model.gate_bias, state[0], state[1])
-    seq = ag.transpose(tape, hs, (1, 0, 2))                         # (batch, T, H)
-    rows = ag.reshape(tape, seq, (batch * steps, hidden))
-    return ForwardResult(rows, (batch, steps), (model.proj_w, model.proj_b),
-                         (hs.value[-1].copy(), c.copy()), (wx, wh))
+    return ForwardResult(hs, (model.proj_w, model.proj_b), (hs.value[-1].copy(), c.copy()),
+                         (wx, wh))
 
 
 def sequence_nll(tape, result: ForwardResult, targets: np.ndarray) -> Var:
-    """Token-mean negative log-likelihood over all unrolled steps, the
-    output layer and its softmax as one ``autograd.linear_cross_entropy``
-    record; ``targets`` must be ``(batch, T)`` like the window (else
-    :class:`ShapeError`)."""
-    targets = np.asarray(targets)
-    if targets.shape != result.window:
-        raise ShapeError(f"targets {targets.shape} for a {result.window} window")
-    return ag.linear_cross_entropy(tape, result.rows, *result.proj, targets.reshape(-1))
+    """Token-mean negative log-likelihood over all unrolled steps: the
+    hidden states as batch-major rows (a ``transpose`` and a ``reshape``),
+    then the output layer and its softmax as one
+    ``autograd.linear_cross_entropy`` record; ``targets`` must be
+    ``(batch, T)`` like the window (else :class:`ShapeError`)."""
+    targets, window = np.asarray(targets), result.hs.shape[1::-1]
+    if targets.shape != window:
+        raise ShapeError(f"targets {targets.shape} for a {window} window")
+    return ag.linear_cross_entropy(tape, result._rows(tape), *result.proj, targets.reshape(-1))
 
 
 def cross_entropy_perplexity(logits: np.ndarray, targets: np.ndarray):

@@ -247,14 +247,13 @@ def _stack_input_windows(model: TTLstmModel, ids: np.ndarray,
                          max_windows: int | None = None):
     """Yield, window by window, the rows W_x and W_h multiply during the
     untaped walk of ``model`` over the stream, at most ``max_windows``
-    windows of it: ``(x_rows, h_rows)``."""
-    hidden = model.arch.hidden_dim
+    windows of it: ``(x_rows, h_rows)``, the first batch-major and the
+    second time-major."""
     for batch, (h, _), out in itertools.islice(_untaped_windows(model, ids), max_windows):
         x_rows = model.embed.value[batch.inputs.reshape(-1)]
-        seq = out.rows.value.reshape(*out.window, hidden).transpose(1, 0, 2)   # (T, batch, H)
         # W_h multiplies the state entering each step: the carried state,
-        # then every step's output but the last; rows time-major
-        yield x_rows, np.concatenate([h[None], seq[:-1]]).reshape(-1, hidden)
+        # then every step's output but the last
+        yield x_rows, np.concatenate([h[None], out.hs.value[:-1]]).reshape(-1, h.shape[1])
 
 
 def stack_covariances(model: TTLstmModel, ids: np.ndarray):
@@ -272,8 +271,9 @@ def stack_covariances(model: TTLstmModel, ids: np.ndarray):
 def collect_stack_inputs(model: TTLstmModel, ids: np.ndarray,
                          max_windows: int | None = None):
     """Gather the vectors each gate stack multiplies during a forward pass
-    of ``model`` over the stream: embedded inputs (for W_x) and the hidden
-    states entering each step (for W_h). The stream is walked as
+    of ``model`` over the stream: embedded inputs (for W_x), batch-major
+    within each window, and the hidden states entering each step (for
+    W_h), time-major within each window. The stream is walked as
     :func:`evaluate` walks it, one ``forward_lm`` per window with the state
     carried, with no output projection, and no window past ``max_windows``
     runs."""

@@ -732,6 +732,19 @@ def test_train_config_error_exits_2_before_the_teacher_is_read(workdir, tmp_path
     assert proc.stdout == "" and not out.exists() and not Path(f"{out}.vocab").exists()
 
 
+@pytest.mark.parametrize("cfg_name", ["mps.cfg", "kda.cfg"])
+def test_distillation_without_a_teacher_exits_2_before_the_corpus_is_read(workdir, tmp_path,
+                                                                         cfg_name):
+    """An active ``distill`` with no ``--teacher`` is a config error, found
+    before ``--corpus`` is read: a missing corpus file is not what it names."""
+    out = tmp_path / "x.ttlm"
+    proc = run_cli("train", "--config", workdir / cfg_name, "--corpus", tmp_path / "missing.txt",
+                   "--out", out, expect=2)
+    assert proc.stderr.startswith("config error:") and "teacher" in proc.stderr
+    assert "corpus" not in proc.stderr and "missing.txt" not in proc.stderr
+    assert proc.stdout == "" and not out.exists() and not Path(f"{out}.vocab").exists()
+
+
 def test_dense_config_keys_at_their_defaults_are_accepted(workdir, tmp_path):
     cfg = tmp_path / "defaults.cfg"
     cfg.write_text((workdir / "dense.cfg").read_text()

@@ -282,7 +282,7 @@ class TestFactoredKdPenalty:
         # own array; a target holding a copy must give the same bytes
         lin, w_star, _ = _mps_student(case)
         target = KdTarget.build(w_star)
-        copied = KdTarget(w_star.copy(), target.c, None)
+        copied = KdTarget(w_star.copy(), None)
         want, want_grads = _value_and_grads(lin, lambda t: _factored(t, lin, copied, 0.73))
         got, got_grads = _value_and_grads(lin, lambda t: _factored(t, lin, target, 0.73))
         assert got == want
@@ -337,6 +337,7 @@ class TestFactoredKdPenalty:
         cov = accumulate_covariance(rng.normal(size=(400, m))).matrix
         target = KdTarget.build(w_star, cov if mode == "kda" else None)
         f, g_t = Var(rng.normal(size=(n, r))), Var(rng.normal(size=(r, m)))
+        target.c        # formed once per training run, not by the record
         tape = Tape()
         tracemalloc.start()
         try:
@@ -354,7 +355,7 @@ class TestFactoredKdPenalty:
         cov = cov.copy()
         cov[0, 1] += 1.0
         with pytest.raises(DomainError):
-            KdTarget(w_star, 0.0, cov)
+            KdTarget(w_star, cov)
         assert np.array_equal(KdTarget.build(w_star, cov).s, (cov + cov.T) / 2.0)
 
     def test_asymmetric_weight_matches_dense_penalty(self):
@@ -420,11 +421,11 @@ class TestDenseRecord:
         # value bitwise in both modes (W - W* is exactly -(W* - W)), the kdw
         # gradient bitwise ((2 lam g) D is exactly 2 (lam g D)); the kda
         # gradient forms (lam g D) S against (2 lam g) (D S): reassociation.
-        # The record never reads c, so a NaN there changes nothing.
+        # The record never reads c, so the target never forms it.
         rng = np.random.default_rng(19)
         w_star, w = rng.normal(size=(40, 30)), Parameter(rng.normal(size=(40, 30)), "w")
         cov = accumulate_covariance(rng.normal(size=(50, 30))).matrix if mode == "kda" else None
-        target = KdTarget(w_star, np.nan, KdTarget.build(w_star, cov).s)
+        target = KdTarget.build(w_star, cov)
         got = []
         for build in (lambda t: five_op_kd_penalty(t, w_star, w, 0.73, cov),
                       lambda t: stack_penalty(t, target, [w], 0.73)):
@@ -434,7 +435,7 @@ class TestDenseRecord:
             backward(tape, pen, seed=1.7)
             got.append((float(pen.value), w.grad.copy()))
         (want, want_grad), (value, grad) = got
-        assert value == want
+        assert value == want and "c" not in vars(target)
         if mode == "kdw":
             assert grad.tobytes() == want_grad.tobytes()
         assert np.max(np.abs(grad - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))

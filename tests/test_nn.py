@@ -313,9 +313,8 @@ def test_forward_matches_lstm_step_loop_bitwise(rep, rank):
     for t in range(7):
         h, c = forward_lm(model, tokens[:, t:t + 1], state=(h, c)).state
         hs.append(h)
-    seq = out.rows.value.reshape(5, 7, 16)                          # (batch, T, H)
     for t in range(7):
-        assert seq[:, t].tobytes() == hs[t].tobytes()
+        assert out.hs.value[t].tobytes() == hs[t].tobytes()
     assert out.state[0].tobytes() == h.tobytes()
     assert out.state[1].tobytes() == c.tobytes()
     rows = np.stack(hs, axis=1).reshape(-1, 16)

@@ -277,7 +277,8 @@ def test_collect_stack_inputs_shapes():
 def test_collect_stack_inputs_matches_per_step_loop(rep, rank):
     """One forward per window gathers bitwise the rows a step-by-step
     stateful loop of one-step forwards (``T = 1``) sees, in the same
-    time-major order."""
+    order: within each window the embedded inputs batch-major and the
+    entering hidden states time-major."""
     vocab, train_ids, _ = _setup(n_tokens=1200)
     arch = _arch(vocab, rep, rank, unroll=5, batch=3)
     model = build_model(arch, seed=8)
@@ -352,6 +353,30 @@ def test_collect_stack_inputs_runs_no_output_projection(monkeypatch):
     assert calls == []
     forward_lm(model, next(iter(make_batches(train_ids, 3, 5))).inputs).logits
     assert len(calls) == 1
+
+
+def test_only_the_output_layer_lays_the_hidden_states_out_batch_major(monkeypatch):
+    """The teacher pass reads the scan's time-major hidden states as they
+    are: ``collect_stack_inputs`` and ``stack_covariances`` run no ``(1, 0,
+    2)`` transpose, and ``sequence_nll`` runs exactly one."""
+    vocab, train_ids, _ = _setup(n_tokens=1200)
+    model = build_model(_arch(vocab, "mps", 3, unroll=5, batch=3), seed=8)
+    batch_major = []
+    transpose = ag.transpose
+
+    def spy(tape, a, axes=None):
+        if axes is not None and tuple(axes) == (1, 0, 2):
+            batch_major.append(tape)
+        return transpose(tape, a, axes)
+
+    monkeypatch.setattr(ag, "transpose", spy)
+    collect_stack_inputs(model, train_ids, max_windows=2)
+    training.stack_covariances(model, train_ids)
+    assert batch_major == []
+    batch = next(iter(make_batches(train_ids, 3, 5)))
+    tape = Tape()
+    sequence_nll(tape, forward_lm(model, batch.inputs, tape), batch.targets)
+    assert batch_major == [tape]
 
 
 def _window_fold(model, ids):
@@ -503,8 +528,8 @@ class TestPenaltyDispatch:
         monkeypatch.setattr(training.KdTarget, "build", counted)
         cfg.epochs = 2
         train_model(student, ids, valid_ids, cfg, teacher=teacher, cov_x=cov_x, cov_h=cov_h)
-        # Tr[W* S W*^T] (and S symmetrized if it is not) once per stack per call,
-        # not per window or epoch
+        # one target (S symmetrized if it is not) per stack per call, not per
+        # window or epoch
         assert len(builds) == 2
         assert (builds[0] is None) == (mode == "kdw")
 
